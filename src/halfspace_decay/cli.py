@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     strictest_exit_code,
 )
-from .fibers import fiber_residual, gelfand_forward, gelfand_inverse, theta_grid
+from .fibers import BlochFiber, fiber_residual, gelfand_forward, gelfand_inverse, theta_grid
 from .fields import load_field, save_field
 from .lattice import (
     Lattice,
@@ -264,12 +264,11 @@ def _cmd_gelfand(args) -> int:
             t_start=fiber.t_start,
             t_end=fiber.t_end,
             tail_bound=fiber.tail_bound,
+            cells_lo=fiber.cells_lo,
         )
         print(json.dumps({"tail_bound": fiber.tail_bound}))
         return EXIT_OK
     if args.subcommand == "inverse":
-        from .fibers import BlochFiber
-
         fibers = []
         for path in args.fibers:
             with np.load(path) as data:
@@ -282,6 +281,7 @@ def _cmd_gelfand(args) -> int:
                         t_end=float(data["t_end"]),
                         data=data["data"],
                         tail_bound=float(data["tail_bound"]),
+                        cells_lo=tuple(data["cells_lo"]) if "cells_lo" in data.files else None,
                     )
                 )
         u = gelfand_inverse(fibers, lat)
@@ -289,12 +289,10 @@ def _cmd_gelfand(args) -> int:
         return EXIT_OK
     if args.subcommand == "roundtrip":
         u = load_field(args.u, lat)
-        fibers = [gelfand_forward(u, theta, 10**6) for theta in theta_grid(lat, args.theta_points)]
+        fibers = gelfand_forward(u, theta_grid(lat, args.theta_points), 10**6)
         back = gelfand_inverse(fibers, lat)
-        if back.values.shape != u.values.shape or back.cells_lo != u.cells_lo:
-            raise SchemaError(
-                "round trip box mismatch: theta grid does not resolve the field box"
-            )
+        if back.cells_shape != u.cells_shape:
+            raise SchemaError("round trip box mismatch: theta grid does not resolve the field box")
         err = float(np.max(np.abs(back.values - u.values)))
         print(json.dumps({"max_error": err}))
         return EXIT_OK

@@ -7,22 +7,32 @@ then exactly the n^d DFT grid of the torus, so the physical/spectral
 conversion is a unitary FFT and the fiber operator acts diagonally with
 eigenvalues |k + theta|^2 - E over wrapped integer mode vectors.
 
-The theta-grid for inversion is uniform (midpoint) over the dual cell in
+The cell phase factors per axis, so the lattice sum over a product set of
+quasimomenta is one separable contraction: a small dense phase matrix
+(quasimomenta x cells) applied to each cell axis of the field in turn, then
+the intra-cell twist.  The inverse is the same contraction with the conjugate
+phases divided by the grid size, and rebuilds onto the cell box whose origin
+the fibers carry.  Its theta-grid is uniform (midpoint) over the dual cell in
 dual-basis coordinates, which makes the reconstruction exact for data
 band-limited to fewer cells than the grid resolves.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError, SchemaError
-from .fields import SampledField
+from .fields import SampledField, cells_first
 from .lattice import Lattice, Quasimomentum, dual_basis, unit_cell_volume
 from .profiles import SpectralProfile
+from .quadrature import simpson_weights
+
+STACK_BYTES = 1 << 20
 
 
 @dataclass(eq=False)
@@ -32,6 +42,8 @@ class BlochFiber:
     ``data`` has shape (n, ..., n, n_t); ``representation`` is "physical"
     (cell-grid samples) or "spectral" (orthonormal DFT coefficients).
     ``tail_bound`` is the L2 bound on the lattice-sum truncation error.
+    ``cells_lo`` is the lowest cell of the field box the fiber came from;
+    None means the box centred on the origin.
     """
 
     theta: Quasimomentum
@@ -42,6 +54,7 @@ class BlochFiber:
     data: np.ndarray
     representation: str = "physical"
     tail_bound: float = 0.0
+    cells_lo: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.representation not in ("physical", "spectral"):
@@ -50,6 +63,8 @@ class BlochFiber:
         n = self.points_per_cell
         if self.data.shape[:-1] != (n,) * self.lattice.dim:
             raise GridError("fiber data shape disagrees with the cell grid")
+        if self.cells_lo is not None and len(self.cells_lo) != self.lattice.dim:
+            raise GridError("fiber cell origin disagrees with the lattice dimension")
 
     @property
     def dim(self) -> int:
@@ -71,21 +86,13 @@ class BlochFiber:
         if self.representation == "spectral":
             return self
         coeffs = np.fft.fftn(self.data, axes=self.spatial_axes, norm="ortho")
-        return BlochFiber(
-            theta=self.theta, lattice=self.lattice, points_per_cell=self.points_per_cell,
-            t_start=self.t_start, t_end=self.t_end, data=coeffs,
-            representation="spectral", tail_bound=self.tail_bound,
-        )
+        return dataclasses.replace(self, data=coeffs, representation="spectral")
 
     def to_physical(self) -> "BlochFiber":
         if self.representation == "physical":
             return self
         values = np.fft.ifftn(self.data, axes=self.spatial_axes, norm="ortho")
-        return BlochFiber(
-            theta=self.theta, lattice=self.lattice, points_per_cell=self.points_per_cell,
-            t_start=self.t_start, t_end=self.t_end, data=values,
-            representation="physical", tail_bound=self.tail_bound,
-        )
+        return dataclasses.replace(self, data=values, representation="physical")
 
     def mode_vectors(self) -> np.ndarray:
         """Wrapped integer mode indices, shape (n, ..., n, dim)."""
@@ -101,11 +108,6 @@ class BlochFiber:
         m = self.mode_vectors().astype(float)
         k = m @ dual.basis.T + theta_vec
         return np.sum(k * k, axis=-1) - float(energy)
-
-    def torus_norms(self) -> np.ndarray:
-        """||phi(t)||_{L2(torus)} per t sample."""
-        w = unit_cell_volume(self.lattice) / self.points_per_cell**self.dim
-        return np.sqrt(w * np.sum(np.abs(self.data) ** 2, axis=self.spatial_axes))
 
     def to_profile(self, energy: float, max_modes: int | None = None):
         """Flatten to a SpectralProfile of DFT modes (optionally the heaviest).
@@ -128,42 +130,73 @@ class BlochFiber:
         return profile, dropped
 
 
-def _intra_cell_phase(mu: np.ndarray, n: int, dim: int, sign: float) -> np.ndarray:
-    """exp(sign * 2*pi*i * mu.j/n) over the intra-cell grid, shape (n,...,n)."""
-    axes = [np.exp(sign * 2j * math.pi * mu[a] * np.arange(n) / n) for a in range(dim)]
-    out = axes[0]
-    for a in range(1, dim):
-        out = np.multiply.outer(out, axes[a])
+def _intra_cell_phase(axes_mu, n: int, sign: float) -> np.ndarray:
+    """exp(sign * 2*pi*i * mu.j/n) over per-axis mu values and the intra-cell grid.
+
+    Shape (K_0, ..., K_{d-1}, n, ..., n): the quasimomentum axes come first.
+    """
+    dim = len(axes_mu)
+    out = np.ones(tuple(len(mu) for mu in axes_mu) + (n,) * dim, dtype=complex)
+    for a, mu in enumerate(axes_mu):
+        shape = [1] * (2 * dim)
+        shape[a], shape[dim + a] = len(mu), n
+        out *= np.exp(sign * 2j * math.pi * np.outer(mu, np.arange(n)) / n).reshape(shape)
     return out
 
 
-def gelfand_forward(u: SampledField, theta: Quasimomentum, l_max: int) -> BlochFiber:
+def _contract_cells(x: np.ndarray, mats) -> np.ndarray:
+    """Apply ``mats[a]`` (B_a x A_a) to axis a of x, shape (A_0, ..., A_{d-1}, ...)."""
+    for a, mat in enumerate(mats):
+        shape = x.shape
+        x = np.matmul(mat, x.reshape(math.prod(shape[:a]), shape[a], -1))
+        x = x.reshape(shape[:a] + (mat.shape[0],) + shape[a + 1 :])
+    return x
+
+
+def gelfand_forward(u: SampledField, theta, l_max: int) -> BlochFiber | list[BlochFiber]:
     """Lattice sum sum_c exp(-i theta.(x+c)) u(x+c, t) over cells with |c|_inf <= l_max.
+
+    ``theta`` is one Quasimomentum (one BlochFiber back) or a sequence of them
+    (their fibers, in order, from one pass over the field at the cost of the
+    product grid of their distinct per-axis coordinates).
 
     Cells of the sampled box outside the range contribute to the reported
     ``tail_bound`` (the sum of their L2 masses); sampled fields are compactly
     supported on their box, so the bound is complete for them.
     """
-    if theta.dim != u.dim:
+    single = isinstance(theta, Quasimomentum)
+    thetas = [theta] if single else list(theta)
+    if any(q.dim != u.dim for q in thetas):
         raise GridError("quasimomentum dimension disagrees with the field")
-    n = u.points_per_cell
-    mu = theta.coeffs
-    shape = (n,) * u.dim + (u.n_t,)
-    acc = np.zeros(shape, dtype=complex)
-    tail = 0.0
-    for cell in u.iter_cells():
-        if max(abs(c) for c in cell) > l_max:
-            tail += math.sqrt(u.cell_l2_mass(cell))
-            continue
-        phase = np.exp(-2j * math.pi * float(np.dot(mu, cell)))
-        acc += phase * u.cell_block(cell)
-    intra = _intra_cell_phase(mu, n, u.dim, sign=-1.0)
-    acc *= intra[..., None]
-    return BlochFiber(
-        theta=theta, lattice=u.lattice, points_per_cell=n,
-        t_start=u.t_start, t_end=u.t_end, data=acc,
-        representation="physical", tail_bound=tail,
-    )
+    n, dim = u.points_per_cell, u.dim
+    axes_mu = [np.unique([q.coeffs[a] for q in thetas]) for a in range(dim)]
+    cells = [lo + np.arange(sh) for lo, sh in zip(u.cells_lo, u.cells_shape)]
+    inside = [np.abs(c) <= l_max for c in cells]
+    mats = [np.exp(-2j * math.pi * np.outer(mu, c)) * ok
+            for mu, c, ok in zip(axes_mu, cells, inside)]
+    twist = _intra_cell_phase(axes_mu, n, -1.0)
+    out = np.empty(twist.shape + (u.n_t,), dtype=complex)
+    field = cells_first(u.values, u.cells_shape, n)
+    truncated = not all(ok.all() for ok in inside)
+    mass = np.zeros(u.cells_shape)
+    # one slab per first intra-cell index; up to d = 2 BLAS reads it without a copy
+    for j in range(n):
+        at = (slice(None),) * dim + (j,)
+        np.multiply(_contract_cells(field[at], mats), twist[at][..., None], out=out[at])
+        if truncated:
+            mass += np.sum(np.abs(field[at]) ** 2, axis=tuple(range(dim, 2 * dim)))
+    mass[np.ix_(*inside)] = 0.0
+    w_dt = unit_cell_volume(u.lattice) / n**dim * (u.t_end - u.t_start) / (u.n_t - 1)
+    tail = float(np.sum(np.sqrt(w_dt * mass)))
+    fibers = [
+        BlochFiber(
+            theta=q, lattice=u.lattice, points_per_cell=n, t_start=u.t_start, t_end=u.t_end,
+            data=out[tuple(np.searchsorted(mu, m) for mu, m in zip(axes_mu, q.coeffs))],
+            tail_bound=tail, cells_lo=u.cells_lo,
+        )
+        for q in thetas
+    ]
+    return fibers[0] if single else fibers
 
 
 def theta_grid(lat: Lattice, per_axis: int) -> list[Quasimomentum]:
@@ -173,22 +206,19 @@ def theta_grid(lat: Lattice, per_axis: int) -> list[Quasimomentum]:
     """
     if per_axis < 1:
         raise SchemaError("theta grid needs at least one point per axis")
-    dim = lat.dim
-    l = 2 * per_axis
-    thetas = []
-    mesh = np.meshgrid(*([np.arange(per_axis)] * dim), indexing="ij")
-    for idx in zip(*[m.reshape(-1) for m in mesh]):
-        residues = tuple(2 * int(p) + 1 for p in idx)
-        thetas.append(Quasimomentum.from_rational(l, residues))
-    return thetas
+    return [
+        Quasimomentum.from_rational(2 * per_axis, tuple(2 * p + 1 for p in idx))
+        for idx in itertools.product(range(per_axis), repeat=lat.dim)
+    ]
 
 
 def gelfand_inverse(fibers: list[BlochFiber], lat: Lattice) -> SampledField:
     """Midpoint-rule reconstruction u(x+c) = avg_theta exp(i theta.(x+c)) fiber.
 
     Exact for data supported on fewer cells per axis than the theta-grid has
-    points per axis.  All fibers must share the cell grid and t-grid and come
-    from a full uniform theta-grid.
+    points per axis.  All fibers must share the cell grid, the t-grid and the
+    cell origin, and come from a full uniform theta-grid.  The field is rebuilt
+    on the per_axis^d cells from that origin (the centred box when None).
     """
     if not fibers:
         raise SchemaError("need at least one fiber")
@@ -198,33 +228,41 @@ def gelfand_inverse(fibers: list[BlochFiber], lat: Lattice) -> SampledField:
     if per_axis**dim != len(fibers):
         raise SchemaError("fiber collection is not a full per-axis grid")
     n = first.points_per_cell
+    centred = (-((per_axis - 1) // 2),) * dim
+    cells_lo = centred if first.cells_lo is None else first.cells_lo
+    mu = (2 * np.arange(per_axis) + 1) / (2 * per_axis)
+    index = []
+    grids = (n, dim, first.n_t, first.t_start, first.t_end)
     for f in fibers:
-        if f.points_per_cell != n or f.n_t != first.n_t:
-            raise GridError("fibers disagree on cell grid or t-grid")
-        if f.t_start != first.t_start or f.t_end != first.t_end:
-            raise GridError("fibers disagree on t-range")
-    expected = sorted(tuple(q.coeffs) for q in theta_grid(lat, per_axis))
-    actual = sorted(tuple(f.theta.coeffs) for f in fibers)
-    for exp_mu, act_mu in zip(expected, actual):
-        if max(abs(a - b) for a, b in zip(exp_mu, act_mu)) > 1e-12:
+        if (f.points_per_cell, f.dim, f.n_t, f.t_start, f.t_end) != grids:
+            raise GridError("fibers disagree on the cell grid or t-grid")
+        if (centred if f.cells_lo is None else f.cells_lo) != cells_lo:
+            raise GridError("fibers disagree on the cell origin of the field box")
+        p = np.rint(f.theta.coeffs * per_axis - 0.5).astype(int)
+        if f.theta.dim != dim or np.max(np.abs(f.theta.coeffs - mu[p])) > 1e-12:
             raise SchemaError("fiber quasimomenta do not form the uniform midpoint grid")
-    half = (per_axis - 1) // 2
-    cells_lo = (-half,) * dim
-    cells_shape = (per_axis,) * dim
-    out = np.zeros(tuple(per_axis * n for _ in range(dim)) + (first.n_t,), dtype=complex)
-    inv_m = 1.0 / len(fibers)
-    for fiber in fibers:
-        phys = fiber.to_physical()
-        mu = fiber.theta.coeffs
-        intra = _intra_cell_phase(mu, n, dim, sign=+1.0)
-        block = phys.data * intra[..., None]
-        for flat_cell in np.ndindex(*cells_shape):
-            cell = tuple(cells_lo[a] + flat_cell[a] for a in range(dim))
-            phase = np.exp(2j * math.pi * float(np.dot(mu, cell)))
-            slices = tuple(slice(flat_cell[a] * n, (flat_cell[a] + 1) * n) for a in range(dim))
-            out[slices] += inv_m * phase * block
+        index.append(tuple(p))
+    if len(set(index)) != len(fibers):
+        raise SchemaError("fiber quasimomenta do not form the uniform midpoint grid")
+    mats = [np.exp(2j * math.pi * np.outer(lo + np.arange(per_axis), mu)) for lo in cells_lo]
+    twist = _intra_cell_phase([mu] * dim, n, +1.0)
+    out = np.empty((per_axis * n,) * dim + (first.n_t,), dtype=complex)
+    field = cells_first(out, (per_axis,) * dim, n)
+    # a few t-samples per step: temporaries stay small and the allocator reuses them
+    step = max(1, STACK_BYTES // (16 * twist.size))
+    for t in range(0, first.n_t, step):
+        s = slice(t, min(t + step, first.n_t))
+        stack = np.empty(twist.shape + (s.stop - t,), dtype=complex)
+        for p, f in zip(index, fibers):
+            chunk = f.data[..., s]
+            if f.representation == "spectral":
+                chunk = np.fft.ifftn(chunk, axes=f.spatial_axes, norm="ortho")
+            stack[p] = chunk
+        stack *= twist[..., None]
+        # a vectorized multiply last: it clears vector state zgemm can leave dirty (slow SSE)
+        np.multiply(_contract_cells(stack, mats), 1.0 / len(fibers), out=field[..., s])
     return SampledField(
-        kind="u", lattice=lat, cells_lo=cells_lo, cells_shape=cells_shape,
+        kind="u", lattice=lat, cells_lo=cells_lo, cells_shape=(per_axis,) * dim,
         points_per_cell=n, t_start=first.t_start, t_end=first.t_end, values=out,
     )
 
@@ -253,11 +291,11 @@ def fiber_residual(
     if potential is not None:
         if potential.points_per_cell != fiber.points_per_cell:
             raise GridError("potential grid is incommensurate with the fiber")
-        if potential.n_t != fiber.n_t:
+        t_range = (fiber.n_t, fiber.t_start, fiber.t_end)
+        if (potential.n_t, potential.t_start, potential.t_end) != t_range:
             raise GridError("potential t-grid disagrees with the fiber")
-        v_cell = potential.cell_block(potential.cells_lo)
-        phys = fiber.to_physical()
-        res_phys = res_phys - v_cell[..., 1:-1] * phys.data[..., 1:-1]
+        v_cell = potential.cell_block(potential.cells_lo)[..., 1:-1]
+        res_phys = res_phys - v_cell * fiber.to_physical().data[..., 1:-1]
     w = unit_cell_volume(fiber.lattice) / fiber.points_per_cell**fiber.dim
     return np.sqrt(w * np.sum(np.abs(res_phys) ** 2, axis=axes))
 
@@ -268,8 +306,9 @@ def weighted_norm(
     """Quadrature of <x>^(2 kappa) exp(2 lambda t^power) |u|^2 over the box.
 
     ``weight_power`` 1 gives the plain exponential weight; 4/3 the stronger
-    variant.  Returns (value, tail_bound); sampled fields are compactly
-    supported on their box so the truncation tail is zero by construction.
+    variant.  Simpson in t for an odd point count, trapezoid otherwise.
+    Returns (value, tail_bound); sampled fields are compactly supported on
+    their box so the truncation tail is zero by construction.
     """
     if weight_power not in (1.0, 4.0 / 3.0):
         raise SchemaError("weight_power must be 1 or 4/3")
@@ -279,11 +318,8 @@ def weighted_norm(
     tw = np.exp(2.0 * decay_lambda * t**weight_power)
     w_x = unit_cell_volume(u.lattice) / u.points_per_cell**u.dim
     n_t = u.n_t
-    if n_t >= 3 and n_t % 2 == 1:
-        t_weights = np.ones(n_t)
-        t_weights[1:-1:2] = 4.0
-        t_weights[2:-1:2] = 2.0
-        t_weights *= (t[1] - t[0]) / 3.0
+    if n_t % 2 == 1:
+        t_weights = simpson_weights(n_t) * ((t[1] - t[0]) / 3.0)
     else:
         t_weights = np.full(n_t, t[1] - t[0])
         t_weights[0] *= 0.5

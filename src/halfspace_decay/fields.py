@@ -19,9 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GridError, SchemaError
-from .lattice import Lattice, unit_cell_volume
+from .lattice import Lattice
 
 FIELD_KINDS = ("u", "potential")
+
+
+def cells_first(values: np.ndarray, cells_shape, n: int) -> np.ndarray:
+    """View of samples (C_0 n, ..., C_{d-1} n, t) as (C_0, ..., C_{d-1}, n, ..., n, t)."""
+    dim = len(cells_shape)
+    grid = values.reshape(tuple(x for c in cells_shape for x in (c, n)) + (values.shape[-1],))
+    return grid.transpose(tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2)) + (2 * dim,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +78,10 @@ class SampledField:
             self._check_periodic()
 
     def _check_periodic(self):
-        base = self.cell_block(self.cells_lo)
+        cells = cells_first(self.values, self.cells_shape, self.points_per_cell)
         scale = max(1.0, float(np.max(np.abs(self.values))))
-        for cell in self.iter_cells():
-            if np.max(np.abs(self.cell_block(cell) - base)) > 1e-12 * scale:
-                raise SchemaError("potential field is not periodic across cell copies")
+        if np.max(np.abs(cells - cells[(0,) * self.dim])) > 1e-12 * scale:
+            raise SchemaError("potential field is not periodic across cell copies")
 
     @property
     def dim(self) -> int:
@@ -89,25 +95,10 @@ class SampledField:
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_t)
 
-    def iter_cells(self):
-        ranges = [range(lo, lo + sh) for lo, sh in zip(self.cells_lo, self.cells_shape)]
-        mesh = np.meshgrid(*[np.array(list(r)) for r in ranges], indexing="ij")
-        for idx in zip(*[m.reshape(-1) for m in mesh]):
-            yield tuple(int(v) for v in idx)
-
     def cell_block(self, cell) -> np.ndarray:
         """Samples of one cell, shape (n, ..., n, n_t)."""
-        n = self.points_per_cell
-        slices = tuple(
-            slice((c - lo) * n, (c - lo + 1) * n) for c, lo in zip(cell, self.cells_lo)
-        )
-        return self.values[slices]
-
-    def cell_l2_mass(self, cell) -> float:
-        """L2 mass of one cell block, space-time, with the cell measure."""
-        w = unit_cell_volume(self.lattice) / self.points_per_cell**self.dim
-        dt = (self.t_end - self.t_start) / (self.n_t - 1)
-        return float(w * dt * np.sum(np.abs(self.cell_block(cell)) ** 2))
+        cells = cells_first(self.values, self.cells_shape, self.points_per_cell)
+        return cells[tuple(c - lo for c, lo in zip(cell, self.cells_lo))]
 
     def positions(self) -> np.ndarray:
         """Grid point coordinates, shape (*spatial, dim)."""
@@ -118,27 +109,6 @@ class SampledField:
         mesh = np.meshgrid(*axes, indexing="ij")
         frac = np.stack(mesh, axis=-1)
         return frac @ self.lattice.basis.T
-
-    def l2_norm_squared(self) -> float:
-        """Plain space-time L2 mass with uniform weights (trapezoid in t)."""
-        w = unit_cell_volume(self.lattice) / self.points_per_cell**self.dim
-        tw = np.ones(self.n_t)
-        tw[0] = tw[-1] = 0.5
-        dt = (self.t_end - self.t_start) / (self.n_t - 1)
-        return float(w * dt * np.sum(np.abs(self.values) ** 2 * tw))
-
-
-def zero_like(field: SampledField, kind: str = "u") -> SampledField:
-    return SampledField(
-        kind=kind,
-        lattice=field.lattice,
-        cells_lo=field.cells_lo,
-        cells_shape=field.cells_shape,
-        points_per_cell=field.points_per_cell,
-        t_start=field.t_start,
-        t_end=field.t_end,
-        values=np.zeros_like(field.values),
-    )
 
 
 def constant_potential(

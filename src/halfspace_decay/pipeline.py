@@ -74,24 +74,23 @@ def _admissible_window(gaps, alpha: float):
 
 
 def _theta_case(args):
-    (idx, theta, lat, u, v, params, tolerances) = args
+    (idx, fiber, lat, v, params, tolerances) = args
     energy = float(params.get("energy", 0.0))
-    l_max = int(params.get("l_max", 10**6))
     cutoff = float(params.get("cutoff", 50.0))
     min_gap = float(params.get("min_gap", 0.0))
     max_modes = params.get("max_modes", 16)
     taper_frac = float(params.get("carleman_taper", 0.2))
 
-    fiber = gelfand_forward(u, theta, l_max)
-    residuals = fiber_residual(fiber, v, energy)
-    slc = enumerate_spectrum(lat, theta, energy, cutoff)
+    spec = fiber.to_spectral()
+    residuals = fiber_residual(spec, v, energy)
+    slc = enumerate_spectrum(lat, fiber.theta, energy, cutoff)
     gaps = find_gaps(slc, min_gap)
-    profile, dropped = fiber.to_profile(energy, max_modes=max_modes)
+    profile, dropped = spec.to_profile(energy, max_modes=max_modes)
     alpha = float(max(0.0, -np.min(profile.eigs))) if profile.n_modes else 0.0
 
     case = {
         "theta_index": idx,
-        "theta": [float(m) for m in theta.coeffs],
+        "theta": [float(m) for m in fiber.theta.coeffs],
         "tail_bound": fiber.tail_bound,
         "max_residual": float(np.max(residuals)) if residuals.size else 0.0,
         "spectrum_count": int(slc.values.size),
@@ -162,14 +161,14 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
         v = load_field(params["v_field"], lat)
         if v.kind != "potential":
             raise SchemaError("v_field must have kind 'potential'")
-    theta_points = int(params["theta_points"])
-    thetas = theta_grid(lat, theta_points)
+    thetas = theta_grid(lat, int(params["theta_points"]))
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.write_resolved(out_dir)
 
-    jobs = [(i, theta, lat, u, v, params, cfg.tolerances) for i, theta in enumerate(thetas)]
+    fibers = gelfand_forward(u, thetas, int(params.get("l_max", 10**6)))
+    jobs = [(i, fiber, lat, v, params, cfg.tolerances) for i, fiber in enumerate(fibers)]
     results = parallel_map(_theta_case, jobs, threads=cfg.threads)
 
     manifest = RunManifest.for_config(cfg)

@@ -157,10 +157,3 @@ def zero_profile(eigs, t_grid: np.ndarray, alpha: float | None = None) -> Spectr
         eigs=eigs, t_grid=t_grid, coeffs=np.zeros((eigs.size, t_grid.size), dtype=complex), alpha=alpha
     )
 
-
-def profile_from_callable(eigs, t_grid: np.ndarray, fns, alpha: float | None = None) -> SpectralProfile:
-    """Profile with c_i(t) = fns[i](t), evaluated on the grid."""
-    eigs = np.asarray(eigs, dtype=float).reshape(-1)
-    t_grid = np.asarray(t_grid, dtype=float)
-    coeffs = np.stack([np.asarray(fn(t_grid), dtype=complex) for fn in fns])
-    return SpectralProfile(eigs=eigs, t_grid=t_grid, coeffs=coeffs, alpha=alpha)

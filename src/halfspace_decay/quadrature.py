@@ -33,15 +33,19 @@ def grid_step(t: np.ndarray) -> float:
     return float(h[0])
 
 
-def composite_simpson(y: np.ndarray, h: float) -> float:
-    """Composite Simpson rule; requires an even number of intervals."""
-    n = y.shape[-1]
+def simpson_weights(n: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 4, 1 (without the h/3 factor)."""
     if n < 3 or n % 2 == 0:
         raise GridError("Simpson rule needs an odd number of points (even intervals)")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(w, y))
+    return w
+
+
+def composite_simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson rule; requires an even number of intervals."""
+    return float(h / 3.0 * np.dot(simpson_weights(y.shape[-1]), y))
 
 
 @dataclass(frozen=True)

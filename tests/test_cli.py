@@ -120,7 +120,7 @@ def test_gelfand_cli_round_trip(tmp_path, capsys):
     lat_path.write_text(json.dumps(lat.to_json()))
     rng = np.random.default_rng(8)
     u = SampledField(
-        kind="u", lattice=lat, cells_lo=(-1,), cells_shape=(3,), points_per_cell=6,
+        kind="u", lattice=lat, cells_lo=(4,), cells_shape=(3,), points_per_cell=6,
         t_start=0.0, t_end=1.0,
         values=rng.normal(size=(18, 5)) + 1j * rng.normal(size=(18, 5)),
     )
@@ -149,6 +149,7 @@ def test_gelfand_cli_round_trip(tmp_path, capsys):
         "--out", str(back_path),
     ]) == EXIT_OK
     back = load_field(back_path, lat)
+    assert back.cells_lo == u.cells_lo  # the box origin travels in the fiber files
     assert np.max(np.abs(back.values - u.values)) < 1e-8
 
     res_path = tmp_path / "res.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +20,7 @@ from halfspace_decay import (
     theta_grid,
     weighted_norm,
 )
+from halfspace_decay import fibers as fibers_module
 from halfspace_decay.fields import constant_potential
 
 TWO_PI = 2.0 * math.pi
@@ -40,6 +43,55 @@ def make_u(lat, cells_lo, cells_shape, n, nt, rng=None, values=None, t_end=1.0):
         kind="u", lattice=lat, cells_lo=cells_lo, cells_shape=cells_shape,
         points_per_cell=n, t_start=0.0, t_end=t_end, values=values,
     )
+
+
+def cells_of(u):
+    return itertools.product(*(range(lo, lo + sh) for lo, sh in zip(u.cells_lo, u.cells_shape)))
+
+
+def cell_mass(u, cell):
+    """Space-time L2 mass of one cell block with the cell measure."""
+    w = abs(np.linalg.det(u.lattice.basis)) / u.points_per_cell**u.dim
+    dt = (u.t_end - u.t_start) / (u.n_t - 1)
+    return w * dt * float(np.sum(np.abs(u.cell_block(cell)) ** 2))
+
+
+def loop_forward(u, theta, l_max):
+    """Reference lattice sum: one phase per cell, accumulated cell by cell."""
+    mu = theta.coeffs
+    n = u.points_per_cell
+    acc = np.zeros((n,) * u.dim + (u.n_t,), dtype=complex)
+    tail = 0.0
+    for cell in cells_of(u):
+        if max(abs(c) for c in cell) > l_max:
+            tail += math.sqrt(cell_mass(u, cell))
+            continue
+        acc += np.exp(-2j * math.pi * float(np.dot(mu, cell))) * u.cell_block(cell)
+    for a in range(u.dim):
+        shape = [1] * (u.dim + 1)
+        shape[a] = n
+        acc *= np.exp(-2j * math.pi * mu[a] * np.arange(n) / n).reshape(shape)
+    return acc, tail
+
+
+def loop_inverse(fibers, cells_lo):
+    """Reference midpoint reconstruction: every fiber phased into every cell."""
+    dim = len(cells_lo)
+    per_axis = round(len(fibers) ** (1.0 / dim))
+    n = fibers[0].points_per_cell
+    out = np.zeros((per_axis * n,) * dim + (fibers[0].n_t,), dtype=complex)
+    for fiber in fibers:
+        mu = fiber.theta.coeffs
+        block = fiber.to_physical().data.copy()
+        for a in range(dim):
+            shape = [1] * (dim + 1)
+            shape[a] = n
+            block *= np.exp(2j * math.pi * mu[a] * np.arange(n) / n).reshape(shape)
+        for offset in np.ndindex(*(per_axis,) * dim):
+            cell = np.add(cells_lo, offset)
+            slices = tuple(slice(k * n, (k + 1) * n) for k in offset)
+            out[slices] += np.exp(2j * math.pi * float(np.dot(mu, cell))) * block / len(fibers)
+    return out
 
 
 def field_mass(u):
@@ -194,6 +246,9 @@ def test_fiber_residual_grid_errors():
     bad_v = constant_potential(lat, 1.0, 4, 0.0, 2.0, 31)  # wrong points per cell
     with pytest.raises(GridError):
         fiber_residual(fiber, bad_v, 0.0)
+    moved_v = constant_potential(lat, 1.0, 8, 100.0, 500.0, 31)  # same n_t, other t-range
+    with pytest.raises(GridError):
+        fiber_residual(fiber, moved_v, 0.0)
 
 
 def test_parseval_fiber_representations():
@@ -274,7 +329,7 @@ def test_theta_continuity_lipschitz():
     radius = float(np.max(np.abs(pos))) + TWO_PI  # include cell shifts within box
     w = abs(np.linalg.det(lat.basis)) / u.points_per_cell
     cell_norms = sum(
-        math.sqrt(w * float(np.sum(np.abs(u.cell_block(c)) ** 2))) for c in u.iter_cells()
+        math.sqrt(w * float(np.sum(np.abs(u.cell_block(c)) ** 2))) for c in cells_of(u)
     )
     prev_err = None
     for k in range(1, 5):
@@ -292,8 +347,8 @@ def test_forward_tail_bound_reported():
     lat = line_lattice()
     u = make_u(lat, (-2,), (5,), 4, 3)
     fiber = gelfand_forward(u, Quasimomentum.zero(1), l_max=1)
-    excluded = [c for c in u.iter_cells() if abs(c[0]) > 1]
-    expected = sum(math.sqrt(u.cell_l2_mass(c)) for c in excluded)
+    excluded = [c for c in cells_of(u) if abs(c[0]) > 1]
+    expected = sum(math.sqrt(cell_mass(u, c)) for c in excluded)
     assert fiber.tail_bound == pytest.approx(expected, rel=1e-12)
     assert fiber.tail_bound > 0.0
 
@@ -335,3 +390,61 @@ def test_inverse_grid_mismatch():
     other = single_mode_fiber(lat, fibers[0].theta, 1, 1.0, 7, t_end=1.0, n=4)
     with pytest.raises(GridError):
         gelfand_inverse([other] + fibers[1:], lat)
+    shifted = dataclasses.replace(fibers[0], cells_lo=(0,))
+    with pytest.raises(GridError):
+        gelfand_inverse([shifted] + fibers[1:], lat)
+
+
+@pytest.mark.parametrize(
+    "lat, cells_lo, cells_shape, n, nt, l_max",
+    [
+        (line_lattice(), (-2,), (5,), 4, 9, 1),
+        (square_lattice(), (1, -3), (3, 4), 3, 7, 2),
+        (Lattice.cubic(TWO_PI, 3), (0, -1, 1), (2, 3, 2), 2, 5, 1),
+    ],
+    ids=["1d", "2d", "3d"],
+)
+def test_sequence_forward_matches_per_theta_and_loop(lat, cells_lo, cells_shape, n, nt, l_max):
+    u = make_u(lat, cells_lo, cells_shape, n, nt, rng=np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    off_grid = [Quasimomentum(coeffs=rng.uniform(size=lat.dim)) for _ in range(3)]
+    thetas = theta_grid(lat, 3) + off_grid
+    fibers = gelfand_forward(u, thetas, l_max)
+    assert [f.theta for f in fibers] == thetas
+    for theta, fiber in zip(thetas, fibers):
+        alone = gelfand_forward(u, theta, l_max)
+        ref, ref_tail = loop_forward(u, theta, l_max)
+        assert np.max(np.abs(fiber.data - alone.data)) < 1e-12
+        assert np.max(np.abs(fiber.data - ref)) < 1e-12
+        assert fiber.tail_bound == alone.tail_bound > 0.0
+        assert fiber.tail_bound == pytest.approx(ref_tail, rel=1e-12)
+        assert fiber.cells_lo == cells_lo
+
+
+def test_inverse_matches_loop_reference(monkeypatch):
+    monkeypatch.setattr(fibers_module, "STACK_BYTES", 16 * 9 * 16 * 32)  # t-chunks 32, 32, 6
+    lat = square_lattice()
+    rng = np.random.default_rng(23)
+    thetas = theta_grid(lat, 3)
+    fibers = [
+        BlochFiber(
+            theta=q, lattice=lat, points_per_cell=4, t_start=0.0, t_end=1.0,
+            data=rng.normal(size=(4, 4, 70)) + 1j * rng.normal(size=(4, 4, 70)),
+            cells_lo=(2, -4),
+        )
+        for q in thetas
+    ]
+    fibers[1] = fibers[1].to_spectral()
+    ref = loop_inverse(fibers, (2, -4))
+    back = gelfand_inverse(fibers[::-1], lat)
+    assert back.cells_lo == (2, -4) and back.cells_shape == (3, 3)
+    assert np.max(np.abs(back.values - ref)) < 1e-12
+
+
+def test_round_trip_keeps_non_centred_box():
+    lat = line_lattice()
+    u = make_u(lat, (5,), (2,), 4, 9)
+    back = gelfand_inverse(gelfand_forward(u, theta_grid(lat, 3), l_max=10), lat)
+    assert back.cells_lo == (5,)
+    assert np.max(np.abs(back.values[:8] - u.values)) < 1e-12
+    assert np.max(np.abs(back.values[8:])) < 1e-12
