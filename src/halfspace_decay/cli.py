@@ -45,12 +45,17 @@ from .lattice import QuadraticForm
 
 
 def _parse_gram(text: str) -> np.ndarray:
-    rows = [r for r in text.split(";") if r.strip()]
-    return np.array([[int(v) for v in row.split(",")] for row in rows], dtype=np.int64)
+    rows = [_parse_list(r, int) for r in text.split(";") if r.strip()]
+    if any(len(row) != len(rows) for row in rows):
+        raise SchemaError(f"gram {text!r} is not a square matrix")
+    return np.array(rows, dtype=np.int64)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_list(text: str, kind=float) -> list:
+    try:
+        return [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise SchemaError(f"cannot parse {text!r} as a comma-separated {kind.__name__} list") from exc
 
 
 def _emit_rows(header, rows, out: str | None) -> None:
@@ -232,7 +237,7 @@ def _cmd_gaps(args) -> int:
     if args.growth:
         dual = dual_basis(lat)
         sigma, q, l, r = rational_structure(dual, theta)
-        table = max_gap_growth(q, theta, [int(v) for v in args.growth.split(",")])
+        table = max_gap_growth(q, theta, _parse_list(args.growth, int))
         _emit_rows(["N", "max_gap"], [(n, g) for n, g in table], args.out)
         return EXIT_OK
     if args.cutoff is None:
@@ -352,7 +357,7 @@ def _cmd_carleman(args) -> int:
 
         def run_case_gap(i):
             if args.eigs:
-                eigs = _parse_floats(args.eigs)
+                eigs = _parse_list(args.eigs)
                 t = uniform_grid(4.0, 4097)
                 profile = bump_profile((0.5, 3.0), [(mu, 1.0) for mu in eigs], t, alpha=args.alpha)
                 a, b, alpha = args.a, args.b, args.alpha
@@ -368,13 +373,13 @@ def _cmd_carleman(args) -> int:
             return EXIT_OK
         return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
     if args.subcommand == "system-check":
-        eigs = _parse_floats(args.eigs)
+        eigs = _parse_list(args.eigs)
         t = uniform_grid(4.0, 4097)
         profile = bump_profile((0.5, 3.0), [(mu, 1.0) for mu in eigs], t)
         report = carl.first_order_system_check(profile, args.a, args.b)
         print(json.dumps(report.to_json()))
         return EXIT_OK if report.certificates_ok else EXIT_VIOLATION
-    s_list = _parse_floats(args.s_list)
+    s_list = _parse_list(args.s_list)
     codes = []
     for i in range(args.ensemble):
         profile, beta = solution_like_profile(args.seed, i)
@@ -385,7 +390,7 @@ def _cmd_carleman(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    eigs = _parse_floats(args.eigs)
+    eigs = _parse_list(args.eigs)
     if args.perturbation == "zero":
         pert = evo.PerturbationFamily.zero()
     else:
@@ -402,7 +407,7 @@ def _cmd_evolve(args) -> int:
         pert = maker(bound, beta=args.beta, decays=(args.bound == "exp"), seed=args.seed)
     pos = [mu for mu in eigs if mu > 0]
     T = args.T if args.T else (30.0 / min(np.sqrt(pos)) if pos else 30.0)
-    g = _parse_floats(args.boundary) if args.boundary else [1.0] * len(eigs)
+    g = _parse_list(args.boundary) if args.boundary else [1.0] * len(eigs)
     result = evo.solve_decaying(eigs, pert, T, g)
     window = evo.default_tail_window(T)
     est = evo.decay_rate_estimate(result.profile, window)
@@ -438,7 +443,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_decay(args) -> int:
     rows = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
     t, norms = rows[:, 0], rows[:, 1]
-    window = tuple(_parse_floats(args.window))
+    window = tuple(_parse_list(args.window))
     profile = SpectralProfile(
         eigs=np.array([0.0]), t_grid=t, coeffs=norms[None, :].astype(complex)
     )
@@ -448,7 +453,7 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    rows = evo.harmonic_counterexample(_parse_floats(args.lambdas), args.T, args.X)
+    rows = evo.harmonic_counterexample(_parse_list(args.lambdas), args.T, args.X)
     table = [
         (
             r.weight_rate,

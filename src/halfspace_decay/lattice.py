@@ -167,7 +167,11 @@ class Lattice:
     @staticmethod
     def load(path) -> "Lattice":
         with open(path, "r", encoding="utf-8") as fh:
-            return Lattice.from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"lattice file {path} is not valid JSON: {exc}") from exc
+        return Lattice.from_json(doc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,9 +274,7 @@ class Quasimomentum:
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if all(("/" in p) or p.lstrip("+-").isdigit() for p in parts):
             fracs = [Fraction(p) for p in parts]
-            l = 1
-            for f in fracs:
-                l = l * f.denominator // math.gcd(l, f.denominator)
+            l = math.lcm(*(f.denominator for f in fracs))
             residues = []
             for f in fracs:
                 r = f.numerator * (l // f.denominator)
@@ -324,11 +326,6 @@ class QuadraticForm:
                 total += int(self.G[i, j]) * int(m[i]) * int(m[j])
         return int(total)
 
-    def values_array(self, M: np.ndarray) -> np.ndarray:
-        """Vectorised q over rows of an integer array M of shape (..., dim)."""
-        G = self.G.astype(np.int64)
-        return np.einsum("...i,ij,...j->...", M, G, M)
-
     def is_diagonal(self) -> bool:
         return bool(np.all(self.G == np.diag(np.diag(self.G))))
 
@@ -343,6 +340,12 @@ def _int_det(G: np.ndarray) -> int:
         minor = np.delete(np.delete(G, 0, axis=0), j, axis=1)
         total += (-1) ** j * int(G[0, j]) * _int_det(minor)
     return total
+
+
+def integer_gram(gram: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """(D, nums) with D the lcm of the entry denominators and nums = D * gram."""
+    denom_lcm = math.lcm(*(v.denominator for row in gram for v in row))
+    return denom_lcm, [[int(v * denom_lcm) for v in row] for row in gram]
 
 
 def rational_structure(dual: DualLattice, theta: Quasimomentum):
@@ -362,13 +365,7 @@ def rational_structure(dual: DualLattice, theta: Quasimomentum):
         raise RationalityRequiredError("quasimomentum is not exactly rational")
     if theta.dim != dual.dim:
         raise SchemaError("quasimomentum dimension disagrees with lattice")
-    gram = dual.gram_exact
-    n = dual.dim
-    denom_lcm = 1
-    for row in gram:
-        for v in row:
-            denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-    nums = [[int(gram[i][j] * denom_lcm) for j in range(n)] for i in range(n)]
+    denom_lcm, nums = integer_gram(dual.gram_exact)
     content = 0
     for row in nums:
         for v in row:

@@ -21,7 +21,7 @@ from .errors import (
     SchemaError,
     VerificationError,
 )
-from .lattice import DualLattice, Lattice, QuadraticForm, Quasimomentum, dual_basis
+from .lattice import DualLattice, Lattice, QuadraticForm, Quasimomentum, dual_basis, integer_gram
 
 MERGE_TOL = 1e-9
 DEFAULT_BUDGET = 10_000_000
@@ -79,29 +79,66 @@ class Gap:
 
 
 def _merge_close(raw: np.ndarray):
-    """Deduplicate sorted values; points within MERGE_TOL of the group head merge."""
+    """Deduplicate sorted values; points within MERGE_TOL of the group head merge.
+
+    Steps above MERGE_TOL split the sorted values into chains, and a new group
+    starts at every chain start.  A chain spanning at most MERGE_TOL is one
+    group; only wider chains are walked head by head.
+    """
     raw = np.sort(raw)
-    values, mults = [], []
-    i = 0
-    n = raw.size
-    while i < n:
-        head = raw[i]
-        j = i + 1
-        while j < n and raw[j] - head <= MERGE_TOL:
-            j += 1
-        values.append(head)
-        mults.append(j - i)
-        i = j
-    return np.array(values, dtype=float), np.array(mults, dtype=np.int64)
+    if raw.size == 0:
+        return np.empty(0), np.empty(0, dtype=np.int64)
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(raw) > MERGE_TOL) + 1, [raw.size]))
+    starts, stops = edges[:-1], edges[1:]
+    heads = [starts]
+    for c in np.flatnonzero(raw[stops - 1] - raw[starts] > MERGE_TOL):
+        head = raw[starts[c]]
+        for j in range(starts[c] + 1, stops[c]):
+            if raw[j] - head > MERGE_TOL:
+                heads.append([j])
+                head = raw[j]
+    heads = np.sort(np.concatenate(heads))
+    return raw[heads], np.diff(np.append(heads, raw.size))
 
 
-def _candidate_ranges(gram: np.ndarray, mu: np.ndarray, radius2: float):
-    """Integer ranges per axis covering the ellipsoid |F(m+mu)|^2 <= radius2."""
-    inv = np.linalg.inv(gram)
-    half = np.sqrt(np.maximum(radius2, 0.0) * np.diagonal(inv)) * (1.0 + 1e-12) + 1e-9
+def _ellipsoid_axes(gram: np.ndarray, mu, radius2: float, budget: int, l: int = 1, residues=0):
+    """Coordinates x_i = l*m_i + r_i of the integer box covering (m+mu)^T gram (m+mu) <= radius2.
+
+    Axis i comes shaped to broadcast against the others, so the grid is never
+    materialised here.  Raises BudgetExceededError when the box holds more
+    than ``budget`` points.
+    """
+    mu = np.asarray(mu, dtype=float)
+    half = np.sqrt(max(radius2, 0.0) * np.diagonal(np.linalg.inv(gram))) * (1.0 + 1e-12) + 1e-9
     los = np.ceil(-mu - half).astype(np.int64)
     his = np.floor(-mu + half).astype(np.int64)
-    return los, his
+    total = math.prod(max(int(hi - lo + 1), 0) for lo, hi in zip(los, his))
+    if total > budget:
+        raise BudgetExceededError(
+            f"enumeration needs {total} candidate points, budget is {budget}"
+        )
+    return [
+        (l * np.arange(lo, hi + 1, dtype=np.int64) + int(r)).reshape((-1,) + (1,) * (mu.size - 1 - i))
+        for i, (lo, hi, r) in enumerate(zip(los, his, np.broadcast_to(residues, mu.shape)))
+    ]
+
+
+def _form_on_grid(G, axes, factor: int = 1):
+    """sum_ij G_ij x_i x_j on the broadcast grid of the per-axis coordinates.
+
+    Evaluated in int64 unless |value| * factor could reach 2**62, bounded in
+    Python ints from the per-axis extremes; then in Python ints (dtype=object).
+    """
+    dim = len(axes)
+    G = [[int(G[i][j]) for j in range(dim)] for i in range(dim)]
+    peak = [int(np.abs(ax).max(initial=0)) for ax in axes]
+    worst = sum(abs(G[i][j]) * peak[i] * peak[j] for i in range(dim) for j in range(dim))
+    if max(worst, 1) * factor >= 2**62:
+        axes = [ax.astype(object) for ax in axes]
+    return sum(
+        (1 + (i != j)) * G[i][j] * axes[i] * axes[j]
+        for i in range(dim) for j in range(i, dim) if G[i][j]
+    )
 
 
 def enumerate_spectrum(
@@ -141,18 +178,8 @@ def enumerate_spectrum(
 
 
 def _enumerate_form_values(gram: np.ndarray, mu: np.ndarray, radius2: float, budget: int) -> np.ndarray:
-    los, his = _candidate_ranges(gram, mu, radius2)
-    counts = his - los + 1
-    if np.any(counts <= 0):
-        return np.empty(0)
-    total = int(np.prod(counts.astype(object)))
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration needs {total} candidate points, budget is {budget}"
-        )
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    m = np.stack([ax.reshape(-1) for ax in mesh], axis=-1).astype(float)
+    axes = _ellipsoid_axes(gram, mu, radius2, budget)
+    m = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, mu.size).astype(float)
     x = m + mu
     vals = np.einsum("ni,ij,nj->n", x, gram, x)
     return vals[vals <= radius2 + MERGE_TOL]
@@ -176,60 +203,38 @@ def find_gaps(slc: SpectrumSlice, min_len: float = 0.0, full_axis: bool = False)
     return gaps
 
 
-def _progression_axis_values(coeff: int, l: int, r: int, bound: int) -> np.ndarray:
-    """Values coeff*(l*m+r)^2 <= bound over integer m, ascending unique."""
-    if bound < 0:
-        return np.empty(0, dtype=np.int64)
-    top = math.isqrt(bound // coeff) if coeff > 0 else 0
-    lo_m = (-top - r) // l - 1
-    hi_m = (top - r) // l + 1
-    x = l * np.arange(lo_m, hi_m + 1, dtype=np.int64) + r
-    vals = coeff * x * x
-    return np.unique(vals[vals <= bound])
-
-
 def _value_set_diagonal(q: QuadraticForm, l: int, residues: np.ndarray, bound: int, budget: int) -> np.ndarray:
-    """Bool array of attainable q(l*m+r) values up to bound for diagonal q."""
-    if bound + 1 > budget:
-        raise BudgetExceededError(f"value sieve of size {bound + 1} exceeds budget {budget}")
+    """Bool array of attainable q(l*m+r) values up to bound for diagonal q.
+
+    A bit-packed shift-OR sieve: per axis, the attained set is packed into
+    eight bit-shifted uint8 copies, and every axis value s ORs copy s % 8 into
+    the next set at byte offset s // 8.
+    """
     reached = np.zeros(bound + 1, dtype=bool)
     reached[0] = True
-    current = np.array([0], dtype=np.int64)
     for axis in range(q.dim):
-        axis_vals = _progression_axis_values(int(q.G[axis, axis]), l, int(residues[axis]), bound)
-        nxt = np.zeros(bound + 1, dtype=bool)
-        for s in axis_vals:
-            keep = current[current <= bound - s]
-            nxt[keep + s] = True
-        current = np.flatnonzero(nxt)
-        reached = nxt
+        coeff = int(q.G[axis, axis])
+        r = int(residues[axis])
+        x, = _ellipsoid_axes(np.array([[float(coeff * l * l)]]), [r / l], float(bound), budget, l, r)
+        axis_vals = np.unique(coeff * x * x)
+        # the set up to its last member, behind 8 zeros: slice 8-t is the set shifted by t bits
+        padded = np.concatenate((np.zeros(8, dtype=bool), reached[: bound + 1 - np.argmax(reached[::-1])]))
+        shifted = [np.packbits(padded[8 - t :], bitorder="little") for t in range(8)]
+        nxt = np.zeros((bound + 8) // 8, dtype=np.uint8)
+        for s in axis_vals[axis_vals <= bound].tolist():
+            q8, t = divmod(s, 8)
+            stop = min(q8 + shifted[t].size, nxt.size)
+            nxt[q8:stop] |= shifted[t][: stop - q8]
+        reached = np.unpackbits(nxt, count=bound + 1, bitorder="little").view(bool)
     return reached
 
 
 def _value_set_general(q: QuadraticForm, l: int, residues: np.ndarray, bound: int, budget: int) -> np.ndarray:
     """Bool array of attainable values via direct ellipsoid enumeration."""
-    G = q.G.astype(float)
-    mu = residues.astype(float) / l
-    scale = float(l * l)
-    los, his = _candidate_ranges(G * scale, mu, float(bound))
-    counts = his - los + 1
-    total = int(np.prod(counts.astype(object))) if np.all(counts > 0) else 0
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration needs {total} candidate points, budget is {budget}"
-        )
-    if bound + 1 > budget:
-        raise BudgetExceededError(f"value sieve of size {bound + 1} exceeds budget {budget}")
+    axes = _ellipsoid_axes(q.G * float(l * l), residues / l, float(bound), budget, l, residues)
+    vals = _form_on_grid(q.G, axes)
     reached = np.zeros(bound + 1, dtype=bool)
-    if total == 0:
-        return reached
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    m = np.stack([ax.reshape(-1) for ax in mesh], axis=-1)
-    x = l * m + residues
-    vals = np.einsum("ni,ij,nj->n", x, q.G.astype(np.int64), x)
-    vals = vals[(vals >= 0) & (vals <= bound)]
-    reached[vals] = True
+    reached[vals[(vals >= 0) & (vals <= bound)].astype(np.int64, copy=False)] = True
     return reached
 
 
@@ -246,6 +251,8 @@ def spectrum_value_set(
         residues = np.array(res, dtype=np.int64)
         if residues.size != q.dim:
             raise SchemaError("quasimomentum dimension disagrees with form arity")
+    if bound + 1 > budget:
+        raise BudgetExceededError(f"value sieve of size {bound + 1} exceeds budget {budget}")
     if q.is_diagonal():
         return _value_set_diagonal(q, l, residues, bound, budget)
     return _value_set_general(q, l, residues, bound, budget)
@@ -309,10 +316,11 @@ def progression_containment(
 ) -> float:
     """Max distance of any |k+theta|^2 <= n from the grid (sigma/l^2)*Z.
 
-    In exact mode the values are recomputed with rational arithmetic from the
-    exact dual Gram matrix, so the distance is exactly zero whenever the
-    reduction is consistent.  In float mode the geometric values are used and
-    the distance is bounded by roundoff (<= 1e-9 for sane inputs).
+    In exact mode the values are recomputed in integers from the exact dual
+    Gram matrix scaled by the lcm D of its denominators: w = l*m + r has value
+    N/(D*l^2) with N = w^T (D*gram) w, so the distance is exactly zero whenever
+    the reduction is consistent.  In float mode the geometric values are used
+    and the distance is bounded by roundoff (<= 1e-9 for sane inputs).
     """
     sigma = Fraction(sigma)
     unit = sigma / (l * l)
@@ -322,33 +330,20 @@ def progression_containment(
         l_theta, residues = theta.exact
         if l_theta != l:
             raise SchemaError("supplied l disagrees with the quasimomentum denominator")
-        los, his = _candidate_ranges(dual.gram(), theta.coeffs, float(n))
-        counts = his - los + 1
-        total = int(np.prod(counts.astype(object))) if np.all(counts > 0) else 0
-        if total > budget:
-            raise BudgetExceededError(f"{total} candidate points exceed budget {budget}")
-        gram = dual.gram_exact
-        dim = dual.dim
-        worst = Fraction(0)
-        for flat in range(total):
-            m = []
-            rem = flat
-            for c in counts:
-                m.append(rem % int(c))
-                rem //= int(c)
-            w = [l * (los[i] + m[i]) + residues[i] for i in range(dim)]
-            val = Fraction(0)
-            for i in range(dim):
-                for j in range(dim):
-                    val += gram[i][j] * w[i] * w[j]
-            val /= l * l
-            if val > n:
-                continue
-            ratio = val / unit
-            frac = ratio - ratio.__floor__()
-            dist = min(frac, 1 - frac) * unit
-            worst = max(worst, dist)
-        return float(worst)
+        axes = _ellipsoid_axes(dual.gram(), theta.coeffs, float(n), budget, l, residues)
+        D, nums = integer_gram(dual.gram_exact)
+        period = D * sigma.numerator
+        # int64 only if N*b and the period D*a both stay below 2**62
+        N = _form_on_grid(nums, axes, factor=sigma.denominator * period)
+        # N/(D l^2) <= n  <=>  N <= floor(num(n) D l^2 / den(n)) for integer N
+        n_exact = Fraction(n)
+        N = N[N <= n_exact.numerator * D * l * l // n_exact.denominator]
+        if N.size == 0:
+            return 0.0
+        # value/unit = N b / (D a) for sigma = a/b; its distance to Z, in units of 1/(D a)
+        rem = N * sigma.denominator % period
+        worst = int(np.max(np.minimum(rem, period - rem)))
+        return float(Fraction(worst, period) * unit)
     raw = _enumerate_form_values(dual.gram(), theta.coeffs, float(n), budget)
     if raw.size == 0:
         return 0.0

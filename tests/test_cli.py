@@ -69,6 +69,24 @@ def test_density_command(capsys):
     assert out["count"] == 44
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gaps", "--lattice", "{lat}", "--growth", "100,1e4"],
+        ["density", "--gram", "x,0;0,1", "--N", "100"],
+        ["density", "--gram", "1,0;0", "--N", "100"],
+        ["lattice", "dual", "--lattice", "{bad}"],
+    ],
+    ids=["growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json"],
+)
+def test_malformed_input_is_schema_error(argv, lat_json, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 2, "basis": ')
+    argv = [a.format(lat=lat_json, bad=bad) for a in argv]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["lattice", "dual", "--lattice", str(tmp_path / "nope.json")]) == EXIT_IO
 

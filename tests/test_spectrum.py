@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfspace_decay import (
@@ -20,6 +20,8 @@ from halfspace_decay import (
     max_gap_growth,
     progression_containment,
 )
+from halfspace_decay.lattice import integer_gram, rational_structure
+from halfspace_decay.spectrum import MERGE_TOL, _merge_close, spectrum_value_set
 
 TWO_PI = 2.0 * math.pi
 
@@ -299,3 +301,137 @@ def test_progression_containment_theta_zero():
     sigma, q, l, r = rational_structure(dual, theta)
     assert l == 1
     assert progression_containment(dual, q, theta, sigma, l, 50.0, exact=True) == 0.0
+
+
+def fraction_walk_containment(dual, theta, sigma, l, n):
+    """Reference: the rational-arithmetic walk over a box around the ellipsoid.
+
+    Every value is an exact Fraction from the exact dual Gram matrix; this is
+    the exact-mode algorithm progression_containment used before it moved to
+    integers, kept here to pin the result float for float.
+    """
+    unit = Fraction(sigma) / (l * l)
+    _, residues = theta.exact
+    gram = dual.gram_exact
+    dim = dual.dim
+    s_min = np.linalg.svd(dual.basis, compute_uv=False).min()
+    reach = int(math.ceil(math.sqrt(max(n, 0.0)) / s_min)) + 1
+    worst = Fraction(0)
+    for m in np.ndindex(*([2 * reach + 1] * dim)):
+        w = [l * (int(m[i]) - reach) + residues[i] for i in range(dim)]
+        val = Fraction(0)
+        for i in range(dim):
+            for j in range(dim):
+                if gram[i][j]:
+                    val += gram[i][j] * w[i] * w[j]
+        val /= l * l
+        if val > n:
+            continue
+        ratio = val / unit
+        frac = ratio - ratio.__floor__()
+        worst = max(worst, min(frac, 1 - frac) * unit)
+    return float(worst)
+
+
+# (dual Gram, l, residues, n); the primes near 1e9 make D*l^2*n exceed 2**62,
+# so the integer values no longer fit int64 and the object path runs
+_P, _Q = 999_999_937, 999_999_929
+CONTAINMENT_CASES = {
+    "cubic-3d": ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], 3, (1, 1, 2), 200),
+    "rational-2d": ([["1/2", "1/3"], ["1/3", "1"]], 2, (1, 0), 60.0),
+    "denominators-1e9": (
+        [[f"{_P + 1}/{_P}", f"1/{_Q}"], [f"1/{_Q}", f"{2 * _Q + 1}/{_Q}"]], 3, (2, 1), 30.5
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTAINMENT_CASES))
+@pytest.mark.parametrize("scale", [1, 2], ids=["sigma", "wrong-sigma"])
+def test_exact_containment_matches_fraction_walk(name, scale):
+    gram, l, residues, n = CONTAINMENT_CASES[name]
+    dual = dual_basis(Lattice.from_dual_gram(gram))
+    theta = Quasimomentum.from_rational(l, residues)
+    sigma, q, l, _ = rational_structure(dual, theta)
+    got = progression_containment(dual, q, theta, scale * sigma, l, n, exact=True)
+    assert got == fraction_walk_containment(dual, theta, scale * sigma, l, n)
+    if scale == 1:
+        assert got == 0.0
+    else:
+        # a doubled sigma puts the odd multiples of sigma/l^2 off its grid
+        assert got > 0.0
+    if name == "denominators-1e9":
+        assert integer_gram(dual.gram_exact)[0] * l * l * n >= 2**62
+
+
+@st.composite
+def integral_form_case(draw):
+    dim = draw(st.integers(min_value=2, max_value=3))
+    if draw(st.booleans()):
+        G = np.diag(draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim)))
+    else:
+        a = np.array(
+            draw(st.lists(st.integers(-2, 2), min_size=dim * dim, max_size=dim * dim))
+        ).reshape(dim, dim)
+        G = a @ a.T + np.eye(dim, dtype=np.int64)
+    l = draw(st.integers(min_value=1, max_value=4))
+    residues = tuple(draw(st.integers(0, l - 1)) for _ in range(dim))
+    bound = draw(st.integers(min_value=0, max_value=2000))
+    return QuadraticForm(G=G.astype(np.int64)), l, residues, bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(integral_form_case())
+# odd x only, and x^2 >= 1 > bound: the first axis already leaves the set empty
+@example((QuadraticForm(G=np.eye(2, dtype=np.int64)), 2, (1, 0), 0))
+def test_value_set_matches_brute_force(case):
+    q, l, residues, bound = case
+    # every eigenvalue of G is >= 1, so |x_i| <= sqrt(bound) on the ellipsoid
+    reach = math.isqrt(bound) + 1
+    line = np.arange(-reach, reach + 1, dtype=np.int64)
+    grids = np.meshgrid(*[line[(line - r) % l == 0] for r in residues], indexing="ij")
+    x = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    vals = np.einsum("ni,ij,nj->n", x, q.G, x)
+    expected = np.zeros(bound + 1, dtype=bool)
+    expected[vals[vals <= bound]] = True
+    got = spectrum_value_set(q, Quasimomentum.from_rational(l, residues), bound)
+    assert got.dtype == bool and np.array_equal(got, expected)
+
+
+def sequential_merge(raw):
+    """Reference: walk sorted values, opening a group wherever one leaves the head's tolerance."""
+    raw = np.sort(raw)
+    values, mults = [], []
+    i = 0
+    while i < raw.size:
+        j = i + 1
+        while j < raw.size and raw[j] - raw[i] <= MERGE_TOL:
+            j += 1
+        values.append(raw[i])
+        mults.append(j - i)
+        i = j
+    return np.array(values, dtype=float), np.array(mults, dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=40), max_size=60),
+    st.sampled_from([0.0, 1.0, 1e3]),
+    st.sampled_from([1e-10, 4e-10, 7e-10]),
+)
+def test_merge_close_matches_sequential(ticks, offset, step):
+    # steps below MERGE_TOL chain up into runs wider than MERGE_TOL
+    raw = offset + step * np.array(ticks, dtype=float)
+    values, mults = _merge_close(raw)
+    ref_values, ref_mults = sequential_merge(raw)
+    assert np.array_equal(values, ref_values) and values.dtype == ref_values.dtype
+    assert np.array_equal(mults, ref_mults) and mults.dtype == ref_mults.dtype
+
+
+def test_density_landau_ramanujan():
+    # count of sums of two squares up to N ~ K N / sqrt(ln N); the ratio falls to K from above
+    K = 0.7642236535892206
+    q = QuadraticForm(G=np.eye(2, dtype=np.int64))
+    ratios = [density_scan(q, 10**k)[1] for k in (3, 4, 5, 6)]
+    assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
+    assert all(r > K for r in ratios), ratios
+    assert ratios[-1] - K < 0.05, ratios
