@@ -8,6 +8,7 @@ invocation the strictest code wins.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ from .manifest import write_csv, write_json
 from .pipeline import run_pipeline
 from .profiles import SpectralProfile, bump_profile
 from .quadrature import uniform_grid
-from .runconfig import RunConfig, parallel_map
+from .runconfig import RunConfig
 from .spectrum import density_scan, enumerate_spectrum, find_gaps, max_gap_growth
 from .lattice import QuadraticForm
 
@@ -65,10 +66,6 @@ def _emit_rows(header, rows, out: str | None) -> None:
         print(",".join(header))
         for row in rows:
             print(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
-
-
-def _load_lattice_arg(path: str) -> Lattice:
-    return Lattice.load(path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,13 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pipeline", help="full field-to-verdict run from a config")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out-dir", default=None)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=None, help="accepted and ignored (one worker)")
 
     return p
 
 
 def _cmd_lattice(args) -> int:
-    lat = _load_lattice_arg(args.lattice)
+    lat = Lattice.load(args.lattice)
     if args.subcommand == "dual":
         dual = dual_basis(lat)
         print(json.dumps({"dual_basis_rows": dual.basis.T.tolist()}))
@@ -220,7 +217,7 @@ def _theta_or_zero(text, dim: int) -> Quasimomentum:
 
 
 def _cmd_spectrum(args) -> int:
-    lat = _load_lattice_arg(args.lattice)
+    lat = Lattice.load(args.lattice)
     theta = _theta_or_zero(args.theta, lat.dim)
     slc = enumerate_spectrum(lat, theta, args.energy, args.cutoff)
     _emit_rows(
@@ -232,7 +229,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_gaps(args) -> int:
-    lat = _load_lattice_arg(args.lattice)
+    lat = Lattice.load(args.lattice)
     theta = _theta_or_zero(args.theta, lat.dim)
     if args.growth:
         dual = dual_basis(lat)
@@ -256,7 +253,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_gelfand(args) -> int:
-    lat = _load_lattice_arg(args.lattice)
+    lat = Lattice.load(args.lattice)
     if args.subcommand == "forward":
         u = load_field(args.u, lat)
         theta = Quasimomentum.parse(args.theta)
@@ -348,7 +345,7 @@ def _cmd_carleman(args) -> int:
             profile, _ = bump_case_43(args.seed, i, args.eps, wl, max_modes=args.modes)
             return carl.verify_carleman_43(profile, wl, args.eps)
 
-        reports = parallel_map(run_case_43, range(args.ensemble))
+        reports = [run_case_43(i) for i in range(args.ensemble)]
         _report_dir(args.out_dir, reports, "verify43")
         for r in reports:
             print(json.dumps(r.to_json()))
@@ -365,7 +362,7 @@ def _cmd_carleman(args) -> int:
                 profile, a, b, alpha = bump_case_gap(args.seed, i)
             return carl.verify_carleman_gap(profile, a, b, alpha, force=args.force)
 
-        reports = parallel_map(run_case_gap, range(args.ensemble))
+        reports = [run_case_gap(i) for i in range(args.ensemble)]
         _report_dir(args.out_dir, reports, "verify_gap")
         for r in reports:
             print(json.dumps(r.to_json()))
@@ -475,24 +472,11 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg = RunConfig.load(args.config)
-    if args.out_dir:
-        cfg = RunConfig(
-            command=cfg.command,
-            params=cfg.params,
-            seed=cfg.seed,
-            out_dir=args.out_dir,
-            threads=args.threads if args.threads is not None else cfg.threads,
-            tolerances=cfg.tolerances,
-        )
-    elif args.threads is not None:
-        cfg = RunConfig(
-            command=cfg.command,
-            params=cfg.params,
-            seed=cfg.seed,
-            out_dir=cfg.out_dir,
-            threads=args.threads,
-            tolerances=cfg.tolerances,
-        )
+    cfg = dataclasses.replace(
+        cfg,
+        out_dir=args.out_dir or cfg.out_dir,
+        threads=cfg.threads if args.threads is None else args.threads,
+    )
     manifest, code = run_pipeline(cfg)
     print(json.dumps({"verdict_hash": manifest.verdict_hash(), "exit_code": code}))
     return code

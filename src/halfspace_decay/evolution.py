@@ -1,9 +1,9 @@
 """Discrete elliptic evolution (d_t^2 - A) phi = B(t) phi and decay diagnostics.
 
 The decaying branch is selected by solving the two-point boundary problem
-phi(0) = g, phi(T) = 0 with centred second differences and a direct banded or
-sparse solve; backward shooting would be unstable for stiff mode mixes, the
-direct solve is not.  Decay rates are least-squares slopes of log ||phi|| on a
+phi(0) = g, phi(T) = 0 with centred second differences and one direct banded
+solve; backward shooting would be unstable for stiff mode mixes, the direct
+solve is not.  Decay rates are least-squares slopes of log ||phi|| on a
 tail window, with a sliding-window scan that flags superexponential behaviour.
 
 Also provides the explicit harmonic function on the half-plane whose weighted
@@ -20,8 +20,6 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solve_banded
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from .errors import (
     BudgetExceededError,
@@ -135,52 +133,23 @@ def solve_decaying(
     coeffs = np.zeros((M, n), dtype=complex)
     coeffs[:, 0] = g
 
-    if perturbation.kind in ("zero", "diagonal"):
-        if perturbation.kind == "diagonal":
-            diag_pert = perturbation.diagonal_entries(interior, M)  # (n-2, M)
-        else:
-            diag_pert = np.zeros((n - 2, M))
-        for i in range(M):
-            main = -2.0 / h**2 - eigs[i] - diag_pert[:, i]
-            ab = np.zeros((3, n - 2), dtype=complex)
-            ab[0, 1:] = 1.0 / h**2
-            ab[1, :] = main
-            ab[2, :-1] = 1.0 / h**2
-            rhs = np.zeros(n - 2, dtype=complex)
-            rhs[0] = -g[i] / h**2
-            try:
-                sol = solve_banded((1, 1), ab, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"banded solve failed for mode {i}", None) from exc
-            coeffs[i, 1:-1] = sol
-    else:
+    if perturbation.kind == "full":
         if (n - 2) * M > 200_000:
             raise BudgetExceededError(
                 "full-matrix perturbation solve too large; reduce modes or points"
             )
-        w = perturbation.full_matrix(M)
+        # one coupled system, time-major: block row j is -diag(eigs + 2/h^2) - b(t_j) W
         bvals = perturbation.bound_values(interior)
-        rows, cols, data = [], [], []
-        for j in range(n - 2):
-            base = j * M
-            block = -np.diag(eigs + 2.0 / h**2) - bvals[j] * w
-            for r in range(M):
-                for c in range(M):
-                    v = block[r, c]
-                    if v != 0.0:
-                        rows.append(base + r)
-                        cols.append(base + c)
-                        data.append(v)
-            if j + 1 < n - 2:
-                for r in range(M):
-                    rows.extend([base + r, base + M + r])
-                    cols.extend([base + M + r, base + r])
-                    data.extend([1.0 / h**2, 1.0 / h**2])
-        system = csr_matrix((data, (rows, cols)), shape=((n - 2) * M, (n - 2) * M))
-        rhs = np.zeros((n - 2) * M, dtype=complex)
-        rhs[:M] = -g / h**2
-        sol = spsolve(system, rhs)
-        coeffs[:, 1:-1] = sol.reshape(n - 2, M).T
+        blocks = -np.diag(eigs + 2.0 / h**2) - bvals[:, None, None] * perturbation.full_matrix(M)
+        coeffs[:, 1:-1] = _solve_stacked(blocks[None], g[None], h)[0].T
+    else:
+        # M uncoupled scalar systems, stacked mode-major
+        if perturbation.kind == "diagonal":
+            pert = perturbation.diagonal_entries(interior, M).T
+        else:
+            pert = np.zeros((M, n - 2))
+        main = -2.0 / h**2 - eigs[:, None] - pert
+        coeffs[:, 1:-1] = _solve_stacked(main[:, :, None, None], g[:, None], h)[:, :, 0]
 
     gmax = float(np.max(np.abs(g))) if g.size else 0.0
     peak = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
@@ -195,6 +164,32 @@ def solve_decaying(
     profile = SpectralProfile(eigs=eigs, t_grid=t, coeffs=coeffs)
     resid = _discrete_residual(profile, perturbation)
     return SolveResult(profile=profile, residual=resid, growth=growth)
+
+
+def _solve_stacked(blocks: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """Solve S block-tridiagonal systems laid end to end, in one banded solve.
+
+    ``blocks`` (S, L, m, m) holds the diagonal blocks of each system; every
+    off-diagonal block is I/h^2, and ``g`` (S, m) enters the first block row
+    of its system as -g/h^2.  Systems are uncoupled, so the stacked matrix has
+    bandwidth m on each side.  Returns the solution shaped (S, L, m).
+    """
+    S, L, m, _ = blocks.shape
+    size = S * L * m
+    ab = np.zeros((2 * m + 1, size), dtype=complex)
+    # banded storage: ab[m + r - c, k*m + c] holds entry (r, c) of block row k
+    r = np.arange(m)
+    cols = np.arange(size).reshape(S * L, 1, m)
+    ab[m + r[:, None] - r[None, :], cols] = blocks.reshape(S * L, m, m)
+    ab[0].reshape(S, L * m)[:, m:] = 1.0 / h**2
+    ab[2 * m].reshape(S, L * m)[:, :-m] = 1.0 / h**2
+    rhs = np.zeros((S, L, m), dtype=complex)
+    rhs[:, 0] = -g / h**2
+    try:
+        sol = solve_banded((m, m), ab, rhs.reshape(-1), overwrite_ab=True, overwrite_b=True)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("banded solve failed: singular discrete system") from exc
+    return sol.reshape(S, L, m)
 
 
 def _discrete_residual(profile: SpectralProfile, perturbation: PerturbationFamily) -> float:

@@ -49,7 +49,10 @@ def format_rational(x: Fraction) -> str:
 
 
 def _as_rational_matrix(rows) -> RationalMatrix:
-    mat = tuple(tuple(parse_rational(v) for v in row) for row in rows)
+    try:
+        mat = tuple(tuple(parse_rational(v) for v in row) for row in rows)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"exact Gram matrix is not a matrix of rationals: {exc}") from exc
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise SchemaError("exact Gram matrix must be square")
@@ -63,6 +66,8 @@ def _as_rational_matrix(rows) -> RationalMatrix:
 def _check_gram_matches(gram: RationalMatrix, basis: np.ndarray, what: str) -> None:
     """Exact Gram entries must match e_i.e_j of the float basis to 1e-12 relative."""
     num = basis.T @ basis
+    if len(gram) != len(num):
+        raise SchemaError(f"{what} is {len(gram)}x{len(gram)} for a basis of dimension {len(num)}")
     for i in range(len(gram)):
         for j in range(len(gram)):
             g = float(gram[i][j])
@@ -139,20 +144,26 @@ class Lattice:
 
     @staticmethod
     def from_json(doc: dict) -> "Lattice":
+        if not isinstance(doc, dict):
+            raise SchemaError("lattice document must be a JSON object")
         allowed = {"dim", "basis", "gram_exact", "dual_gram_exact"}
         unknown = set(doc) - allowed
         if unknown:
             raise SchemaError(f"unknown lattice keys: {sorted(unknown)}")
         if "basis" not in doc:
             raise SchemaError("lattice document requires 'basis'")
-        basis = np.array(doc["basis"], dtype=float).T  # rows in JSON are generators
-        if "dim" in doc and int(doc["dim"]) != basis.shape[0]:
-            raise SchemaError("lattice 'dim' disagrees with basis shape")
-        return Lattice(
+        try:
+            basis = np.array(doc["basis"], dtype=float).T  # rows in JSON are generators
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"lattice 'basis' is not a numeric matrix: {exc}") from exc
+        lat = Lattice(
             basis=basis,
             gram_exact=doc.get("gram_exact"),
             dual_gram_exact=doc.get("dual_gram_exact"),
         )
+        if "dim" in doc and doc["dim"] != lat.dim:
+            raise SchemaError("lattice 'dim' disagrees with basis shape")
+        return lat
 
     def to_json(self) -> dict:
         doc = {"dim": self.dim, "basis": self.basis.T.tolist()}

@@ -5,8 +5,7 @@ equation residual curve, the spectrum slice with gap table, a gap-inequality
 verification on the windowed fiber profile (where an admissible window
 exists), and a tail decay estimate.  Results are written as CSV/JSON next to
 a resolved copy of the configuration, and summarised in a manifest whose
-verdict hash is reproducible bit-for-bit for a fixed config and seed,
-independent of the worker count.
+verdict hash is reproducible bit-for-bit for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .fields import load_field
 from .lattice import Lattice
 from .manifest import RunManifest, write_csv, write_json
 from .profiles import SpectralProfile, plateau_shape
-from .runconfig import RunConfig, parallel_map
+from .runconfig import RunConfig
 from .spectrum import enumerate_spectrum, find_gaps
 from .svgplot import PlotTable, emit_plots
 
@@ -73,8 +72,7 @@ def _admissible_window(gaps, alpha: float):
     return None
 
 
-def _theta_case(args):
-    (idx, fiber, lat, v, params, tolerances) = args
+def _theta_case(idx, fiber, lat, v, params, tolerances):
     energy = float(params.get("energy", 0.0))
     cutoff = float(params.get("cutoff", 50.0))
     min_gap = float(params.get("min_gap", 0.0))
@@ -168,8 +166,9 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
     cfg.write_resolved(out_dir)
 
     fibers = gelfand_forward(u, thetas, int(params.get("l_max", 10**6)))
-    jobs = [(i, fiber, lat, v, params, cfg.tolerances) for i, fiber in enumerate(fibers)]
-    results = parallel_map(_theta_case, jobs, threads=cfg.threads)
+    results = [
+        _theta_case(i, fiber, lat, v, params, cfg.tolerances) for i, fiber in enumerate(fibers)
+    ]
 
     manifest = RunManifest.for_config(cfg)
     codes = [EXIT_OK]

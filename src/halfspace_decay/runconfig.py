@@ -1,23 +1,20 @@
 """Strict run configuration and deterministic seed fan-out.
 
 Every command accepts a JSON config document with a fixed key set; unknown
-keys are rejected so typos cannot silently change a run.  A single root seed
-is split into per-case streams with counter-style spawn keys, so parallel
-execution order cannot change any result.
+keys are rejected so typos cannot silently change a run, and values are not
+coerced.  A single root seed is split into per-case streams with
+counter-style spawn keys, so each case's stream depends only on its index.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SchemaError
-
-ENV_THREADS = "HALFSPACE_DECAY_THREADS"
 
 # Parameter key sets per command; values are validated downstream.
 _PARAM_KEYS = {
@@ -54,7 +51,11 @@ _PARAM_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Command name, nested parameters, root seed, output dir, tolerances."""
+    """Command name, nested parameters, root seed, output dir, tolerances.
+
+    ``threads`` is accepted for compatibility and ignored: every run uses one
+    worker, and it never enters the config hash.
+    """
 
     command: str
     params: dict
@@ -66,8 +67,12 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.params, dict):
             raise SchemaError("params must be an object")
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
+        if not _is_int(self.seed) or self.seed < 0 or self.seed >= 2**64:
             raise SchemaError("seed must be a 64-bit unsigned integer")
+        if self.threads is not None and not _is_int(self.threads):
+            raise SchemaError("threads must be an integer or null")
+        if not isinstance(self.tolerances, dict):
+            raise SchemaError("tolerances must be an object")
         allowed_tol = {"carleman_pass_rtol", "resolution_gate_rtol"}
         unknown_tol = set(self.tolerances) - allowed_tol
         if unknown_tol:
@@ -83,6 +88,8 @@ class RunConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise SchemaError("config must be a JSON object")
         allowed = {"command", "params", "seed", "out_dir", "threads", "tolerances"}
         unknown = set(doc) - allowed
         if unknown:
@@ -92,9 +99,9 @@ class RunConfig:
         return RunConfig(
             command=str(doc["command"]),
             params=doc.get("params", {}),
-            seed=int(doc.get("seed", 0)),
+            seed=doc.get("seed", 0),
             out_dir=str(doc.get("out_dir", "out")),
-            threads=None if doc.get("threads") is None else int(doc["threads"]),
+            threads=doc.get("threads"),
             tolerances=doc.get("tolerances", {}),
         )
 
@@ -118,8 +125,8 @@ class RunConfig:
         }
 
     def canonical_bytes(self) -> bytes:
-        # parallelism and output location cannot affect results, so they do
-        # not participate in the config hash
+        # the ignored worker count and the output location cannot affect
+        # results, so they do not participate in the config hash
         doc = self.to_json()
         doc["threads"] = None
         doc["out_dir"] = None
@@ -135,29 +142,25 @@ class RunConfig:
         return path
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def case_rng(root_seed: int, *key: int) -> np.random.Generator:
     """Deterministic per-case generator from the root seed and a counter key."""
     return np.random.default_rng(np.random.SeedSequence(entropy=root_seed, spawn_key=tuple(key)))
 
 
+# Pool-free stand-ins with the old names.  Nothing in the package calls them;
+# perfbench/tracing.py still lists both by name, and its self-test expects them.
+
+
 def thread_count(requested: int | None = None) -> int:
-    """Effective worker count: explicit request, else env cap, else 1."""
-    if requested is not None and requested > 0:
-        limit = os.environ.get(ENV_THREADS)
-        return min(requested, int(limit)) if limit else requested
-    limit = os.environ.get(ENV_THREADS)
-    if limit:
-        return max(1, int(limit))
+    """Worker count of every run: 1, whatever was requested."""
     return 1
 
 
 def parallel_map(fn, items, threads: int | None = None) -> list:
-    """Order-preserving map, optionally threaded; results merged by index."""
-    workers = thread_count(threads)
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(x) for x in items]`` in the calling thread; ``threads`` is ignored."""
+    return [fn(x) for x in items]

@@ -69,19 +69,43 @@ def test_density_command(capsys):
     assert out["count"] == 44
 
 
+_PIPELINE_PARAMS = {"lattice": "lat.json", "u_field": "u.csv", "theta_points": 2}
+
+
+def _config(**keys) -> str:
+    return json.dumps({"command": "pipeline", "params": _PIPELINE_PARAMS, **keys})
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, content",
     [
-        ["gaps", "--lattice", "{lat}", "--growth", "100,1e4"],
-        ["density", "--gram", "x,0;0,1", "--N", "100"],
-        ["density", "--gram", "1,0;0", "--N", "100"],
-        ["lattice", "dual", "--lattice", "{bad}"],
+        (["gaps", "--lattice", "{lat}", "--growth", "100,1e4"], None),
+        (["density", "--gram", "x,0;0,1", "--N", "100"], None),
+        (["density", "--gram", "1,0;0", "--N", "100"], None),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"dim": 2, "basis": '),
+        (["lattice", "dual", "--lattice", "{bad}"], "5"),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0, 1]], "gram_exact": [["x", "0"], ["0", "1"]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0, 1]], "gram_exact": [["1"]]}'),
+        (["pipeline", "--config", "{bad}"], _config(seed="x")),
+        (["pipeline", "--config", "{bad}"], _config(seed=1.9)),
+        (["pipeline", "--config", "{bad}"], _config(seed=True)),
+        (["pipeline", "--config", "{bad}"], _config(threads="abc")),
+        (["pipeline", "--config", "{bad}"], _config(threads=2.0)),
+        (["pipeline", "--config", "{bad}"], _config(tolerances=5)),
+        (["pipeline", "--config", "{bad}"], "5"),
     ],
-    ids=["growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json"],
+    ids=[
+        "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
+        "lattice-not-object", "lattice-ragged-basis", "lattice-gram-not-rational",
+        "lattice-gram-wrong-size",
+        "seed-str", "seed-float", "seed-bool", "threads-str", "threads-float",
+        "tolerances-not-object", "config-not-object",
+    ],
 )
-def test_malformed_input_is_schema_error(argv, lat_json, tmp_path, capsys):
+def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"dim": 2, "basis": ')
+    bad.write_text(content or "")
     argv = [a.format(lat=lat_json, bad=bad) for a in argv]
     assert main(argv) == EXIT_IO
     assert capsys.readouterr().err.startswith("error: ")
@@ -235,6 +259,26 @@ def test_pipeline_cli(line_pipeline_input, tmp_path, capsys):
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(bad))
     assert main(["pipeline", "--config", str(bad_path)]) == EXIT_IO
+
+
+def test_pipeline_threads_are_ignored(line_pipeline_input, tmp_path, capsys, monkeypatch):
+    lat_path, u_path, _ = line_pipeline_input
+    params = {"lattice": str(lat_path), "u_field": str(u_path), "theta_points": 3, "cutoff": 30.0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"command": "pipeline", "seed": 7, "threads": 4, "params": params}))
+    hashes = []
+    for name, extra in (("a", []), ("b", ["--threads", "8"])):
+        argv = ["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / name), *extra]
+        assert main(argv) == EXIT_OK
+        hashes.append(json.loads(capsys.readouterr().out)["verdict_hash"])
+        resolved = json.loads((tmp_path / name / "resolved_config.json").read_text())
+        assert resolved["out_dir"] == str(tmp_path / name)
+        assert resolved["threads"] == (8 if extra else 4)
+    # HALFSPACE_DECAY_THREADS is not read, so a malformed value is harmless
+    monkeypatch.setenv("HALFSPACE_DECAY_THREADS", "abc")
+    assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(tmp_path / "c")]) == EXIT_OK
+    hashes.append(json.loads(capsys.readouterr().out)["verdict_hash"])
+    assert len(set(hashes)) == 1
 
 
 def test_exit_code_combination():

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve
 
+from halfspace_decay import evolution
 from halfspace_decay import (
+    BudgetExceededError,
     PerturbationFamily,
     PreconditionError,
     SchemaError,
@@ -80,6 +85,142 @@ def test_bvp_input_validation():
         solve_decaying([1.0], PerturbationFamily.zero(), 10.0, [1.0, 2.0])
     with pytest.raises(SchemaError):
         solve_decaying([1.0], PerturbationFamily.zero(), -1.0, [1.0])
+
+
+# Test-local references: the two solve paths that the single stacked banded
+# solve replaced, kept to pin its results.
+
+
+def _grid(T, n):
+    t = np.linspace(0.0, T, n)
+    return t, t[1] - t[0]
+
+
+def _reference_per_mode(eigs, pert, T, g, n):
+    """Zero/diagonal B: one tridiagonal solve per mode."""
+    eigs = np.asarray(eigs, dtype=float)
+    g = np.asarray(g, dtype=complex)
+    t, h = _grid(T, n)
+    M = eigs.size
+    coeffs = np.zeros((M, n), dtype=complex)
+    coeffs[:, 0] = g
+    if pert.kind == "diagonal":
+        diag_pert = pert.diagonal_entries(t[1:-1], M)
+    else:
+        diag_pert = np.zeros((n - 2, M))
+    for i in range(M):
+        ab = np.zeros((3, n - 2), dtype=complex)
+        ab[0, 1:] = 1.0 / h**2
+        ab[1, :] = -2.0 / h**2 - eigs[i] - diag_pert[:, i]
+        ab[2, :-1] = 1.0 / h**2
+        rhs = np.zeros(n - 2, dtype=complex)
+        rhs[0] = -g[i] / h**2
+        coeffs[i, 1:-1] = solve_banded((1, 1), ab, rhs)
+    return coeffs
+
+
+def _reference_sparse(eigs, pert, T, g, n):
+    """Full B: entry-by-entry COO assembly and a sparse direct solve."""
+    eigs = np.asarray(eigs, dtype=float)
+    g = np.asarray(g, dtype=complex)
+    t, h = _grid(T, n)
+    M = eigs.size
+    w = pert.full_matrix(M)
+    bvals = pert.bound_values(t[1:-1])
+    rows, cols, data = [], [], []
+    for j in range(n - 2):
+        base = j * M
+        block = -np.diag(eigs + 2.0 / h**2) - bvals[j] * w
+        for r in range(M):
+            for c in range(M):
+                if block[r, c] != 0.0:
+                    rows.append(base + r)
+                    cols.append(base + c)
+                    data.append(block[r, c])
+        if j + 1 < n - 2:
+            for r in range(M):
+                rows.extend([base + r, base + M + r])
+                cols.extend([base + M + r, base + r])
+                data.extend([1.0 / h**2, 1.0 / h**2])
+    size = (n - 2) * M
+    system = csr_matrix((data, (rows, cols)), shape=(size, size))
+    rhs = np.zeros(size, dtype=complex)
+    rhs[:M] = -g / h**2
+    coeffs = np.zeros((M, n), dtype=complex)
+    coeffs[:, 0] = g
+    coeffs[:, 1:-1] = spsolve(system, rhs).reshape(n - 2, M).T
+    return coeffs
+
+
+def _modes(M, seed):
+    rng = np.random.default_rng(seed)
+    eigs = np.sort(rng.uniform(1.0, 9.0, M))
+    return eigs, rng.normal(size=M) + 1j * rng.normal(size=M)
+
+
+@pytest.mark.parametrize("M", [1, 3, 10])
+def test_full_solve_matches_sparse_reference(M):
+    # positive modes: with indefinite ones the system is worse conditioned and
+    # the two direct solvers part at about 1e-11, both with residuals ~1e-15
+    eigs, g = _modes(M, 20 + M)
+    pert = PerturbationFamily.full(exponential_bound(0.5), beta=0.5, decays=True, seed=M)
+    got = solve_decaying(eigs, pert, 10.0, g, n_points=1501).profile.coeffs
+    ref = _reference_sparse(eigs, pert, 10.0, g, 1501)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["zero", "diagonal"])
+def test_uncoupled_solve_is_bit_identical_to_per_mode_reference(kind):
+    # negative eigenvalues make the tridiagonal elimination pivot
+    eigs, g = _modes(12, 7)
+    eigs[:2] = (-5.0, -0.5)
+    if kind == "zero":
+        pert = PerturbationFamily.zero()
+    else:
+        pert = PerturbationFamily.diagonal(constant_bound(0.3), beta=0.3, decays=False, seed=4)
+    got = solve_decaying(eigs, pert, 10.0, g, n_points=3001).profile.coeffs
+    assert np.array_equal(got, _reference_per_mode(eigs, pert, 10.0, g, 3001))
+
+
+@pytest.mark.parametrize("kind", ["zero", "diagonal", "full"])
+def test_one_banded_solve_per_call(kind, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "solve_banded", counting)
+    bound = constant_bound(0.2)
+    pert = {
+        "zero": PerturbationFamily.zero(),
+        "diagonal": PerturbationFamily.diagonal(bound, beta=0.2, decays=False, seed=1),
+        "full": PerturbationFamily.full(bound, beta=0.2, decays=False, seed=1),
+    }[kind]
+    solve_decaying([1.0, 4.0, 9.0], pert, 10.0, [1.0, 0.5, 0.25], n_points=801)
+    assert calls == [(3, 3) if kind == "full" else (1, 1)]
+
+
+def test_full_solve_budget_boundary():
+    pert = PerturbationFamily.full(constant_bound(0.2), beta=0.2, decays=False, seed=2)
+    with pytest.raises(BudgetExceededError):
+        solve_decaying([1.0], pert, 10.0, [1.0], n_points=200_003)  # (n-2)*M = 200_001
+    r = solve_decaying([1.0], pert, 10.0, [1.0], n_points=200_002)  # exactly 200_000
+    assert r.profile.coeffs.shape == (1, 200_002)
+    assert r.residual < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["zero", "diagonal", "full"])
+def test_singular_system_raises_solver_error(kind):
+    # n = 4, T = 3: h = 1, and mu = -1 leaves two interior rows [[-1, 1], [1, -1]]
+    bound = constant_bound(0.0)
+    pert = {
+        "zero": PerturbationFamily.zero(),
+        "diagonal": PerturbationFamily.diagonal(bound, beta=0.0, decays=False),
+        "full": PerturbationFamily.full(bound, beta=0.0, decays=False),
+    }[kind]
+    with pytest.raises(SolverError):
+        solve_decaying([-1.0, -1.0], pert, 3.0, [1.0, 1.0], n_points=4)
 
 
 def test_decay_estimate_exact_exponential():
