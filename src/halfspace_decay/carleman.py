@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
-from .profiles import SpectralProfile
+from .profiles import SpectralProfile, _second_difference
 from .quadrature import check_resolution, simpson_with_error, window_integral
 
 # The 4/3 weight has singular derivatives at t=0; profiles must stay clear.
@@ -144,12 +144,10 @@ def conjugation_identity_check(psi: SpectralProfile, weight_lambda: float) -> fl
     ts_int = ts[1:-1]
     om, om1, _, _ = _omega_derivatives(ts_int, weight_lambda)
     f = np.exp(-big_w)[None, :] * c
-    dtt_f = (f[:, 2:] - 2 * f[:, 1:-1] + f[:, :-2]) / h**2
-    lhs = np.exp(big_w[1:-1])[None, :] * dtt_f - mu * c[:, 1:-1]
-    dtt_c = (c[:, 2:] - 2 * c[:, 1:-1] + c[:, :-2]) / h**2
+    lhs = np.exp(big_w[1:-1])[None, :] * _second_difference(f, h) - mu * c[:, 1:-1]
     dt_c = (c[:, 2:] - c[:, :-2]) / (2 * h)
     rhs = (
-        dtt_c
+        _second_difference(c, h)
         - (mu - om[None, :] ** 2) * c[:, 1:-1]
         - 2.0 * om[None, :] * dt_c
         - om1[None, :] * c[:, 1:-1]
@@ -158,11 +156,21 @@ def conjugation_identity_check(psi: SpectralProfile, weight_lambda: float) -> fl
     return float(np.max(residual))
 
 
-def _require_clean_support(phi: SpectralProfile, eps: float) -> None:
-    t = phi.t_grid
-    early = phi.coeffs[:, t <= eps]
-    if early.size and np.any(early != 0):
-        raise PreconditionError(f"profile is nonzero at some t <= eps={eps:g}")
+def _weighted_report(
+    phi: SpectralProfile, weight, densities, const: float, params: dict, what: str,
+    gate_rtol: float | None, pass_rtol: float | None,
+) -> CarlemanReport:
+    """const * I[weight ||phi||^2] against I[weight ||psi||^2]; no verdict if pass_rtol is None."""
+    lhs_int = simpson_with_error(weight * densities[0], phi.step)
+    rhs_int = simpson_with_error(weight * densities[1], phi.step)
+    gate_kwargs = {} if gate_rtol is None else {"gate_rtol": gate_rtol}
+    check_resolution(lhs_int, rhs_int, what=what, **gate_kwargs)
+    lhs, rhs = const * lhs_int.value, rhs_int.value
+    quad_err = const * lhs_int.err_estimate + rhs_int.err_estimate
+    passed = None if pass_rtol is None else _pass_rule(lhs, rhs, quad_err, pass_rtol)
+    return CarlemanReport(
+        lhs=lhs, rhs=rhs, margin=rhs - lhs, params=params, quad_err=quad_err, passed=passed
+    )
 
 
 def verify_carleman_43(
@@ -184,8 +192,9 @@ def verify_carleman_43(
         raise PreconditionError(
             f"weight_lambda={weight_lambda:g} below admissible minimum eps^(-4/3)={lam_min:g}"
         )
-    _require_clean_support(phi, eps)
     support = phi.support()
+    if support is not None and support[0] <= eps:
+        raise PreconditionError(f"profile is nonzero at some t <= eps={eps:g}")
     params = {
         "weight": "t^(4/3)",
         "weight_lambda": weight_lambda,
@@ -197,26 +206,9 @@ def verify_carleman_43(
     first_nonzero = int(np.searchsorted(phi.t_grid, support[0]))
     if phi.t_grid[max(first_nonzero - 1, 0)] < MIN_SUPPORT_T:
         raise PreconditionError("support touches t=0; the 4/3 weight is singular there")
-    t = phi.t_grid
-    h = phi.step
-    w = weight_43(t, weight_lambda)
-    norm2 = np.sum(np.abs(phi.coeffs) ** 2, axis=0)
-    psi2 = np.sum(np.abs(phi.equation_residual()) ** 2, axis=0)
-    lhs_int = simpson_with_error(w * norm2, h)
-    rhs_int = simpson_with_error(w * psi2, h)
-    gate_kwargs = {} if gate_rtol is None else {"gate_rtol": gate_rtol}
-    check_resolution(lhs_int, rhs_int, what="carleman-4/3", **gate_kwargs)
-    lam3 = weight_lambda**3
-    lhs = lam3 * lhs_int.value
-    rhs = rhs_int.value
-    quad_err = lam3 * lhs_int.err_estimate + rhs_int.err_estimate
-    return CarlemanReport(
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        params=params,
-        quad_err=quad_err,
-        passed=_pass_rule(lhs, rhs, quad_err, pass_rtol),
+    w = weight_43(phi.t_grid, weight_lambda)
+    return _weighted_report(
+        phi, w, phi.densities(), weight_lambda**3, params, "carleman-4/3", gate_rtol, pass_rtol
     )
 
 
@@ -265,31 +257,16 @@ def verify_carleman_gap(
         "modes": int(phi.n_modes),
         "forced": bool(force),
     }
-    t = phi.t_grid
-    h = phi.step
-    ew = np.exp(2.0 * w * t)
-    norm2 = np.sum(np.abs(phi.coeffs) ** 2, axis=0)
-    psi2 = np.sum(np.abs(phi.equation_residual()) ** 2, axis=0)
-    if not norm2.any():
+    densities = phi.densities()
+    if not densities[0].any():
         return CarlemanReport(
             lhs=0.0, rhs=0.0, margin=0.0, params=params, quad_err=0.0,
             passed=None if force else True,
         )
-    lhs_int = simpson_with_error(ew * norm2, h)
-    rhs_int = simpson_with_error(ew * psi2, h)
-    gate_kwargs = {} if gate_rtol is None else {"gate_rtol": gate_rtol}
-    check_resolution(lhs_int, rhs_int, what="carleman-gap", **gate_kwargs)
+    ew = np.exp(2.0 * w * phi.t_grid)
     const = a * a * m * m / 4.0
-    lhs = const * lhs_int.value
-    rhs = rhs_int.value
-    quad_err = const * lhs_int.err_estimate + rhs_int.err_estimate
-    return CarlemanReport(
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        params=params,
-        quad_err=quad_err,
-        passed=None if force else _pass_rule(lhs, rhs, quad_err, pass_rtol),
+    return _weighted_report(
+        phi, ew, densities, const, params, "carleman-gap", gate_rtol, None if force else pass_rtol
     )
 
 
@@ -456,9 +433,9 @@ def ellreg_bound_check(phi: SpectralProfile, eps: float, s_list) -> EllRegReport
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     t = phi.t_grid
-    norm2 = np.sum(np.abs(phi.coeffs) ** 2, axis=0)
+    norm2, psi2 = phi.densities()
     dnorm2 = np.sum(np.abs(phi.first_difference()) ** 2, axis=0)
-    psi_norm = np.sqrt(np.sum(np.abs(phi.equation_residual()) ** 2, axis=0))
+    psi_norm = np.sqrt(psi2)
     norm = np.sqrt(norm2)
     interior = slice(1, t.size - 1)
     alive = norm[interior] > 1e-14 * max(1.0, float(np.max(norm)))

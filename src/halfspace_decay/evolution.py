@@ -28,7 +28,7 @@ from .errors import (
     SolverError,
     VerificationError,
 )
-from .profiles import SpectralProfile
+from .profiles import SpectralProfile, _second_difference
 
 # Decaying-branch solutions never grow; a huge solution relative to the
 # boundary datum means the discrete system is near-singular (resonance).
@@ -194,16 +194,16 @@ def _solve_stacked(blocks: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
 
 def _discrete_residual(profile: SpectralProfile, perturbation: PerturbationFamily) -> float:
     """Relative defect of the discrete equation on interior points."""
-    t = profile.t_grid
-    psi = profile.equation_residual()[:, 1:-1]
+    t, c = profile.t_grid, profile.coeffs
+    psi = _second_difference(c, profile.step) - profile.eigs[:, None] * c[:, 1:-1]
     if perturbation.kind == "diagonal":
         d = perturbation.diagonal_entries(t[1:-1], profile.n_modes)
-        psi = psi - d.T * profile.coeffs[:, 1:-1]
+        psi = psi - d.T * c[:, 1:-1]
     elif perturbation.kind == "full":
         w = perturbation.full_matrix(profile.n_modes)
         b = perturbation.bound_values(t[1:-1])
-        psi = psi - b[None, :] * (w @ profile.coeffs[:, 1:-1])
-    scale = float(np.max(np.abs(profile.coeffs))) or 1.0
+        psi = psi - b[None, :] * (w @ c[:, 1:-1])
+    scale = float(np.max(np.abs(c))) or 1.0
     return float(np.max(np.abs(psi)) * profile.step**2 / scale)
 
 

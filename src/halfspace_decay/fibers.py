@@ -29,7 +29,7 @@ import numpy as np
 from .errors import GridError, SchemaError
 from .fields import SampledField, cells_first
 from .lattice import Lattice, Quasimomentum, dual_basis, unit_cell_volume
-from .profiles import SpectralProfile
+from .profiles import SpectralProfile, _second_difference
 from .quadrature import simpson_weights
 
 STACK_BYTES = 1 << 20
@@ -282,10 +282,8 @@ def fiber_residual(
     t = fiber.t_grid
     h = t[1] - t[0]
     c = spec.data
-    dtt = (c[..., 2:] - 2.0 * c[..., 1:-1] + c[..., :-2]) / h**2
     eigs = spec.mode_eigenvalues(energy)
-    op_term = eigs[..., None] * c[..., 1:-1]
-    res_spec = dtt - op_term
+    res_spec = _second_difference(c, h) - eigs[..., None] * c[..., 1:-1]
     axes = fiber.spatial_axes
     res_phys = np.fft.ifftn(res_spec, axes=axes, norm="ortho")
     if potential is not None:

@@ -183,6 +183,9 @@ def load_field(path, lattice: Lattice) -> SampledField:
         raise GridError("field dimension disagrees with the lattice")
     n = int(header["points_per_cell"])
     shape = tuple(int(c) * n for c in header["cells_shape"]) + (int(header["t_points"]),)
+    need = int(np.prod(shape))
+    if values.size != need:
+        raise SchemaError(f"field holds {values.size} values; its header shape {shape} needs {need}")
     values = values.reshape(shape)
     return SampledField(
         kind=str(header["kind"]),

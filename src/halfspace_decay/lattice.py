@@ -35,12 +35,14 @@ def parse_rational(entry) -> Fraction:
     """Parse a rational entry: 'p/q', 'p', an int, or a [p, q] pair."""
     if isinstance(entry, Fraction):
         return entry
-    if isinstance(entry, int):
+    if isinstance(entry, int) and not isinstance(entry, bool):
         return Fraction(entry)
     if isinstance(entry, str):
         return Fraction(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return Fraction(int(entry[0]), int(entry[1]))
+    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in entry
+    ):
+        return Fraction(entry[0], entry[1])
     raise SchemaError(f"cannot parse rational entry {entry!r}")
 
 

@@ -9,6 +9,7 @@ between the inequality verifiers and the evolution solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class SpectralProfile:
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != (self.eigs.size, self.t_grid.size):
             raise SchemaError("coefficient array must have shape (modes, t-points)")
-        grid_step(self.t_grid)  # uniformity check
+        self.step = grid_step(self.t_grid)
         if self.t_grid[0] < 0.0:
             raise SchemaError("t-grid must start at t >= 0")
         if self.alpha is None:
@@ -49,19 +50,20 @@ class SpectralProfile:
     def n_modes(self) -> int:
         return self.eigs.size
 
-    @property
-    def step(self) -> float:
-        return grid_step(self.t_grid)
-
     def norms(self) -> np.ndarray:
-        """||phi(t)|| on the grid."""
-        return np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=0))
+        """||phi(t)|| on the grid.  A column whose plain sum of squares under-
+        or overflows is summed again by hypot, which rescales at every step."""
+        with np.errstate(over="ignore"):
+            sq = np.sum(np.abs(self.coeffs) ** 2, axis=0)
+        out = np.sqrt(sq)
+        bad = (sq < np.finfo(float).tiny) | (sq == np.inf)
+        out[bad] = np.hypot.reduce(np.abs(self.coeffs[:, bad]), axis=0, initial=0.0)
+        return out
 
     def second_difference(self) -> np.ndarray:
         """Centred second difference of the coefficients; zero at the ends."""
-        h = self.step
         out = np.zeros_like(self.coeffs)
-        out[:, 1:-1] = (self.coeffs[:, 2:] - 2 * self.coeffs[:, 1:-1] + self.coeffs[:, :-2]) / h**2
+        out[:, 1:-1] = _second_difference(self.coeffs, self.step)
         return out
 
     def first_difference(self) -> np.ndarray:
@@ -75,13 +77,43 @@ class SpectralProfile:
         """psi(t) = (d^2/dt^2 - A) phi(t) with centred differences."""
         return self.second_difference() - self.eigs[:, None] * self.coeffs
 
+    @cached_property
+    def _support_index(self) -> tuple[int, int] | None:
+        """(first, last) grid index with a nonzero coefficient, or None."""
+        idx = np.flatnonzero(np.any(self.coeffs != 0, axis=0))
+        return (int(idx[0]), int(idx[-1])) if idx.size else None
+
     def support(self) -> tuple[float, float] | None:
         """(first, last) grid time with a nonzero coefficient, or None."""
-        mask = np.any(self.coeffs != 0, axis=0)
-        if not mask.any():
-            return None
-        idx = np.flatnonzero(mask)
-        return float(self.t_grid[idx[0]]), float(self.t_grid[idx[-1]])
+        idx = self._support_index
+        return None if idx is None else (float(self.t_grid[idx[0]]), float(self.t_grid[idx[1]]))
+
+    def densities(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mode sums of |c|^2 and of |equation_residual()|^2 per t.
+
+        Only the columns whose stencil touches the support are computed; the
+        others are exactly 0 in both sums.
+        """
+        n = self.t_grid.size
+        norm2, psi2 = np.zeros(n), np.zeros(n)
+        if self._support_index is not None:
+            lo, hi = max(self._support_index[0] - 1, 0), min(self._support_index[1] + 2, n)
+            a, b = max(lo, 1), min(hi, n - 1)  # c'' is 0 at the ends, so psi = -mu c there
+            psi = self.eigs[:, None] * self.coeffs[:, lo:hi]
+            inner = psi[:, a - lo : b - lo]
+            np.subtract(_second_difference(self.coeffs[:, a - 1 : b + 1], self.step), inner, out=inner)
+            norm2[lo:hi] = np.sum(np.abs(self.coeffs[:, lo:hi]) ** 2, axis=0)
+            psi2[lo:hi] = np.sum(np.abs(psi) ** 2, axis=0)
+        return norm2, psi2
+
+
+def _second_difference(c: np.ndarray, h: float) -> np.ndarray:
+    """Centred second difference along the last axis, interior columns only."""
+    d = np.multiply(c[..., 1:-1], -2.0, order="C")
+    d += c[..., 2:]
+    d += c[..., :-2]
+    d.view(np.float64)[...] *= 1.0 / h**2  # the bits of d / h**2 without a complex division
+    return d
 
 
 def smooth_bump(s: np.ndarray) -> np.ndarray:

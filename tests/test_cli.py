@@ -76,6 +76,13 @@ def _config(**keys) -> str:
     return json.dumps({"command": "pipeline", "params": _PIPELINE_PARAMS, **keys})
 
 
+# header shape (2, 2, 5) needs 20 value rows; the file holds 7
+_SHORT_FIELD = json.dumps({
+    "dim": 2, "cells_lo": [0, 0], "cells_shape": [1, 1], "points_per_cell": 2,
+    "t_start": 0.0, "t_end": 1.0, "t_points": 5, "kind": "u",
+}) + "\n" + "0.5,0.0\n" * 7
+
+
 @pytest.mark.parametrize(
     "argv, content",
     [
@@ -87,6 +94,9 @@ def _config(**keys) -> str:
         (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0]]}'),
         (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0, 1]], "gram_exact": [["x", "0"], ["0", "1"]]}'),
         (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0, 1]], "gram_exact": [["1"]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0, 1]], "gram_exact": [[[1.9, 1], "0"], ["0", "1"]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0, 1]], "gram_exact": [[[true, 1], "0"], ["0", "1"]]}'),
+        (["gelfand", "roundtrip", "--lattice", "{lat}", "--u", "{bad}", "--theta-points", "2"], _SHORT_FIELD),
         (["pipeline", "--config", "{bad}"], _config(seed="x")),
         (["pipeline", "--config", "{bad}"], _config(seed=1.9)),
         (["pipeline", "--config", "{bad}"], _config(seed=True)),
@@ -98,7 +108,7 @@ def _config(**keys) -> str:
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
         "lattice-not-object", "lattice-ragged-basis", "lattice-gram-not-rational",
-        "lattice-gram-wrong-size",
+        "lattice-gram-wrong-size", "lattice-gram-float-pair", "lattice-gram-bool-pair", "field-short",
         "seed-str", "seed-float", "seed-bool", "threads-str", "threads-float",
         "tolerances-not-object", "config-not-object",
     ],

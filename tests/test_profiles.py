@@ -1,0 +1,202 @@
+"""The residual-density kernel of SpectralProfile against the plain formulas.
+
+The references below are the full-array formulas the kernel replaces: a
+zero-filled second difference divided by h^2, and mode sums over every
+column.  The kernel must reproduce them bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from halfspace_decay import carleman, ensembles
+from halfspace_decay.evolution import (
+    PerturbationFamily,
+    _discrete_residual,
+    decay_rate_estimate,
+    exponential_bound,
+    solve_decaying,
+)
+from halfspace_decay.fibers import BlochFiber, fiber_residual
+from halfspace_decay.fields import SampledField
+from halfspace_decay.lattice import Lattice, Quasimomentum, unit_cell_volume
+from halfspace_decay.profiles import SpectralProfile, _second_difference
+from halfspace_decay.quadrature import grid_step
+
+TWO_PI = 2.0 * math.pi
+STEPS = (4.0 / 8192, 3.5 / 8192)
+
+
+def ref_second_difference(p: SpectralProfile) -> np.ndarray:
+    h = grid_step(p.t_grid)
+    c = p.coeffs
+    out = np.zeros_like(c)
+    out[:, 1:-1] = (c[:, 2:] - 2 * c[:, 1:-1] + c[:, :-2]) / h**2
+    return out
+
+
+def ref_densities(p: SpectralProfile):
+    psi = ref_second_difference(p) - p.eigs[:, None] * p.coeffs
+    return np.sum(np.abs(p.coeffs) ** 2, axis=0), np.sum(np.abs(psi) ** 2, axis=0)
+
+
+def ref_norms(p: SpectralProfile) -> np.ndarray:
+    return np.sqrt(np.sum(np.abs(p.coeffs) ** 2, axis=0))
+
+
+@st.composite
+def profiles(draw):
+    """Random profiles of every support shape the kernel trims differently."""
+    m = draw(st.integers(1, 16))
+    n = draw(st.integers(3, 600))
+    h = draw(st.sampled_from(STEPS))
+    kind = draw(st.sampled_from(["compact", "head", "tail", "single", "zero", "full"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-30, 30, size=(m, 1))
+    coeffs = (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))) * scale
+    lo, hi = sorted(rng.integers(0, n, size=2))
+    lo, hi = {"head": (0, hi), "tail": (lo, n - 1), "single": (lo, lo),
+              "zero": (1, 0), "full": (0, n - 1)}.get(kind, (lo, hi))
+    keep = np.zeros(n, dtype=bool)
+    keep[lo : hi + 1] = True
+    coeffs[:, ~keep] = 0.0
+    coeffs[rng.random((m, n)) < 0.1] = 0.0  # zeros inside the support too
+    eigs = rng.uniform(-5.0, 50.0, size=m)
+    if draw(st.booleans()):
+        coeffs = np.asfortranarray(coeffs)
+    t = draw(st.sampled_from([0.0, 0.25])) + h * np.arange(n)
+    return SpectralProfile(eigs=eigs, t_grid=t, coeffs=coeffs, alpha=5.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(profiles())
+def test_densities_and_second_difference_match_full_formulas(p):
+    assert np.array_equal(p.second_difference(), ref_second_difference(p))
+    assert np.array_equal(p.equation_residual(), ref_second_difference(p) - p.eigs[:, None] * p.coeffs)
+    norm2, psi2 = p.densities()
+    ref_norm2, ref_psi2 = ref_densities(p)
+    assert np.array_equal(norm2, ref_norm2)
+    assert np.array_equal(psi2, ref_psi2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(profiles())
+def test_norms_keep_the_plain_formula_where_it_is_a_normal_float(p):
+    sq = np.sum(np.abs(p.coeffs) ** 2, axis=0)
+    normal = (sq >= np.finfo(float).tiny) & (sq < np.inf)
+    assert np.array_equal(p.norms()[normal], ref_norms(p)[normal])
+
+
+@pytest.mark.parametrize("h", STEPS)
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1.0, 1e100, 1e200])
+def test_reciprocal_multiply_matches_complex_division(h, scale):
+    """The kernel's in-place real multiply by 1/h^2 against numpy's c / h**2."""
+    rng = np.random.default_rng(7)
+    c = (rng.normal(size=(9, 8193)) + 1j * rng.normal(size=(9, 8193))) * scale
+    ref = (c[:, 2:] - 2 * c[:, 1:-1] + c[:, :-2]) / h**2
+    assert np.array_equal(_second_difference(c, h).view(np.float64), ref.view(np.float64))
+
+
+def _ref_fiber_residual(fiber, potential, energy):
+    spec = fiber.to_spectral()
+    h = fiber.t_grid[1] - fiber.t_grid[0]
+    c = spec.data
+    dtt = (c[..., 2:] - 2.0 * c[..., 1:-1] + c[..., :-2]) / h**2
+    res_spec = dtt - spec.mode_eigenvalues(energy)[..., None] * c[..., 1:-1]
+    res_phys = np.fft.ifftn(res_spec, axes=fiber.spatial_axes, norm="ortho")
+    if potential is not None:
+        v_cell = potential.cell_block(potential.cells_lo)[..., 1:-1]
+        res_phys = res_phys - v_cell * fiber.to_physical().data[..., 1:-1]
+    w = unit_cell_volume(fiber.lattice) / fiber.points_per_cell**fiber.dim
+    return np.sqrt(w * np.sum(np.abs(res_phys) ** 2, axis=fiber.spatial_axes))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_fiber_residual_matches_full_formula(dim, with_potential):
+    rng = np.random.default_rng(dim)
+    lat = Lattice.cubic(TWO_PI, dim)
+    n, nt = 6, 41
+    shape = (n,) * dim + (nt,)
+    fiber = BlochFiber(
+        theta=Quasimomentum(coeffs=rng.uniform(0.0, 1.0, size=dim)), lattice=lat,
+        points_per_cell=n, t_start=0.5, t_end=2.5,
+        data=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+    )
+    v = None
+    if with_potential:
+        v = SampledField(
+            kind="potential", lattice=lat, cells_lo=(0,) * dim, cells_shape=(1,) * dim,
+            points_per_cell=n, t_start=0.5, t_end=2.5, values=rng.normal(size=shape),
+        )
+    assert np.array_equal(fiber_residual(fiber, v, 0.3), _ref_fiber_residual(fiber, v, 0.3))
+
+
+@pytest.mark.parametrize("kind", ["zero", "diagonal", "full"])
+def test_discrete_residual_matches_full_formula(kind):
+    eigs = np.array([1.0, 2.5, 4.0, 7.0])
+    bound = exponential_bound(0.5)
+    pert = {"zero": PerturbationFamily.zero(),
+            "diagonal": PerturbationFamily.diagonal(bound, beta=0.5, decays=True, seed=4),
+            "full": PerturbationFamily.full(bound, beta=0.5, decays=True, seed=4)}[kind]
+    g = np.array([1.0, -0.5j, 0.25, 2.0 + 1.0j])
+    p = solve_decaying(eigs, pert, 8.0, g, n_points=801).profile
+    t, c = p.t_grid, p.coeffs
+    psi = (ref_second_difference(p) - p.eigs[:, None] * c)[:, 1:-1]
+    if kind == "diagonal":
+        psi = psi - pert.diagonal_entries(t[1:-1], p.n_modes).T * c[:, 1:-1]
+    elif kind == "full":
+        psi = psi - pert.bound_values(t[1:-1])[None, :] * (pert.full_matrix(p.n_modes) @ c[:, 1:-1])
+    ref = float(np.max(np.abs(psi)) * grid_step(t) ** 2 / float(np.max(np.abs(c))))
+    assert _discrete_residual(p, pert) == ref
+
+
+def test_carleman_reports_match_full_formula_path(monkeypatch):
+    """32 gap and 32 4/3 ensemble cases, with the kernel and with the plain sums."""
+    eps = 0.5
+    wl = eps ** (-4.0 / 3.0)
+    cases = [(ensembles.bump_case_gap(3, i), None) for i in range(32)]
+    cases += [(None, ensembles.bump_case_43(3, i, eps, wl)[0]) for i in range(32)]
+
+    def run_all():
+        out = []
+        for gap, p43 in cases:
+            if gap is not None:
+                p, a, b, alpha = gap
+                out.append(carleman.verify_carleman_gap(p, a, b, alpha))
+            else:
+                out.append(carleman.verify_carleman_43(p43, wl, eps))
+        return out
+
+    kernel = run_all()
+    monkeypatch.setattr(SpectralProfile, "densities", ref_densities)
+    assert kernel == run_all()
+
+
+def test_norms_survive_gaussian_underflow():
+    t = np.linspace(0.0, 20.0, 4001)
+    p = SpectralProfile(eigs=[1.0], t_grid=t, coeffs=np.exp(-t * t)[None, :])
+    assert np.min(p.norms()) > 0.0
+    assert np.allclose(p.norms(), np.exp(-t * t), rtol=1e-15, atol=0.0)
+    est = decay_rate_estimate(p, (2.0, 20.0))
+    assert est.rate > 10.0
+
+
+def test_norms_of_exponential_decay_keep_their_bits():
+    t = np.linspace(0.0, 100.0, 4001)
+    p = SpectralProfile(eigs=[4.0], t_grid=t, coeffs=np.exp(-2.0 * t)[None, :])
+    assert np.array_equal(p.norms(), ref_norms(p))
+
+
+def test_norms_rescale_overflow_and_keep_zero_columns():
+    coeffs = np.zeros((2, 5), dtype=complex)
+    coeffs[:, 1] = 1e200
+    coeffs[0, 2] = 1e-170
+    p = SpectralProfile(eigs=[1.0, 1.0], t_grid=np.linspace(0.0, 1.0, 5), coeffs=coeffs)
+    norms = p.norms()
+    assert norms[1] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert norms[2] == 1e-170
+    assert norms[0] == norms[3] == norms[4] == 0.0
