@@ -36,7 +36,7 @@ from .lattice import (
     rational_structure,
     unit_cell_volume,
 )
-from .manifest import write_csv, write_json
+from .manifest import write_csv, write_json, write_rows
 from .pipeline import run_pipeline
 from .profiles import SpectralProfile, bump_profile
 from .quadrature import uniform_grid
@@ -64,8 +64,7 @@ def _emit_rows(header, rows, out: str | None) -> None:
         write_csv(out, header, rows)
     else:
         print(",".join(header))
-        for row in rows:
-            print(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row))
+        write_rows(sys.stdout, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,8 +233,7 @@ def _cmd_gaps(args) -> int:
     if args.growth:
         dual = dual_basis(lat)
         sigma, q, l, r = rational_structure(dual, theta)
-        table = max_gap_growth(q, theta, _parse_list(args.growth, int))
-        _emit_rows(["N", "max_gap"], [(n, g) for n, g in table], args.out)
+        _emit_rows(["N", "max_gap"], max_gap_growth(q, theta, _parse_list(args.growth, int)), args.out)
         return EXIT_OK
     if args.cutoff is None:
         raise SchemaError("gaps requires --cutoff (or --growth for the growth table)")
@@ -303,8 +301,7 @@ def _cmd_gelfand(args) -> int:
     fiber = gelfand_forward(u, theta, args.lmax)
     v = load_field(args.v, lat) if args.v else None
     res = fiber_residual(fiber, v, args.energy)
-    t = fiber.t_grid[1:-1]
-    _emit_rows(["t", "residual"], list(zip(t.tolist(), res.tolist())), args.out)
+    _emit_rows(["t", "residual"], np.column_stack((fiber.t_grid[1:-1], res)), args.out)
     return EXIT_OK
 
 
@@ -408,19 +405,14 @@ def _cmd_evolve(args) -> int:
     result = evo.solve_decaying(eigs, pert, T, g)
     window = evo.default_tail_window(T)
     est = evo.decay_rate_estimate(result.profile, window)
+    t, norms = result.profile.t_grid, result.profile.norms()
     if args.out:
-        t = result.profile.t_grid
-        norms = result.profile.norms()
-        write_csv(args.out, ["t", "norm"], list(zip(t.tolist(), norms.tolist())))
+        write_csv(args.out, ["t", "norm"], np.column_stack((t, norms)))
     if args.svg:
-        from pathlib import Path as _Path
-
         from .svgplot import PlotTable, render_svg
 
-        t = result.profile.t_grid
-        lognorm = np.log(np.maximum(result.profile.norms(), 1e-300))
         table = PlotTable(
-            name=_Path(args.svg).stem, xs=tuple(t.tolist()), ys=tuple(lognorm.tolist()),
+            name=Path(args.svg).stem, xs=t, ys=np.log(np.maximum(norms, 1e-300)),
             kind="line", x_label="t", y_label="log ||phi||",
         )
         with open(args.svg, "w", encoding="utf-8") as fh:

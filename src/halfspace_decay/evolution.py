@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 from .errors import (
@@ -378,6 +377,8 @@ def inner_integral_check(x2_values, X: float) -> float:
 
     Returns the max absolute deviation; raises if it exceeds 1e-6.
     """
+    from scipy.integrate import quad  # deferred: a large share of the package import time
+
     worst = 0.0
     for x2 in np.atleast_1d(np.asarray(x2_values, dtype=float)):
         c = 1.0 + x2
@@ -392,6 +393,8 @@ def inner_integral_check(x2_values, X: float) -> float:
 
 def _partial_weighted_integral(weight_rate: float, t_end: float) -> float:
     """pi * int_0^T exp(2(rate-1)s)/(1+s) ds."""
+    from scipy.integrate import quad
+
     a = 2.0 * (weight_rate - 1.0)
     val, _ = quad(lambda s: math.exp(a * s) / (1.0 + s), 0.0, t_end, limit=400)
     return math.pi * val

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import GridError, SchemaError
 from .lattice import Lattice
+from .manifest import write_rows
 
 FIELD_KINDS = ("u", "potential")
 
@@ -154,8 +155,7 @@ def save_field(field: SampledField, path) -> None:
     flat = field.values.reshape(-1)  # x-major then t (C order)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for v in flat:
-            fh.write(f"{v.real:.17g},{v.imag:.17g}\n")
+        write_rows(fh, flat.view(np.float64).reshape(-1, 2))  # (re, im) pairs, no copy
 
 
 def load_field(path, lattice: Lattice) -> SampledField:

@@ -12,7 +12,6 @@ by the caller as fractions and validated against the float geometry.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -118,10 +117,6 @@ class Lattice:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    def digest(self) -> str:
-        """Short stable identifier derived from the basis bytes."""
-        return hashlib.sha256(np.ascontiguousarray(self.basis).tobytes()).hexdigest()[:12]
 
     @staticmethod
     def cubic(scale: float, dim: int) -> "Lattice":

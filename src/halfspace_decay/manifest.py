@@ -3,7 +3,8 @@
 All floats are serialised with 17 significant digits so a manifest written by
 one run compares bit-for-bit with a re-run of the same config and seed.  The
 hash covers the config and the ordered verdicts; wall-clock time and tool
-version are recorded alongside but excluded from the hash.
+version are recorded alongside but excluded from the hash.  ``write_rows`` is
+the one table formatter: every CSV file, CLI table and text field uses it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .runconfig import RunConfig
 
@@ -67,26 +70,33 @@ class RunManifest:
         }
 
     def write(self, out_dir) -> Path:
-        path = Path(out_dir) / "manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return write_json(Path(out_dir) / "manifest.json", self.to_json())
+
+
+_BLOCK_ROWS = 4096  # rows per `%` operation; bounds the text and objects held at once
+
+
+def write_rows(fh, rows) -> None:
+    """Write rows as comma-separated lines: floats at 17 significant digits, else str().
+
+    ``rows`` is a 2D array or a sequence of tuples.  Each column takes its
+    format from the first row, so every column must hold one type.
+    """
+    if len(rows) == 0:
+        return
+    first = np.asarray(rows[:1], dtype=object)[0]
+    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = np.asarray(rows[start : start + _BLOCK_ROWS], dtype=object)
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_csv(path, header: list[str], rows) -> Path:
-    """Tiny deterministic CSV writer (17 significant digits for floats)."""
+    """Tiny deterministic CSV writer: a header line, then ``write_rows``."""
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, float):
-                    cells.append(format(v, ".17g"))
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+        write_rows(fh, rows)
     return path
 
 

@@ -37,11 +37,7 @@ from .svgplot import PlotTable, emit_plots
 
 
 def _load_lattice(spec) -> Lattice:
-    if isinstance(spec, dict):
-        return Lattice.from_json(spec)
-    if isinstance(spec, str):
-        return Lattice.load(spec)
-    raise SchemaError("lattice must be an inline document or a file path")
+    return Lattice.from_json(spec) if isinstance(spec, dict) else Lattice.load(spec)
 
 
 def _usable_point_count(n: int) -> int:
@@ -73,11 +69,11 @@ def _admissible_window(gaps, alpha: float):
 
 
 def _theta_case(idx, fiber, lat, v, params, tolerances):
-    energy = float(params.get("energy", 0.0))
-    cutoff = float(params.get("cutoff", 50.0))
-    min_gap = float(params.get("min_gap", 0.0))
+    energy = params.get("energy", 0.0)
+    cutoff = params.get("cutoff", 50.0)
+    min_gap = params.get("min_gap", 0.0)
     max_modes = params.get("max_modes", 16)
-    taper_frac = float(params.get("carleman_taper", 0.2))
+    taper_frac = params.get("carleman_taper", 0.2)
 
     spec = fiber.to_spectral()
     residuals = fiber_residual(spec, v, energy)
@@ -126,7 +122,7 @@ def _theta_case(idx, fiber, lat, v, params, tolerances):
     if window_t is None:
         window_t = (t[0] + 2.0 * span / 3.0, t[0] + 0.9 * span)
     try:
-        est = decay_rate_estimate(profile, (float(window_t[0]), float(window_t[1])))
+        est = decay_rate_estimate(profile, window_t)
         case["decay_rate"] = est.rate
         case["decay_residual"] = est.residual
         case["superexp"] = est.superexp
@@ -134,13 +130,10 @@ def _theta_case(idx, fiber, lat, v, params, tolerances):
         case["decay_rate"] = None
 
     tables = {
-        "spectrum": [(float(v), int(m)) for v, m in zip(slc.values, slc.mults)],
+        "spectrum": list(zip(slc.values.tolist(), slc.mults.tolist())),
         "gaps": [(g.lo, g.hi, g.length) for g in gaps],
-        "residual": [(float(tt), float(r)) for tt, r in zip(t[1:-1], residuals)],
-        "lognorm": [
-            (float(tt), float(np.log(max(nv, 1e-300))))
-            for tt, nv in zip(t, profile.norms())
-        ],
+        "residual": np.column_stack((t[1:-1], residuals)),
+        "lognorm": (t, np.log(np.maximum(profile.norms(), 1e-300))),
     }
     return case, codes, tables, report
 
@@ -159,13 +152,13 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
         v = load_field(params["v_field"], lat)
         if v.kind != "potential":
             raise SchemaError("v_field must have kind 'potential'")
-    thetas = theta_grid(lat, int(params["theta_points"]))
+    thetas = theta_grid(lat, params["theta_points"])
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.write_resolved(out_dir)
 
-    fibers = gelfand_forward(u, thetas, int(params.get("l_max", 10**6)))
+    fibers = gelfand_forward(u, thetas, params.get("l_max", 10**6))
     results = [
         _theta_case(i, fiber, lat, v, params, cfg.tolerances) for i, fiber in enumerate(fibers)
     ]
@@ -189,7 +182,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
         if case.get("decay_rate") is not None:
             decay_rows.append((idx, case["decay_rate"], case["decay_residual"], case["superexp"]))
         if params.get("plots"):
-            xs, ys = zip(*tables["lognorm"])
+            xs, ys = tables["lognorm"]
             plot_tables.append(
                 PlotTable(
                     name=f"lognorm_theta{idx}", xs=xs, ys=ys,

@@ -16,35 +16,60 @@ import numpy as np
 
 from .errors import SchemaError
 
-# Parameter key sets per command; values are validated downstream.
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# Parameter types: (description, check).  Values are checked, never coerced.
+_NUMBER = ("a number", _is_number)
+_INT = ("an integer", _is_int)
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+_PATH = ("a file path", lambda v: isinstance(v, str))
+_PATH_OR_NULL = ("a file path or null", lambda v: v is None or isinstance(v, str))
+_LATTICE = ("a lattice document or a file path", lambda v: isinstance(v, (dict, str)))
+_INT_OR_NULL = ("an integer or null", lambda v: v is None or _is_int(v))
+_NUMBER_PAIR_OR_NULL = (
+    "null or a pair of numbers",
+    lambda v: v is None
+    or (isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_number(x) for x in v)),
+)
+_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(_is_number(x) for x in v))
+
+# Per command: key -> (type, required).
 _PARAM_KEYS = {
     "pipeline": {
-        "lattice": True,
-        "u_field": True,
-        "v_field": False,
-        "energy": False,
-        "theta_points": True,
-        "l_max": False,
-        "cutoff": False,
-        "min_gap": False,
-        "decay_window": False,
-        "max_modes": False,
-        "carleman_taper": False,
-        "plots": False,
+        "lattice": (_LATTICE, True),
+        "u_field": (_PATH, True),
+        "v_field": (_PATH_OR_NULL, False),
+        "energy": (_NUMBER, False),
+        "theta_points": (_INT, True),
+        "l_max": (_INT, False),
+        "cutoff": (_NUMBER, False),
+        "min_gap": (_NUMBER, False),
+        "decay_window": (_NUMBER_PAIR_OR_NULL, False),
+        "max_modes": (_INT_OR_NULL, False),
+        "carleman_taper": (_NUMBER, False),
+        "plots": (_BOOL, False),
     },
     "verify43": {
-        "eps": True,
-        "weight_lambda": False,
-        "modes": False,
-        "ensemble": False,
+        "eps": (_NUMBER, True),
+        "weight_lambda": (_NUMBER, False),
+        "modes": (_INT, False),
+        "ensemble": (_INT, False),
     },
     "verify-gap": {
-        "a": True,
-        "b": True,
-        "alpha": False,
-        "eigs": False,
-        "ensemble": False,
-        "force": False,
+        "a": (_NUMBER, True),
+        "b": (_NUMBER, True),
+        "alpha": (_NUMBER, False),
+        "eigs": (_NUMBERS, False),
+        "ensemble": (_INT, False),
+        "force": (_BOOL, False),
     },
 }
 
@@ -82,9 +107,13 @@ class RunConfig:
             unknown = set(self.params) - set(spec)
             if unknown:
                 raise SchemaError(f"unknown {self.command} parameter keys: {sorted(unknown)}")
-            missing = {k for k, required in spec.items() if required} - set(self.params)
+            missing = {k for k, (_, required) in spec.items() if required} - set(self.params)
             if missing:
                 raise SchemaError(f"missing {self.command} parameter keys: {sorted(missing)}")
+            for key, value in sorted(self.params.items()):
+                kind, check = spec[key][0]
+                if not check(value):
+                    raise SchemaError(f"{self.command} parameter {key!r} must be {kind}, not {value!r}")
 
     @staticmethod
     def from_json(doc: dict) -> "RunConfig":
@@ -140,11 +169,6 @@ class RunConfig:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def case_rng(root_seed: int, *key: int) -> np.random.Generator:

@@ -27,13 +27,6 @@ MERGE_TOL = 1e-9
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True, eq=False)
-class SliceContext:
-    lattice_id: str
-    theta: np.ndarray
-    energy: float
-
-
 @dataclass(eq=False)
 class SpectrumSlice:
     """Sorted distinct eigenvalues up to a cutoff, with multiplicities."""
@@ -41,7 +34,7 @@ class SpectrumSlice:
     values: np.ndarray
     mults: np.ndarray
     cutoff: float
-    context: SliceContext
+    energy: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -55,7 +48,7 @@ class SpectrumSlice:
                 raise SchemaError("multiplicities must be positive")
             if self.values[-1] > self.cutoff + MERGE_TOL:
                 raise SchemaError("spectrum value exceeds cutoff")
-            if self.values[0] < -self.context.energy - MERGE_TOL:
+            if self.values[0] < -self.energy - MERGE_TOL:
                 raise SchemaError("spectrum value below -E")
 
     def total_count(self) -> int:
@@ -159,11 +152,10 @@ def enumerate_spectrum(
     dual = dual_basis(lat)
     if theta.dim != dual.dim:
         raise SchemaError("quasimomentum dimension disagrees with lattice")
-    context = SliceContext(lattice_id=lat.digest(), theta=theta.coeffs, energy=float(energy))
     radius2 = float(cutoff) + float(energy)
     if radius2 < 0.0:
         return SpectrumSlice(
-            values=np.empty(0), mults=np.empty(0, dtype=np.int64), cutoff=float(cutoff), context=context
+            values=np.empty(0), mults=np.empty(0, dtype=np.int64), cutoff=float(cutoff), energy=float(energy)
         )
     raw = _enumerate_form_values(dual.gram(), theta.coeffs, radius2, budget)
     if verify:
@@ -173,7 +165,7 @@ def enumerate_spectrum(
             raise VerificationError("enumeration completeness check failed")
     values, mults = _merge_close(raw)
     return SpectrumSlice(
-        values=values - float(energy), mults=mults, cutoff=float(cutoff), context=context
+        values=values - float(energy), mults=mults, cutoff=float(cutoff), energy=float(energy)
     )
 
 

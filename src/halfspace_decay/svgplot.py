@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import SchemaError
 
 CANVAS_W = 640.0
@@ -17,11 +19,13 @@ CANVAS_H = 480.0
 MARGIN = 60.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlotTable:
+    """One curve; ``xs`` and ``ys`` are equal-length arrays or sequences of numbers."""
+
     name: str
-    xs: tuple
-    ys: tuple
+    xs: np.ndarray
+    ys: np.ndarray
     kind: str = "line"
     x_label: str = "x"
     y_label: str = "y"
@@ -37,33 +41,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _scale(values, lo_pix: float, hi_pix: float):
-    vmin = min(values)
-    vmax = max(values)
+def _pixels(values, lo_pix: float, hi_pix: float):
+    """Pixel coordinates of ``values`` on [lo_pix, hi_pix], with the axis range.
+
+    ``argmin``/``argmax`` pick the first of tied extremes, as ``min``/``max``
+    do, so the axis label of a -0.0/0.0 tie is the first of the two.
+    """
+    v = np.asarray(values)
+    vmin, vmax = v[v.argmin()], v[v.argmax()]
     span = vmax - vmin
     if span == 0.0:
-        span = 1.0
-        vmin -= 0.5
-    def to_pix(v):
-        return lo_pix + (v - vmin) * (hi_pix - lo_pix) / span
-    return to_pix, vmin, vmax
+        span, vmin = 1.0, vmin - 0.5
+    return lo_pix + (v - vmin) * (hi_pix - lo_pix) / span, vmin, vmax
 
 
 def render_svg(table: PlotTable) -> str:
-    to_x, xmin, xmax = _scale(table.xs, MARGIN, CANVAS_W - MARGIN)
-    to_y, ymin, ymax = _scale(table.ys, CANVAS_H - MARGIN, MARGIN)
-    pts = []
-    if table.kind == "line":
-        for x, y in zip(table.xs, table.ys):
-            pts.append(f"{_fmt(to_x(x))},{_fmt(to_y(y))}")
-    else:
-        prev_y = None
-        for x, y in zip(table.xs, table.ys):
-            if prev_y is not None:
-                pts.append(f"{_fmt(to_x(x))},{_fmt(to_y(prev_y))}")
-            pts.append(f"{_fmt(to_x(x))},{_fmt(to_y(y))}")
-            prev_y = y
-    polyline = " ".join(pts)
+    px, xmin, xmax = _pixels(table.xs, MARGIN, CANVAS_W - MARGIN)
+    py, ymin, ymax = _pixels(table.ys, CANVAS_H - MARGIN, MARGIN)
+    if table.kind == "staircase":  # (x_i, y_{i-1}) before every (x_i, y_i) after the first
+        px, py = np.repeat(px, 2)[1:], np.repeat(py, 2)[:-1]
+    points = tuple(np.column_stack((px, py)).ravel().tolist())
+    polyline = " ".join(["%.6g,%.6g"] * len(px)) % points
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(CANVAS_W)}" '

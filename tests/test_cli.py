@@ -104,13 +104,21 @@ _SHORT_FIELD = json.dumps({
         (["pipeline", "--config", "{bad}"], _config(threads=2.0)),
         (["pipeline", "--config", "{bad}"], _config(tolerances=5)),
         (["pipeline", "--config", "{bad}"], "5"),
+        (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "theta_points": 2.7})),
+        (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "energy": True})),
+        (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "theta_points": "x"})),
+        (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "cutoff": "x"})),
+        (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "max_modes": 2.5})),
+        (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "decay_window": "ab"})),
+        (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "plots": "no"})),
     ],
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
         "lattice-not-object", "lattice-ragged-basis", "lattice-gram-not-rational",
         "lattice-gram-wrong-size", "lattice-gram-float-pair", "lattice-gram-bool-pair", "field-short",
         "seed-str", "seed-float", "seed-bool", "threads-str", "threads-float",
-        "tolerances-not-object", "config-not-object",
+        "tolerances-not-object", "config-not-object", "theta-points-float", "energy-bool",
+        "theta-points-str", "cutoff-str", "max-modes-float", "decay-window-str", "plots-str",
     ],
 )
 def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, capsys):

@@ -323,6 +323,22 @@ def test_counterexample_threshold_scan():
     assert values == sorted(values)
 
 
+def test_package_import_leaves_quadrature_unloaded():
+    # scipy.integrate serves only the counterexample, so importing the package must not load it
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(evolution.__file__).resolve().parents[1]
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import halfspace_decay; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    assert inner_integral_check([0.0], 200.0) < 1e-6  # the deferred import still resolves
+
+
 def test_harmonicity_counterexample_function():
     assert harmonicity_check((-2.0, 2.0, 0.5, 2.0), 1e-2) < 1e-2
     coarse = harmonicity_check((-2.0, 2.0, 0.5, 2.0), 2e-2)
