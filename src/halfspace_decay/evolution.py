@@ -32,6 +32,8 @@ from .profiles import SpectralProfile, _second_difference
 # Decaying-branch solutions never grow; a huge solution relative to the
 # boundary datum means the discrete system is near-singular (resonance).
 GROWTH_LIMIT = 1e6
+# Memory budget of one full-B solve: its float64 band and LU rows.
+FULL_SOLVE_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +118,8 @@ def solve_decaying(
     Reports the relative residual of the discrete equation (machine level for
     a successful solve) and the solution growth factor.  A near-singular
     discrete system (resonant T for indefinite modes) raises SolverError with
-    a growth-based condition estimate.
+    a growth-based condition estimate.  A full-B solve above 200 000 unknowns
+    or ``FULL_SOLVE_BYTES`` of band and LU raises BudgetExceededError.
     """
     eigs = np.asarray(eigs, dtype=float).reshape(-1)
     g = np.asarray(boundary, dtype=complex).reshape(-1)
@@ -125,18 +128,20 @@ def solve_decaying(
     if T <= 0:
         raise SchemaError("T must be positive")
     n = n_points or _default_points(T)
+    M = eigs.size
+    need = (n - 2) * M * (5 * M + 2) * 8  # full B: band (2M+1 rows) and LU (3M+1 rows), float64
+    if perturbation.kind == "full" and ((n - 2) * M > 200_000 or need > FULL_SOLVE_BYTES):
+        raise BudgetExceededError(
+            f"full-matrix perturbation solve too large ({(n - 2) * M} unknowns, {need / 2**20:.0f} MiB; "
+            f"limits 200000 and {FULL_SOLVE_BYTES // 2**20} MiB); reduce modes or points"
+        )
     t = np.linspace(0.0, T, n)
     h = t[1] - t[0]
-    M = eigs.size
     interior = t[1:-1]
     coeffs = np.zeros((M, n), dtype=complex)
     coeffs[:, 0] = g
 
     if perturbation.kind == "full":
-        if (n - 2) * M > 200_000:
-            raise BudgetExceededError(
-                "full-matrix perturbation solve too large; reduce modes or points"
-            )
         # one coupled system, time-major: block row j is -diag(eigs + 2/h^2) - b(t_j) W
         bvals = perturbation.bound_values(interior)
         blocks = -np.diag(eigs + 2.0 / h**2) - bvals[:, None, None] * perturbation.full_matrix(M)
@@ -175,20 +180,24 @@ def _solve_stacked(blocks: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
     """
     S, L, m, _ = blocks.shape
     size = S * L * m
-    ab = np.zeros((2 * m + 1, size), dtype=complex)
+    ab = np.zeros((2 * m + 1, size))
     # banded storage: ab[m + r - c, k*m + c] holds entry (r, c) of block row k
     r = np.arange(m)
     cols = np.arange(size).reshape(S * L, 1, m)
     ab[m + r[:, None] - r[None, :], cols] = blocks.reshape(S * L, m, m)
     ab[0].reshape(S, L * m)[:, m:] = 1.0 / h**2
     ab[2 * m].reshape(S, L * m)[:, :-m] = 1.0 / h**2
-    rhs = np.zeros((S, L, m), dtype=complex)
-    rhs[:, 0] = -g / h**2
+    # the matrix is real: solve for the real and imaginary parts as two columns
+    first = -g / h**2
+    rhs = np.zeros((2, S, L, m))
+    rhs[:, :, 0] = first.real, first.imag
     try:
-        sol = solve_banded((m, m), ab, rhs.reshape(-1), overwrite_ab=True, overwrite_b=True)
+        sol = solve_banded((m, m), ab, rhs.reshape(2, size).T, overwrite_ab=True, overwrite_b=True)
     except np.linalg.LinAlgError as exc:
         raise SolverError("banded solve failed: singular discrete system") from exc
-    return sol.reshape(S, L, m)
+    out = np.empty(size, dtype=complex)
+    out.real, out.imag = sol[:, 0], sol[:, 1]
+    return out.reshape(S, L, m)
 
 
 def _discrete_residual(profile: SpectralProfile, perturbation: PerturbationFamily) -> float:
@@ -201,7 +210,8 @@ def _discrete_residual(profile: SpectralProfile, perturbation: PerturbationFamil
     elif perturbation.kind == "full":
         w = perturbation.full_matrix(profile.n_modes)
         b = perturbation.bound_values(t[1:-1])
-        psi = psi - b[None, :] * (w @ c[:, 1:-1])
+        wc = (w @ c[:, 1:-1].view(np.float64)).view(complex)  # W is real: one real product
+        psi = psi - b[None, :] * wc
     scale = float(np.max(np.abs(c))) or 1.0
     return float(np.max(np.abs(psi)) * profile.step**2 / scale)
 

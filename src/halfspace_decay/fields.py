@@ -21,6 +21,7 @@ import numpy as np
 from .errors import GridError, SchemaError
 from .lattice import Lattice
 from .manifest import write_rows
+from .runconfig import FIELD_HEADER_KEYS, check_keys
 
 FIELD_KINDS = ("u", "potential")
 
@@ -168,30 +169,25 @@ def load_field(path, lattice: Lattice) -> SampledField:
         with open(path, "r", encoding="utf-8") as fh:
             header = json.loads(fh.readline())
             pairs = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if pairs.shape[1] != 2:
+            raise SchemaError("field values must be 're,im' pairs, one per line")
         values = pairs[:, 0] + 1j * pairs[:, 1]
-    allowed = {
-        "dim", "cells_lo", "cells_shape", "points_per_cell",
-        "t_start", "t_end", "t_points", "kind",
-    }
-    unknown = set(header) - allowed
-    if unknown:
-        raise SchemaError(f"unknown field header keys: {sorted(unknown)}")
-    missing = allowed - set(header)
-    if missing:
-        raise SchemaError(f"missing field header keys: {sorted(missing)}")
-    if int(header["dim"]) != lattice.dim:
+    if not isinstance(header, dict):
+        raise SchemaError("field header must be a JSON object")
+    check_keys("field header", header, FIELD_HEADER_KEYS)
+    if header["dim"] != lattice.dim:
         raise GridError("field dimension disagrees with the lattice")
-    n = int(header["points_per_cell"])
-    shape = tuple(int(c) * n for c in header["cells_shape"]) + (int(header["t_points"]),)
+    n = header["points_per_cell"]
+    shape = tuple(c * n for c in header["cells_shape"]) + (header["t_points"],)
     need = int(np.prod(shape))
     if values.size != need:
         raise SchemaError(f"field holds {values.size} values; its header shape {shape} needs {need}")
     values = values.reshape(shape)
     return SampledField(
-        kind=str(header["kind"]),
+        kind=header["kind"],
         lattice=lattice,
-        cells_lo=tuple(int(v) for v in header["cells_lo"]),
-        cells_shape=tuple(int(v) for v in header["cells_shape"]),
+        cells_lo=tuple(header["cells_lo"]),
+        cells_shape=tuple(header["cells_shape"]),
         points_per_cell=n,
         t_start=float(header["t_start"]),
         t_end=float(header["t_end"]),

@@ -99,11 +99,8 @@ def _theta_case(idx, fiber, lat, v, params, tolerances):
         case["carleman"] = "no-admissible-gap"
     else:
         a, b = window
-        verify_kwargs = {}
-        if "carleman_pass_rtol" in tolerances:
-            verify_kwargs["pass_rtol"] = float(tolerances["carleman_pass_rtol"])
-        if "resolution_gate_rtol" in tolerances:
-            verify_kwargs["gate_rtol"] = float(tolerances["resolution_gate_rtol"])
+        names = {"carleman_pass_rtol": "pass_rtol", "resolution_gate_rtol": "gate_rtol"}
+        verify_kwargs = {names[key]: value for key, value in tolerances.items()}
         try:
             report = verify_carleman_gap(
                 _window_profile(profile, taper_frac), a, b, alpha, **verify_kwargs

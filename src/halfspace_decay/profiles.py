@@ -35,7 +35,7 @@ class SpectralProfile:
     def __post_init__(self):
         self.eigs = np.asarray(self.eigs, dtype=float).reshape(-1)
         self.t_grid = np.asarray(self.t_grid, dtype=float).reshape(-1)
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)  # densities() views it as floats
         if self.coeffs.shape != (self.eigs.size, self.t_grid.size):
             raise SchemaError("coefficient array must have shape (modes, t-points)")
         self.step = grid_step(self.t_grid)
@@ -54,7 +54,7 @@ class SpectralProfile:
         """||phi(t)|| on the grid.  A column whose plain sum of squares under-
         or overflows is summed again by hypot, which rescales at every step."""
         with np.errstate(over="ignore"):
-            sq = np.sum(np.abs(self.coeffs) ** 2, axis=0)
+            sq = _sum_abs2(self.coeffs)
         out = np.sqrt(sq)
         bad = (sq < np.finfo(float).tiny) | (sq == np.inf)
         out[bad] = np.hypot.reduce(np.abs(self.coeffs[:, bad]), axis=0, initial=0.0)
@@ -80,7 +80,7 @@ class SpectralProfile:
     @cached_property
     def _support_index(self) -> tuple[int, int] | None:
         """(first, last) grid index with a nonzero coefficient, or None."""
-        idx = np.flatnonzero(np.any(self.coeffs != 0, axis=0))
+        idx = np.flatnonzero(np.any(self.coeffs, axis=0))
         return (int(idx[0]), int(idx[-1])) if idx.size else None
 
     def support(self) -> tuple[float, float] | None:
@@ -99,12 +99,23 @@ class SpectralProfile:
         if self._support_index is not None:
             lo, hi = max(self._support_index[0] - 1, 0), min(self._support_index[1] + 2, n)
             a, b = max(lo, 1), min(hi, n - 1)  # c'' is 0 at the ends, so psi = -mu c there
-            psi = self.eigs[:, None] * self.coeffs[:, lo:hi]
-            inner = psi[:, a - lo : b - lo]
-            np.subtract(_second_difference(self.coeffs[:, a - 1 : b + 1], self.step), inner, out=inner)
-            norm2[lo:hi] = np.sum(np.abs(self.coeffs[:, lo:hi]) ** 2, axis=0)
-            psi2[lo:hi] = np.sum(np.abs(psi) ** 2, axis=0)
+            # mu is real: scale the (re, im) pairs instead of forming complex products
+            psi = self.eigs[:, None] * self.coeffs[:, lo:hi].view(np.float64)
+            inner = psi[:, 2 * (a - lo) : 2 * (b - lo)]
+            dtt = _second_difference(self.coeffs[:, a - 1 : b + 1], self.step)
+            np.subtract(dtt.view(np.float64), inner, out=inner)
+            norm2[lo:hi] = _sum_abs2(self.coeffs[:, lo:hi])
+            psi2[lo:hi] = _sum_abs2(psi.view(complex))
         return norm2, psi2
+
+
+def _sum_abs2(z: np.ndarray) -> np.ndarray:
+    """np.sum(np.abs(z) ** 2, axis=0) bit for bit, with |z| squared in place.
+
+    |z| stays np.abs (hypot): re^2 + im^2 would change the last bits.
+    """
+    mag = np.abs(z)
+    return np.sum(np.multiply(mag, mag, out=mag), axis=0)
 
 
 def _second_difference(c: np.ndarray, h: float) -> np.ndarray:

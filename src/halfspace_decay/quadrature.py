@@ -10,6 +10,7 @@ exceeds 1e-6 relative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,13 +34,15 @@ def grid_step(t: np.ndarray) -> float:
     return float(h[0])
 
 
+@lru_cache(maxsize=8)
 def simpson_weights(n: int) -> np.ndarray:
-    """Composite Simpson weights 1, 4, 2, ..., 4, 1 (without the h/3 factor)."""
+    """Composite Simpson weights 1, 4, 2, ..., 4, 1 (no h/3 factor); cached, so read-only."""
     if n < 3 or n % 2 == 0:
         raise GridError("Simpson rule needs an odd number of points (even intervals)")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
+    w.flags.writeable = False
     return w
 
 

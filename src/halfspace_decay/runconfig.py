@@ -2,13 +2,15 @@
 
 Every command accepts a JSON config document with a fixed key set; unknown
 keys are rejected so typos cannot silently change a run, and values are not
-coerced.  A single root seed is split into per-case streams with
+coerced.  Field file headers are checked against the same kind of typed key
+spec.  A single root seed is split into per-case streams with
 counter-style spawn keys, so each case's stream depends only on its index.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,23 +25,32 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A JSON number that is a finite float: not a bool, NaN, infinity or a huge int."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 # Parameter types: (description, check).  Values are checked, never coerced.
-_NUMBER = ("a number", _is_number)
+_NUMBER = ("a finite number", _is_number)
+_POSITIVE = ("a finite number > 0", lambda v: _is_number(v) and v > 0)
 _INT = ("an integer", _is_int)
+_COUNT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
+_POSITIVE_INT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 _BOOL = ("true or false", lambda v: isinstance(v, bool))
 _PATH = ("a file path", lambda v: isinstance(v, str))
 _PATH_OR_NULL = ("a file path or null", lambda v: v is None or isinstance(v, str))
 _LATTICE = ("a lattice document or a file path", lambda v: isinstance(v, (dict, str)))
-_INT_OR_NULL = ("an integer or null", lambda v: v is None or _is_int(v))
+_POSITIVE_INT_OR_NULL = ("an integer >= 1 or null", lambda v: v is None or (_is_int(v) and v >= 1))
 _NUMBER_PAIR_OR_NULL = (
-    "null or a pair of numbers",
+    "null or a pair of finite numbers",
     lambda v: v is None
     or (isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_number(x) for x in v)),
 )
-_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(_is_number(x) for x in v))
+_NUMBERS = ("a list of finite numbers", lambda v: isinstance(v, list) and all(_is_number(x) for x in v))
+_INTS = ("a list of integers", lambda v: isinstance(v, list) and all(_is_int(x) for x in v))
+_POSITIVE_INTS = (
+    "a list of integers >= 1", lambda v: isinstance(v, list) and all(_is_int(x) and x >= 1 for x in v)
+)
+_STR = ("a string", lambda v: isinstance(v, str))
 
 # Per command: key -> (type, required).
 _PARAM_KEYS = {
@@ -49,12 +60,12 @@ _PARAM_KEYS = {
         "v_field": (_PATH_OR_NULL, False),
         "energy": (_NUMBER, False),
         "theta_points": (_INT, True),
-        "l_max": (_INT, False),
+        "l_max": (_COUNT, False),
         "cutoff": (_NUMBER, False),
         "min_gap": (_NUMBER, False),
         "decay_window": (_NUMBER_PAIR_OR_NULL, False),
-        "max_modes": (_INT_OR_NULL, False),
-        "carleman_taper": (_NUMBER, False),
+        "max_modes": (_POSITIVE_INT_OR_NULL, False),
+        "carleman_taper": (_POSITIVE, False),
         "plots": (_BOOL, False),
     },
     "verify43": {
@@ -72,6 +83,35 @@ _PARAM_KEYS = {
         "force": (_BOOL, False),
     },
 }
+# The one-line JSON header of a text or .npz field file.
+FIELD_HEADER_KEYS = {
+    "dim": (_INT, True),
+    "cells_lo": (_INTS, True),
+    "cells_shape": (_POSITIVE_INTS, True),
+    "points_per_cell": (_POSITIVE_INT, True),
+    "t_start": (_NUMBER, True),
+    "t_end": (_NUMBER, True),
+    "t_points": (_POSITIVE_INT, True),
+    "kind": (_STR, True),
+}
+_TOLERANCE_KEYS = {
+    "carleman_pass_rtol": (("a finite number >= 0", lambda v: _is_number(v) and v >= 0), False),
+    "resolution_gate_rtol": (("a finite number > 0", lambda v: _is_number(v) and v > 0), False),
+}
+
+
+def check_keys(what: str, doc: dict, spec: dict) -> None:
+    """Refuse unknown or missing keys and values outside their type or range."""
+    unknown = set(doc) - set(spec)
+    if unknown:
+        raise SchemaError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = {k for k, (_, required) in spec.items() if required} - set(doc)
+    if missing:
+        raise SchemaError(f"missing {what} keys: {sorted(missing)}")
+    for key, value in sorted(doc.items()):
+        kind, check = spec[key][0]
+        if not check(value):
+            raise SchemaError(f"{what} {key!r} must be {kind}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,22 +138,9 @@ class RunConfig:
             raise SchemaError("threads must be an integer or null")
         if not isinstance(self.tolerances, dict):
             raise SchemaError("tolerances must be an object")
-        allowed_tol = {"carleman_pass_rtol", "resolution_gate_rtol"}
-        unknown_tol = set(self.tolerances) - allowed_tol
-        if unknown_tol:
-            raise SchemaError(f"unknown tolerance keys: {sorted(unknown_tol)}")
+        check_keys("tolerance", self.tolerances, _TOLERANCE_KEYS)
         if self.command in _PARAM_KEYS:
-            spec = _PARAM_KEYS[self.command]
-            unknown = set(self.params) - set(spec)
-            if unknown:
-                raise SchemaError(f"unknown {self.command} parameter keys: {sorted(unknown)}")
-            missing = {k for k, (_, required) in spec.items() if required} - set(self.params)
-            if missing:
-                raise SchemaError(f"missing {self.command} parameter keys: {sorted(missing)}")
-            for key, value in sorted(self.params.items()):
-                kind, check = spec[key][0]
-                if not check(value):
-                    raise SchemaError(f"{self.command} parameter {key!r} must be {kind}, not {value!r}")
+            check_keys(f"{self.command} parameter", self.params, _PARAM_KEYS[self.command])
 
     @staticmethod
     def from_json(doc: dict) -> "RunConfig":

@@ -83,6 +83,27 @@ _SHORT_FIELD = json.dumps({
 }) + "\n" + "0.5,0.0\n" * 7
 
 
+def _field(**header) -> str:
+    """A 2D text field with all 20 value rows and the given header overrides."""
+    doc = {
+        "dim": 2, "cells_lo": [0, 0], "cells_shape": [1, 1], "points_per_cell": 2,
+        "t_start": 0.0, "t_end": 1.0, "t_points": 5, "kind": "u", **header,
+    }
+    return json.dumps(doc) + "\n" + "0.5,0.0\n" * 20
+
+
+_ROUNDTRIP = ["gelfand", "roundtrip", "--lattice", "{lat}", "--u", "{bad}", "--theta-points", "1"]
+
+
+def test_valid_field_round_trips(lat_json, tmp_path, capsys):
+    """The well-formed baseline of the field-header cases below."""
+    good = tmp_path / "good.csv"
+    good.write_text(_field())
+    argv = [a.format(lat=lat_json, bad=good) for a in _ROUNDTRIP]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["max_error"] < 1e-12
+
+
 @pytest.mark.parametrize(
     "argv, content",
     [
@@ -111,6 +132,26 @@ _SHORT_FIELD = json.dumps({
         (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "max_modes": 2.5})),
         (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "decay_window": "ab"})),
         (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "plots": "no"})),
+        (["pipeline", "--config", "{bad}"], _config(tolerances={"resolution_gate_rtol": "x"})),
+        (["pipeline", "--config", "{bad}"], _config(tolerances={"carleman_pass_rtol": True})),
+        (["pipeline", "--config", "{bad}"], _config(tolerances={"carleman_pass_rtol": -1.0})),
+        (["pipeline", "--config", "{bad}"], _config(tolerances={"resolution_gate_rtol": 0.0})),
+        (["pipeline", "--config", "{bad}"], _config(tolerances={"carleman_pass_rtol": math.nan})),
+        (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "max_modes": -1})),
+        (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "l_max": -1})),
+        (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "carleman_taper": 0})),
+        (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "cutoff": math.inf})),
+        (["pipeline", "--config", "{bad}"], _config(params={**_PIPELINE_PARAMS, "energy": math.nan})),
+        (_ROUNDTRIP, _field(points_per_cell="2")),
+        (_ROUNDTRIP, _field(points_per_cell=2.0)),
+        (_ROUNDTRIP, _field(t_points="5")),
+        (_ROUNDTRIP, _field(cells_shape=[1.0, 1.0])),
+        (_ROUNDTRIP, _field(t_start=True)),
+        (_ROUNDTRIP, _field(dim="2")),
+        (_ROUNDTRIP, _field(t_end=10**400)),
+        (_ROUNDTRIP, "5\n" + "0.5,0.0\n" * 20),
+        (_ROUNDTRIP, _field().split("\n")[0] + "\n" + "0.5\n" * 20),
+        (_ROUNDTRIP, _field().split("\n")[0] + "\n"),
     ],
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
@@ -119,6 +160,11 @@ _SHORT_FIELD = json.dumps({
         "seed-str", "seed-float", "seed-bool", "threads-str", "threads-float",
         "tolerances-not-object", "config-not-object", "theta-points-float", "energy-bool",
         "theta-points-str", "cutoff-str", "max-modes-float", "decay-window-str", "plots-str",
+        "gate-rtol-str", "pass-rtol-bool", "pass-rtol-negative", "gate-rtol-zero", "pass-rtol-nan",
+        "max-modes-negative", "l-max-negative", "carleman-taper-zero", "cutoff-inf", "energy-nan",
+        "field-points-per-cell-str", "field-points-per-cell-float", "field-t-points-str",
+        "field-cells-shape-float", "field-t-start-bool", "field-dim-str", "field-t-end-huge-int", "field-header-not-object",
+        "field-values-not-pairs", "field-no-values",
     ],
 )
 def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, capsys):
@@ -127,6 +173,14 @@ def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, caps
     argv = [a.format(lat=lat_json, bad=bad) for a in argv]
     assert main(argv) == EXIT_IO
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_evolve_full_solve_over_memory_budget_is_refused(capsys):
+    # T = 10 gives 2001 points: 1999 * 100 unknowns pass, about 803 MB of band and LU do not
+    eigs = ",".join(str(1.0 + 0.08 * i) for i in range(100))
+    argv = ["evolve", "--eigs", eigs, "--perturbation", "full", "--beta", "0.1", "--T", "10"]
+    assert main(argv) == EXIT_PRECONDITION
+    assert "MiB" in capsys.readouterr().err
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,7 +188,8 @@ def test_one_banded_solve_per_call(kind, monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        l_and_u, ab, b = args
+        calls.append((l_and_u, ab.dtype, b.dtype, b.shape))
         return solve_banded(*args, **kwargs)
 
     monkeypatch.setattr(evolution, "solve_banded", counting)
@@ -198,7 +200,9 @@ def test_one_banded_solve_per_call(kind, monkeypatch):
         "full": PerturbationFamily.full(bound, beta=0.2, decays=False, seed=1),
     }[kind]
     solve_decaying([1.0, 4.0, 9.0], pert, 10.0, [1.0, 0.5, 0.25], n_points=801)
-    assert calls == [(3, 3) if kind == "full" else (1, 1)]
+    # a real band, with the real and imaginary parts of the right-hand side as two columns
+    f8 = np.dtype(np.float64)
+    assert calls == [((3, 3) if kind == "full" else (1, 1), f8, f8, (3 * 799, 2))]
 
 
 def test_full_solve_budget_boundary():
@@ -207,6 +211,31 @@ def test_full_solve_budget_boundary():
         solve_decaying([1.0], pert, 10.0, [1.0], n_points=200_003)  # (n-2)*M = 200_001
     r = solve_decaying([1.0], pert, 10.0, [1.0], n_points=200_002)  # exactly 200_000
     assert r.profile.coeffs.shape == (1, 200_002)
+    assert r.residual < 1e-9
+
+
+def test_full_solve_memory_budget_refuses_before_allocating():
+    # (n-2)*M = 200_000 passes the unknowns budget; its band and LU need about 803 MB
+    pert = PerturbationFamily.full(constant_bound(0.2), beta=0.2, decays=False, seed=2)
+    eigs = np.linspace(1.0, 9.0, 100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="MiB"):
+            solve_decaying(eigs, pert, 10.0, np.ones(100), n_points=2002)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_full_solve_memory_budget_boundary(monkeypatch):
+    pert = PerturbationFamily.full(constant_bound(0.2), beta=0.2, decays=False, seed=2)
+    need = 799 * 3 * (5 * 3 + 2) * 8  # (n-2) * M * (5M+2) float64 entries
+    monkeypatch.setattr(evolution, "FULL_SOLVE_BYTES", need - 1)
+    with pytest.raises(BudgetExceededError):
+        solve_decaying([1.0, 4.0, 9.0], pert, 10.0, [1.0, 0.5, 0.25], n_points=801)
+    monkeypatch.setattr(evolution, "FULL_SOLVE_BYTES", need)
+    r = solve_decaying([1.0, 4.0, 9.0], pert, 10.0, [1.0, 0.5, 0.25], n_points=801)
     assert r.residual < 1e-9
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfspace_decay import carleman, ensembles
+from halfspace_decay import carleman, ensembles, fibers, quadrature
 from halfspace_decay.evolution import (
     PerturbationFamily,
     _discrete_residual,
@@ -20,11 +20,11 @@ from halfspace_decay.evolution import (
     exponential_bound,
     solve_decaying,
 )
-from halfspace_decay.fibers import BlochFiber, fiber_residual
+from halfspace_decay.fibers import BlochFiber, fiber_residual, weighted_norm
 from halfspace_decay.fields import SampledField
 from halfspace_decay.lattice import Lattice, Quasimomentum, unit_cell_volume
 from halfspace_decay.profiles import SpectralProfile, _second_difference
-from halfspace_decay.quadrature import grid_step
+from halfspace_decay.quadrature import grid_step, simpson_weights, simpson_with_error
 
 TWO_PI = 2.0 * math.pi
 STEPS = (4.0 / 8192, 3.5 / 8192)
@@ -200,3 +200,57 @@ def test_norms_rescale_overflow_and_keep_zero_columns():
     assert norms[1] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
     assert norms[2] == 1e-170
     assert norms[0] == norms[3] == norms[4] == 0.0
+
+
+# Entries of every kind the support scan must classify: signed zeros, a
+# subnormal, NaN and infinity.  A zero real part with a nonzero imaginary part
+# makes an imaginary-only entry.
+_PARTS = np.array([0.0, -0.0, 1.0, -2.5, 5e-324, np.nan, -np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(3, 40), st.sampled_from([0.0, 0.02, 0.3]),
+    st.integers(0, 2**32 - 1), st.booleans(),
+)
+def test_support_index_matches_nonzero_reference(m, n, density, seed, fortran):
+    rng = np.random.default_rng(seed)
+    coeffs = np.empty((m, n), dtype=complex)
+    coeffs.real, coeffs.imag = (
+        np.where(rng.random((m, n)) < density, rng.choice(_PARTS, (m, n)), rng.choice([0.0, -0.0], (m, n)))
+        for _ in range(2)
+    )
+    if fortran:
+        coeffs = np.asfortranarray(coeffs)
+    ref = np.flatnonzero(np.any(coeffs != 0, axis=0))
+    p = SpectralProfile(eigs=np.ones(m), t_grid=0.5 * np.arange(n), coeffs=coeffs)
+    assert p.coeffs.flags.c_contiguous
+    assert p._support_index == ((int(ref[0]), int(ref[-1])) if ref.size else None)
+
+
+def _uncached_simpson_weights(n):
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
+def test_simpson_weights_are_cached_read_only_and_keep_their_values(monkeypatch):
+    w = simpson_weights(9)
+    assert w is simpson_weights(9)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 2.0
+    assert np.array_equal(w, _uncached_simpson_weights(9))
+
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=4097)
+    lat = Lattice.cubic(TWO_PI, 1)
+    u = SampledField(
+        kind="u", lattice=lat, cells_lo=(0,), cells_shape=(2,), points_per_cell=4,
+        t_start=0.0, t_end=1.0, values=rng.normal(size=(8, 33)) + 1j * rng.normal(size=(8, 33)),
+    )
+    cached = (simpson_with_error(y, 1e-3), weighted_norm(u, 0.5, 0.3))
+    monkeypatch.setattr(quadrature, "simpson_weights", _uncached_simpson_weights)
+    monkeypatch.setattr(fibers, "simpson_weights", _uncached_simpson_weights)
+    assert (simpson_with_error(y, 1e-3), weighted_norm(u, 0.5, 0.3)) == cached
