@@ -47,19 +47,9 @@ class CarlemanReport:
     lhs: float
     rhs: float
     margin: float
-    params: dict
     quad_err: float
     passed: bool | None
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "quad_err": self.quad_err,
-            "passed": self.passed,
-            "params": self.params,
-        }
+    params: dict
 
 
 def _pass_rule(lhs: float, rhs: float, quad_err: float, pass_rtol: float) -> bool:
@@ -281,16 +271,6 @@ class SystemCheckReport:
     certificates_ok: bool
     params: dict
 
-    def to_json(self) -> dict:
-        return {
-            "identity_residual": self.identity_residual,
-            "min_eig_b0": self.min_eig_b0,
-            "min_eig_b1": self.min_eig_b1,
-            "max_eig_b2": self.max_eig_b2,
-            "certificates_ok": self.certificates_ok,
-            "params": self.params,
-        }
-
 
 def first_order_blocks(eigs: np.ndarray, a: float, b: float):
     """Explicit 2M x 2M matrices of the first-order reduction.
@@ -412,15 +392,8 @@ class EllRegReport:
     """Windowed derivative/norm ratios realising the energy bound."""
 
     beta: float
-    ratios: tuple
     sup_ratio: float
-
-    def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "sup_ratio": self.sup_ratio,
-            "ratios": [list(r) for r in self.ratios],
-        }
+    ratios: tuple
 
 
 def ellreg_bound_check(phi: SpectralProfile, eps: float, s_list) -> EllRegReport:

@@ -24,7 +24,6 @@ from .errors import (
     EXIT_VIOLATION,
     HalfspaceDecayError,
     SchemaError,
-    strictest_exit_code,
 )
 from .fibers import BlochFiber, fiber_residual, gelfand_forward, gelfand_inverse, theta_grid
 from .fields import load_field, save_field
@@ -250,6 +249,33 @@ def _cmd_density(args) -> int:
     return EXIT_OK
 
 
+_FIBER_KEYS = {"data", "mu", "points_per_cell", "t_start", "t_end", "tail_bound"}
+
+
+def _load_fiber(path, lat: Lattice) -> BlochFiber:
+    """A fiber file written by ``gelfand forward``."""
+    try:
+        data = np.load(path)
+    except ValueError as exc:
+        raise SchemaError(f"{path} is not a fiber .npz file: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise SchemaError(f"{path} is not a fiber .npz file")
+    with data:
+        missing = _FIBER_KEYS - set(data.files)
+        if missing:
+            raise SchemaError(f"fiber file {path} lacks {sorted(missing)}")
+        return BlochFiber(
+            theta=Quasimomentum(coeffs=data["mu"]),
+            lattice=lat,
+            points_per_cell=int(data["points_per_cell"]),
+            t_start=float(data["t_start"]),
+            t_end=float(data["t_end"]),
+            data=data["data"],
+            tail_bound=float(data["tail_bound"]),
+            cells_lo=tuple(data["cells_lo"]) if "cells_lo" in data.files else None,
+        )
+
+
 def _cmd_gelfand(args) -> int:
     lat = Lattice.load(args.lattice)
     if args.subcommand == "forward":
@@ -269,22 +295,7 @@ def _cmd_gelfand(args) -> int:
         print(json.dumps({"tail_bound": fiber.tail_bound}))
         return EXIT_OK
     if args.subcommand == "inverse":
-        fibers = []
-        for path in args.fibers:
-            with np.load(path) as data:
-                fibers.append(
-                    BlochFiber(
-                        theta=Quasimomentum(coeffs=data["mu"]),
-                        lattice=lat,
-                        points_per_cell=int(data["points_per_cell"]),
-                        t_start=float(data["t_start"]),
-                        t_end=float(data["t_end"]),
-                        data=data["data"],
-                        tail_bound=float(data["tail_bound"]),
-                        cells_lo=tuple(data["cells_lo"]) if "cells_lo" in data.files else None,
-                    )
-                )
-        u = gelfand_inverse(fibers, lat)
+        u = gelfand_inverse([_load_fiber(path, lat) for path in args.fibers], lat)
         save_field(u, args.out)
         return EXIT_OK
     if args.subcommand == "roundtrip":
@@ -312,7 +323,7 @@ def _report_dir(out_dir, reports, prefix: str) -> None:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / f"{prefix}_reports.json", [r.to_json() for r in reports])
+    write_json(out / f"{prefix}_reports.json", reports)
     rows = [
         (i, r.lhs, r.rhs, r.margin, r.quad_err, str(r.passed))
         for i, r in enumerate(reports)
@@ -345,7 +356,7 @@ def _cmd_carleman(args) -> int:
         reports = [run_case_43(i) for i in range(args.ensemble)]
         _report_dir(args.out_dir, reports, "verify43")
         for r in reports:
-            print(json.dumps(r.to_json()))
+            print(json.dumps(dataclasses.asdict(r)))
         return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
     if args.subcommand == "verify-gap":
 
@@ -362,7 +373,7 @@ def _cmd_carleman(args) -> int:
         reports = [run_case_gap(i) for i in range(args.ensemble)]
         _report_dir(args.out_dir, reports, "verify_gap")
         for r in reports:
-            print(json.dumps(r.to_json()))
+            print(json.dumps(dataclasses.asdict(r)))
         if args.force:
             return EXIT_OK
         return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
@@ -371,20 +382,20 @@ def _cmd_carleman(args) -> int:
         t = uniform_grid(4.0, 4097)
         profile = bump_profile((0.5, 3.0), [(mu, 1.0) for mu in eigs], t)
         report = carl.first_order_system_check(profile, args.a, args.b)
-        print(json.dumps(report.to_json()))
+        print(json.dumps(dataclasses.asdict(report)))
         return EXIT_OK if report.certificates_ok else EXIT_VIOLATION
     s_list = _parse_list(args.s_list)
-    codes = []
     for i in range(args.ensemble):
-        profile, beta = solution_like_profile(args.seed, i)
+        profile, _ = solution_like_profile(args.seed, i)
         report = carl.ellreg_bound_check(profile, args.eps, s_list)
-        print(json.dumps(report.to_json()))
-        codes.append(EXIT_OK)
-    return strictest_exit_code(codes)
+        print(json.dumps(dataclasses.asdict(report)))
+    return EXIT_OK
 
 
 def _cmd_evolve(args) -> int:
     eigs = _parse_list(args.eigs)
+    if not eigs:
+        raise SchemaError("--eigs needs at least one eigenvalue")
     if args.perturbation == "zero":
         pert = evo.PerturbationFamily.zero()
     else:
@@ -422,22 +433,37 @@ def _cmd_evolve(args) -> int:
             {
                 "solver_residual": result.residual,
                 "growth": result.growth,
-                "decay": est.to_json(),
+                "decay": dataclasses.asdict(est),
             }
         )
     )
     return EXIT_OK
 
 
+def _load_profile_csv(path) -> np.ndarray:
+    """The finite (t, norm, ...) rows of a CSV with one header line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        try:
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise SchemaError(f"profile rows must be comma-separated numbers: {exc}") from exc
+    if rows.shape[1] < 2 or not np.all(np.isfinite(rows)):
+        raise SchemaError("profile needs finite rows with at least the columns t,norm")
+    return rows
+
+
 def _cmd_decay(args) -> int:
-    rows = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
-    t, norms = rows[:, 0], rows[:, 1]
     window = tuple(_parse_list(args.window))
+    if len(window) != 2:
+        raise SchemaError(f"--window takes exactly two numbers 'a,b', not {args.window!r}")
+    rows = _load_profile_csv(args.input)
+    t, norms = rows[:, 0], rows[:, 1]
     profile = SpectralProfile(
         eigs=np.array([0.0]), t_grid=t, coeffs=norms[None, :].astype(complex)
     )
     est = evo.decay_rate_estimate(profile, window)
-    print(json.dumps(est.to_json()))
+    print(json.dumps(dataclasses.asdict(est)))
     return EXIT_OK
 
 
@@ -495,9 +521,6 @@ def main(argv=None) -> int:
     except HalfspaceDecayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -230,15 +230,6 @@ class DecayEstimate:
     superexp: bool
     windowed_rates: tuple[float, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "rate": self.rate,
-            "window": list(self.window),
-            "residual": self.residual,
-            "superexp": self.superexp,
-            "windowed_rates": list(self.windowed_rates),
-        }
-
 
 def default_tail_window(T: float) -> tuple[float, float]:
     """Last third of [0, T] excluding the final 10% (boundary layer)."""
@@ -370,16 +361,6 @@ class CounterexampleRow:
     tail_bound: float | None
     growth_ratio: float
     indicator: str
-
-    def to_json(self) -> dict:
-        return {
-            "weight_rate": self.weight_rate,
-            "t_used": self.t_used,
-            "partial_integral": self.partial_integral,
-            "tail_bound": self.tail_bound,
-            "growth_ratio": self.growth_ratio,
-            "indicator": self.indicator,
-        }
 
 
 def inner_integral_check(x2_values, X: float) -> float:

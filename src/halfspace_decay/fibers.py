@@ -30,7 +30,7 @@ from .errors import GridError, SchemaError
 from .fields import SampledField, cells_first
 from .lattice import Lattice, Quasimomentum, dual_basis, unit_cell_volume
 from .profiles import SpectralProfile, _second_difference
-from .quadrature import simpson_weights
+from .quadrature import composite_simpson
 
 STACK_BYTES = 1 << 20
 
@@ -315,14 +315,7 @@ def weighted_norm(
     t = u.t_grid
     tw = np.exp(2.0 * decay_lambda * t**weight_power)
     w_x = unit_cell_volume(u.lattice) / u.points_per_cell**u.dim
-    n_t = u.n_t
-    if n_t % 2 == 1:
-        t_weights = simpson_weights(n_t) * ((t[1] - t[0]) / 3.0)
-    else:
-        t_weights = np.full(n_t, t[1] - t[0])
-        t_weights[0] *= 0.5
-        t_weights[-1] *= 0.5
-    integrand = np.abs(u.values) ** 2 * xw[..., None] * (tw * t_weights)[None, :]
-    while integrand.ndim > 1:
-        integrand = integrand.sum(axis=0)
-    return float(w_x * integrand.sum()), 0.0
+    y = w_x * np.sum(np.abs(u.values) ** 2 * xw[..., None], axis=tuple(range(u.dim))) * tw
+    h = t[1] - t[0]
+    value = composite_simpson(y, h) if u.n_t % 2 == 1 else float(np.trapezoid(y, dx=h))
+    return value, 0.0

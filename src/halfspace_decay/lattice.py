@@ -247,7 +247,7 @@ class Quasimomentum:
         coeffs = np.asarray(self.coeffs, dtype=float).reshape(-1).copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        if np.any(coeffs < 0.0) or np.any(coeffs >= 1.0):
+        if not np.all((coeffs >= 0.0) & (coeffs < 1.0)):  # NaN fails too
             raise SchemaError("quasimomentum coordinates must lie in [0,1)")
         if self.exact is not None:
             l, residues = self.exact
@@ -280,17 +280,20 @@ class Quasimomentum:
     def parse(text: str) -> "Quasimomentum":
         """Parse '1/2,0' (rational, exact) or '0.5,0.25' (float) coordinates."""
         parts = [p.strip() for p in text.split(",") if p.strip()]
-        if all(("/" in p) or p.lstrip("+-").isdigit() for p in parts):
+        try:
+            if not all(("/" in p) or p.lstrip("+-").isdigit() for p in parts):
+                return Quasimomentum(coeffs=np.array([float(p) for p in parts]))
             fracs = [Fraction(p) for p in parts]
-            l = math.lcm(*(f.denominator for f in fracs))
-            residues = []
-            for f in fracs:
-                r = f.numerator * (l // f.denominator)
-                residues.append(r % l)
-                if Fraction(r % l, l) != f % 1:
-                    raise SchemaError(f"coordinate {f} not in [0,1)")
-            return Quasimomentum.from_rational(l, residues)
-        return Quasimomentum(coeffs=np.array([float(p) for p in parts]))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"cannot parse quasimomentum {text!r}: {exc}") from exc
+        l = math.lcm(*(f.denominator for f in fracs))
+        residues = []
+        for f in fracs:
+            r = f.numerator * (l // f.denominator)
+            residues.append(r % l)
+            if Fraction(r % l, l) != f % 1:
+                raise SchemaError(f"coordinate {f} not in [0,1)")
+        return Quasimomentum.from_rational(l, residues)
 
     def vector(self, dual: DualLattice) -> np.ndarray:
         """theta = sum_i mu_i f_i as a point of R^(d-1)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,8 @@ def _canonical(value):
         return [_canonical(v) for v in value]
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
-    if hasattr(value, "to_json"):
-        return _canonical(value.to_json())
+    if is_dataclass(value):  # result records
+        return _canonical(asdict(value))
     if hasattr(value, "item"):  # numpy scalars
         return _canonical(value.item())
     raise TypeError(f"cannot serialise {type(value)!r} into a manifest")

@@ -78,7 +78,7 @@ def _theta_case(idx, fiber, lat, v, params, tolerances):
     spec = fiber.to_spectral()
     residuals = fiber_residual(spec, v, energy)
     slc = enumerate_spectrum(lat, fiber.theta, energy, cutoff)
-    gaps = find_gaps(slc, min_gap)
+    gaps = find_gaps(slc, min_gap) if slc.values.size else []  # nothing below the cutoff
     profile, dropped = spec.to_profile(energy, max_modes=max_modes)
     alpha = float(max(0.0, -np.min(profile.eigs))) if profile.n_modes else 0.0
 
@@ -175,7 +175,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
         write_csv(out_dir / f"gaps_theta{idx}.csv", ["lo", "hi", "length"], tables["gaps"])
         write_csv(out_dir / f"residual_theta{idx}.csv", ["t", "residual"], tables["residual"])
         if report is not None:
-            reports.append(report.to_json())
+            reports.append(report)
         if case.get("decay_rate") is not None:
             decay_rows.append((idx, case["decay_rate"], case["decay_residual"], case["superexp"]))
         if params.get("plots"):

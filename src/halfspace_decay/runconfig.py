@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ _NUMBER_PAIR_OR_NULL = (
     lambda v: v is None
     or (isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_number(x) for x in v)),
 )
-_NUMBERS = ("a list of finite numbers", lambda v: isinstance(v, list) and all(_is_number(x) for x in v))
 _INTS = ("a list of integers", lambda v: isinstance(v, list) and all(_is_int(x) for x in v))
 _POSITIVE_INTS = (
     "a list of integers >= 1", lambda v: isinstance(v, list) and all(_is_int(x) and x >= 1 for x in v)
@@ -67,20 +66,6 @@ _PARAM_KEYS = {
         "max_modes": (_POSITIVE_INT_OR_NULL, False),
         "carleman_taper": (_POSITIVE, False),
         "plots": (_BOOL, False),
-    },
-    "verify43": {
-        "eps": (_NUMBER, True),
-        "weight_lambda": (_NUMBER, False),
-        "modes": (_INT, False),
-        "ensemble": (_INT, False),
-    },
-    "verify-gap": {
-        "a": (_NUMBER, True),
-        "b": (_NUMBER, True),
-        "alpha": (_NUMBER, False),
-        "eigs": (_NUMBERS, False),
-        "ensemble": (_INT, False),
-        "force": (_BOOL, False),
     },
 }
 # The one-line JSON header of a text or .npz field file.
@@ -123,13 +108,17 @@ class RunConfig:
     """
 
     command: str
-    params: dict
+    params: dict = field(default_factory=dict)
     seed: int = 0
     out_dir: str = "out"
     threads: int | None = None
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.command, str):
+            raise SchemaError(f"command must be a string, not {self.command!r}")
+        if not isinstance(self.out_dir, str):
+            raise SchemaError(f"out_dir must be a string, not {self.out_dir!r}")
         if not isinstance(self.params, dict):
             raise SchemaError("params must be an object")
         if not _is_int(self.seed) or self.seed < 0 or self.seed >= 2**64:
@@ -146,20 +135,12 @@ class RunConfig:
     def from_json(doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):
             raise SchemaError("config must be a JSON object")
-        allowed = {"command", "params", "seed", "out_dir", "threads", "tolerances"}
-        unknown = set(doc) - allowed
+        unknown = set(doc) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise SchemaError(f"unknown config keys: {sorted(unknown)}")
         if "command" not in doc:
             raise SchemaError("config requires 'command'")
-        return RunConfig(
-            command=str(doc["command"]),
-            params=doc.get("params", {}),
-            seed=doc.get("seed", 0),
-            out_dir=str(doc.get("out_dir", "out")),
-            threads=doc.get("threads"),
-            tolerances=doc.get("tolerances", {}),
-        )
+        return RunConfig(**doc)
 
     @staticmethod
     def load(path) -> "RunConfig":
@@ -170,20 +151,10 @@ class RunConfig:
                 raise SchemaError(f"config is not valid JSON: {exc}") from exc
         return RunConfig.from_json(doc)
 
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "threads": self.threads,
-            "tolerances": self.tolerances,
-        }
-
     def canonical_bytes(self) -> bytes:
         # the ignored worker count and the output location cannot affect
         # results, so they do not participate in the config hash
-        doc = self.to_json()
+        doc = asdict(self)
         doc["threads"] = None
         doc["out_dir"] = None
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
@@ -193,7 +164,7 @@ class RunConfig:
         out.mkdir(parents=True, exist_ok=True)
         path = out / "resolved_config.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
 

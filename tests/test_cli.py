@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -92,6 +93,17 @@ def _field(**header) -> str:
     return json.dumps(doc) + "\n" + "0.5,0.0\n" * 20
 
 
+def _npz_bytes(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+# a decaying profile in the `evolve --out` format
+_PROFILE = "t,norm\n" + "".join(f"{0.1 * i!r},{math.exp(-0.1 * i)!r}\n" for i in range(101))
+_DECAY = ["decay", "--input", "{bad}", "--window"]
+_INVERSE = ["gelfand", "inverse", "--lattice", "{lat}", "--fibers", "{bad}", "--out", "{bad}.csv"]
+
 _ROUNDTRIP = ["gelfand", "roundtrip", "--lattice", "{lat}", "--u", "{bad}", "--theta-points", "1"]
 
 
@@ -152,6 +164,22 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (_ROUNDTRIP, "5\n" + "0.5,0.0\n" * 20),
         (_ROUNDTRIP, _field().split("\n")[0] + "\n" + "0.5\n" * 20),
         (_ROUNDTRIP, _field().split("\n")[0] + "\n"),
+        (["pipeline", "--config", "{bad}"], _config(command=["pipeline"])),
+        (["pipeline", "--config", "{bad}"], _config(out_dir=None)),
+        (["pipeline", "--config", "{bad}"], _config(out_dir=5)),
+        (_DECAY + ["2,8"], "t,norm\n0.0,1.0\n0.1,abc\n"),
+        (_DECAY + ["2,8"], "t,norm\n"),
+        (_DECAY + ["2,8"], "t\n0.0\n0.1\n0.2\n"),
+        (_DECAY + ["2,8"], _PROFILE.replace("1.0\n", "nan\n", 1)),
+        (_DECAY + ["2"], _PROFILE),
+        (_DECAY + ["2,5,8"], _PROFILE),
+        (["spectrum", "--lattice", "{lat}", "--theta", "abc,0", "--cutoff", "10"], None),
+        (["spectrum", "--lattice", "{lat}", "--theta", "nan,0", "--cutoff", "10"], None),
+        (["gaps", "--lattice", "{lat}", "--theta", "1/0,0", "--cutoff", "10"], None),
+        (["lattice", "rational", "--lattice", "{lat}", "--theta", "1/2,x"], None),
+        (["evolve", "--eigs", ""], None),
+        (_INVERSE, "not a fiber\n"),
+        (_INVERSE, _npz_bytes(data=np.zeros((2, 2, 5)))),
     ],
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
@@ -165,11 +193,19 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         "field-points-per-cell-str", "field-points-per-cell-float", "field-t-points-str",
         "field-cells-shape-float", "field-t-start-bool", "field-dim-str", "field-t-end-huge-int", "field-header-not-object",
         "field-values-not-pairs", "field-no-values",
+        "config-command-list", "config-out-dir-null", "config-out-dir-int",
+        "decay-input-not-numeric", "decay-input-header-only", "decay-input-one-column",
+        "decay-input-nan", "decay-window-one-number", "decay-window-three-numbers",
+        "spectrum-theta-not-number", "spectrum-theta-nan", "gaps-theta-zero-denominator", "lattice-rational-theta-not-number",
+        "evolve-eigs-empty", "fibers-not-npz", "fibers-npz-without-mu",
     ],
 )
 def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(content or "")
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content or "")
     argv = [a.format(lat=lat_json, bad=bad) for a in argv]
     assert main(argv) == EXIT_IO
     assert capsys.readouterr().err.startswith("error: ")
@@ -285,6 +321,57 @@ def test_evolve_and_decay_round_trip(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["rate"] == pytest.approx(2.0, rel=0.01)
     assert out["superexp"] is False
+
+
+def _key_tree(doc: dict) -> list:
+    return [(k, _key_tree(v)) if isinstance(v, dict) else k for k, v in doc.items()]
+
+
+_CARLEMAN_KEYS = ["lhs", "rhs", "margin", "quad_err", "passed"]
+_DECAY_KEYS = ["rate", "window", "residual", "superexp", "windowed_rates"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["carleman", "verify43", "--eps", "1.0"],
+         [*_CARLEMAN_KEYS, ("params", ["weight", "weight_lambda", "eps", "modes"])]),
+        (["carleman", "verify-gap", "--a", "2", "--b", "3"],
+         [*_CARLEMAN_KEYS, ("params", ["weight", "a", "b", "w", "m", "alpha", "modes", "forced"])]),
+        (["carleman", "system-check", "--eigs", "1,9", "--a", "2", "--b", "3"],
+         ["identity_residual", "min_eig_b0", "min_eig_b1", "max_eig_b2", "certificates_ok",
+          ("params", ["a", "b", "w", "m", "alpha", "modes"])]),
+        (["carleman", "ellreg", "--eps", "0.5", "--s-list", "2,4"], ["beta", "sup_ratio", "ratios"]),
+        (["evolve", "--eigs", "4", "--T", "15"], ["solver_residual", "growth", ("decay", _DECAY_KEYS)]),
+        (["decay", "--input", "{profile}", "--window", "2,8"], _DECAY_KEYS),
+    ],
+    ids=["verify43", "verify-gap", "system-check", "ellreg", "evolve", "decay"],
+)
+def test_cli_json_key_order(argv, keys, tmp_path, capsys):
+    """The printed records keep their key order: the field order of each record."""
+    profile = tmp_path / "profile.csv"
+    profile.write_text(_PROFILE)
+    assert main([a.format(profile=profile) for a in argv]) == EXIT_OK
+    assert _key_tree(json.loads(capsys.readouterr().out)) == keys
+
+
+def test_every_traced_layer_exists():
+    """Each (module, attr) the benchmark tracer wraps is still in the package."""
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing_targets", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module_name, attr, _, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"halfspace_decay.{module_name}")
+        for part in attr.split("."):
+            owner = vars(owner).get(part)
+            assert owner is not None, f"{module_name}.{attr} is gone"
+        assert callable(owner), f"{module_name}.{attr} is not callable"
 
 
 def test_counterexample_cli(capsys):

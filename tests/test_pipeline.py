@@ -157,6 +157,24 @@ def test_pipeline_empty_theta_grid_is_schema_error(line_pipeline_input, tmp_path
         run_pipeline(cfg)
 
 
+def test_pipeline_empty_spectrum_slice_is_one_case(line_pipeline_input, tmp_path):
+    """A cutoff below every fiber value leaves a case without gaps, not a lost run."""
+    lat_path, u_path, _ = line_pipeline_input
+    cfg = pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=1, cutoff=-1.0)
+    manifest, code = run_pipeline(cfg)
+    assert code == 0
+    (case,) = manifest.cases
+    assert case["verdict"] == "no-admissible-gap"
+    assert case["data"]["spectrum_count"] == 0 and case["data"]["gap_count"] == 0
+    assert case["data"]["decay_rate"] == pytest.approx(1.5, rel=0.01)  # |1 + theta|, theta = 1/2
+    out = tmp_path / "run"
+    for name in ("manifest.json", "summary.json", "decay.csv", "carleman_reports.json",
+                 "resolved_config.json", "residual_theta0.csv"):
+        assert (out / name).exists()
+    assert (out / "spectrum_theta0.csv").read_text() == "value,multiplicity\n"
+    assert (out / "gaps_theta0.csv").read_text() == "lo,hi,length\n"
+
+
 def test_pipeline_determinism_across_threads(line_pipeline_input, tmp_path):
     lat_path, u_path, _ = line_pipeline_input
     hashes = []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfspace_decay import carleman, ensembles, fibers, quadrature
+from halfspace_decay import carleman, ensembles, quadrature
 from halfspace_decay.evolution import (
     PerturbationFamily,
     _discrete_residual,
@@ -252,5 +252,4 @@ def test_simpson_weights_are_cached_read_only_and_keep_their_values(monkeypatch)
     )
     cached = (simpson_with_error(y, 1e-3), weighted_norm(u, 0.5, 0.3))
     monkeypatch.setattr(quadrature, "simpson_weights", _uncached_simpson_weights)
-    monkeypatch.setattr(fibers, "simpson_weights", _uncached_simpson_weights)
     assert (simpson_with_error(y, 1e-3), weighted_norm(u, 0.5, 0.3)) == cached
