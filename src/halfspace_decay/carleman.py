@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, VerificationError
+from .errors import PreconditionError, SchemaError, VerificationError
 from .profiles import SpectralProfile, _second_difference
 from .quadrature import check_resolution, simpson_with_error, window_integral
 
@@ -401,8 +401,11 @@ def ellreg_bound_check(phi: SpectralProfile, eps: float, s_list) -> EllRegReport
 
     Also measures beta = sup_t ||phi'' - A phi|| / ||phi|| over the interior
     grid (reported so callers can relate the ratio to the operator data).
-    Windows with vanishing denominator are refused.
+    Windows with vanishing denominator are refused, and so is an empty s_list.
     """
+    s_values = np.atleast_1d(np.asarray(s_list, dtype=float))
+    if s_values.size == 0:
+        raise SchemaError("s_list needs at least one window start")
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     t = phi.t_grid
@@ -417,7 +420,7 @@ def ellreg_bound_check(phi: SpectralProfile, eps: float, s_list) -> EllRegReport
         beta = float(np.max(psi_norm[interior][alive] / norm[interior][alive]))
     ratios = []
     sup_ratio = 0.0
-    for s in np.atleast_1d(np.asarray(s_list, dtype=float)):
+    for s in s_values:
         num = window_integral(t, dnorm2, s, s + 1.0)
         den = window_integral(t, norm2, s - eps, s + 1.0 + eps)
         if den <= 0.0:

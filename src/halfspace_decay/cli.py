@@ -133,10 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ensemble", type=int, default=1)
     sp.add_argument("--out-dir", default=None)
     sp = car_sub.add_parser("verify-gap")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--eigs", default=None, help="explicit eigenvalues '1,9'")
+    sp.add_argument("--a", type=float, default=None, help="window start; with --eigs only")
+    sp.add_argument("--b", type=float, default=None, help="window end; with --eigs only")
+    sp.add_argument("--alpha", type=float, default=None, help="default 0; with --eigs only")
+    sp.add_argument("--eigs", default=None, help="explicit eigenvalues '1,9'; without it, an ensemble")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--ensemble", type=int, default=1)
     sp.add_argument("--force", action="store_true")
@@ -359,15 +359,19 @@ def _cmd_carleman(args) -> int:
             print(json.dumps(dataclasses.asdict(r)))
         return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
     if args.subcommand == "verify-gap":
+        fixed = None
+        if args.eigs is not None:
+            eigs = _parse_list(args.eigs)
+            if not eigs or args.a is None or args.b is None:
+                raise SchemaError("verify-gap --eigs needs at least one eigenvalue, --a and --b")
+            alpha = 0.0 if args.alpha is None else args.alpha
+            profile = bump_profile((0.5, 3.0), [(mu, 1.0) for mu in eigs], uniform_grid(4.0, 4097), alpha=alpha)
+            fixed = (profile, args.a, args.b, alpha)
+        elif (args.a, args.b, args.alpha) != (None, None, None):
+            raise SchemaError("--a, --b and --alpha need --eigs: each ensemble case draws its own window")
 
         def run_case_gap(i):
-            if args.eigs:
-                eigs = _parse_list(args.eigs)
-                t = uniform_grid(4.0, 4097)
-                profile = bump_profile((0.5, 3.0), [(mu, 1.0) for mu in eigs], t, alpha=args.alpha)
-                a, b, alpha = args.a, args.b, args.alpha
-            else:
-                profile, a, b, alpha = bump_case_gap(args.seed, i)
+            profile, a, b, alpha = fixed or bump_case_gap(args.seed, i)
             return carl.verify_carleman_gap(profile, a, b, alpha, force=args.force)
 
         reports = [run_case_gap(i) for i in range(args.ensemble)]
@@ -394,8 +398,8 @@ def _cmd_carleman(args) -> int:
 
 def _cmd_evolve(args) -> int:
     eigs = _parse_list(args.eigs)
-    if not eigs:
-        raise SchemaError("--eigs needs at least one eigenvalue")
+    if not np.isfinite(args.beta):
+        raise SchemaError("--beta must be finite")
     if args.perturbation == "zero":
         pert = evo.PerturbationFamily.zero()
     else:

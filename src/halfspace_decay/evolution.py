@@ -74,11 +74,16 @@ class PerturbationFamily:
         vals = np.asarray(self.bound(t_grid), dtype=float)
         return np.clip(vals, 0.0, self.beta)
 
+    def matrix(self, n_modes: int) -> np.ndarray:
+        """W in B(t) = b(t) W: the full matrix, or the diagonal of per-mode factors (zero for zero B)."""
+        if self.kind == "full":
+            return self.full_matrix(n_modes)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(1,)))
+        return np.diag(rng.uniform(-1.0, 1.0, size=n_modes) if self.kind == "diagonal" else np.zeros(n_modes))
+
     def diagonal_entries(self, t_grid: np.ndarray, n_modes: int) -> np.ndarray:
         """Shape (n_t, M); |entry| <= b(t) everywhere."""
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(1,)))
-        factors = rng.uniform(-1.0, 1.0, size=n_modes)
-        return self.bound_values(t_grid)[:, None] * factors[None, :]
+        return self.bound_values(t_grid)[:, None] * np.diagonal(self.matrix(n_modes))[None, :]
 
     def full_matrix(self, n_modes: int) -> np.ndarray:
         """Fixed direction matrix with unit operator norm."""
@@ -116,17 +121,22 @@ def solve_decaying(
     """Solve the two-point problem phi(0)=g, phi(T)=0 on a uniform grid.
 
     Reports the relative residual of the discrete equation (machine level for
-    a successful solve) and the solution growth factor.  A near-singular
-    discrete system (resonant T for indefinite modes) raises SolverError with
-    a growth-based condition estimate.  A full-B solve above 200 000 unknowns
-    or ``FULL_SOLVE_BYTES`` of band and LU raises BudgetExceededError.
+    a successful solve) and the solution growth factor.  Non-finite
+    eigenvalues, boundary values or T raise SchemaError.  A near-singular
+    discrete system (resonant T for indefinite modes), or one whose entries
+    overflow, raises SolverError.  A full-B solve above 200 000 unknowns or
+    ``FULL_SOLVE_BYTES`` of band and LU raises BudgetExceededError.
     """
     eigs = np.asarray(eigs, dtype=float).reshape(-1)
     g = np.asarray(boundary, dtype=complex).reshape(-1)
+    if eigs.size == 0:
+        raise SchemaError("at least one mode is needed")
     if g.size != eigs.size:
         raise SchemaError("boundary vector must have one entry per mode")
-    if T <= 0:
-        raise SchemaError("T must be positive")
+    if not (np.all(np.isfinite(eigs)) and np.all(np.isfinite(g))):
+        raise SchemaError("eigenvalues and boundary values must be finite")
+    if not 0.0 < T < math.inf:
+        raise SchemaError("T must be positive and finite")
     n = n_points or _default_points(T)
     M = eigs.size
     need = (n - 2) * M * (5 * M + 2) * 8  # full B: band (2M+1 rows) and LU (3M+1 rows), float64
@@ -137,83 +147,79 @@ def solve_decaying(
         )
     t = np.linspace(0.0, T, n)
     h = t[1] - t[0]
-    interior = t[1:-1]
+    interior, L = t[1:-1], n - 2
+    bvals = perturbation.bound_values(interior)
+    # Full B: one time-major system of block rows -diag(mu + 2/h^2) - b(t_k) W of
+    # size m = M.  Otherwise W is diagonal: M scalar systems (m = 1) end to end.
+    # ab[m + r - c, k*m + c] is entry (r, c) of block row k, filled per offset d = r - c.
+    w = perturbation.matrix(M)
+    m, S = (M, 1) if perturbation.kind == "full" else (1, M)
+    ab = np.zeros((2 * m + 1, M * L))
+    with np.errstate(all="ignore"):  # an overflowed band is refused by the solve's finite check
+        centre = -(eigs + 2.0 / h**2)
+        for d in range(1 - m, m):
+            band = ab[m + d].reshape(S, L, m)[:, :, max(0, -d) : m - max(0, d)]
+            np.multiply(np.diagonal(w, -d).reshape(S, 1, -1), bvals[:, None], out=band)
+            np.subtract(centre.reshape(S, 1, m) if d == 0 else -0.0, band, out=band)  # -0.0 - x is -x
+        ab[0].reshape(S, L * m)[:, m:] = 1.0 / h**2
+        ab[2 * m].reshape(S, L * m)[:, :-m] = 1.0 / h**2
+        first = (-g / h**2).reshape(S, m)  # enters each system's first block row
+    rhs = np.zeros((2, S, L, m))  # real and imaginary parts as two columns
+    rhs[:, :, 0] = first.real, first.imag
+    try:
+        sol = solve_banded((m, m), ab, rhs.reshape(2, -1).T, overwrite_ab=True, overwrite_b=True)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("banded solve failed: singular discrete system") from exc
+    except ValueError as exc:  # its finite check: the band overflowed, or b(t) is not finite
+        raise SolverError(f"discrete system is not finite (h = {h:.3g}): {exc}") from exc
+    del ab, band, rhs
     coeffs = np.zeros((M, n), dtype=complex)
     coeffs[:, 0] = g
+    coeffs.real[:, 1:-1], coeffs.imag[:, 1:-1] = (x.reshape(L, M).T if m > 1 else x.reshape(M, L) for x in sol.T)
+    del sol
 
-    if perturbation.kind == "full":
-        # one coupled system, time-major: block row j is -diag(eigs + 2/h^2) - b(t_j) W
-        bvals = perturbation.bound_values(interior)
-        blocks = -np.diag(eigs + 2.0 / h**2) - bvals[:, None, None] * perturbation.full_matrix(M)
-        coeffs[:, 1:-1] = _solve_stacked(blocks[None], g[None], h)[0].T
-    else:
-        # M uncoupled scalar systems, stacked mode-major
-        if perturbation.kind == "diagonal":
-            pert = perturbation.diagonal_entries(interior, M).T
-        else:
-            pert = np.zeros((M, n - 2))
-        main = -2.0 / h**2 - eigs[:, None] - pert
-        coeffs[:, 1:-1] = _solve_stacked(main[:, :, None, None], g[:, None], h)[:, :, 0]
-
-    gmax = float(np.max(np.abs(g))) if g.size else 0.0
-    peak = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
+    peak, resid = _checked_residual(coeffs, eigs, h, perturbation, interior)
+    gmax = float(np.max(np.abs(g)))
     growth = peak / gmax if gmax > 0 else 0.0
-    if not np.all(np.isfinite(coeffs)) or (gmax > 0 and growth > GROWTH_LIMIT):
+    if not math.isfinite(peak) or (gmax > 0 and growth > GROWTH_LIMIT):
         raise SolverError(
             f"discrete system near-singular (growth factor {growth:.3g}); "
             "T may be resonant for an indefinite mode",
             condition_estimate=growth,
         )
-
     profile = SpectralProfile(eigs=eigs, t_grid=t, coeffs=coeffs)
-    resid = _discrete_residual(profile, perturbation)
     return SolveResult(profile=profile, residual=resid, growth=growth)
 
 
-def _solve_stacked(blocks: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
-    """Solve S block-tridiagonal systems laid end to end, in one banded solve.
+def _checked_residual(c, eigs, h, perturbation, t_inner) -> tuple[float, float]:
+    """max|c| and the relative defect max|psi| h^2 / max|c|, psi = c'' - mu c - B(t) c.
 
-    ``blocks`` (S, L, m, m) holds the diagonal blocks of each system; every
-    off-diagonal block is I/h^2, and ``g`` (S, m) enters the first block row
-    of its system as -g/h^2.  Systems are uncoupled, so the stacked matrix has
-    bandwidth m on each side.  Returns the solution shaped (S, L, m).
+    One pass over blocks of modes that stay in cache; a non-finite block ends
+    it with max|c| inf or NaN.  Full B couples the modes: its B c is one real
+    W @ c product before the pass.
     """
-    S, L, m, _ = blocks.shape
-    size = S * L * m
-    ab = np.zeros((2 * m + 1, size))
-    # banded storage: ab[m + r - c, k*m + c] holds entry (r, c) of block row k
-    r = np.arange(m)
-    cols = np.arange(size).reshape(S * L, 1, m)
-    ab[m + r[:, None] - r[None, :], cols] = blocks.reshape(S * L, m, m)
-    ab[0].reshape(S, L * m)[:, m:] = 1.0 / h**2
-    ab[2 * m].reshape(S, L * m)[:, :-m] = 1.0 / h**2
-    # the matrix is real: solve for the real and imaginary parts as two columns
-    first = -g / h**2
-    rhs = np.zeros((2, S, L, m))
-    rhs[:, :, 0] = first.real, first.imag
-    try:
-        sol = solve_banded((m, m), ab, rhs.reshape(2, size).T, overwrite_ab=True, overwrite_b=True)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("banded solve failed: singular discrete system") from exc
-    out = np.empty(size, dtype=complex)
-    out.real, out.imag = sol[:, 0], sol[:, 1]
-    return out.reshape(S, L, m)
+    M = c.shape[0]
+    rows = max(1, 2**18 // (16 * c.shape[1]))  # 256 KiB of coefficients per block
+    bvals, w = perturbation.bound_values(t_inner), perturbation.matrix(M)
+    if perturbation.kind == "full":
+        wc = (w @ c[:, 1:-1].view(np.float64)).view(complex)
+    peak = psi_peak = 0.0
+    for lo in range(0, M, rows):
+        cb, blk = c[lo : lo + rows], slice(lo, lo + rows)
+        top = float(np.max(np.abs(cb)))
+        if not math.isfinite(top):
+            return top, math.nan
+        peak = max(peak, top)
+        psi = _second_difference(cb, h)
+        psi -= eigs[blk, None] * cb[:, 1:-1]
+        psi -= bvals * wc[blk] if perturbation.kind == "full" else (np.diagonal(w)[blk, None] * bvals) * cb[:, 1:-1]
+        psi_peak = max(psi_peak, float(np.max(np.abs(psi))))
+    return peak, float(psi_peak * h**2 / (peak or 1.0))
 
 
 def _discrete_residual(profile: SpectralProfile, perturbation: PerturbationFamily) -> float:
     """Relative defect of the discrete equation on interior points."""
-    t, c = profile.t_grid, profile.coeffs
-    psi = _second_difference(c, profile.step) - profile.eigs[:, None] * c[:, 1:-1]
-    if perturbation.kind == "diagonal":
-        d = perturbation.diagonal_entries(t[1:-1], profile.n_modes)
-        psi = psi - d.T * c[:, 1:-1]
-    elif perturbation.kind == "full":
-        w = perturbation.full_matrix(profile.n_modes)
-        b = perturbation.bound_values(t[1:-1])
-        wc = (w @ c[:, 1:-1].view(np.float64)).view(complex)  # W is real: one real product
-        psi = psi - b[None, :] * wc
-    scale = float(np.max(np.abs(c))) or 1.0
-    return float(np.max(np.abs(psi)) * profile.step**2 / scale)
+    return _checked_residual(profile.coeffs, profile.eigs, profile.step, perturbation, profile.t_grid[1:-1])[1]
 
 
 @dataclass(frozen=True)

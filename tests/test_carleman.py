@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from halfspace_decay import (
     PreconditionError,
     ResolutionError,
+    SchemaError,
     SpectralProfile,
     bump_profile,
     conjugation_identity_check,
@@ -292,6 +293,13 @@ def test_ellreg_zero_denominator_refused():
     prof = SpectralProfile(eigs=np.array([0.0]), t_grid=t, coeffs=coeffs)
     with pytest.raises(PreconditionError):
         ellreg_bound_check(prof, 0.1, [2.0])
+
+
+def test_ellreg_empty_window_list_refused():
+    t = uniform_grid(10.0, 2001)
+    prof = SpectralProfile(eigs=np.array([0.0]), t_grid=t, coeffs=np.ones((1, t.size), dtype=complex))
+    with pytest.raises(SchemaError, match="at least one window"):
+        ellreg_bound_check(prof, 0.25, [])
 
 
 def test_ellreg_refinement_stability():

@@ -180,6 +180,19 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (["evolve", "--eigs", ""], None),
         (_INVERSE, "not a fiber\n"),
         (_INVERSE, _npz_bytes(data=np.zeros((2, 2, 5)))),
+        (["evolve", "--eigs", "nan"], None),
+        (["evolve", "--eigs", "inf"], None),
+        (["evolve", "--eigs", "1", "--T", "nan"], None),
+        (["evolve", "--eigs", "1", "--T", "inf"], None),
+        (["evolve", "--eigs", "1,4", "--perturbation", "diagonal", "--beta", "nan"], None),
+        (["evolve", "--eigs", "1,4", "--perturbation", "full", "--beta", "inf"], None),
+        (["evolve", "--eigs", "1,4", "--boundary", "1,nan"], None),
+        (["carleman", "ellreg", "--eps", "0.5", "--s-list", ""], None),
+        (["carleman", "verify-gap", "--eigs", ""], None),
+        (["carleman", "verify-gap", "--eigs", "", "--a", "2", "--b", "3"], None),
+        (["carleman", "verify-gap", "--eigs", "1,9", "--a", "2"], None),
+        (["carleman", "verify-gap", "--a", "2", "--b", "3", "--ensemble", "1"], None),
+        (["carleman", "verify-gap", "--alpha", "0.5"], None),
     ],
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
@@ -198,6 +211,10 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         "decay-input-nan", "decay-window-one-number", "decay-window-three-numbers",
         "spectrum-theta-not-number", "spectrum-theta-nan", "gaps-theta-zero-denominator", "lattice-rational-theta-not-number",
         "evolve-eigs-empty", "fibers-not-npz", "fibers-npz-without-mu",
+        "evolve-eigs-nan", "evolve-eigs-inf", "evolve-T-nan", "evolve-T-inf", "evolve-beta-nan",
+        "evolve-beta-inf", "evolve-boundary-nan", "ellreg-s-list-empty", "verify-gap-eigs-empty",
+        "verify-gap-eigs-empty-with-window", "verify-gap-eigs-without-b", "verify-gap-ensemble-with-window",
+        "verify-gap-ensemble-with-alpha",
     ],
 )
 def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, capsys):
@@ -217,6 +234,17 @@ def test_evolve_full_solve_over_memory_budget_is_refused(capsys):
     argv = ["evolve", "--eigs", eigs, "--perturbation", "full", "--beta", "0.1", "--T", "10"]
     assert main(argv) == EXIT_PRECONDITION
     assert "MiB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--eigs", "1e308"],  # the default T makes 2/h^2 overflow
+    ["evolve", "--eigs", "1", "--T", "1e-200"],  # h^2 underflows to 0
+])
+def test_evolve_band_that_overflows_is_refused(argv, capsys):
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: discrete system is not finite")
+    assert "Warning" not in err
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):
@@ -247,7 +275,7 @@ def test_carleman_cli_pass_and_refuse(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert out["passed"] is None
 
-    assert main(["carleman", "verify-gap", "--a", "2", "--b", "3", "--ensemble", "3"]) == EXIT_OK
+    assert main(["carleman", "verify-gap", "--ensemble", "3"]) == EXIT_OK
     capsys.readouterr()
 
     assert main(["carleman", "system-check", "--eigs", "1,9", "--a", "2", "--b", "3"]) == EXIT_OK
@@ -336,7 +364,7 @@ _DECAY_KEYS = ["rate", "window", "residual", "superexp", "windowed_rates"]
     [
         (["carleman", "verify43", "--eps", "1.0"],
          [*_CARLEMAN_KEYS, ("params", ["weight", "weight_lambda", "eps", "modes"])]),
-        (["carleman", "verify-gap", "--a", "2", "--b", "3"],
+        (["carleman", "verify-gap"],
          [*_CARLEMAN_KEYS, ("params", ["weight", "a", "b", "w", "m", "alpha", "modes", "forced"])]),
         (["carleman", "system-check", "--eigs", "1,9", "--a", "2", "--b", "3"],
          ["identity_residual", "min_eig_b0", "min_eig_b1", "max_eig_b2", "certificates_ok",

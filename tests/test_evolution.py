@@ -21,6 +21,7 @@ from halfspace_decay import (
     rate_spectrum_scan,
     solve_decaying,
 )
+from halfspace_decay.profiles import _second_difference
 from halfspace_decay.evolution import (
     constant_bound,
     default_tail_window,
@@ -86,6 +87,36 @@ def test_bvp_input_validation():
         solve_decaying([1.0], PerturbationFamily.zero(), 10.0, [1.0, 2.0])
     with pytest.raises(SchemaError):
         solve_decaying([1.0], PerturbationFamily.zero(), -1.0, [1.0])
+
+
+@pytest.mark.parametrize(
+    "eigs, T, g",
+    [([], 10.0, []), ([math.nan], 10.0, [1.0]), ([1.0, math.inf], 10.0, [1.0, 1.0]),
+     ([1.0], 10.0, [complex(1.0, math.nan)]), ([1.0], math.nan, [1.0]), ([1.0], math.inf, [1.0]),
+     ([1.0], 0.0, [1.0])],
+    ids=["no-modes", "eig-nan", "eig-inf", "boundary-nan", "T-nan", "T-inf", "T-zero"],
+)
+def test_bvp_non_finite_input_is_schema_error(eigs, T, g):
+    for pert in (PerturbationFamily.zero(), PerturbationFamily.full(constant_bound(0.1), beta=0.1, decays=False)):
+        with pytest.raises(SchemaError):
+            solve_decaying(eigs, pert, T, g, n_points=101)
+
+
+@pytest.mark.parametrize("kind", ["zero", "diagonal", "full"])
+def test_band_that_is_not_finite_is_solver_error(kind):
+    # finite inputs whose 2/h^2 overflows, and a bound that evaluates to NaN
+    bound = constant_bound(0.1)
+    pert = {
+        "zero": PerturbationFamily.zero(),
+        "diagonal": PerturbationFamily.diagonal(bound, beta=0.1, decays=False),
+        "full": PerturbationFamily.full(bound, beta=0.1, decays=False),
+    }[kind]
+    with pytest.raises(SolverError, match="not finite"):
+        solve_decaying([1.0, 4.0], pert, 1e-200, [1.0, 1.0], n_points=101)
+    if kind != "zero":
+        nan_pert = PerturbationFamily(kind=kind, bound=lambda t: np.full_like(t, math.nan), beta=0.1, decays=False)
+        with pytest.raises(SolverError, match="not finite"):
+            solve_decaying([1.0, 4.0], nan_pert, 10.0, [1.0, 1.0], n_points=101)
 
 
 # Test-local references: the two solve paths that the single stacked banded
@@ -168,6 +199,117 @@ def test_full_solve_matches_sparse_reference(M):
     got = solve_decaying(eigs, pert, 10.0, g, n_points=1501).profile.coeffs
     ref = _reference_sparse(eigs, pert, 10.0, g, 1501)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _scatter_band(blocks, h):
+    """Banded storage of S block-tridiagonal systems by one fancy-index scatter.
+
+    ``blocks`` (S, L, m, m) holds the diagonal blocks; every off-diagonal block
+    is I/h^2 within a system.
+    """
+    S, L, m, _ = blocks.shape
+    ab = np.zeros((2 * m + 1, S * L * m))
+    r = np.arange(m)
+    cols = np.arange(S * L * m).reshape(S * L, 1, m)
+    ab[m + r[:, None] - r[None, :], cols] = blocks.reshape(S * L, m, m)
+    ab[0].reshape(S, L * m)[:, m:] = 1.0 / h**2
+    ab[2 * m].reshape(S, L * m)[:, :-m] = 1.0 / h**2
+    return ab
+
+
+def _reference_scatter(eigs, pert, T, g, n):
+    """Dense blocks scattered into the band, a separate complex solution and a
+    whole-array residual.  Returns the band, coeffs, residual and growth."""
+    eigs, g = np.asarray(eigs, dtype=float), np.asarray(g, dtype=complex)
+    t, h = _grid(T, n)
+    M, interior = eigs.size, t[1:-1]
+    if pert.kind == "full":
+        w, b = pert.full_matrix(M), pert.bound_values(interior)
+        blocks = (-np.diag(eigs + 2.0 / h**2) - b[:, None, None] * w)[None]
+        first = -g[None] / h**2
+    else:
+        d = pert.diagonal_entries(interior, M).T if pert.kind == "diagonal" else np.zeros((M, n - 2))
+        blocks = (-2.0 / h**2 - eigs[:, None] - d)[:, :, None, None]
+        first = -g[:, None] / h**2
+    ab = _scatter_band(blocks, h)
+    S, L, m, _ = blocks.shape
+    rhs = np.zeros((2, S, L, m))
+    rhs[:, :, 0] = first.real, first.imag
+    sol = solve_banded((m, m), ab.copy(), rhs.reshape(2, -1).T)
+    out = np.empty(S * L * m, dtype=complex)
+    out.real, out.imag = sol[:, 0], sol[:, 1]
+    coeffs = np.zeros((M, n), dtype=complex)
+    coeffs[:, 0] = g
+    coeffs[:, 1:-1] = out.reshape(S, L, m)[0].T if pert.kind == "full" else out.reshape(M, L)
+    psi = _second_difference(coeffs, h) - eigs[:, None] * coeffs[:, 1:-1]
+    if pert.kind == "diagonal":
+        psi = psi - pert.diagonal_entries(interior, M).T * coeffs[:, 1:-1]
+    elif pert.kind == "full":
+        psi = psi - b[None, :] * (w @ coeffs[:, 1:-1].view(np.float64)).view(complex)
+    peak = float(np.max(np.abs(coeffs)))
+    residual = float(np.max(np.abs(psi)) * h**2 / peak)
+    return ab, coeffs, residual, peak / float(np.max(np.abs(g)))
+
+
+@pytest.mark.parametrize("kind, beta", [("zero", 0.0), ("diagonal", 0.4), ("full", 0.4), ("full", 0.0)])
+def test_band_and_solve_match_block_scatter_reference(kind, beta, monkeypatch):
+    # indefinite modes included: -5 and -0.5 are not resonant at T = 10; with
+    # b = 0 every off-diagonal entry of a full block is a signed zero
+    eigs, g = _modes(7, 11)
+    eigs[:2] = (-5.0, -0.5)
+    bound = exponential_bound(beta)
+    pert = {
+        "zero": PerturbationFamily.zero(),
+        "diagonal": PerturbationFamily.diagonal(bound, beta=beta, decays=True, seed=6),
+        "full": PerturbationFamily.full(bound, beta=beta, decays=True, seed=6),
+    }[kind]
+    bands = []
+
+    def capturing(l_and_u, ab, b, **kwargs):
+        bands.append(ab.copy())
+        return solve_banded(l_and_u, ab, b, **kwargs)
+
+    monkeypatch.setattr(evolution, "solve_banded", capturing)
+    got = solve_decaying(eigs, pert, 10.0, g, n_points=1201)
+    ab, coeffs, residual, growth = _reference_scatter(eigs, pert, 10.0, g, 1201)
+    assert np.array_equal(bands[0], ab)
+    assert np.array_equal(bands[0].view(np.int64), ab.view(np.int64))  # signed zeros too
+    assert np.array_equal(got.profile.coeffs, coeffs)
+    assert got.residual == residual
+    assert got.growth == growth
+
+
+@pytest.mark.parametrize("kind", ["zero", "diagonal", "full"])
+def test_non_finite_solution_is_solver_error(kind, monkeypatch):
+    # a NaN in the last mode must not be lost by the blockwise max|c|
+    def poisoned(*args, **kwargs):
+        sol = solve_banded(*args, **kwargs)
+        sol[-1, 1] = math.nan
+        return sol
+
+    monkeypatch.setattr(evolution, "solve_banded", poisoned)
+    bound = constant_bound(0.2)
+    pert = {
+        "zero": PerturbationFamily.zero(),
+        "diagonal": PerturbationFamily.diagonal(bound, beta=0.2, decays=False, seed=1),
+        "full": PerturbationFamily.full(bound, beta=0.2, decays=False, seed=1),
+    }[kind]
+    with pytest.raises(SolverError, match="growth factor nan"):
+        solve_decaying(np.linspace(1.0, 9.0, 12), pert, 10.0, np.ones(12), n_points=2001)  # two blocks
+
+
+def test_diagonal_solve_peak_memory():
+    # band (3 rows) and right-hand side (2 columns) of float64 per unknown, then
+    # the solution and coeffs; the residual pass works on blocks of modes
+    eigs, g = _modes(200, 5)
+    pert = PerturbationFamily.diagonal(exponential_bound(0.5), beta=0.5, decays=True, seed=5)
+    tracemalloc.start()
+    try:
+        result = solve_decaying(eigs, pert, 10.0, g, n_points=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * result.profile.coeffs.nbytes
 
 
 @pytest.mark.parametrize("kind", ["zero", "diagonal"])
