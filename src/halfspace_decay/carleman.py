@@ -102,6 +102,16 @@ def weight_sign_check(weight_lambda: float, t_points) -> list[tuple[float, float
     return rows
 
 
+def _support_clear_of_zero(phi: SpectralProfile) -> tuple[int, int] | None:
+    """The support's (first, last) grid index, refused when the point before it is below MIN_SUPPORT_T."""
+    idx = phi._support_index
+    if idx is not None and phi.t_grid[max(idx[0] - 1, 0)] < MIN_SUPPORT_T:
+        raise PreconditionError(
+            f"support touches t=0 (below t={MIN_SUPPORT_T:g}); the 4/3 weight and its derivatives are singular there"
+        )
+    return idx
+
+
 def conjugation_identity_check(psi: SpectralProfile, weight_lambda: float) -> float:
     """Max residual of exp(W)(d_t^2 - A)(exp(-W) psi) = (d_t^2 - A + omega^2 - L) psi.
 
@@ -110,20 +120,13 @@ def conjugation_identity_check(psi: SpectralProfile, weight_lambda: float) -> fl
     O(h^2) for smooth profiles.  Profiles supported near t=0 are refused
     (omega' is singular there).
     """
-    support = psi.support()
+    support = _support_clear_of_zero(psi)
     if support is None:
         return 0.0
     t = psi.t_grid
     h = psi.step
-    first_nonzero = int(np.searchsorted(t, support[0]))
-    support_floor = t[max(first_nonzero - 1, 0)]
-    if support_floor < MIN_SUPPORT_T:
-        raise PreconditionError(
-            f"support touches t=0 (below t={MIN_SUPPORT_T:g}); "
-            f"weight derivatives are singular there"
-        )
-    i0 = max(1, first_nonzero - 1)
-    i1 = min(t.size - 2, int(np.searchsorted(t, support[1])) + 1)
+    i0 = max(1, support[0] - 1)
+    i1 = min(t.size - 2, support[1] + 1)
     if i1 <= i0:
         return 0.0
     sl = slice(i0 - 1, i1 + 2)  # one extra point each side for differences
@@ -191,11 +194,8 @@ def verify_carleman_43(
         "eps": eps,
         "modes": int(phi.n_modes),
     }
-    if support is None:
+    if _support_clear_of_zero(phi) is None:
         return CarlemanReport(lhs=0.0, rhs=0.0, margin=0.0, params=params, quad_err=0.0, passed=True)
-    first_nonzero = int(np.searchsorted(phi.t_grid, support[0]))
-    if phi.t_grid[max(first_nonzero - 1, 0)] < MIN_SUPPORT_T:
-        raise PreconditionError("support touches t=0; the 4/3 weight is singular there")
     w = weight_43(phi.t_grid, weight_lambda)
     return _weighted_report(
         phi, w, phi.densities(), weight_lambda**3, params, "carleman-4/3", gate_rtol, pass_rtol
@@ -272,118 +272,54 @@ class SystemCheckReport:
     params: dict
 
 
-def first_order_blocks(eigs: np.ndarray, a: float, b: float):
-    """Explicit 2M x 2M matrices of the first-order reduction.
-
-    Returns (B0, B1, B2, Q0, Q1, Q2, K) where K = a*P_minus + (A P_plus)^(1/2)
-    as a diagonal vector.  P_minus collects modes with mu <= a^2, P_plus the
-    modes with mu >= b^2.
-    """
-    eigs = np.asarray(eigs, dtype=float)
-    M = eigs.size
-    w = 0.5 * (a + b)
-    minus = eigs <= a * a
-    plus = eigs >= b * b
-    if np.any(~(minus | plus)):
-        raise PreconditionError("an eigenvalue lies strictly inside (a^2, b^2)")
-    sqrt_plus = np.where(plus, np.sqrt(np.maximum(eigs, 0.0)), 0.0)
-    K = a * minus.astype(float) + sqrt_plus
-
-    def diag2(tl, tr, bl, br):
-        out = np.zeros((2 * M, 2 * M))
-        out[:M, :M] = np.diag(tl)
-        out[:M, M:] = np.diag(tr)
-        out[M:, :M] = np.diag(bl)
-        out[M:, M:] = np.diag(br)
-        return out
-
-    mm = minus.astype(float)
-    pp = plus.astype(float)
-    Q0 = diag2(mm, 0 * mm, 0 * mm, mm)
-    Q1 = diag2(pp, 0 * pp, 0 * pp, 0 * pp)
-    Q2 = diag2(0 * pp, 0 * pp, 0 * pp, pp)
-    B0 = diag2(
-        mm * ((eigs + a * a) / (2 * a) + w),
-        mm * ((-eigs + a * a) / (2 * a)),
-        mm * ((eigs - a * a) / (2 * a)),
-        mm * ((-eigs - a * a) / (2 * a) + w),
-    )
-    B1 = diag2(pp * (sqrt_plus + w), 0 * pp, 0 * pp, 0 * pp)
-    B2 = diag2(0 * pp, 0 * pp, 0 * pp, pp * (-sqrt_plus + w))
-    return B0, B1, B2, Q0, Q1, Q2, K
-
-
 def first_order_system_check(phi: SpectralProfile, a: float, b: float) -> SystemCheckReport:
     """Check d_t Phi_j = B_j Phi_j + Psi_j and the three operator inequalities.
 
-    The identity residual is the worst finite-difference defect over blocks
-    and interior times (O(h^2) for smooth profiles).  The inequalities are
-    eigenvalue statements about symmetric matrices restricted to the ranges
-    of the projectors, assertable to 1e-10:
+    Phi = e^(wt) (phi' + K phi, phi' - K phi) with K = a on the modes below the
+    gap (mu <= a^2, projector Q0) and sqrt(mu) on those above it (mu >= b^2; Q1
+    takes their top rows, Q2 their bottom rows).  B0 + B1 + B2 acts on each
+    mode's (top, bottom) pair as one real 2x2 block, so the operator is one
+    (M, 2, 2) array.  The identity residual is the worst finite-difference
+    defect over the three projector groups and interior times (O(h^2) for
+    smooth profiles).  The inequalities are eigenvalue statements about the
+    symmetric parts on the ranges of the projectors, assertable to 1e-10:
 
         B0* + B0 >= m Q0,   B1* + B1 >= m Q1,   B2* + B2 <= -m Q2.
     """
     _gap_preconditions(phi, a, b, float(phi.alpha))
     eigs = phi.eigs
-    M = eigs.size
     w = 0.5 * (a + b)
     m = b - a
-    B0, B1, B2, Q0, Q1, Q2, K = first_order_blocks(eigs, a, b)
+    below = eigs <= a * a  # the preconditions put every other mode at mu >= b^2
+    k = np.where(below, a, np.sqrt(np.maximum(eigs, 0.0)))
+    blk = np.where(
+        below[:, None],
+        np.stack([(eigs + a * a) / (2 * a) + w, (-eigs + a * a) / (2 * a),
+                  (eigs - a * a) / (2 * a), (-eigs - a * a) / (2 * a) + w], axis=1),
+        np.stack([k + w, 0.0 * k, 0.0 * k, -k + w], axis=1),
+    ).reshape(-1, 2, 2)
 
-    t = phi.t_grid
-    h = phi.step
-    ew = np.exp(w * t)[None, :]
-    dphi = phi.first_difference()
-    psi = phi.equation_residual()
-    top = ew * (dphi + K[:, None] * phi.coeffs)
-    bot = ew * (dphi - K[:, None] * phi.coeffs)
-    Phi = np.concatenate([top, bot], axis=0)
-    Psi = np.concatenate([ew * psi, ew * psi], axis=0)
+    ew = np.exp(w * phi.t_grid)
+    dphi, kc = phi.first_difference(), k[:, None] * phi.coeffs
+    Phi = np.stack([ew * (dphi + kc), ew * (dphi - kc)], axis=1)  # (M, 2, n)
+    del dphi, kc
+    psi = (ew * phi.equation_residual())[:, None, 2:-2]  # Phi itself uses centred differences
+    dPhi = (Phi[..., 3:-1] - Phi[..., 1:-3]) / (2 * phi.step)
+    defect2 = np.abs(dPhi - (np.einsum("mij,mjt->mit", blk, Phi[..., 2:-2]) + psi)) ** 2
+    groups = (defect2[below].sum(axis=(0, 1)), defect2[~below, 0].sum(axis=0), defect2[~below, 1].sum(axis=0))
+    residual = max(float(np.max(np.sqrt(g), initial=0.0)) for g in groups)
 
-    inner = slice(2, t.size - 2)  # Phi itself uses centred differences
-    dPhi = (Phi[:, 3:-1] - Phi[:, 1:-3]) / (2 * h)
-    residual = 0.0
-    for Bj, Qj in ((B0, Q0), (B1, Q1), (B2, Q2)):
-        proj = np.diagonal(Qj)[:, None]
-        lhs_j = proj * dPhi
-        rhs_j = Bj @ (proj * Phi[:, inner]) + proj * Psi[:, inner]
-        defect = np.sqrt(np.sum(np.abs(lhs_j - rhs_j) ** 2, axis=0))
-        if defect.size:
-            residual = max(residual, float(np.max(defect)))
-
-    minus_idx = np.flatnonzero(eigs <= a * a)
-    plus_idx = np.flatnonzero(eigs >= b * b)
-    idx0 = np.concatenate([minus_idx, M + minus_idx])
-    idx1 = plus_idx
-    idx2 = M + plus_idx
-
-    def sym(mat):
-        return mat + mat.T
-
-    min_eig_b0 = float("inf")
-    min_eig_b1 = float("inf")
-    max_eig_b2 = float("-inf")
-    if idx0.size:
-        sub = sym(B0)[np.ix_(idx0, idx0)] - m * np.eye(idx0.size)
-        min_eig_b0 = float(np.min(np.linalg.eigvalsh(sub)))
-    if idx1.size:
-        sub = sym(B1)[np.ix_(idx1, idx1)] - m * np.eye(idx1.size)
-        min_eig_b1 = float(np.min(np.linalg.eigvalsh(sub)))
-    if idx2.size:
-        sub = sym(B2)[np.ix_(idx2, idx2)] + m * np.eye(idx2.size)
-        max_eig_b2 = float(np.max(np.linalg.eigvalsh(sub)))
-    ok = (
-        (not idx0.size or min_eig_b0 >= -EIG_TOL)
-        and (not idx1.size or min_eig_b1 >= -EIG_TOL)
-        and (not idx2.size or max_eig_b2 <= EIG_TOL)
-    )
+    sym = blk + blk.transpose(0, 2, 1)
+    min_eig_b0 = float(np.min(np.linalg.eigvalsh(sym[below] - m * np.eye(2)), initial=np.inf))
+    min_eig_b1 = float(np.min(sym[~below, 0, 0] - m, initial=np.inf))
+    max_eig_b2 = float(np.max(sym[~below, 1, 1] + m, initial=-np.inf))
     return SystemCheckReport(
         identity_residual=residual,
         min_eig_b0=min_eig_b0,
         min_eig_b1=min_eig_b1,
         max_eig_b2=max_eig_b2,
-        certificates_ok=ok,
-        params={"a": a, "b": b, "w": w, "m": m, "alpha": float(phi.alpha), "modes": int(M)},
+        certificates_ok=min_eig_b0 >= -EIG_TOL and min_eig_b1 >= -EIG_TOL and max_eig_b2 <= EIG_TOL,
+        params={"a": a, "b": b, "w": w, "m": m, "alpha": float(phi.alpha), "modes": int(eigs.size)},
     )
 
 

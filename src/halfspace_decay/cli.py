@@ -35,7 +35,7 @@ from .lattice import (
     rational_structure,
     unit_cell_volume,
 )
-from .manifest import write_csv, write_json, write_rows
+from .manifest import read_rows, write_csv, write_json, write_rows
 from .pipeline import run_pipeline
 from .profiles import SpectralProfile, bump_profile
 from .quadrature import uniform_grid
@@ -345,7 +345,33 @@ def _report_dir(out_dir, reports, prefix: str) -> None:
         )
 
 
+def _emit_reports(reports, out_dir, prefix: str) -> int:
+    """Write the optional report directory and print each report as JSON.
+
+    EXIT_VIOLATION iff some report failed; a forced report has no verdict.
+    """
+    _report_dir(out_dir, reports, prefix)
+    for r in reports:
+        print(json.dumps(dataclasses.asdict(r)))
+    return EXIT_VIOLATION if any(r.passed is False for r in reports) else EXIT_OK
+
+
+def _require_finite(args, *names: str) -> None:
+    """Refuse a non-finite value of any of the named numeric flags that is set."""
+    for name in names:
+        value = getattr(args, name, None)
+        if value is not None and not np.isfinite(value):
+            raise SchemaError(f"--{name.replace('_', '-')} must be finite")
+
+
+def _fixed_profile(eigs_text: str, alpha: float | None = None) -> SpectralProfile:
+    """Unit amplitudes on one smooth bump over (0.5, 3), on 4097 points of [0, 4]."""
+    modes = [(mu, 1.0) for mu in _parse_list(eigs_text)]
+    return bump_profile((0.5, 3.0), modes, uniform_grid(4.0, 4097), alpha=alpha)
+
+
 def _cmd_carleman(args) -> int:
+    _require_finite(args, "eps", "weight_lambda", "a", "b", "alpha")
     if args.subcommand == "verify43":
         wl = args.weight_lambda if args.weight_lambda is not None else args.eps ** (-4.0 / 3.0)
 
@@ -353,20 +379,14 @@ def _cmd_carleman(args) -> int:
             profile, _ = bump_case_43(args.seed, i, args.eps, wl, max_modes=args.modes)
             return carl.verify_carleman_43(profile, wl, args.eps)
 
-        reports = [run_case_43(i) for i in range(args.ensemble)]
-        _report_dir(args.out_dir, reports, "verify43")
-        for r in reports:
-            print(json.dumps(dataclasses.asdict(r)))
-        return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
+        return _emit_reports([run_case_43(i) for i in range(args.ensemble)], args.out_dir, "verify43")
     if args.subcommand == "verify-gap":
         fixed = None
         if args.eigs is not None:
-            eigs = _parse_list(args.eigs)
-            if not eigs or args.a is None or args.b is None:
-                raise SchemaError("verify-gap --eigs needs at least one eigenvalue, --a and --b")
+            if args.a is None or args.b is None:
+                raise SchemaError("verify-gap --eigs needs --a and --b")
             alpha = 0.0 if args.alpha is None else args.alpha
-            profile = bump_profile((0.5, 3.0), [(mu, 1.0) for mu in eigs], uniform_grid(4.0, 4097), alpha=alpha)
-            fixed = (profile, args.a, args.b, alpha)
+            fixed = (_fixed_profile(args.eigs, alpha), args.a, args.b, alpha)
         elif (args.a, args.b, args.alpha) != (None, None, None):
             raise SchemaError("--a, --b and --alpha need --eigs: each ensemble case draws its own window")
 
@@ -374,18 +394,9 @@ def _cmd_carleman(args) -> int:
             profile, a, b, alpha = fixed or bump_case_gap(args.seed, i)
             return carl.verify_carleman_gap(profile, a, b, alpha, force=args.force)
 
-        reports = [run_case_gap(i) for i in range(args.ensemble)]
-        _report_dir(args.out_dir, reports, "verify_gap")
-        for r in reports:
-            print(json.dumps(dataclasses.asdict(r)))
-        if args.force:
-            return EXIT_OK
-        return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
+        return _emit_reports([run_case_gap(i) for i in range(args.ensemble)], args.out_dir, "verify_gap")
     if args.subcommand == "system-check":
-        eigs = _parse_list(args.eigs)
-        t = uniform_grid(4.0, 4097)
-        profile = bump_profile((0.5, 3.0), [(mu, 1.0) for mu in eigs], t)
-        report = carl.first_order_system_check(profile, args.a, args.b)
+        report = carl.first_order_system_check(_fixed_profile(args.eigs), args.a, args.b)
         print(json.dumps(dataclasses.asdict(report)))
         return EXIT_OK if report.certificates_ok else EXIT_VIOLATION
     s_list = _parse_list(args.s_list)
@@ -398,8 +409,7 @@ def _cmd_carleman(args) -> int:
 
 def _cmd_evolve(args) -> int:
     eigs = _parse_list(args.eigs)
-    if not np.isfinite(args.beta):
-        raise SchemaError("--beta must be finite")
+    _require_finite(args, "beta")
     if args.perturbation == "zero":
         pert = evo.PerturbationFamily.zero()
     else:
@@ -414,8 +424,7 @@ def _cmd_evolve(args) -> int:
             else evo.PerturbationFamily.full
         )
         pert = maker(bound, beta=args.beta, decays=(args.bound == "exp"), seed=args.seed)
-    pos = [mu for mu in eigs if mu > 0]
-    T = args.T if args.T else (30.0 / min(np.sqrt(pos)) if pos else 30.0)
+    T = args.T if args.T else evo.default_horizon(eigs)
     g = _parse_list(args.boundary) if args.boundary else [1.0] * len(eigs)
     result = evo.solve_decaying(eigs, pert, T, g)
     window = evo.default_tail_window(T)
@@ -448,10 +457,7 @@ def _load_profile_csv(path) -> np.ndarray:
     """The finite (t, norm, ...) rows of a CSV with one header line."""
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
-        try:
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise SchemaError(f"profile rows must be comma-separated numbers: {exc}") from exc
+        rows = read_rows(fh, "profile")
     if rows.shape[1] < 2 or not np.all(np.isfinite(rows)):
         raise SchemaError("profile needs finite rows with at least the columns t,norm")
     return rows

@@ -32,8 +32,8 @@ from .profiles import SpectralProfile, _second_difference
 # Decaying-branch solutions never grow; a huge solution relative to the
 # boundary datum means the discrete system is near-singular (resonance).
 GROWTH_LIMIT = 1e6
-# Memory budget of one full-B solve: its float64 band and LU rows.
-FULL_SOLVE_BYTES = 256 * 2**20
+# Memory budget of one solve of any kind, checked against _solve_bytes.
+SOLVE_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,15 +75,15 @@ class PerturbationFamily:
         return np.clip(vals, 0.0, self.beta)
 
     def matrix(self, n_modes: int) -> np.ndarray:
-        """W in B(t) = b(t) W: the full matrix, or the diagonal of per-mode factors (zero for zero B)."""
+        """W in B(t) = b(t) W: the full (M, M) matrix, or the (M,) per-mode factors (zero for zero B)."""
         if self.kind == "full":
             return self.full_matrix(n_modes)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(1,)))
-        return np.diag(rng.uniform(-1.0, 1.0, size=n_modes) if self.kind == "diagonal" else np.zeros(n_modes))
+        return rng.uniform(-1.0, 1.0, size=n_modes) if self.kind == "diagonal" else np.zeros(n_modes)
 
     def diagonal_entries(self, t_grid: np.ndarray, n_modes: int) -> np.ndarray:
         """Shape (n_t, M); |entry| <= b(t) everywhere."""
-        return self.bound_values(t_grid)[:, None] * np.diagonal(self.matrix(n_modes))[None, :]
+        return self.bound_values(t_grid)[:, None] * self.matrix(n_modes)[None, :]
 
     def full_matrix(self, n_modes: int) -> np.ndarray:
         """Fixed direction matrix with unit operator norm."""
@@ -107,8 +107,33 @@ class SolveResult:
     growth: float
 
 
+def default_horizon(eigs) -> float:
+    """T = 30 / sqrt(smallest positive eigenvalue): 30 decay lengths of the slowest mode; 30 without one."""
+    eigs = np.asarray(eigs, dtype=float)
+    pos = eigs[eigs > 0]
+    return 30.0 / math.sqrt(float(np.min(pos))) if pos.size else 30.0
+
+
 def _default_points(T: float) -> int:
-    return max(2001, int(round(T / 0.005)) + 1)
+    # capped far beyond any budget, so that T / 0.005 = inf still gives a count to refuse
+    return max(2001, int(round(min(T / 0.005, 2.0**62))) + 1)
+
+
+def _solve_bytes(kind: str, n_modes: int, n_points: int) -> int:
+    """Peak bytes of one solve, from its measured (tracemalloc) working set.
+
+    Per unknown, (n - 2) * M of them: 44 for zero or diagonal B (a 3-row band,
+    two right-hand-side columns, the solution and the coefficient planes), and
+    (8M + 6) * 8 for full B (its (2M+1)-row band, its (3M+1)-row LU held once
+    in C order and once more in the Fortran order LAPACK takes, and the
+    right-hand side).  Full B adds its M x M matrix W.  Every kind adds 128
+    bytes per mode, 40 per grid point (t, b(t) and the residual pass) and
+    64 KiB of small arrays.  The tests hold every kind's tracemalloc peak
+    between 0.75 and 1 times this count.
+    """
+    M = n_modes
+    per_unknown, w_bytes = ((8 * M + 6) * 8, 8 * M * M) if kind == "full" else (44, 0)
+    return (n_points - 2) * M * per_unknown + w_bytes + 128 * M + 40 * n_points + 2**16
 
 
 def solve_decaying(
@@ -124,8 +149,9 @@ def solve_decaying(
     a successful solve) and the solution growth factor.  Non-finite
     eigenvalues, boundary values or T raise SchemaError.  A near-singular
     discrete system (resonant T for indefinite modes), or one whose entries
-    overflow, raises SolverError.  A full-B solve above 200 000 unknowns or
-    ``FULL_SOLVE_BYTES`` of band and LU raises BudgetExceededError.
+    overflow, raises SolverError.  A solve whose working set (``_solve_bytes``)
+    exceeds ``SOLVE_BYTES``, or a full-B solve above 200 000 unknowns, raises
+    BudgetExceededError before anything is allocated.
     """
     eigs = np.asarray(eigs, dtype=float).reshape(-1)
     g = np.asarray(boundary, dtype=complex).reshape(-1)
@@ -139,11 +165,13 @@ def solve_decaying(
         raise SchemaError("T must be positive and finite")
     n = n_points or _default_points(T)
     M = eigs.size
-    need = (n - 2) * M * (5 * M + 2) * 8  # full B: band (2M+1 rows) and LU (3M+1 rows), float64
-    if perturbation.kind == "full" and ((n - 2) * M > 200_000 or need > FULL_SOLVE_BYTES):
+    need = _solve_bytes(perturbation.kind, M, n)
+    if need > SOLVE_BYTES or (perturbation.kind == "full" and (n - 2) * M > 200_000):
         raise BudgetExceededError(
-            f"full-matrix perturbation solve too large ({(n - 2) * M} unknowns, {need / 2**20:.0f} MiB; "
-            f"limits 200000 and {FULL_SOLVE_BYTES // 2**20} MiB); reduce modes or points"
+            f"{perturbation.kind}-perturbation solve too large: {(n - 2) * M} unknowns need "
+            f"{need / 2**20:.4g} MiB against the {SOLVE_BYTES / 2**20:.4g} MiB limit"
+            + (" (and 200000 unknowns for full B)" if perturbation.kind == "full" else "")
+            + "; reduce modes, T or points"
         )
     t = np.linspace(0.0, T, n)
     h = t[1] - t[0]
@@ -159,7 +187,7 @@ def solve_decaying(
         centre = -(eigs + 2.0 / h**2)
         for d in range(1 - m, m):
             band = ab[m + d].reshape(S, L, m)[:, :, max(0, -d) : m - max(0, d)]
-            np.multiply(np.diagonal(w, -d).reshape(S, 1, -1), bvals[:, None], out=band)
+            np.multiply((np.diagonal(w, -d) if m > 1 else w).reshape(S, 1, -1), bvals[:, None], out=band)
             np.subtract(centre.reshape(S, 1, m) if d == 0 else -0.0, band, out=band)  # -0.0 - x is -x
         ab[0].reshape(S, L * m)[:, m:] = 1.0 / h**2
         ab[2 * m].reshape(S, L * m)[:, :-m] = 1.0 / h**2
@@ -172,7 +200,7 @@ def solve_decaying(
         raise SolverError("banded solve failed: singular discrete system") from exc
     except ValueError as exc:  # its finite check: the band overflowed, or b(t) is not finite
         raise SolverError(f"discrete system is not finite (h = {h:.3g}): {exc}") from exc
-    del ab, band, rhs
+    del ab, band, rhs, w
     coeffs = np.zeros((M, n), dtype=complex)
     coeffs[:, 0] = g
     coeffs.real[:, 1:-1], coeffs.imag[:, 1:-1] = (x.reshape(L, M).T if m > 1 else x.reshape(M, L) for x in sol.T)
@@ -212,7 +240,7 @@ def _checked_residual(c, eigs, h, perturbation, t_inner) -> tuple[float, float]:
         peak = max(peak, top)
         psi = _second_difference(cb, h)
         psi -= eigs[blk, None] * cb[:, 1:-1]
-        psi -= bvals * wc[blk] if perturbation.kind == "full" else (np.diagonal(w)[blk, None] * bvals) * cb[:, 1:-1]
+        psi -= bvals * wc[blk] if perturbation.kind == "full" else (w[blk, None] * bvals) * cb[:, 1:-1]
         psi_peak = max(psi_peak, float(np.max(np.abs(psi))))
     return peak, float(psi_peak * h**2 / (peak or 1.0))
 
@@ -323,7 +351,7 @@ def rate_spectrum_scan(
     eigs = np.asarray(eigs, dtype=float).reshape(-1)
     pos = np.sqrt(eigs[eigs > 0])
     if T is None:
-        T = 30.0 / float(np.min(pos)) if pos.size else 30.0
+        T = default_horizon(eigs)
     if perturbation.kind != "zero" and pos.size >= 2:
         seps = np.abs(np.subtract.outer(pos, pos))
         min_sep = float(np.min(seps[seps > 0])) if np.any(seps > 0) else math.inf

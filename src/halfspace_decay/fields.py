@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridError, SchemaError
 from .lattice import Lattice
-from .manifest import write_rows
+from .manifest import read_rows, write_rows
 from .runconfig import FIELD_HEADER_KEYS, check_keys
 
 FIELD_KINDS = ("u", "potential")
@@ -168,7 +168,7 @@ def load_field(path, lattice: Lattice) -> SampledField:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             header = json.loads(fh.readline())
-            pairs = np.loadtxt(fh, delimiter=",", ndmin=2)
+            pairs = read_rows(fh, "field file")
         if pairs.shape[1] != 2:
             raise SchemaError("field values must be 're,im' pairs, one per line")
         values = pairs[:, 0] + 1j * pairs[:, 1]

@@ -4,7 +4,8 @@ All floats are serialised with 17 significant digits so a manifest written by
 one run compares bit-for-bit with a re-run of the same config and seed.  The
 hash covers the config and the ordered verdicts; wall-clock time and tool
 version are recorded alongside but excluded from the hash.  ``write_rows`` is
-the one table formatter: every CSV file, CLI table and text field uses it.
+the one table formatter: every CSV file, CLI table and text field uses it;
+``read_rows`` reads such rows back.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import SchemaError
 from .runconfig import RunConfig
 
 TOOL_VERSION = "0.1.0"
@@ -89,6 +91,26 @@ def write_rows(fh, rows) -> None:
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = np.asarray(rows[start : start + _BLOCK_ROWS], dtype=object)
         fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+def read_rows(fh, what: str) -> np.ndarray:
+    """The comma-separated number rows left in ``fh``, as a 2D float array.
+
+    Input with no row left is refused before np.loadtxt parses it (which would
+    warn and return an empty array), and so is a row that is not numbers.
+    """
+    while True:
+        start = fh.tell()
+        line = fh.readline()
+        if not line:
+            raise SchemaError(f"{what} holds no rows")
+        if line.split("#")[0].strip():
+            break
+    fh.seek(start)
+    try:
+        return np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise SchemaError(f"{what} rows must be comma-separated numbers: {exc}") from exc
 
 
 def write_csv(path, header: list[str], rows) -> Path:

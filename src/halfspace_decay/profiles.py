@@ -22,15 +22,13 @@ class SpectralProfile:
     """Coefficients c_i(t) of phi(t) over modes with eigenvalues mu_i.
 
     ``alpha`` is a lower-bound witness: every eigenvalue satisfies
-    mu_i >= -alpha.  ``taper_sups`` holds measured sup bounds of the first and
-    second differences of the window shape for cut-off style profiles.
+    mu_i >= -alpha.  Eigenvalues must be finite.
     """
 
     eigs: np.ndarray
     t_grid: np.ndarray
     coeffs: np.ndarray
     alpha: float | None = None
-    taper_sups: tuple[float, float] | None = None
 
     def __post_init__(self):
         self.eigs = np.asarray(self.eigs, dtype=float).reshape(-1)
@@ -38,6 +36,8 @@ class SpectralProfile:
         self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)  # densities() views it as floats
         if self.coeffs.shape != (self.eigs.size, self.t_grid.size):
             raise SchemaError("coefficient array must have shape (modes, t-points)")
+        if not np.all(np.isfinite(self.eigs)):
+            raise SchemaError("eigenvalues must be finite")
         self.step = grid_step(self.t_grid)
         if self.t_grid[0] < 0.0:
             raise SchemaError("t-grid must start at t >= 0")
@@ -161,15 +161,12 @@ def bump_profile(
     support: tuple[float, float],
     modes,
     t_grid: np.ndarray,
-    taper: float | None = None,
     alpha: float | None = None,
 ) -> SpectralProfile:
-    """Compactly supported C^2 profile on the grid.
+    """Compactly supported smooth profile on the grid.
 
     ``modes`` is a list of (eigenvalue, coefficient) pairs; each coefficient
-    multiplies the common window shape.  With ``taper=None`` the shape is the
-    standard smooth bump; otherwise a plateau cut-off with tapers of width
-    ``taper``, whose measured difference sups are recorded on the profile.
+    multiplies the common smooth bump over ``support``.
     """
     t_lo, t_hi = float(support[0]), float(support[1])
     t_grid = np.asarray(t_grid, dtype=float)
@@ -177,20 +174,11 @@ def bump_profile(
         raise SchemaError("support must lie inside the t-grid")
     if not modes:
         raise SchemaError("at least one mode is required")
-    if taper is None:
-        s = (2.0 * t_grid - (t_lo + t_hi)) / (t_hi - t_lo)
-        shape = smooth_bump(s)
-        sups = None
-    else:
-        shape = plateau_shape(t_grid, t_lo, t_hi, float(taper))
-        h = grid_step(t_grid)
-        d1 = np.max(np.abs(np.diff(shape))) / h
-        d2 = np.max(np.abs(np.diff(shape, 2))) / h**2
-        sups = (float(d1), float(d2))
+    shape = smooth_bump((2.0 * t_grid - (t_lo + t_hi)) / (t_hi - t_lo))
     eigs = np.array([float(m[0]) for m in modes])
     amps = np.array([complex(m[1]) for m in modes])
     coeffs = amps[:, None] * shape[None, :]
-    return SpectralProfile(eigs=eigs, t_grid=t_grid, coeffs=coeffs, alpha=alpha, taper_sups=sups)
+    return SpectralProfile(eigs=eigs, t_grid=t_grid, coeffs=coeffs, alpha=alpha)
 
 
 def zero_profile(eigs, t_grid: np.ndarray, alpha: float | None = None) -> SpectralProfile:

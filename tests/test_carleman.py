@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from halfspace_decay import (
     zero_profile,
 )
 from halfspace_decay.ensembles import bump_case_43, bump_case_gap, solution_like_profile
+from halfspace_decay.profiles import plateau_shape
 from halfspace_decay.quadrature import uniform_grid
 
 
@@ -46,13 +48,13 @@ def test_bump_zero_coefficient_is_zero_profile():
 def test_taper_derivative_sups():
     taper = 10.0
     t = uniform_grid(40.0, 8001)
-    phi = bump_profile((1.0, 39.0), [(1.0, 1.0)], t, taper=taper)
-    d1, d2 = phi.taper_sups
-    assert d1 <= 2.0 / taper
-    assert d2 <= 8.0 / taper**2
+    h = t[1] - t[0]
+    shape = plateau_shape(t, 1.0, 39.0, taper)
+    assert np.max(np.abs(np.diff(shape))) / h <= 2.0 / taper
+    assert np.max(np.abs(np.diff(shape, 2))) / h**2 <= 8.0 / taper**2
     # plateau region is exactly 1
     mid = (t > 11.5) & (t < 28.5)
-    assert np.max(np.abs(phi.coeffs[0, mid] - 1.0)) == 0.0
+    assert np.max(np.abs(shape[mid] - 1.0)) == 0.0
 
 
 def test_bump_support_outside_grid():
@@ -258,6 +260,143 @@ def test_system_check_certificates_random_spectra():
         assert rep.certificates_ok
         assert rep.min_eig_b0 >= -1e-10 and rep.min_eig_b1 >= -1e-10
         assert rep.max_eig_b2 <= 1e-10
+
+
+# Test-local reference: the dense 2M x 2M construction that the per-mode
+# 2x2 blocks replaced, kept to pin their results.
+
+
+def _dense_first_order_blocks(eigs, a, b):
+    """(B0, B1, B2, Q0, Q1, Q2, K) as explicit 2M x 2M matrices and K as a vector."""
+    M = eigs.size
+    w = 0.5 * (a + b)
+    minus = eigs <= a * a
+    plus = eigs >= b * b
+    assert np.all(minus | plus)
+    sqrt_plus = np.where(plus, np.sqrt(np.maximum(eigs, 0.0)), 0.0)
+    K = a * minus.astype(float) + sqrt_plus
+
+    def diag2(tl, tr, bl, br):
+        out = np.zeros((2 * M, 2 * M))
+        out[:M, :M] = np.diag(tl)
+        out[:M, M:] = np.diag(tr)
+        out[M:, :M] = np.diag(bl)
+        out[M:, M:] = np.diag(br)
+        return out
+
+    mm, pp = minus.astype(float), plus.astype(float)
+    Q0 = diag2(mm, 0 * mm, 0 * mm, mm)
+    Q1 = diag2(pp, 0 * pp, 0 * pp, 0 * pp)
+    Q2 = diag2(0 * pp, 0 * pp, 0 * pp, pp)
+    B0 = diag2(
+        mm * ((eigs + a * a) / (2 * a) + w),
+        mm * ((-eigs + a * a) / (2 * a)),
+        mm * ((eigs - a * a) / (2 * a)),
+        mm * ((-eigs - a * a) / (2 * a) + w),
+    )
+    B1 = diag2(pp * (sqrt_plus + w), 0 * pp, 0 * pp, 0 * pp)
+    B2 = diag2(0 * pp, 0 * pp, 0 * pp, pp * (-sqrt_plus + w))
+    return B0, B1, B2, Q0, Q1, Q2, K
+
+
+def _dense_system_check(phi, a, b):
+    """(identity_residual, min_eig_b0, min_eig_b1, max_eig_b2, certificates_ok) the dense way."""
+    eigs, M, w, m = phi.eigs, phi.eigs.size, 0.5 * (a + b), b - a
+    B0, B1, B2, Q0, Q1, Q2, K = _dense_first_order_blocks(eigs, a, b)
+    t, h = phi.t_grid, phi.step
+    ew = np.exp(w * t)[None, :]
+    dphi, psi = phi.first_difference(), phi.equation_residual()
+    Phi = np.concatenate([ew * (dphi + K[:, None] * phi.coeffs), ew * (dphi - K[:, None] * phi.coeffs)], axis=0)
+    Psi = np.concatenate([ew * psi, ew * psi], axis=0)
+    inner = slice(2, t.size - 2)
+    dPhi = (Phi[:, 3:-1] - Phi[:, 1:-3]) / (2 * h)
+    residual = 0.0
+    for Bj, Qj in ((B0, Q0), (B1, Q1), (B2, Q2)):
+        proj = np.diagonal(Qj)[:, None]
+        defect = np.sqrt(np.sum(np.abs(proj * dPhi - (Bj @ (proj * Phi[:, inner]) + proj * Psi[:, inner])) ** 2, axis=0))
+        if defect.size:
+            residual = max(residual, float(np.max(defect)))
+    minus_idx, plus_idx = np.flatnonzero(eigs <= a * a), np.flatnonzero(eigs >= b * b)
+    idx0, idx1, idx2 = np.concatenate([minus_idx, M + minus_idx]), plus_idx, M + plus_idx
+    min0 = min1 = math.inf
+    max2 = -math.inf
+    if idx0.size:
+        min0 = float(np.min(np.linalg.eigvalsh((B0 + B0.T)[np.ix_(idx0, idx0)] - m * np.eye(idx0.size))))
+    if idx1.size:
+        min1 = float(np.min(np.linalg.eigvalsh((B1 + B1.T)[np.ix_(idx1, idx1)] - m * np.eye(idx1.size))))
+    if idx2.size:
+        max2 = float(np.max(np.linalg.eigvalsh((B2 + B2.T)[np.ix_(idx2, idx2)] + m * np.eye(idx2.size))))
+    ok = (
+        (not idx0.size or min0 >= -1e-10) and (not idx1.size or min1 >= -1e-10) and (not idx2.size or max2 <= 1e-10)
+    )
+    return residual, min0, min1, max2, ok
+
+
+def _system_check_cases():
+    """(profile, a, b): ensemble draws, random spectra with complex amplitudes
+    and modes exactly at a^2 or b^2, spectra only below or only above the gap,
+    and the zero profile."""
+    for seed in range(40):
+        profile, a, b, _ = bump_case_gap(seed, seed % 3, t_points=1025)
+        yield profile, a, b
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        k = int(rng.integers(1, 7))
+        a, b = float(k), float(k + 1) + float(rng.uniform(0.0, 0.5))
+        count = int(rng.integers(1, 12))
+        below = rng.uniform(-0.5, a * a, size=count)
+        above = rng.uniform(b * b, b * b + 40.0, size=count)
+        eigs = [np.where(rng.random(count) < 0.5, below, above), below, above][i % 3]
+        eigs[0] = (a * a, b * b, eigs[0], eigs[0])[i % 4]
+        amps = rng.normal(size=count) + 1j * rng.normal(size=count)
+        t = uniform_grid(4.0, int(rng.choice([513, 1025])))
+        alpha = max(0.0, -float(np.min(eigs)))
+        yield bump_profile((0.5, 3.0), list(zip(eigs.tolist(), amps.tolist())), t, alpha=alpha), a, b
+    t = uniform_grid(4.0, 513)
+    yield zero_profile([1.0, 4.0, 9.0], t, alpha=0.0), 2.0, 3.0
+    yield bump_profile((0.5, 3.0), [(4.0, 1.0), (9.0, 2j)], t, alpha=0.0), 2.0, 3.0
+
+
+def test_system_check_matches_dense_reference():
+    cases = 0
+    for phi, a, b in _system_check_cases():
+        rep = first_order_system_check(phi, a, b)
+        residual, min0, min1, max2, ok = _dense_system_check(phi, a, b)
+        assert (rep.min_eig_b0, rep.min_eig_b1, rep.max_eig_b2, rep.certificates_ok) == (min0, min1, max2, ok)
+        assert rep.identity_residual == pytest.approx(residual, rel=1e-12, abs=0.0)
+        cases += 1
+    assert cases >= 100
+
+
+def test_system_check_boundary_modes_and_one_sided_spectra():
+    t = uniform_grid(4.0, 513)
+    rep = first_order_system_check(bump_profile((0.5, 3.0), [(4.0, 1.0), (9.0, 1j)], t, alpha=0.0), 2.0, 3.0)
+    # both certificates are exactly tight at the gap's ends: with m = b - a and 2w = a + b,
+    # mu = a^2 gives B0* + B0 - m = diag(2a + 2w, 2w - 2a) - m, whose smaller entry is 0,
+    # and mu = b^2 gives B2* + B2 + m = 2w - 2b + m = 0
+    assert rep.min_eig_b0 == 0.0 and rep.max_eig_b2 == 0.0 and rep.min_eig_b1 == 2 * 3.0 + 2 * 2.5 - 1.0
+    assert rep.certificates_ok
+    below = first_order_system_check(bump_profile((0.5, 3.0), [(1.0, 1.0), (0.0, 2.0)], t, alpha=0.0), 2.0, 3.0)
+    assert below.min_eig_b1 == math.inf and below.max_eig_b2 == -math.inf and below.certificates_ok
+    above = first_order_system_check(bump_profile((0.5, 3.0), [(16.0, 1.0)], t, alpha=0.0), 2.0, 3.0)
+    assert above.min_eig_b0 == math.inf and above.certificates_ok
+
+
+def test_system_check_peak_memory():
+    # the dense construction peaked at about 158 MiB here (seven 2M x 2M matrices)
+    rng = np.random.default_rng(3)
+    M = 400
+    eigs = np.where(rng.random(M) < 0.5, rng.uniform(0.0, 4.0, M), rng.uniform(9.0, 50.0, M))
+    amps = rng.normal(size=M) + 1j * rng.normal(size=M)
+    phi = bump_profile((0.5, 3.0), list(zip(eigs, amps)), uniform_grid(4.0, 1025), alpha=0.0)
+    tracemalloc.start()
+    try:
+        rep = first_order_system_check(phi, 2.0, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.certificates_ok
+    assert peak <= 100 * 2**20
 
 
 def test_ellreg_exponential_closed_form():

@@ -193,6 +193,21 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (["carleman", "verify-gap", "--eigs", "1,9", "--a", "2"], None),
         (["carleman", "verify-gap", "--a", "2", "--b", "3", "--ensemble", "1"], None),
         (["carleman", "verify-gap", "--alpha", "0.5"], None),
+        (["carleman", "verify-gap", "--eigs", "nan", "--a", "2", "--b", "3"], None),
+        (["carleman", "verify-gap", "--eigs", "1,inf", "--a", "2", "--b", "3"], None),
+        (["carleman", "verify-gap", "--eigs", "1,9", "--a", "nan", "--b", "3"], None),
+        (["carleman", "verify-gap", "--eigs", "1,9", "--a", "2", "--b", "inf"], None),
+        (["carleman", "verify-gap", "--eigs", "1,9", "--a", "2", "--b", "3", "--alpha", "nan"], None),
+        (["carleman", "verify43", "--eps", "1", "--weight-lambda", "nan"], None),
+        (["carleman", "verify43", "--eps", "nan"], None),
+        (["carleman", "verify43", "--eps", "inf"], None),
+        (["carleman", "ellreg", "--eps", "nan", "--s-list", "2"], None),
+        (["carleman", "system-check", "--eigs", "nan", "--a", "2", "--b", "3"], None),
+        (["carleman", "system-check", "--eigs", "1,9", "--a", "nan", "--b", "3"], None),
+        (["carleman", "system-check", "--eigs", "1,9", "--a", "2", "--b", "inf"], None),
+        (_ROUNDTRIP, _field().split("\n")[0] + "\n" + "abc,0.0\n" * 20),
+        (_ROUNDTRIP, _field().split("\n")[0] + "\n\n  \n"),
+        (_DECAY + ["2,8"], "t,norm\n\n# no rows\n\n"),
     ],
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
@@ -214,7 +229,10 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         "evolve-eigs-nan", "evolve-eigs-inf", "evolve-T-nan", "evolve-T-inf", "evolve-beta-nan",
         "evolve-beta-inf", "evolve-boundary-nan", "ellreg-s-list-empty", "verify-gap-eigs-empty",
         "verify-gap-eigs-empty-with-window", "verify-gap-eigs-without-b", "verify-gap-ensemble-with-window",
-        "verify-gap-ensemble-with-alpha",
+        "verify-gap-ensemble-with-alpha", "verify-gap-eigs-nan", "verify-gap-eigs-inf", "verify-gap-a-nan",
+        "verify-gap-b-inf", "verify-gap-alpha-nan", "verify43-weight-lambda-nan", "verify43-eps-nan",
+        "verify43-eps-inf", "ellreg-eps-nan", "system-check-eigs-nan", "system-check-a-nan", "system-check-b-inf",
+        "field-values-not-numeric", "field-blank-lines-only", "decay-input-comment-and-empty-lines",
     ],
 )
 def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, capsys):
@@ -234,6 +252,19 @@ def test_evolve_full_solve_over_memory_budget_is_refused(capsys):
     argv = ["evolve", "--eigs", eigs, "--perturbation", "full", "--beta", "0.1", "--T", "10"]
     assert main(argv) == EXIT_PRECONDITION
     assert "MiB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--eigs", "1e-300"],  # the default T = 30 / sqrt(mu) asks for about 6e153 points
+    ["evolve", "--eigs", "1", "--T", "1e9"],
+    ["evolve", "--eigs", "1", "--T", "1e307"],  # T / 0.005 overflows to inf
+    ["evolve", "--eigs", "1,4", "--perturbation", "diagonal", "--beta", "0.1", "--T", "1e6"],
+])
+def test_evolve_solve_over_memory_budget_is_refused(argv, capsys):
+    assert main(argv) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MiB against the 256 MiB limit" in err
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -372,13 +372,55 @@ def test_full_solve_memory_budget_refuses_before_allocating():
 
 def test_full_solve_memory_budget_boundary(monkeypatch):
     pert = PerturbationFamily.full(constant_bound(0.2), beta=0.2, decays=False, seed=2)
-    need = 799 * 3 * (5 * 3 + 2) * 8  # (n-2) * M * (5M+2) float64 entries
-    monkeypatch.setattr(evolution, "FULL_SOLVE_BYTES", need - 1)
+    # (n-2) * M unknowns of (8M+6) * 8 bytes, W, and the per-mode, per-point and fixed terms
+    need = 799 * 3 * (8 * 3 + 6) * 8 + 8 * 3 * 3 + 128 * 3 + 40 * 801 + 2**16
+    monkeypatch.setattr(evolution, "SOLVE_BYTES", need - 1)
     with pytest.raises(BudgetExceededError):
         solve_decaying([1.0, 4.0, 9.0], pert, 10.0, [1.0, 0.5, 0.25], n_points=801)
-    monkeypatch.setattr(evolution, "FULL_SOLVE_BYTES", need)
+    monkeypatch.setattr(evolution, "SOLVE_BYTES", need)
     r = solve_decaying([1.0, 4.0, 9.0], pert, 10.0, [1.0, 0.5, 0.25], n_points=801)
     assert r.residual < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["zero", "diagonal"])
+def test_uncoupled_solve_memory_budget_refuses_before_allocating(kind):
+    # 10^8 points of one mode need about 4.4 GB; nothing of that size is allocated
+    pert = {
+        "zero": PerturbationFamily.zero(),
+        "diagonal": PerturbationFamily.diagonal(constant_bound(0.2), beta=0.2, decays=False),
+    }[kind]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="MiB against the 256 MiB limit"):
+            solve_decaying([1.0], pert, 10.0, [1.0], n_points=10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "kind, M, n",
+    [("zero", 1, 100_000), ("zero", 120, 4001), ("diagonal", 1, 100_000), ("diagonal", 120, 4001),
+     ("full", 2, 20_000), ("full", 12, 4001)],
+)
+def test_solve_peak_memory_stays_within_its_budget(kind, M, n):
+    bound = constant_bound(0.2)
+    pert = {
+        "zero": PerturbationFamily.zero(),
+        "diagonal": PerturbationFamily.diagonal(bound, beta=0.2, decays=False, seed=7),
+        "full": PerturbationFamily.full(bound, beta=0.2, decays=False, seed=7),
+    }[kind]
+    eigs, g = _modes(M, 7)
+    budget = evolution._solve_bytes(kind, M, n)
+    tracemalloc.start()
+    try:
+        solve_decaying(eigs, pert, 10.0, g, n_points=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+    assert peak >= 0.75 * budget  # the count is the working set, not a loose cap
 
 
 @pytest.mark.parametrize("kind", ["zero", "diagonal", "full"])
