@@ -25,13 +25,14 @@ work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, SchemaError, VerificationError
 from .profiles import SpectralProfile, _second_difference
-from .quadrature import check_resolution, simpson_with_error, window_integral
+from .quadrature import GATE_RTOL, check_resolution, simpson_with_error, window_integral
 
 # The 4/3 weight has singular derivatives at t=0; profiles must stay clear.
 MIN_SUPPORT_T = 1e-3
@@ -54,10 +55,6 @@ class CarlemanReport:
 
 def _pass_rule(lhs: float, rhs: float, quad_err: float, pass_rtol: float) -> bool:
     return (rhs - lhs) >= -(quad_err + pass_rtol * abs(rhs))
-
-
-def weight_43(t: np.ndarray, weight_lambda: float) -> np.ndarray:
-    return np.exp(2.0 * weight_lambda * t ** (4.0 / 3.0))
 
 
 def _omega_derivatives(t: np.ndarray, wl: float):
@@ -150,16 +147,27 @@ def conjugation_identity_check(psi: SpectralProfile, weight_lambda: float) -> fl
 
 
 def _weighted_report(
-    phi: SpectralProfile, weight, densities, const: float, params: dict, what: str,
-    gate_rtol: float | None, pass_rtol: float | None,
+    phi: SpectralProfile, rate: float, power: float, densities, const: float, params: dict,
+    what: str, gate_rtol: float, pass_rtol: float | None,
 ) -> CarlemanReport:
-    """const * I[weight ||phi||^2] against I[weight ||psi||^2]; no verdict if pass_rtol is None."""
-    lhs_int = simpson_with_error(weight * densities[0], phi.step)
-    rhs_int = simpson_with_error(weight * densities[1], phi.step)
-    gate_kwargs = {} if gate_rtol is None else {"gate_rtol": gate_rtol}
-    check_resolution(lhs_int, rhs_int, what=what, **gate_kwargs)
-    lhs, rhs = const * lhs_int.value, rhs_int.value
-    quad_err = const * lhs_int.err_estimate + rhs_int.err_estimate
+    """const * I[e^(2 rate t^power) ||phi||^2] against I[e^(2 rate t^power) ||psi||^2].
+
+    The weight is evaluated on the stencil only: elsewhere both integrands are exactly 0,
+    however far it overflows.  A non-finite result is refused; no verdict if pass_rtol is None.
+    """
+    t = phi.t_grid[phi._stencil]
+    ys = np.zeros((2, phi.t_grid.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.exp(2.0 * rate * (t if power == 1.0 else t**power))  # t**1.0 would copy
+        for y, density in zip(ys, densities):
+            np.multiply(weight, density[phi._stencil], out=y[phi._stencil])
+        lhs_int, rhs_int = (simpson_with_error(y, phi.step) for y in ys)
+        lhs, rhs = const * lhs_int.value, rhs_int.value
+        quad_err = const * lhs_int.err_estimate + rhs_int.err_estimate
+    if not all(map(math.isfinite, (lhs, rhs, quad_err))):
+        name = f"exp(2*{rate:g}*{params['weight']})"
+        raise PreconditionError(f"{what}: the weight {name} or its integral overflows")
+    check_resolution(lhs_int, rhs_int, what=what, gate_rtol=gate_rtol)
     passed = None if pass_rtol is None else _pass_rule(lhs, rhs, quad_err, pass_rtol)
     return CarlemanReport(
         lhs=lhs, rhs=rhs, margin=rhs - lhs, params=params, quad_err=quad_err, passed=passed
@@ -171,7 +179,7 @@ def verify_carleman_43(
     weight_lambda: float,
     eps: float,
     pass_rtol: float = PASS_RTOL,
-    gate_rtol: float | None = None,
+    gate_rtol: float = GATE_RTOL,
 ) -> CarlemanReport:
     """Check the 4/3-weight inequality for a profile vanishing below eps.
 
@@ -196,9 +204,9 @@ def verify_carleman_43(
     }
     if _support_clear_of_zero(phi) is None:
         return CarlemanReport(lhs=0.0, rhs=0.0, margin=0.0, params=params, quad_err=0.0, passed=True)
-    w = weight_43(phi.t_grid, weight_lambda)
     return _weighted_report(
-        phi, w, phi.densities(), weight_lambda**3, params, "carleman-4/3", gate_rtol, pass_rtol
+        phi, weight_lambda, 4.0 / 3.0, phi.densities(), weight_lambda**3, params, "carleman-4/3",
+        gate_rtol, pass_rtol,
     )
 
 
@@ -224,7 +232,7 @@ def verify_carleman_gap(
     alpha: float,
     force: bool = False,
     pass_rtol: float = PASS_RTOL,
-    gate_rtol: float | None = None,
+    gate_rtol: float = GATE_RTOL,
 ) -> CarlemanReport:
     """Check the spectral-gap inequality with constant a^2 (b-a)^2 / 4.
 
@@ -253,10 +261,10 @@ def verify_carleman_gap(
             lhs=0.0, rhs=0.0, margin=0.0, params=params, quad_err=0.0,
             passed=None if force else True,
         )
-    ew = np.exp(2.0 * w * phi.t_grid)
     const = a * a * m * m / 4.0
+    pass_rtol = None if force else pass_rtol
     return _weighted_report(
-        phi, ew, densities, const, params, "carleman-gap", gate_rtol, None if force else pass_rtol
+        phi, w, 1.0, densities, const, params, "carleman-gap", gate_rtol, pass_rtol
     )
 
 
@@ -299,15 +307,21 @@ def first_order_system_check(phi: SpectralProfile, a: float, b: float) -> System
         np.stack([k + w, 0.0 * k, 0.0 * k, -k + w], axis=1),
     ).reshape(-1, 2, 2)
 
-    ew = np.exp(w * phi.t_grid)
-    dphi, kc = phi.first_difference(), k[:, None] * phi.coeffs
-    Phi = np.stack([ew * (dphi + kc), ew * (dphi - kc)], axis=1)  # (M, 2, n)
-    del dphi, kc
-    psi = (ew * phi.equation_residual())[:, None, 2:-2]  # Phi itself uses centred differences
-    dPhi = (Phi[..., 3:-1] - Phi[..., 1:-3]) / (2 * phi.step)
-    defect2 = np.abs(dPhi - (np.einsum("mij,mjt->mit", blk, Phi[..., 2:-2]) + psi)) ** 2
-    groups = (defect2[below].sum(axis=(0, 1)), defect2[~below, 0].sum(axis=0), defect2[~below, 1].sum(axis=0))
-    residual = max(float(np.max(np.sqrt(g), initial=0.0)) for g in groups)
+    ew = np.zeros(phi.t_grid.size)  # Phi and psi are exactly 0 off the stencil
+    with np.errstate(over="ignore", invalid="ignore"):
+        if phi._stencil is not None:
+            ew[phi._stencil] = np.exp(w * phi.t_grid[phi._stencil])
+        dphi, kc = phi.first_difference(), k[:, None] * phi.coeffs
+        Phi = np.stack([ew * (dphi + kc), ew * (dphi - kc)], axis=1)  # (M, 2, n)
+        del dphi, kc
+        psi = (ew * phi.equation_residual())[:, None, 2:-2]  # Phi itself uses centred differences
+        dPhi = (Phi[..., 3:-1] - Phi[..., 1:-3]) / (2 * phi.step)
+        defect2 = np.abs(dPhi - (np.einsum("mij,mjt->mit", blk, Phi[..., 2:-2]) + psi)) ** 2
+        groups = (defect2[below].sum(axis=(0, 1)), defect2[~below, 0].sum(axis=0),
+                  defect2[~below, 1].sum(axis=0))
+        residual = float(np.sqrt(np.max(np.concatenate(groups), initial=0.0)))
+    if not np.isfinite(residual):
+        raise PreconditionError(f"system check: the weight exp({w:g}*t) overflows on the support")
 
     sym = blk + blk.transpose(0, 2, 1)
     min_eig_b0 = float(np.min(np.linalg.eigvalsh(sym[below] - m * np.eye(2)), initial=np.inf))
@@ -337,11 +351,11 @@ def ellreg_bound_check(phi: SpectralProfile, eps: float, s_list) -> EllRegReport
 
     Also measures beta = sup_t ||phi'' - A phi|| / ||phi|| over the interior
     grid (reported so callers can relate the ratio to the operator data).
-    Windows with vanishing denominator are refused, and so is an empty s_list.
+    Windows with vanishing denominator are refused, and so is an empty or non-finite s_list.
     """
     s_values = np.atleast_1d(np.asarray(s_list, dtype=float))
-    if s_values.size == 0:
-        raise SchemaError("s_list needs at least one window start")
+    if s_values.size == 0 or not np.all(np.isfinite(s_values)):
+        raise SchemaError("s_list needs at least one window start, and finite ones")
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     t = phi.t_grid

@@ -330,19 +330,9 @@ def _report_dir(out_dir, reports, prefix: str) -> None:
     ]
     write_csv(out / f"{prefix}_summary.csv", ["case", "lhs", "rhs", "margin", "quad_err", "passed"], rows)
     if len(reports) >= 2:
-        emit_plots(
-            [
-                PlotTable(
-                    name=f"{prefix}_margins",
-                    xs=tuple(float(i) for i in range(len(reports))),
-                    ys=tuple(r.margin for r in reports),
-                    kind="line",
-                    x_label="case",
-                    y_label="margin",
-                )
-            ],
-            out,
-        )
+        xs = tuple(float(i) for i in range(len(reports)))
+        ys = tuple(r.margin for r in reports)
+        emit_plots([PlotTable(f"{prefix}_margins", xs, ys, x_label="case", y_label="margin")], out)
 
 
 def _emit_reports(reports, out_dir, prefix: str) -> int:
@@ -437,7 +427,7 @@ def _cmd_evolve(args) -> int:
 
         table = PlotTable(
             name=Path(args.svg).stem, xs=t, ys=np.log(np.maximum(norms, 1e-300)),
-            kind="line", x_label="t", y_label="log ||phi||",
+            x_label="t", y_label="log ||phi||",
         )
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_svg(table))

@@ -434,9 +434,12 @@ def harmonic_counterexample(weight_rates, T: float, X: float = 200.0) -> list[Co
     partial integrals at T/4, T/2, T classify the growth: increments shrinking
     (converging), steady (logarithmic), or accelerating (exponential).
     """
+    rates = np.atleast_1d(np.asarray(weight_rates, dtype=float))
+    if not (np.all(np.isfinite(rates)) and 0 < T < math.inf and 0 < X < math.inf):
+        raise SchemaError("weight rates must be finite, and T and X finite and positive")
     inner_integral_check([0.0, 1.0, 5.0], X)
     rows = []
-    for rate in np.atleast_1d(np.asarray(weight_rates, dtype=float)):
+    for rate in rates:
         if rate < 0:
             raise PreconditionError("weight rate must be nonnegative")
         t_used = float(T)

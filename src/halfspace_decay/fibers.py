@@ -19,10 +19,10 @@ band-limited to fewer cells than the grid resolves.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +37,10 @@ STACK_BYTES = 1 << 20
 
 @dataclass(eq=False)
 class BlochFiber:
-    """One fiber of the decomposition: torus values (or mode coefficients) per t.
+    """One fiber of the decomposition: torus samples per t.
 
-    ``data`` has shape (n, ..., n, n_t); ``representation`` is "physical"
-    (cell-grid samples) or "spectral" (orthonormal DFT coefficients).
+    ``data`` has shape (n, ..., n, n_t) and holds the cell-grid samples;
+    ``coefficients`` is their orthonormal DFT over the cell axes, computed once.
     ``tail_bound`` is the L2 bound on the lattice-sum truncation error.
     ``cells_lo`` is the lowest cell of the field box the fiber came from;
     None means the box centred on the origin.
@@ -52,13 +52,10 @@ class BlochFiber:
     t_start: float
     t_end: float
     data: np.ndarray
-    representation: str = "physical"
     tail_bound: float = 0.0
     cells_lo: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.representation not in ("physical", "spectral"):
-            raise SchemaError("representation must be physical or spectral")
         self.data = np.asarray(self.data, dtype=complex)
         n = self.points_per_cell
         if self.data.shape[:-1] != (n,) * self.lattice.dim:
@@ -82,17 +79,10 @@ class BlochFiber:
     def spatial_axes(self) -> tuple[int, ...]:
         return tuple(range(self.dim))
 
-    def to_spectral(self) -> "BlochFiber":
-        if self.representation == "spectral":
-            return self
-        coeffs = np.fft.fftn(self.data, axes=self.spatial_axes, norm="ortho")
-        return dataclasses.replace(self, data=coeffs, representation="spectral")
-
-    def to_physical(self) -> "BlochFiber":
-        if self.representation == "physical":
-            return self
-        values = np.fft.ifftn(self.data, axes=self.spatial_axes, norm="ortho")
-        return dataclasses.replace(self, data=values, representation="physical")
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Orthonormal DFT of ``data`` over the cell axes: mode coefficients per t."""
+        return np.fft.fftn(self.data, axes=self.spatial_axes, norm="ortho")
 
     def mode_vectors(self) -> np.ndarray:
         """Wrapped integer mode indices, shape (n, ..., n, dim)."""
@@ -114,20 +104,14 @@ class BlochFiber:
 
         Returns (profile, dropped_mass_fraction).
         """
-        spec = self.to_spectral()
-        eigs = spec.mode_eigenvalues(energy).reshape(-1)
-        coeffs = spec.data.reshape(-1, spec.n_t)
+        eigs = self.mode_eigenvalues(energy).reshape(-1)
+        coeffs = self.coefficients.reshape(-1, self.n_t)
         mass = np.sum(np.abs(coeffs) ** 2, axis=1)
         order = np.argsort(-mass, kind="stable")
         total = float(np.sum(mass))
         keep = order if max_modes is None else order[:max_modes]
         dropped = 0.0 if total == 0 else float(1.0 - np.sum(mass[keep]) / total)
-        profile = SpectralProfile(
-            eigs=eigs[keep],
-            t_grid=np.linspace(self.t_start, self.t_end, self.n_t),
-            coeffs=coeffs[keep],
-        )
-        return profile, dropped
+        return SpectralProfile(eigs=eigs[keep], t_grid=self.t_grid, coeffs=coeffs[keep]), dropped
 
 
 def _intra_cell_phase(axes_mu, n: int, sign: float) -> np.ndarray:
@@ -254,10 +238,7 @@ def gelfand_inverse(fibers: list[BlochFiber], lat: Lattice) -> SampledField:
         s = slice(t, min(t + step, first.n_t))
         stack = np.empty(twist.shape + (s.stop - t,), dtype=complex)
         for p, f in zip(index, fibers):
-            chunk = f.data[..., s]
-            if f.representation == "spectral":
-                chunk = np.fft.ifftn(chunk, axes=f.spatial_axes, norm="ortho")
-            stack[p] = chunk
+            stack[p] = f.data[..., s]
         stack *= twist[..., None]
         # a vectorized multiply last: it clears vector state zgemm can leave dirty (slow SSE)
         np.multiply(_contract_cells(stack, mats), 1.0 / len(fibers), out=field[..., s])
@@ -272,18 +253,16 @@ def fiber_residual(
 ) -> np.ndarray:
     """||(d_t^2 - A_theta) phi - V_t phi||_{L2(torus)} on interior t points.
 
-    The operator acts spectrally (diagonal multipliers), the potential acts
-    physically, second t-derivatives are centred differences; endpoints are
+    The operator acts on the coefficients (diagonal multipliers), the potential
+    on the samples; second t-derivatives are centred differences; endpoints are
     excluded.  Returns the residual per interior t sample.
     """
     if fiber.n_t < 5:
         raise GridError("fiber t-grid too coarse (need at least 5 points)")
-    spec = fiber.to_spectral()
     t = fiber.t_grid
-    h = t[1] - t[0]
-    c = spec.data
-    eigs = spec.mode_eigenvalues(energy)
-    res_spec = _second_difference(c, h) - eigs[..., None] * c[..., 1:-1]
+    c = fiber.coefficients
+    eigs = fiber.mode_eigenvalues(energy)
+    res_spec = _second_difference(c, t[1] - t[0]) - eigs[..., None] * c[..., 1:-1]
     axes = fiber.spatial_axes
     res_phys = np.fft.ifftn(res_spec, axes=axes, norm="ortho")
     if potential is not None:
@@ -293,7 +272,7 @@ def fiber_residual(
         if (potential.n_t, potential.t_start, potential.t_end) != t_range:
             raise GridError("potential t-grid disagrees with the fiber")
         v_cell = potential.cell_block(potential.cells_lo)[..., 1:-1]
-        res_phys = res_phys - v_cell * fiber.to_physical().data[..., 1:-1]
+        res_phys = res_phys - v_cell * fiber.data[..., 1:-1]
     w = unit_cell_volume(fiber.lattice) / fiber.points_per_cell**fiber.dim
     return np.sqrt(w * np.sum(np.abs(res_phys) ** 2, axis=axes))
 

@@ -159,15 +159,22 @@ def save_field(field: SampledField, path) -> None:
         write_rows(fh, flat.view(np.float64).reshape(-1, 2))  # (re, im) pairs, no copy
 
 
+def _parse_header(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"field header is not JSON: {exc}") from exc
+
+
 def load_field(path, lattice: Lattice) -> SampledField:
     path = Path(path)
     if path.suffix == ".npz":
         with np.load(path) as data:
-            header = json.loads(bytes(data["header"]).decode())
+            header = _parse_header(bytes(data["header"]).decode(errors="replace"))
             values = np.asarray(data["values"], dtype=complex)
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            header = _parse_header(fh.readline())
             pairs = read_rows(fh, "field file")
         if pairs.shape[1] != 2:
             raise SchemaError("field values must be 're,im' pairs, one per line")

@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     strictest_exit_code,
 )
-from .evolution import decay_rate_estimate
+from .evolution import decay_rate_estimate, default_tail_window
 from .fibers import fiber_residual, gelfand_forward, theta_grid
 from .fields import load_field
 from .lattice import Lattice
@@ -68,19 +68,29 @@ def _admissible_window(gaps, alpha: float):
     return None
 
 
-def _theta_case(idx, fiber, lat, v, params, tolerances):
-    energy = params.get("energy", 0.0)
-    cutoff = params.get("cutoff", 50.0)
-    min_gap = params.get("min_gap", 0.0)
-    max_modes = params.get("max_modes", 16)
-    taper_frac = params.get("carleman_taper", 0.2)
+def _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir, reports):
+    """One quasimomentum's case record and exit code.
 
-    spec = fiber.to_spectral()
-    residuals = fiber_residual(spec, v, energy)
-    slc = enumerate_spectrum(lat, fiber.theta, energy, cutoff)
-    gaps = find_gaps(slc, min_gap) if slc.values.size else []  # nothing below the cutoff
-    profile, dropped = spec.to_profile(energy, max_modes=max_modes)
-    alpha = float(max(0.0, -np.min(profile.eigs))) if profile.n_modes else 0.0
+    Writes the spectrum, gap and residual CSVs of the case (and its log-norm
+    plot when ``plots`` is on) and appends its Carleman report to ``reports``.
+    """
+    energy = params.get("energy", 0.0)
+    residuals = fiber_residual(fiber, v, energy)
+    slc = enumerate_spectrum(lat, fiber.theta, energy, params.get("cutoff", 50.0))
+    # an empty slice has nothing below the cutoff
+    gaps = find_gaps(slc, params.get("min_gap", 0.0)) if slc.values.size else []
+    profile, dropped = fiber.to_profile(energy, max_modes=params.get("max_modes", 16))
+    t = profile.t_grid
+    write_csv(out_dir / f"spectrum_theta{idx}.csv", ["value", "multiplicity"],
+              list(zip(slc.values.tolist(), slc.mults.tolist())))
+    write_csv(out_dir / f"gaps_theta{idx}.csv", ["lo", "hi", "length"],
+              [(g.lo, g.hi, g.length) for g in gaps])
+    write_csv(out_dir / f"residual_theta{idx}.csv", ["t", "residual"],
+              np.column_stack((t[1:-1], residuals)))
+    if params.get("plots"):
+        ys = np.log(np.maximum(profile.norms(), 1e-300))
+        emit_plots([PlotTable(name=f"lognorm_theta{idx}", xs=t, ys=ys,
+                              x_label="t", y_label="log ||phi||")], out_dir)
 
     case = {
         "theta_index": idx,
@@ -91,48 +101,31 @@ def _theta_case(idx, fiber, lat, v, params, tolerances):
         "gap_count": len(gaps),
         "dropped_mode_mass": dropped,
     }
-    codes = [EXIT_OK]
-
-    window = _admissible_window(gaps, alpha)
-    report = None
+    code = EXIT_OK
+    window = _admissible_window(gaps, profile.alpha)
     if window is None:
         case["carleman"] = "no-admissible-gap"
     else:
-        a, b = window
-        names = {"carleman_pass_rtol": "pass_rtol", "resolution_gate_rtol": "gate_rtol"}
-        verify_kwargs = {names[key]: value for key, value in tolerances.items()}
         try:
-            report = verify_carleman_gap(
-                _window_profile(profile, taper_frac), a, b, alpha, **verify_kwargs
-            )
+            windowed = _window_profile(profile, params.get("carleman_taper", 0.2))
+            report = verify_carleman_gap(windowed, *window, profile.alpha, **verify_kwargs)
+            reports.append(report)
             case["carleman"] = "pass" if report.passed else "fail"
             case["carleman_margin"] = report.margin
-            if not report.passed:
-                codes.append(EXIT_VIOLATION)
+            code = EXIT_OK if report.passed else EXIT_VIOLATION
         except PreconditionError as exc:
             case["carleman"] = f"refused: {exc}"
-            codes.append(EXIT_PRECONDITION)
+            code = EXIT_PRECONDITION
 
-    t = fiber.t_grid
-    span = t[-1] - t[0]
     window_t = params.get("decay_window")
     if window_t is None:
-        window_t = (t[0] + 2.0 * span / 3.0, t[0] + 0.9 * span)
+        window_t = tuple(t[0] + s for s in default_tail_window(t[-1] - t[0]))
     try:
         est = decay_rate_estimate(profile, window_t)
-        case["decay_rate"] = est.rate
-        case["decay_residual"] = est.residual
-        case["superexp"] = est.superexp
+        case.update(decay_rate=est.rate, decay_residual=est.residual, superexp=est.superexp)
     except PreconditionError:
         case["decay_rate"] = None
-
-    tables = {
-        "spectrum": list(zip(slc.values.tolist(), slc.mults.tolist())),
-        "gaps": [(g.lo, g.hi, g.length) for g in gaps],
-        "residual": np.column_stack((t[1:-1], residuals)),
-        "lognorm": (t, np.log(np.maximum(profile.norms(), 1e-300))),
-    }
-    return case, codes, tables, report
+    return case, code
 
 
 def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
@@ -155,50 +148,27 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.write_resolved(out_dir)
 
-    fibers = gelfand_forward(u, thetas, params.get("l_max", 10**6))
-    results = [
-        _theta_case(i, fiber, lat, v, params, cfg.tolerances) for i, fiber in enumerate(fibers)
-    ]
-
+    names = {"carleman_pass_rtol": "pass_rtol", "resolution_gate_rtol": "gate_rtol"}
+    verify_kwargs = {names[key]: value for key, value in cfg.tolerances.items()}
     manifest = RunManifest.for_config(cfg)
     codes = [EXIT_OK]
     reports = []
     decay_rows = []
-    plot_tables = []
-    for (case, case_codes, tables, report) in results:
-        idx = case["theta_index"]
+    fibers = gelfand_forward(u, thetas, params.get("l_max", 10**6))
+    for idx in range(len(fibers)):
+        # take the fiber out of the list: its cached coefficients go with it after its case
+        fiber, fibers[idx] = fibers[idx], None
+        case, code = _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir, reports)
         manifest.add_case(f"theta-{idx}", case.get("carleman", "none"), case)
-        codes.extend(case_codes)
-        write_csv(
-            out_dir / f"spectrum_theta{idx}.csv", ["value", "multiplicity"], tables["spectrum"]
-        )
-        write_csv(out_dir / f"gaps_theta{idx}.csv", ["lo", "hi", "length"], tables["gaps"])
-        write_csv(out_dir / f"residual_theta{idx}.csv", ["t", "residual"], tables["residual"])
-        if report is not None:
-            reports.append(report)
-        if case.get("decay_rate") is not None:
+        codes.append(code)
+        if case["decay_rate"] is not None:
             decay_rows.append((idx, case["decay_rate"], case["decay_residual"], case["superexp"]))
-        if params.get("plots"):
-            xs, ys = tables["lognorm"]
-            plot_tables.append(
-                PlotTable(
-                    name=f"lognorm_theta{idx}", xs=xs, ys=ys,
-                    kind="line", x_label="t", y_label="log ||phi||",
-                )
-            )
     write_csv(out_dir / "decay.csv", ["theta_index", "rate", "fit_residual", "superexp"], decay_rows)
     write_json(out_dir / "carleman_reports.json", reports)
-    if plot_tables:
-        emit_plots(plot_tables, out_dir)
     manifest.wall_clock_s = time.monotonic() - started
     manifest.write(out_dir)
-    write_json(
-        out_dir / "summary.json",
-        {
-            "config_hash": manifest.config_hash,
-            "verdict_hash": manifest.verdict_hash(),
-            "cases": len(results),
-            "exit_code": strictest_exit_code(codes),
-        },
-    )
-    return manifest, strictest_exit_code(codes)
+    exit_code = strictest_exit_code(codes)
+    summary = {"config_hash": manifest.config_hash, "verdict_hash": manifest.verdict_hash(),
+               "cases": len(manifest.cases), "exit_code": exit_code}
+    write_json(out_dir / "summary.json", summary)
+    return manifest, exit_code

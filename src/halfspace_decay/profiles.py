@@ -83,6 +83,12 @@ class SpectralProfile:
         idx = np.flatnonzero(np.any(self.coeffs, axis=0))
         return (int(idx[0]), int(idx[-1])) if idx.size else None
 
+    @cached_property
+    def _stencil(self) -> slice | None:
+        """Grid indices whose difference stencil touches the support; all else is exactly 0."""
+        idx = self._support_index
+        return None if idx is None else slice(max(idx[0] - 1, 0), min(idx[1] + 2, self.t_grid.size))
+
     def support(self) -> tuple[float, float] | None:
         """(first, last) grid time with a nonzero coefficient, or None."""
         idx = self._support_index
@@ -96,8 +102,8 @@ class SpectralProfile:
         """
         n = self.t_grid.size
         norm2, psi2 = np.zeros(n), np.zeros(n)
-        if self._support_index is not None:
-            lo, hi = max(self._support_index[0] - 1, 0), min(self._support_index[1] + 2, n)
+        if self._stencil is not None:
+            lo, hi = self._stencil.start, self._stencil.stop
             a, b = max(lo, 1), min(hi, n - 1)  # c'' is 0 at the ends, so psi = -mu c there
             # mu is real: scale the (re, im) pairs instead of forming complex products
             psi = self.eigs[:, None] * self.coeffs[:, lo:hi].view(np.float64)

@@ -1,8 +1,7 @@
 """Deterministic SVG emission: fixed canvas, no timestamps, stable formatting.
 
-Two table kinds are rendered: "line" (polyline through the points) and
-"staircase" (step function, for gap-growth tables).  Identical input tables
-produce byte-identical files.
+Each table is rendered as one polyline through its points.  Identical input
+tables produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,15 +25,12 @@ class PlotTable:
     name: str
     xs: np.ndarray
     ys: np.ndarray
-    kind: str = "line"
     x_label: str = "x"
     y_label: str = "y"
 
     def __post_init__(self):
         if len(self.xs) != len(self.ys) or len(self.xs) == 0:
             raise SchemaError("plot table must have matching nonempty columns")
-        if self.kind not in ("line", "staircase"):
-            raise SchemaError(f"unknown plot kind {self.kind!r}")
 
 
 def _fmt(x: float) -> str:
@@ -58,8 +54,6 @@ def _pixels(values, lo_pix: float, hi_pix: float):
 def render_svg(table: PlotTable) -> str:
     px, xmin, xmax = _pixels(table.xs, MARGIN, CANVAS_W - MARGIN)
     py, ymin, ymax = _pixels(table.ys, CANVAS_H - MARGIN, MARGIN)
-    if table.kind == "staircase":  # (x_i, y_{i-1}) before every (x_i, y_i) after the first
-        px, py = np.repeat(px, 2)[1:], np.repeat(py, 2)[:-1]
     points = tuple(np.column_stack((px, py)).ravel().tolist())
     polyline = " ".join(["%.6g,%.6g"] * len(px)) % points
     lines = [

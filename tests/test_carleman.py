@@ -236,6 +236,38 @@ def test_system_check_zero_profile():
     assert rep.certificates_ok
 
 
+def test_weight_overflow_past_the_support_keeps_the_verdict():
+    """The weight overflows on the grid, but only after the support has ended."""
+    t = uniform_grid(4.0, 16385)
+    with np.errstate(over="ignore"):
+        assert np.exp(2.0 * 120.0 * t[-1]) == np.inf and np.exp(249.5 * t[-1]) == np.inf
+        assert np.exp(2.0 * 150.0 * t[-1] ** (4.0 / 3.0)) == np.inf
+    gap = verify_carleman_gap(bump_profile((0.5, 1.0), [(1.0, 1.0), (3e4, 0.5)], t), 100.0, 140.0, 0.0)
+    assert gap.passed and math.isfinite(gap.margin)
+    rep43 = verify_carleman_43(bump_profile((0.6, 1.0), [(1.0, 1.0), (4.0, 0.5)], t), 150.0, 0.5)
+    assert rep43.passed and math.isfinite(rep43.margin)
+    system = first_order_system_check(bump_profile((0.5, 1.0), [(1.0, 1.0), (9e4, 0.5)], t), 200.0, 299.0)
+    assert system.certificates_ok and math.isfinite(system.identity_residual)
+
+
+def test_weight_overflow_on_the_support_is_refused():
+    t = uniform_grid(4.0, 4097)
+    phi = bump_profile((0.5, 3.0), [(1.0, 1.0), (9e4, 0.5)], t)
+    with pytest.raises(PreconditionError, match=r"weight exp\(2\*249.5\*t\)"):
+        verify_carleman_gap(phi, 200.0, 299.0, 0.0)
+    with pytest.raises(PreconditionError, match=r"weight exp\(249.5\*t\)"):
+        first_order_system_check(phi, 200.0, 299.0)
+    with pytest.raises(PreconditionError, match=r"weight exp\(2\*400\*t\^\(4/3\)\)"):
+        verify_carleman_43(bump_profile((0.6, 3.0), [(1.0, 1.0)], t), 400.0, 0.5)
+
+
+def test_ellreg_non_finite_window_start_refused():
+    profile, _ = solution_like_profile(0, 0)
+    for s in (math.nan, math.inf):
+        with pytest.raises(SchemaError):
+            ellreg_bound_check(profile, 0.5, [2.0, s])
+
+
 def test_system_check_identity_order_two():
     resid = {}
     for n in (2001, 4001):

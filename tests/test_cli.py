@@ -208,6 +208,14 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (_ROUNDTRIP, _field().split("\n")[0] + "\n" + "abc,0.0\n" * 20),
         (_ROUNDTRIP, _field().split("\n")[0] + "\n\n  \n"),
         (_DECAY + ["2,8"], "t,norm\n\n# no rows\n\n"),
+        (_ROUNDTRIP, "{not json\n" + "0.5,0.0\n" * 20),
+        (_ROUNDTRIP, _npz_bytes(header=np.frombuffer(b"{not json", np.uint8), values=np.zeros(20))),
+        (_ROUNDTRIP, b"\xff\xfe{}\n" + b"0.5,0.0\n" * 20),
+        (["carleman", "ellreg", "--eps", "0.5", "--s-list", "2,nan"], None),
+        (["counterexample", "--lambdas", "nan", "--T", "10"], None),
+        (["counterexample", "--lambdas", "0.5", "--T", "-1"], None),
+        (["counterexample", "--lambdas", "0.5", "--T", "inf"], None),
+        (["counterexample", "--lambdas", "0.5", "--X", "0"], None),
     ],
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
@@ -233,10 +241,14 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         "verify-gap-b-inf", "verify-gap-alpha-nan", "verify43-weight-lambda-nan", "verify43-eps-nan",
         "verify43-eps-inf", "ellreg-eps-nan", "system-check-eigs-nan", "system-check-a-nan", "system-check-b-inf",
         "field-values-not-numeric", "field-blank-lines-only", "decay-input-comment-and-empty-lines",
+        "field-header-not-json", "field-npz-header-not-json", "field-header-not-utf8", "ellreg-s-list-nan",
+        "counterexample-lambda-nan", "counterexample-T-negative", "counterexample-T-inf",
+        "counterexample-X-zero",
     ],
 )
 def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
+    is_zip = isinstance(content, bytes) and content.startswith(b"PK")  # an .npz archive
+    bad = tmp_path / ("bad.npz" if is_zip else "bad.json")
     if isinstance(content, bytes):
         bad.write_bytes(content)
     else:
@@ -276,6 +288,19 @@ def test_evolve_band_that_overflows_is_refused(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: discrete system is not finite")
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["carleman", "verify-gap", "--eigs", "1,90000", "--a", "200", "--b", "299"],
+    ["carleman", "verify43", "--eps", "0.5", "--weight-lambda", "400"],
+    ["carleman", "system-check", "--eigs", "1,90000", "--a", "200", "--b", "299"],
+])
+def test_carleman_weight_overflow_is_refused(argv, capsys):
+    """e^(2wt) or e^(2 lambda t^(4/3)) overflows on the support: a refusal, not a NaN verdict."""
+    assert main(argv) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "the weight exp(" in captured.err
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

@@ -82,7 +82,7 @@ def loop_inverse(fibers, cells_lo):
     out = np.zeros((per_axis * n,) * dim + (fibers[0].n_t,), dtype=complex)
     for fiber in fibers:
         mu = fiber.theta.coeffs
-        block = fiber.to_physical().data.copy()
+        block = fiber.data.copy()
         for a in range(dim):
             shape = [1] * (dim + 1)
             shape[a] = n
@@ -259,12 +259,12 @@ def test_parseval_fiber_representations():
         theta=Quasimomentum(coeffs=np.array([0.1, 0.6])), lattice=lat,
         points_per_cell=6, t_start=0.0, t_end=1.0, data=data,
     )
-    spec = fiber.to_spectral()
-    back = spec.to_physical()
-    assert np.max(np.abs(back.data - fiber.data)) < 1e-10
-    assert np.sum(np.abs(spec.data) ** 2) == pytest.approx(
+    back = np.fft.ifftn(fiber.coefficients, axes=fiber.spatial_axes, norm="ortho")
+    assert np.max(np.abs(back - fiber.data)) < 1e-10
+    assert np.sum(np.abs(fiber.coefficients) ** 2) == pytest.approx(
         np.sum(np.abs(fiber.data) ** 2), rel=1e-10
     )
+    assert fiber.coefficients is fiber.coefficients  # computed once
 
 
 def test_weighted_norm_examples():
@@ -434,7 +434,6 @@ def test_inverse_matches_loop_reference(monkeypatch):
         )
         for q in thetas
     ]
-    fibers[1] = fibers[1].to_spectral()
     ref = loop_inverse(fibers, (2, -4))
     back = gelfand_inverse(fibers[::-1], lat)
     assert back.cells_lo == (2, -4) and back.cells_shape == (3, 3)

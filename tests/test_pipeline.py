@@ -2,13 +2,15 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfspace_decay import RunConfig, SchemaError, cli, fields, manifest, run_pipeline, svgplot
+from conftest import manufactured_line_input
+from halfspace_decay import RunConfig, SchemaError, cli, fields, manifest, pipeline, run_pipeline, svgplot
 from halfspace_decay.fibers import fiber_residual, gelfand_forward, theta_grid
 from halfspace_decay.fields import load_field
 from halfspace_decay.lattice import Lattice
@@ -150,6 +152,45 @@ def test_pipeline_manufactured_potential_pair(tmp_path):
         assert manifest.cases[idx]["data"]["decay_rate"] == pytest.approx(kappa, rel=0.01)
 
 
+def test_pipeline_one_fft_per_theta(tmp_path, monkeypatch):
+    lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=5)
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(1) or fftn(*a, **k))
+    manifest, code = run_pipeline(pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=5))
+    assert code == 0 and len(manifest.cases) == 5
+    assert len(calls) == 5
+
+
+def test_pipeline_holds_one_fiber_coefficients_at_a_time(tmp_path, monkeypatch):
+    """Traced memory at the start of each case stays flat over 32 quasimomenta."""
+    K, n, nt = 32, 16, 1025
+    fiber_bytes = n * nt * 16
+    lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=K, n=n, nt=nt)
+    at_entry = []
+    theta_case = pipeline._theta_case
+
+    def traced_case(*args):
+        if not at_entry:
+            tracemalloc.reset_peak()  # the peak of the cases, not of loading the field
+        at_entry.append(tracemalloc.get_traced_memory()[0])
+        return theta_case(*args)
+
+    monkeypatch.setattr(pipeline, "_theta_case", traced_case)
+    cfg = pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=K)
+    tracemalloc.start()
+    try:
+        _, code = run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(at_entry) == K
+    # kept coefficients would add one fiber per case: (K - 2) fibers between these two
+    assert at_entry[-1] - at_entry[1] < fiber_bytes
+    # the K fibers' samples, the field and one case's temporaries; all K fibers' coefficients would not fit
+    assert peak - at_entry[0] < (K // 2) * fiber_bytes
+
+
 def test_pipeline_empty_theta_grid_is_schema_error(line_pipeline_input, tmp_path):
     lat_path, u_path, _ = line_pipeline_input
     cfg = pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=0)
@@ -257,26 +298,12 @@ def test_emit_plots_two_points(tmp_path):
 
 
 def test_emit_plots_deterministic(tmp_path):
-    table = PlotTable(name="d", xs=(0.0, 0.5, 1.0), ys=(1.0, -1.0, 2.0), kind="line")
+    table = PlotTable(name="d", xs=(0.0, 0.5, 1.0), ys=(1.0, -1.0, 2.0))
     first = render_svg(table)
     second = render_svg(table)
     assert first == second
     (path,) = emit_plots([table], tmp_path)
     assert path.read_bytes() == first.encode()
-
-
-def test_emit_plots_staircase_max_ordinate(tmp_path):
-    from halfspace_decay import QuadraticForm, max_gap_growth
-
-    q = QuadraticForm(G=np.eye(2, dtype=np.int64))
-    table_rows = max_gap_growth(q, None, [100, 1000, 10000])
-    xs = tuple(float(n) for n, _ in table_rows)
-    ys = tuple(g for _, g in table_rows)
-    table = PlotTable(name="gap_growth", xs=xs, ys=ys, kind="staircase")
-    svg = render_svg(table)
-    assert f"[0, {max(ys):g}]" in svg or f"{max(ys):g}" in svg
-    (path,) = emit_plots([table], tmp_path)
-    assert path.exists()
 
 
 def test_emit_plots_empty_refused(tmp_path):
@@ -340,17 +367,7 @@ def reference_svg(table) -> str:
 
     to_x, xmin, xmax = scale(table.xs, M, W - M)
     to_y, ymin, ymax = scale(table.ys, H - M, M)
-    pts = []
-    if table.kind == "line":
-        for x, y in zip(table.xs, table.ys):
-            pts.append(f"{fmt(to_x(x))},{fmt(to_y(y))}")
-    else:
-        prev_y = None
-        for x, y in zip(table.xs, table.ys):
-            if prev_y is not None:
-                pts.append(f"{fmt(to_x(x))},{fmt(to_y(prev_y))}")
-            pts.append(f"{fmt(to_x(x))},{fmt(to_y(y))}")
-            prev_y = y
+    pts = [f"{fmt(to_x(x))},{fmt(to_y(y))}" for x, y in zip(table.xs, table.ys)]
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(W)}" '
@@ -446,14 +463,13 @@ finite = st.one_of(
     st.lists(finite, min_size=1, max_size=40),
     st.one_of(st.lists(finite, min_size=40, max_size=40),
               st.lists(st.integers(-(10**6), 10**6), min_size=40, max_size=40)),
-    st.sampled_from(["line", "staircase"]),
 )
-def test_render_svg_matches_scalar_loop(xs, ys, kind):
+def test_render_svg_matches_scalar_loop(xs, ys):
     xs, ys = tuple(xs), tuple(ys[: len(xs)])
-    table = PlotTable(name="t", xs=xs, ys=ys, kind=kind)
+    table = PlotTable(name="t", xs=xs, ys=ys)
     expected = reference_svg(table)
     assert render_svg(table) == expected
-    assert render_svg(PlotTable(name="t", xs=np.array(xs), ys=np.array(ys), kind=kind)) == expected
+    assert render_svg(PlotTable(name="t", xs=np.array(xs), ys=np.array(ys))) == expected
 
 
 def _one_kind_per_column(rows):
