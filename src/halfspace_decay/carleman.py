@@ -158,15 +158,16 @@ def _weighted_report(
     t = phi.t_grid[phi._stencil]
     ys = np.zeros((2, phi.t_grid.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = np.exp(2.0 * rate * (t if power == 1.0 else t**power))  # t**1.0 would copy
+        weight = np.exp(2.0 * rate * t**power)
         for y, density in zip(ys, densities):
             np.multiply(weight, density[phi._stencil], out=y[phi._stencil])
         lhs_int, rhs_int = (simpson_with_error(y, phi.step) for y in ys)
         lhs, rhs = const * lhs_int.value, rhs_int.value
         quad_err = const * lhs_int.err_estimate + rhs_int.err_estimate
     if not all(map(math.isfinite, (lhs, rhs, quad_err))):
-        name = f"exp(2*{rate:g}*{params['weight']})"
-        raise PreconditionError(f"{what}: the weight {name} or its integral overflows")
+        raise PreconditionError(
+            f"{what}: the weight exp(2*{rate:g}*t^{power:.4g}) or its integral overflows"
+        )
     check_resolution(lhs_int, rhs_int, what=what, gate_rtol=gate_rtol)
     passed = None if pass_rtol is None else _pass_rule(lhs, rhs, quad_err, pass_rtol)
     return CarlemanReport(
@@ -311,6 +312,8 @@ def first_order_system_check(phi: SpectralProfile, a: float, b: float) -> System
     with np.errstate(over="ignore", invalid="ignore"):
         if phi._stencil is not None:
             ew[phi._stencil] = np.exp(w * phi.t_grid[phi._stencil])
+        if not np.all(np.isfinite(ew)):
+            raise PreconditionError(f"system check: the weight exp({w:g}*t) overflows")
         dphi, kc = phi.first_difference(), k[:, None] * phi.coeffs
         Phi = np.stack([ew * (dphi + kc), ew * (dphi - kc)], axis=1)  # (M, 2, n)
         del dphi, kc
@@ -321,7 +324,7 @@ def first_order_system_check(phi: SpectralProfile, a: float, b: float) -> System
                   defect2[~below, 1].sum(axis=0))
         residual = float(np.sqrt(np.max(np.concatenate(groups), initial=0.0)))
     if not np.isfinite(residual):
-        raise PreconditionError(f"system check: the weight exp({w:g}*t) overflows on the support")
+        raise PreconditionError("system check: the weighted defect is not finite")
 
     sym = blk + blk.transpose(0, 2, 1)
     min_eig_b0 = float(np.min(np.linalg.eigvalsh(sym[below] - m * np.eye(2)), initial=np.inf))

@@ -40,15 +40,10 @@ def _load_lattice(spec) -> Lattice:
     return Lattice.from_json(spec) if isinstance(spec, dict) else Lattice.load(spec)
 
 
-def _usable_point_count(n: int) -> int:
-    """Largest n' <= n with (n'-1) divisible by 4 (Simpson + error estimate)."""
-    return n - ((n - 1) % 4)
-
-
 def _window_profile(profile: SpectralProfile, taper_frac: float) -> SpectralProfile:
     """Compactly supported copy: coefficients times a plateau cut-off."""
     t = profile.t_grid
-    n_use = _usable_point_count(t.size)
+    n_use = t.size - (t.size - 1) % 4  # largest n' <= n with 4 | n'-1 (Simpson + error estimate)
     t = t[:n_use]
     coeffs = profile.coeffs[:, :n_use]
     span = t[-1] - t[0]
@@ -68,11 +63,11 @@ def _admissible_window(gaps, alpha: float):
     return None
 
 
-def _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir, reports):
-    """One quasimomentum's case record and exit code.
+def _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir):
+    """One quasimomentum's case record, exit code and Carleman report (or None).
 
     Writes the spectrum, gap and residual CSVs of the case (and its log-norm
-    plot when ``plots`` is on) and appends its Carleman report to ``reports``.
+    plot when ``plots`` is on).
     """
     energy = params.get("energy", 0.0)
     residuals = fiber_residual(fiber, v, energy)
@@ -101,7 +96,7 @@ def _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir, reports):
         "gap_count": len(gaps),
         "dropped_mode_mass": dropped,
     }
-    code = EXIT_OK
+    code, report = EXIT_OK, None
     window = _admissible_window(gaps, profile.alpha)
     if window is None:
         case["carleman"] = "no-admissible-gap"
@@ -109,7 +104,6 @@ def _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir, reports):
         try:
             windowed = _window_profile(profile, params.get("carleman_taper", 0.2))
             report = verify_carleman_gap(windowed, *window, profile.alpha, **verify_kwargs)
-            reports.append(report)
             case["carleman"] = "pass" if report.passed else "fail"
             case["carleman_margin"] = report.margin
             code = EXIT_OK if report.passed else EXIT_VIOLATION
@@ -125,7 +119,7 @@ def _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir, reports):
         case.update(decay_rate=est.rate, decay_residual=est.residual, superexp=est.superexp)
     except PreconditionError:
         case["decay_rate"] = None
-    return case, code
+    return case, code, report
 
 
 def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
@@ -158,7 +152,9 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
     for idx in range(len(fibers)):
         # take the fiber out of the list: its cached coefficients go with it after its case
         fiber, fibers[idx] = fibers[idx], None
-        case, code = _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir, reports)
+        case, code, report = _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir)
+        if report is not None:
+            reports.append(report)
         manifest.add_case(f"theta-{idx}", case.get("carleman", "none"), case)
         codes.append(code)
         if case["decay_rate"] is not None:

@@ -253,12 +253,19 @@ def test_weight_overflow_past_the_support_keeps_the_verdict():
 def test_weight_overflow_on_the_support_is_refused():
     t = uniform_grid(4.0, 4097)
     phi = bump_profile((0.5, 3.0), [(1.0, 1.0), (9e4, 0.5)], t)
-    with pytest.raises(PreconditionError, match=r"weight exp\(2\*249.5\*t\)"):
+    with pytest.raises(PreconditionError, match=r"weight exp\(2\*249.5\*t\^1\)"):
         verify_carleman_gap(phi, 200.0, 299.0, 0.0)
     with pytest.raises(PreconditionError, match=r"weight exp\(249.5\*t\)"):
         first_order_system_check(phi, 200.0, 299.0)
-    with pytest.raises(PreconditionError, match=r"weight exp\(2\*400\*t\^\(4/3\)\)"):
+    with pytest.raises(PreconditionError, match=r"weight exp\(2\*400\*t\^1.333\)"):
         verify_carleman_43(bump_profile((0.6, 3.0), [(1.0, 1.0)], t), 400.0, 0.5)
+
+
+def test_system_check_non_finite_defect_names_the_defect():
+    """A finite weight with coefficients too large to square is not blamed on the weight."""
+    phi = bump_profile((0.5, 3.0), [(1.0, 1e300), (9.0, 0.5)], uniform_grid(4.0, 4097))
+    with pytest.raises(PreconditionError, match="weighted defect is not finite"):
+        first_order_system_check(phi, 2.0, 2.9)
 
 
 def test_ellreg_non_finite_window_start_refused():

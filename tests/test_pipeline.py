@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import manufactured_line_input
-from halfspace_decay import RunConfig, SchemaError, cli, fields, manifest, pipeline, run_pipeline, svgplot
+from halfspace_decay import GridError, RunConfig, SchemaError, cli, fields, manifest, pipeline, run_pipeline, svgplot
 from halfspace_decay.fibers import fiber_residual, gelfand_forward, theta_grid
 from halfspace_decay.fields import load_field
 from halfspace_decay.lattice import Lattice
@@ -160,6 +160,27 @@ def test_pipeline_one_fft_per_theta(tmp_path, monkeypatch):
     manifest, code = run_pipeline(pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=5))
     assert code == 0 and len(manifest.cases) == 5
     assert len(calls) == 5
+
+
+def test_pipeline_aborted_run_keeps_earlier_cases_without_manifest(tmp_path, monkeypatch):
+    """Each case writes its files as it runs: an error in a later case leaves the
+    earlier cases' CSVs, and no manifest or summary marks the run as complete."""
+    lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=3)
+    residual = pipeline.fiber_residual
+    calls = []
+
+    def failing_residual(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise GridError("second case fails")
+        return residual(*args)
+
+    monkeypatch.setattr(pipeline, "fiber_residual", failing_residual)
+    out = tmp_path / "run"
+    with pytest.raises(GridError):
+        run_pipeline(pipeline_config(lat_path, u_path, out, theta_points=3))
+    assert (out / "residual_theta0.csv").exists() and not (out / "residual_theta1.csv").exists()
+    assert not (out / "manifest.json").exists() and not (out / "summary.json").exists()
 
 
 def test_pipeline_holds_one_fiber_coefficients_at_a_time(tmp_path, monkeypatch):
