@@ -35,7 +35,7 @@ from .lattice import (
     rational_structure,
     unit_cell_volume,
 )
-from .manifest import read_rows, write_csv, write_json, write_rows
+from .manifest import read_npz, read_rows, write_csv, write_json, write_rows
 from .pipeline import run_pipeline
 from .profiles import SpectralProfile, bump_profile
 from .quadrature import uniform_grid
@@ -183,30 +183,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_lattice(args) -> int:
     lat = Lattice.load(args.lattice)
+    theta = Quasimomentum.parse(args.theta) if args.subcommand == "rational" else None
+    dual = dual_basis(lat)
     if args.subcommand == "dual":
-        dual = dual_basis(lat)
-        print(json.dumps({"dual_basis_rows": dual.basis.T.tolist()}))
+        doc = {"dual_basis_rows": dual.basis.T.tolist()}
     elif args.subcommand == "volume":
-        dual = dual_basis(lat)
-        print(
-            json.dumps(
-                {"cell_volume": unit_cell_volume(lat), "dual_cell_volume": unit_cell_volume(dual)}
-            )
-        )
+        doc = {"cell_volume": unit_cell_volume(lat), "dual_cell_volume": unit_cell_volume(dual)}
     else:
-        theta = Quasimomentum.parse(args.theta)
-        dual = dual_basis(lat)
         sigma, q, l, r = rational_structure(dual, theta)
-        print(
-            json.dumps(
-                {
-                    "sigma": format_rational(sigma),
-                    "G": q.G.tolist(),
-                    "l": l,
-                    "r": [int(v) for v in r],
-                }
-            )
-        )
+        doc = {"sigma": format_rational(sigma), "G": q.G.tolist(), "l": l, "r": [int(v) for v in r]}
+    print(json.dumps(doc))
     return EXIT_OK
 
 
@@ -254,26 +240,17 @@ _FIBER_KEYS = {"data", "mu", "points_per_cell", "t_start", "t_end", "tail_bound"
 
 def _load_fiber(path, lat: Lattice) -> BlochFiber:
     """A fiber file written by ``gelfand forward``."""
-    try:
-        data = np.load(path)
-    except ValueError as exc:
-        raise SchemaError(f"{path} is not a fiber .npz file: {exc}") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise SchemaError(f"{path} is not a fiber .npz file")
-    with data:
-        missing = _FIBER_KEYS - set(data.files)
-        if missing:
-            raise SchemaError(f"fiber file {path} lacks {sorted(missing)}")
-        return BlochFiber(
-            theta=Quasimomentum(coeffs=data["mu"]),
-            lattice=lat,
-            points_per_cell=int(data["points_per_cell"]),
-            t_start=float(data["t_start"]),
-            t_end=float(data["t_end"]),
-            data=data["data"],
-            tail_bound=float(data["tail_bound"]),
-            cells_lo=tuple(data["cells_lo"]) if "cells_lo" in data.files else None,
-        )
+    data = read_npz(path, "fiber file", _FIBER_KEYS)
+    return BlochFiber(
+        theta=Quasimomentum(coeffs=data["mu"]),
+        lattice=lat,
+        points_per_cell=int(data["points_per_cell"]),
+        t_start=float(data["t_start"]),
+        t_end=float(data["t_end"]),
+        data=data["data"],
+        tail_bound=float(data["tail_bound"]),
+        cells_lo=tuple(data["cells_lo"]) if "cells_lo" in data else None,
+    )
 
 
 def _cmd_gelfand(args) -> int:
@@ -515,7 +492,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage; a usage error is a schema error
+        return EXIT_IO if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
     except HalfspaceDecayError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridError, SchemaError
 from .lattice import Lattice
-from .manifest import read_rows, write_rows
+from .manifest import read_npz, read_rows, write_rows
 from .runconfig import FIELD_HEADER_KEYS, check_keys
 
 FIELD_KINDS = ("u", "potential")
@@ -169,9 +169,9 @@ def _parse_header(text: str):
 def load_field(path, lattice: Lattice) -> SampledField:
     path = Path(path)
     if path.suffix == ".npz":
-        with np.load(path) as data:
-            header = _parse_header(bytes(data["header"]).decode(errors="replace"))
-            values = np.asarray(data["values"], dtype=complex)
+        data = read_npz(path, "field file", ("header", "values"))
+        header = _parse_header(bytes(data["header"]).decode(errors="replace"))
+        values = np.asarray(data["values"], dtype=complex)
     else:
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
             header = _parse_header(fh.readline())

@@ -5,13 +5,14 @@ one run compares bit-for-bit with a re-run of the same config and seed.  The
 hash covers the config and the ordered verdicts; wall-clock time and tool
 version are recorded alongside but excluded from the hash.  ``write_rows`` is
 the one table formatter: every CSV file, CLI table and text field uses it;
-``read_rows`` reads such rows back.
+``read_rows`` reads such rows back, and ``read_npz`` reads every .npz input.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
@@ -111,6 +112,23 @@ def read_rows(fh, what: str) -> np.ndarray:
         return np.loadtxt(fh, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise SchemaError(f"{what} rows must be comma-separated numbers: {exc}") from exc
+
+
+def read_npz(path, what: str, keys) -> dict[str, np.ndarray]:
+    """Every array of the NumPy archive ``path``, which must hold numeric ``keys``.
+
+    Any other file (no archive, a missing key, object or text arrays) is a
+    SchemaError naming it; a missing file stays an OSError.
+    """
+    try:
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise SchemaError(f"{what} {path} is not a NumPy .npz archive: {exc}") from exc
+    if set(keys) - set(arrays) or any(a.dtype.kind not in "biufc" for a in arrays.values()):
+        held = {k: str(a.dtype) for k, a in arrays.items()}
+        raise SchemaError(f"{what} {path} must hold numeric arrays {sorted(keys)}; it holds {held}")
+    return arrays
 
 
 def write_csv(path, header: list[str], rows) -> Path:

@@ -97,9 +97,10 @@ def _merge_close(raw: np.ndarray):
 def _ellipsoid_axes(gram: np.ndarray, mu, radius2: float, budget: int, l: int = 1, residues=0):
     """Coordinates x_i = l*m_i + r_i of the integer box covering (m+mu)^T gram (m+mu) <= radius2.
 
-    Axis i comes shaped to broadcast against the others, so the grid is never
-    materialised here.  Raises BudgetExceededError when the box holds more
-    than ``budget`` points.
+    Integer residues give exact coordinates; float ones (l = 1, r = mu) give
+    x = m + mu.  Axis i comes shaped to broadcast against the others, so the
+    grid is never materialised.  Raises BudgetExceededError when the box holds
+    more than ``budget`` points.
     """
     mu = np.asarray(mu, dtype=float)
     half = np.sqrt(max(radius2, 0.0) * np.diagonal(np.linalg.inv(gram))) * (1.0 + 1e-12) + 1e-9
@@ -111,7 +112,7 @@ def _ellipsoid_axes(gram: np.ndarray, mu, radius2: float, budget: int, l: int = 
             f"enumeration needs {total} candidate points, budget is {budget}"
         )
     return [
-        (l * np.arange(lo, hi + 1, dtype=np.int64) + int(r)).reshape((-1,) + (1,) * (mu.size - 1 - i))
+        (l * np.arange(lo, hi + 1, dtype=np.int64) + r).reshape((-1,) + (1,) * (mu.size - 1 - i))
         for i, (lo, hi, r) in enumerate(zip(los, his, np.broadcast_to(residues, mu.shape)))
     ]
 
@@ -119,15 +120,17 @@ def _ellipsoid_axes(gram: np.ndarray, mu, radius2: float, budget: int, l: int = 
 def _form_on_grid(G, axes, factor: int = 1):
     """sum_ij G_ij x_i x_j on the broadcast grid of the per-axis coordinates.
 
-    Evaluated in int64 unless |value| * factor could reach 2**62, bounded in
-    Python ints from the per-axis extremes; then in Python ints (dtype=object).
+    Float coordinates are evaluated in float64.  Integer ones are evaluated in
+    int64 unless |value| * factor could reach 2**62, bounded in Python ints
+    from the per-axis extremes; then in Python ints (dtype=object).
     """
     dim = len(axes)
-    G = [[int(G[i][j]) for j in range(dim)] for i in range(dim)]
-    peak = [int(np.abs(ax).max(initial=0)) for ax in axes]
-    worst = sum(abs(G[i][j]) * peak[i] * peak[j] for i in range(dim) for j in range(dim))
-    if max(worst, 1) * factor >= 2**62:
-        axes = [ax.astype(object) for ax in axes]
+    if axes[0].dtype.kind == "i":
+        G = [[int(G[i][j]) for j in range(dim)] for i in range(dim)]
+        peak = [int(np.abs(ax).max(initial=0)) for ax in axes]
+        worst = sum(abs(G[i][j]) * peak[i] * peak[j] for i in range(dim) for j in range(dim))
+        if max(worst, 1) * factor >= 2**62:
+            axes = [ax.astype(object) for ax in axes]
     return sum(
         (1 + (i != j)) * G[i][j] * axes[i] * axes[j]
         for i in range(dim) for j in range(i, dim) if G[i][j]
@@ -170,10 +173,8 @@ def enumerate_spectrum(
 
 
 def _enumerate_form_values(gram: np.ndarray, mu: np.ndarray, radius2: float, budget: int) -> np.ndarray:
-    axes = _ellipsoid_axes(gram, mu, radius2, budget)
-    m = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, mu.size).astype(float)
-    x = m + mu
-    vals = np.einsum("ni,ij,nj->n", x, gram, x)
+    """Every (m+mu)^T gram (m+mu) <= radius2 + MERGE_TOL; the box covers that tolerance too."""
+    vals = _form_on_grid(gram, _ellipsoid_axes(gram, mu, radius2 + MERGE_TOL, budget, residues=mu))
     return vals[vals <= radius2 + MERGE_TOL]
 
 

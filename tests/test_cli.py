@@ -180,6 +180,7 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (["evolve", "--eigs", ""], None),
         (_INVERSE, "not a fiber\n"),
         (_INVERSE, _npz_bytes(data=np.zeros((2, 2, 5)))),
+        (_INVERSE, b""),
         (["evolve", "--eigs", "nan"], None),
         (["evolve", "--eigs", "inf"], None),
         (["evolve", "--eigs", "1", "--T", "nan"], None),
@@ -233,7 +234,7 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         "decay-input-not-numeric", "decay-input-header-only", "decay-input-one-column",
         "decay-input-nan", "decay-window-one-number", "decay-window-three-numbers",
         "spectrum-theta-not-number", "spectrum-theta-nan", "gaps-theta-zero-denominator", "lattice-rational-theta-not-number",
-        "evolve-eigs-empty", "fibers-not-npz", "fibers-npz-without-mu",
+        "evolve-eigs-empty", "fibers-not-npz", "fibers-npz-without-mu", "fibers-empty-file",
         "evolve-eigs-nan", "evolve-eigs-inf", "evolve-T-nan", "evolve-T-inf", "evolve-beta-nan",
         "evolve-beta-inf", "evolve-boundary-nan", "ellreg-s-list-empty", "verify-gap-eigs-empty",
         "verify-gap-eigs-empty-with-window", "verify-gap-eigs-without-b", "verify-gap-ensemble-with-window",
@@ -305,6 +306,44 @@ def test_carleman_weight_overflow_is_refused(argv, capsys):
 
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["lattice", "dual", "--lattice", str(tmp_path / "nope.json")]) == EXIT_IO
+
+
+_FIELD_HEADER = np.frombuffer(_field().split("\n")[0].encode(), np.uint8)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [_npz_bytes(values=np.full(20, 0.5)), _npz_bytes(header=_FIELD_HEADER), _field().encode()],
+    ids=["field-npz-without-header", "field-npz-without-values", "field-text-named-npz"],
+)
+def test_malformed_npz_field_is_schema_error_naming_the_file(content, lat_json, tmp_path, capsys):
+    field = tmp_path / "field.npz"
+    field.write_bytes(content)
+    assert main([a.format(lat=lat_json, bad=field) for a in _ROUNDTRIP]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(field) in err
+
+
+def test_missing_npz_field_is_io_error(lat_json, tmp_path, capsys):
+    argv = [a.format(lat=lat_json, bad=tmp_path / "nope.npz") for a in _ROUNDTRIP]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err.startswith("io error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--theta", "0,0", "--cutoff", "10"], ["evolve", "--eigs", "1,4", "--n-points", "3"]],
+    ids=["spectrum-without-lattice", "evolve-unknown-flag"],
+)
+def test_usage_error_is_schema_error(argv, capsys):
+    # exit 2 is the contract's precondition refusal, not argparse's usage error
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err.startswith("usage: halfspace-decay")
+
+
+def test_help_exits_ok(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: halfspace-decay")
 
 
 def test_carleman_cli_pass_and_refuse(tmp_path, capsys):

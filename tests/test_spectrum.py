@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,13 @@ from halfspace_decay import (
     progression_containment,
 )
 from halfspace_decay.lattice import integer_gram, rational_structure
-from halfspace_decay.spectrum import MERGE_TOL, _merge_close, spectrum_value_set
+from halfspace_decay.spectrum import (
+    MERGE_TOL,
+    _ellipsoid_axes,
+    _enumerate_form_values,
+    _merge_close,
+    spectrum_value_set,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,6 +120,74 @@ def test_oracle_equivalence(case):
     for (ov, om), v, m in zip(oracle, slc.values, slc.mults):
         assert abs(ov - v) <= 1e-9
         assert om == m
+
+
+@st.composite
+def float_form_case(draw):
+    """A dual basis F = D + U (D diagonal, U strictly upper), mu in [0,1)^d and a cutoff."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    diagonal = draw(st.booleans())
+    F = np.diag(draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim)))
+    if not diagonal:
+        F[np.triu_indices(dim, 1)] = draw(
+            st.lists(st.floats(-1.0, 1.0), min_size=dim * (dim - 1) // 2, max_size=dim * (dim - 1) // 2)
+        )
+    mu = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=dim, max_size=dim))
+    cutoff = draw(st.floats(min_value=0.0, max_value=30.0))
+    return F, np.array(mu), cutoff, diagonal
+
+
+def einsum_grid_values(gram, mu, radius2):
+    """Oracle: the form on a materialised box grid, one einsum over its rows."""
+    # |x|_inf <= |x|_2 <= sqrt(radius2 / lambda_min) on the ellipsoid
+    reach = int(math.sqrt(radius2 / np.linalg.eigvalsh(gram)[0])) + 2
+    line = np.arange(-reach, reach + 1)
+    grids = np.meshgrid(*[line] * mu.size, indexing="ij")
+    x = np.stack([g.reshape(-1) for g in grids], axis=-1).astype(float) + mu
+    vals = np.einsum("ni,ij,nj->n", x, gram, x)
+    return np.sort(vals[vals <= radius2 + MERGE_TOL])
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_form_case())
+# the cubic 3D enumeration of the benchmark, theta = (1, 1, 2)/3, cutoff 10^3
+@example((np.eye(3), np.array([1.0, 1.0, 2.0]) / 3, 1000.0, True))
+# x = -1e-5 lies outside the cutoff-0 box, yet within MERGE_TOL of the cutoff
+@example((np.eye(1), np.array([0.99999]), 0.0, False))
+def test_float_enumeration_matches_einsum_grid(case):
+    F, mu, cutoff, diagonal = case
+    lat = Lattice(basis=TWO_PI * np.linalg.inv(F.T))
+    gram = dual_basis(lat).gram()
+    want = einsum_grid_values(gram, mu, cutoff)
+    got = np.sort(_enumerate_form_values(gram, mu, cutoff, budget=10**7))
+    assert got.size == want.size
+    # every term G_ij x_i x_j is at most about cond(G) * cutoff
+    assert np.all(np.abs(got - want) <= 1e-12 * max(cutoff, 1.0))
+    slc = enumerate_spectrum(lat, Quasimomentum(coeffs=mu), 0.0, cutoff)
+    values, mults = _merge_close(want)
+    assert np.array_equal(slc.mults, mults)
+    if diagonal:
+        assert np.array_equal(got, want) and np.array_equal(slc.values, values)
+
+
+@pytest.mark.parametrize(
+    "F, cutoff",
+    [(np.eye(3), 4200.0), (np.array([[1.0, 0.4, -0.3], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]]), 3300.0)],
+    ids=["cubic", "skew"],
+)
+def test_float_enumeration_never_materialises_the_grid(F, cutoff):
+    """Peak memory stays within 3 * 8 bytes per candidate point of the box."""
+    lat = Lattice(basis=TWO_PI * np.linalg.inv(F.T))
+    theta = Quasimomentum(coeffs=[0.25, 0.5, 0.125])
+    n = math.prod(ax.size for ax in _ellipsoid_axes(dual_basis(lat).gram(), theta.coeffs, cutoff, 10**7))
+    assert 1.8e6 <= n <= 2.4e6
+    tracemalloc.start()
+    try:
+        enumerate_spectrum(lat, theta, 0.0, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n, peak / (8 * n)
 
 
 def test_shift_covariance_exact():
