@@ -51,6 +51,20 @@ def _parse_gram(text: str) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def _json_lines(docs) -> list[str]:
+    """One strict JSON line per record; a non-finite number is refused, not written as NaN."""
+    try:
+        return [json.dumps(doc, allow_nan=False) for doc in docs]
+    except ValueError as exc:
+        raise SchemaError(f"result is not finite, so it has no JSON form: {exc}") from exc
+
+
+def _print_json(*docs) -> None:
+    """Print the records as JSON lines, or none of them if one is not finite."""
+    for line in _json_lines(docs):
+        print(line)
+
+
 def _parse_list(text: str, kind=float) -> list:
     try:
         return [kind(v) for v in text.split(",") if v.strip()]
@@ -192,7 +206,7 @@ def _cmd_lattice(args) -> int:
     else:
         sigma, q, l, r = rational_structure(dual, theta)
         doc = {"sigma": format_rational(sigma), "G": q.G.tolist(), "l": l, "r": [int(v) for v in r]}
-    print(json.dumps(doc))
+    _print_json(doc)
     return EXIT_OK
 
 
@@ -231,16 +245,27 @@ def _cmd_gaps(args) -> int:
 def _cmd_density(args) -> int:
     q = QuadraticForm(G=_parse_gram(args.gram))
     count, ratio = density_scan(q, args.N)
-    print(json.dumps({"count": count, "ratio": ratio}))
+    _print_json({"count": count, "ratio": ratio})
     return EXIT_OK
 
 
-_FIBER_KEYS = {"data", "mu", "points_per_cell", "t_start", "t_end", "tail_bound"}
+# (ndim, dtype kinds) of every fiber entry but ``data``; ``cells_lo`` is optional
+_FIBER_ENTRIES = {
+    "mu": (1, "iuf"), "points_per_cell": (0, "iu"), "t_start": (0, "iuf"),
+    "t_end": (0, "iuf"), "tail_bound": (0, "iuf"), "cells_lo": (1, "iu"),
+}
+_FIBER_KEYS = {"data", *_FIBER_ENTRIES} - {"cells_lo"}
 
 
 def _load_fiber(path, lat: Lattice) -> BlochFiber:
     """A fiber file written by ``gelfand forward``."""
     data = read_npz(path, "fiber file", _FIBER_KEYS)
+    for key, (ndim, kinds) in _FIBER_ENTRIES.items():
+        a = data.get(key)
+        if a is not None and (a.ndim != ndim or a.dtype.kind not in kinds or not np.isfinite(a).all()):
+            what = ("an integer" if kinds == "iu" else "a finite real") + (" scalar" if ndim == 0 else " vector")
+            shown = np.array2string(a, threshold=6).replace("\n", "")
+            raise SchemaError(f"fiber file {path}: {key} must be {what}, not {shown} ({a.dtype})")
     return BlochFiber(
         theta=Quasimomentum(coeffs=data["mu"]),
         lattice=lat,
@@ -269,7 +294,7 @@ def _cmd_gelfand(args) -> int:
             tail_bound=fiber.tail_bound,
             cells_lo=fiber.cells_lo,
         )
-        print(json.dumps({"tail_bound": fiber.tail_bound}))
+        _print_json({"tail_bound": fiber.tail_bound})
         return EXIT_OK
     if args.subcommand == "inverse":
         u = gelfand_inverse([_load_fiber(path, lat) for path in args.fibers], lat)
@@ -282,7 +307,7 @@ def _cmd_gelfand(args) -> int:
         if back.cells_shape != u.cells_shape:
             raise SchemaError("round trip box mismatch: theta grid does not resolve the field box")
         err = float(np.max(np.abs(back.values - u.values)))
-        print(json.dumps({"max_error": err}))
+        _print_json({"max_error": err})
         return EXIT_OK
     u = load_field(args.u, lat)
     theta = Quasimomentum.parse(args.theta)
@@ -317,9 +342,10 @@ def _emit_reports(reports, out_dir, prefix: str) -> int:
 
     EXIT_VIOLATION iff some report failed; a forced report has no verdict.
     """
+    lines = _json_lines(dataclasses.asdict(r) for r in reports)  # refuse before writing anything
     _report_dir(out_dir, reports, prefix)
-    for r in reports:
-        print(json.dumps(dataclasses.asdict(r)))
+    for line in lines:
+        print(line)
     return EXIT_VIOLATION if any(r.passed is False for r in reports) else EXIT_OK
 
 
@@ -364,13 +390,16 @@ def _cmd_carleman(args) -> int:
         return _emit_reports([run_case_gap(i) for i in range(args.ensemble)], args.out_dir, "verify_gap")
     if args.subcommand == "system-check":
         report = carl.first_order_system_check(_fixed_profile(args.eigs), args.a, args.b)
-        print(json.dumps(dataclasses.asdict(report)))
+        doc = dataclasses.asdict(report)
+        for key in ("min_eig_b0", "min_eig_b1", "max_eig_b2"):
+            if np.isinf(doc[key]):  # the +-inf of a bound over an empty projector range
+                doc[key] = None
+        _print_json(doc)
         return EXIT_OK if report.certificates_ok else EXIT_VIOLATION
     s_list = _parse_list(args.s_list)
-    for i in range(args.ensemble):
-        profile, _ = solution_like_profile(args.seed, i)
-        report = carl.ellreg_bound_check(profile, args.eps, s_list)
-        print(json.dumps(dataclasses.asdict(report)))
+    reports = [carl.ellreg_bound_check(solution_like_profile(args.seed, i)[0], args.eps, s_list)
+               for i in range(args.ensemble)]
+    _print_json(*(dataclasses.asdict(r) for r in reports))
     return EXIT_OK
 
 
@@ -408,15 +437,7 @@ def _cmd_evolve(args) -> int:
         )
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_svg(table))
-    print(
-        json.dumps(
-            {
-                "solver_residual": result.residual,
-                "growth": result.growth,
-                "decay": dataclasses.asdict(est),
-            }
-        )
-    )
+    _print_json({"solver_residual": result.residual, "growth": result.growth, "decay": dataclasses.asdict(est)})
     return EXIT_OK
 
 
@@ -440,7 +461,7 @@ def _cmd_decay(args) -> int:
         eigs=np.array([0.0]), t_grid=t, coeffs=norms[None, :].astype(complex)
     )
     est = evo.decay_rate_estimate(profile, window)
-    print(json.dumps(dataclasses.asdict(est)))
+    _print_json(dataclasses.asdict(est))
     return EXIT_OK
 
 
@@ -473,7 +494,7 @@ def _cmd_pipeline(args) -> int:
         threads=cfg.threads if args.threads is None else args.threads,
     )
     manifest, code = run_pipeline(cfg)
-    print(json.dumps({"verdict_hash": manifest.verdict_hash(), "exit_code": code}))
+    _print_json({"verdict_hash": manifest.verdict_hash(), "exit_code": code})
     return code
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     BudgetExceededError,
@@ -194,6 +193,7 @@ def solve_decaying(
         first = (-g / h**2).reshape(S, m)  # enters each system's first block row
     rhs = np.zeros((2, S, L, m))  # real and imaginary parts as two columns
     rhs[:, :, 0] = first.real, first.imag
+    from scipy.linalg import solve_banded  # deferred: only solves need SciPy
     try:
         sol = solve_banded((m, m), ab, rhs.reshape(2, -1).T, overwrite_ab=True, overwrite_b=True)
     except np.linalg.LinAlgError as exc:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -98,6 +99,29 @@ def _npz_bytes(**arrays) -> bytes:
     np.savez(buf, **arrays)
     return buf.getvalue()
 
+
+_FIELD_HEADER = np.frombuffer(_field().split("\n")[0].encode(), np.uint8)
+
+
+def _fiber(**entries) -> bytes:
+    """A fiber file for the 2D test lattice that inverts, with the given entries replaced."""
+    good = {
+        "data": np.zeros((4, 4, 5), complex), "mu": np.array([0.5, 0.5]), "points_per_cell": 4,
+        "t_start": 0.0, "t_end": 1.0, "tail_bound": 0.0, "cells_lo": np.array([0, 0]),
+    }
+    return _npz_bytes(**{**good, **entries})
+
+
+# one malformed value per fiber entry other than the data
+_BAD_FIBER_ENTRIES = {
+    "points-per-cell-array": {"points_per_cell": np.array([4, 4])},
+    "points-per-cell-fraction": {"points_per_cell": 4.5},
+    "t-start-array": {"t_start": np.array([0.0, 1.0])},
+    "t-end-nan": {"t_end": math.nan},
+    "tail-bound-array": {"tail_bound": np.array([0.0, 1.0])},
+    "cells-lo-scalar": {"cells_lo": np.array(0)},
+    "mu-matrix": {"mu": np.full((1, 2), 0.5)},
+}
 
 # a decaying profile in the `evolve --out` format
 _PROFILE = "t,norm\n" + "".join(f"{0.1 * i!r},{math.exp(-0.1 * i)!r}\n" for i in range(101))
@@ -217,6 +241,9 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (["counterexample", "--lambdas", "0.5", "--T", "-1"], None),
         (["counterexample", "--lambdas", "0.5", "--T", "inf"], None),
         (["counterexample", "--lambdas", "0.5", "--X", "0"], None),
+        *((_INVERSE, _fiber(**entries)) for entries in _BAD_FIBER_ENTRIES.values()),
+        (_ROUNDTRIP, _field().replace("0.5,0.0\n", "nan,0\n", 1)),
+        (_ROUNDTRIP, _npz_bytes(header=_FIELD_HEADER, values=np.r_[math.inf, np.zeros(19)])),
     ],
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
@@ -244,7 +271,8 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         "field-values-not-numeric", "field-blank-lines-only", "decay-input-comment-and-empty-lines",
         "field-header-not-json", "field-npz-header-not-json", "field-header-not-utf8", "ellreg-s-list-nan",
         "counterexample-lambda-nan", "counterexample-T-negative", "counterexample-T-inf",
-        "counterexample-X-zero",
+        "counterexample-X-zero", *(f"fibers-{name}" for name in _BAD_FIBER_ENTRIES),
+        "field-sample-nan", "field-npz-sample-inf",
     ],
 )
 def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, capsys):
@@ -308,9 +336,6 @@ def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["lattice", "dual", "--lattice", str(tmp_path / "nope.json")]) == EXIT_IO
 
 
-_FIELD_HEADER = np.frombuffer(_field().split("\n")[0].encode(), np.uint8)
-
-
 @pytest.mark.parametrize(
     "content",
     [_npz_bytes(values=np.full(20, 0.5)), _npz_bytes(header=_FIELD_HEADER), _field().encode()],
@@ -322,6 +347,72 @@ def test_malformed_npz_field_is_schema_error_naming_the_file(content, lat_json, 
     assert main([a.format(lat=lat_json, bad=field) for a in _ROUNDTRIP]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(field) in err
+
+
+def test_fiber_entries_are_checked_by_name(lat_json, tmp_path, capsys):
+    """The well-formed baseline of the fiber cases above inverts; each bad entry is named with its file."""
+    fiber = tmp_path / "fiber.npz"
+    fiber.write_bytes(_fiber())
+    assert main([a.format(lat=lat_json, bad=fiber) for a in _INVERSE]) == EXIT_OK
+    for entries in _BAD_FIBER_ENTRIES.values():
+        fiber.write_bytes(_fiber(**entries))
+        assert main([a.format(lat=lat_json, bad=fiber) for a in _INVERSE]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(fiber) in err and f" {next(iter(entries))} must be " in err
+
+
+def test_non_finite_json_result_is_refused_not_printed(monkeypatch, capsys):
+    from halfspace_decay import evolution
+
+    real = evolution.decay_rate_estimate
+    monkeypatch.setattr(evolution, "decay_rate_estimate", lambda *a: dataclasses.replace(real(*a), rate=math.nan))
+    assert main(["evolve", "--eigs", "1,4"]) == EXIT_IO
+    out = capsys.readouterr()
+    assert out.out == "" and "not finite" in out.err
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("eigs, empty", [("9", ["min_eig_b0"]), ("1", ["min_eig_b1", "max_eig_b2"])],
+                         ids=["above-gap-only", "below-gap-only"])
+def test_one_sided_spectrum_certifies_with_null_bounds(eigs, empty, capsys):
+    """A bound over an empty projector range is printed as null, and the check still certifies."""
+    assert main(["carleman", "system-check", "--eigs", eigs, "--a", "2", "--b", "3"]) == EXIT_OK
+    doc = _strict_json(capsys.readouterr().out)
+    bounds = ["min_eig_b0", "min_eig_b1", "max_eig_b2"]
+    assert [k for k in bounds if doc[k] is None] == empty
+    assert all(math.isfinite(doc[k]) for k in bounds if k not in empty) and doc["certificates_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [(["carleman", "verify-gap", "--ensemble", "3", "--out-dir", "{out}"], "verify_carleman_gap"),
+     (["carleman", "ellreg", "--eps", "0.5", "--s-list", "2", "--ensemble", "3"], "ellreg_bound_check")],
+    ids=["verify-gap", "ellreg"],
+)
+def test_non_finite_record_refuses_the_whole_ensemble(argv, target, monkeypatch, tmp_path, capsys):
+    """One non-finite record among several: no record is printed and no report file is written."""
+    from halfspace_decay import carleman
+
+    real, calls = getattr(carleman, target), []
+
+    def second_not_finite(*args, **kwargs):
+        calls.append(None)
+        report = real(*args, **kwargs)
+        field = "margin" if target == "verify_carleman_gap" else "sup_ratio"
+        return dataclasses.replace(report, **{field: math.nan}) if len(calls) == 2 else report
+
+    monkeypatch.setattr(carleman, target, second_not_finite)
+    out = tmp_path / "reports"
+    assert main([a.format(out=out) for a in argv]) == EXIT_IO
+    printed = capsys.readouterr()
+    assert len(calls) == 3 and printed.out == "" and "not finite" in printed.err
+    assert not out.exists()
 
 
 def test_missing_npz_field_is_io_error(lat_json, tmp_path, capsys):

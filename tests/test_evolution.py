@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import solve_banded
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
@@ -269,7 +270,7 @@ def test_band_and_solve_match_block_scatter_reference(kind, beta, monkeypatch):
         bands.append(ab.copy())
         return solve_banded(l_and_u, ab, b, **kwargs)
 
-    monkeypatch.setattr(evolution, "solve_banded", capturing)
+    monkeypatch.setattr(scipy.linalg, "solve_banded", capturing)
     got = solve_decaying(eigs, pert, 10.0, g, n_points=1201)
     ab, coeffs, residual, growth = _reference_scatter(eigs, pert, 10.0, g, 1201)
     assert np.array_equal(bands[0], ab)
@@ -287,7 +288,7 @@ def test_non_finite_solution_is_solver_error(kind, monkeypatch):
         sol[-1, 1] = math.nan
         return sol
 
-    monkeypatch.setattr(evolution, "solve_banded", poisoned)
+    monkeypatch.setattr(scipy.linalg, "solve_banded", poisoned)
     bound = constant_bound(0.2)
     pert = {
         "zero": PerturbationFamily.zero(),
@@ -334,7 +335,7 @@ def test_one_banded_solve_per_call(kind, monkeypatch):
         calls.append((l_and_u, ab.dtype, b.dtype, b.shape))
         return solve_banded(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "solve_banded", counting)
+    monkeypatch.setattr(scipy.linalg, "solve_banded", counting)
     bound = constant_bound(0.2)
     pert = {
         "zero": PerturbationFamily.zero(),
@@ -536,20 +537,60 @@ def test_counterexample_threshold_scan():
     assert values == sorted(values)
 
 
-def test_package_import_leaves_quadrature_unloaded():
-    # scipy.integrate serves only the counterexample, so importing the package must not load it
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+import halfspace_decay, halfspace_decay.cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = halfspace_decay.cli.main(argv)
+    return code, out.getvalue(), "scipy.linalg" in sys.modules
+
+report = {{"import": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}}
+report["spectrum"] = run(["spectrum", "--lattice", {lat!r}, "--theta", "1/2", "--cutoff", "10"])
+report["pipeline"] = run(["pipeline", "--config", {config!r}])
+report["evolve"] = run(["evolve", "--eigs", "1,4"])
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loads_only_on_the_first_solve(tmp_path):
+    # only the banded solve needs SciPy: the import and every command that never
+    # solves load none of it, and an evolve loads it without changing its output
+    import json
+    import os
     import subprocess
     import sys
     from pathlib import Path
 
-    src = Path(evolution.__file__).resolve().parents[1]
-    probe = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import halfspace_decay; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))"
-    )
+    from halfspace_decay import Lattice, SampledField, save_field
+
+    src = str(Path(evolution.__file__).resolve().parents[1])
+    lat = Lattice.cubic(2.0 * math.pi, 1)
+    lat_path, u_path, config = tmp_path / "lat.json", tmp_path / "u.csv", tmp_path / "run.json"
+    lat_path.write_text(json.dumps(lat.to_json()))
+    t = np.linspace(0.0, 2.0, 9)
+    save_field(SampledField("u", lat, (0,), (2,), 4, 0.0, 2.0, np.tile(np.exp(-t), (8, 1)) + 0j), u_path)
+    params = {"lattice": str(lat_path), "u_field": str(u_path), "theta_points": 2}
+    config.write_text(json.dumps({"command": "pipeline", "params": params, "out_dir": str(tmp_path / "out")}))
+    probe = _SCIPY_PROBE.format(src=src, lat=str(lat_path), config=str(config))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-    assert inner_integral_check([0.0], 200.0) < 1e-6  # the deferred import still resolves
+    report = json.loads(out.stdout)
+    assert report["import"] == []
+    code, stdout, scipy_loaded = report["spectrum"]
+    assert code == 0 and stdout.startswith("value,multiplicity") and not scipy_loaded
+    code, stdout, scipy_loaded = report["pipeline"]  # a run to its manifest; its Carleman case refuses
+    assert json.loads(stdout)["exit_code"] == code and not scipy_loaded
+    code, stdout, scipy_loaded = report["evolve"]
+    assert code == 0 and scipy_loaded
+    alone = subprocess.run(
+        [sys.executable, "-m", "halfspace_decay.cli", "evolve", "--eigs", "1,4"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert stdout == alone.stdout
+    assert inner_integral_check([0.0], 200.0) < 1e-6  # the deferred quadrature import still resolves
 
 
 def test_harmonicity_counterexample_function():
