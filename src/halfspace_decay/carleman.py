@@ -175,6 +175,16 @@ def _weighted_report(
     )
 
 
+def min_weight_lambda(eps: float) -> float:
+    """eps^(-4/3), the least admissible weight strength; refused for eps <= 0 and on overflow."""
+    if eps <= 0:
+        raise PreconditionError("eps must be positive")
+    try:
+        return eps ** (-4.0 / 3.0)
+    except OverflowError as exc:
+        raise PreconditionError(f"the weight exp(2 lambda t^(4/3)) overflows: eps^(-4/3) at eps={eps:g}") from exc
+
+
 def verify_carleman_43(
     phi: SpectralProfile,
     weight_lambda: float,
@@ -187,9 +197,7 @@ def verify_carleman_43(
     Refuses (rather than fails) when weight_lambda < eps^(-4/3), when the
     support reaches below eps, or when the quadrature resolution gate trips.
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    lam_min = eps ** (-4.0 / 3.0)
+    lam_min = min_weight_lambda(eps)
     if weight_lambda < lam_min:
         raise PreconditionError(
             f"weight_lambda={weight_lambda:g} below admissible minimum eps^(-4/3)={lam_min:g}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,11 +66,25 @@ def _print_json(*docs) -> None:
         print(line)
 
 
-def _parse_list(text: str, kind=float) -> list:
+def _finite(text: str) -> float:
+    """argparse type of every float flag: NaN or inf is a usage error (exit 4)."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type of --modes and --ensemble: an integer >= 1."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
+def _parse_list(text: str, kind=_finite) -> list:
     try:
         return [kind(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise SchemaError(f"cannot parse {text!r} as a comma-separated {kind.__name__} list") from exc
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise SchemaError(f"cannot parse {text!r} as a comma-separated list: {exc}") from exc
 
 
 def _emit_rows(header, rows, out: str | None) -> None:
@@ -95,16 +110,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="fiber-operator spectrum up to a cutoff")
     sp.add_argument("--lattice", required=True)
     sp.add_argument("--theta", default=None)
-    sp.add_argument("--energy", type=float, default=0.0)
-    sp.add_argument("--cutoff", type=float, required=True)
+    sp.add_argument("--energy", type=_finite, default=0.0)
+    sp.add_argument("--cutoff", type=_finite, required=True)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("gaps", help="spectral gaps (and optional gap-growth table)")
     sp.add_argument("--lattice", required=True)
     sp.add_argument("--theta", default=None)
-    sp.add_argument("--energy", type=float, default=0.0)
-    sp.add_argument("--cutoff", type=float, default=None, help="required unless --growth")
-    sp.add_argument("--min-gap", type=float, default=0.0)
+    sp.add_argument("--energy", type=_finite, default=0.0)
+    sp.add_argument("--cutoff", type=_finite, default=None, help="required unless --growth")
+    sp.add_argument("--min-gap", type=_finite, default=0.0)
     sp.add_argument("--full-axis", action="store_true")
     sp.add_argument("--growth", default=None, help="N list for max-gap growth, e.g. '100,10000'")
     sp.add_argument("--out", default=None)
@@ -133,45 +148,45 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--u", required=True)
             sp.add_argument("--theta", required=True)
             sp.add_argument("--v", default=None)
-            sp.add_argument("--energy", type=float, default=0.0)
+            sp.add_argument("--energy", type=_finite, default=0.0)
             sp.add_argument("--lmax", type=int, default=10**6)
             sp.add_argument("--out", default=None)
 
     car = sub.add_parser("carleman", help="weighted inequality verification")
     car_sub = car.add_subparsers(dest="subcommand", required=True)
     sp = car_sub.add_parser("verify43")
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--weight-lambda", type=float, default=None)
-    sp.add_argument("--modes", type=int, default=4)
+    sp.add_argument("--eps", type=_finite, required=True)
+    sp.add_argument("--weight-lambda", type=_finite, default=None)
+    sp.add_argument("--modes", type=_count, default=4)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--ensemble", type=int, default=1)
+    sp.add_argument("--ensemble", type=_count, default=1)
     sp.add_argument("--out-dir", default=None)
     sp = car_sub.add_parser("verify-gap")
-    sp.add_argument("--a", type=float, default=None, help="window start; with --eigs only")
-    sp.add_argument("--b", type=float, default=None, help="window end; with --eigs only")
-    sp.add_argument("--alpha", type=float, default=None, help="default 0; with --eigs only")
+    sp.add_argument("--a", type=_finite, default=None, help="window start; with --eigs only")
+    sp.add_argument("--b", type=_finite, default=None, help="window end; with --eigs only")
+    sp.add_argument("--alpha", type=_finite, default=None, help="default 0; with --eigs only")
     sp.add_argument("--eigs", default=None, help="explicit eigenvalues '1,9'; without it, an ensemble")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--ensemble", type=int, default=1)
+    sp.add_argument("--ensemble", type=_count, default=1)
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--out-dir", default=None)
     sp = car_sub.add_parser("system-check")
     sp.add_argument("--eigs", required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
+    sp.add_argument("--a", type=_finite, required=True)
+    sp.add_argument("--b", type=_finite, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp = car_sub.add_parser("ellreg")
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=_finite, required=True)
     sp.add_argument("--s-list", required=True, help="window starts '1,2,3'")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--ensemble", type=int, default=1)
+    sp.add_argument("--ensemble", type=_count, default=1)
 
     sp = sub.add_parser("evolve", help="decaying two-point solve plus rate fit")
     sp.add_argument("--eigs", required=True)
     sp.add_argument("--perturbation", choices=("zero", "diagonal", "full"), default="zero")
-    sp.add_argument("--beta", type=float, default=0.0)
+    sp.add_argument("--beta", type=_finite, default=0.0)
     sp.add_argument("--bound", choices=("const", "exp"), default="exp")
-    sp.add_argument("--T", type=float, default=None)
+    sp.add_argument("--T", type=_finite, default=None)
     sp.add_argument("--boundary", default=None, help="per-mode values '1,0.5'")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None, help="profile CSV (t, norm)")
@@ -183,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("counterexample", help="weighted-mass threshold scan")
     sp.add_argument("--lambdas", required=True)
-    sp.add_argument("--T", type=float, default=1000.0)
-    sp.add_argument("--X", type=float, default=200.0)
+    sp.add_argument("--T", type=_finite, default=1000.0)
+    sp.add_argument("--X", type=_finite, default=200.0)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("pipeline", help="full field-to-verdict run from a config")
@@ -349,14 +364,6 @@ def _emit_reports(reports, out_dir, prefix: str) -> int:
     return EXIT_VIOLATION if any(r.passed is False for r in reports) else EXIT_OK
 
 
-def _require_finite(args, *names: str) -> None:
-    """Refuse a non-finite value of any of the named numeric flags that is set."""
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None and not np.isfinite(value):
-            raise SchemaError(f"--{name.replace('_', '-')} must be finite")
-
-
 def _fixed_profile(eigs_text: str, alpha: float | None = None) -> SpectralProfile:
     """Unit amplitudes on one smooth bump over (0.5, 3), on 4097 points of [0, 4]."""
     modes = [(mu, 1.0) for mu in _parse_list(eigs_text)]
@@ -364,9 +371,8 @@ def _fixed_profile(eigs_text: str, alpha: float | None = None) -> SpectralProfil
 
 
 def _cmd_carleman(args) -> int:
-    _require_finite(args, "eps", "weight_lambda", "a", "b", "alpha")
     if args.subcommand == "verify43":
-        wl = args.weight_lambda if args.weight_lambda is not None else args.eps ** (-4.0 / 3.0)
+        wl = carl.min_weight_lambda(args.eps) if args.weight_lambda is None else args.weight_lambda
 
         def run_case_43(i):
             profile, _ = bump_case_43(args.seed, i, args.eps, wl, max_modes=args.modes)
@@ -405,22 +411,11 @@ def _cmd_carleman(args) -> int:
 
 def _cmd_evolve(args) -> int:
     eigs = _parse_list(args.eigs)
-    _require_finite(args, "beta")
-    if args.perturbation == "zero":
-        pert = evo.PerturbationFamily.zero()
-    else:
-        bound = (
-            evo.constant_bound(args.beta)
-            if args.bound == "const"
-            else evo.exponential_bound(args.beta)
-        )
-        maker = (
-            evo.PerturbationFamily.diagonal
-            if args.perturbation == "diagonal"
-            else evo.PerturbationFamily.full
-        )
-        pert = maker(bound, beta=args.beta, decays=(args.bound == "exp"), seed=args.seed)
-    T = args.T if args.T else evo.default_horizon(eigs)
+    pert = evo.PerturbationFamily.zero()
+    if args.perturbation != "zero":
+        bound = (evo.constant_bound if args.bound == "const" else evo.exponential_bound)(args.beta)
+        pert = evo.PerturbationFamily(args.perturbation, bound, args.beta, args.bound == "exp", args.seed)
+    T = evo.default_horizon(eigs) if args.T is None else args.T
     g = _parse_list(args.boundary) if args.boundary else [1.0] * len(eigs)
     result = evo.solve_decaying(eigs, pert, T, g)
     window = evo.default_tail_window(T)
@@ -467,22 +462,8 @@ def _cmd_decay(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     rows = evo.harmonic_counterexample(_parse_list(args.lambdas), args.T, args.X)
-    table = [
-        (
-            r.weight_rate,
-            r.t_used,
-            r.partial_integral,
-            r.tail_bound if r.tail_bound is not None else float("nan"),
-            r.growth_ratio,
-            r.indicator,
-        )
-        for r in rows
-    ]
-    _emit_rows(
-        ["weight_rate", "t_used", "partial_integral", "tail_bound", "growth_ratio", "indicator"],
-        table,
-        args.out,
-    )
+    header = [f.name for f in dataclasses.fields(evo.CounterexampleRow)]  # no tail bound prints as nan
+    _emit_rows(header, [tuple(math.nan if v is None else v for v in dataclasses.astuple(r)) for r in rows], args.out)
     return EXIT_OK
 
 

@@ -26,7 +26,7 @@ from .errors import (
     SolverError,
     VerificationError,
 )
-from .profiles import SpectralProfile, _second_difference
+from .profiles import SpectralProfile, _residual
 
 # Decaying-branch solutions never grow; a huge solution relative to the
 # boundary datum means the discrete system is near-singular (resonance).
@@ -238,16 +238,10 @@ def _checked_residual(c, eigs, h, perturbation, t_inner) -> tuple[float, float]:
         if not math.isfinite(top):
             return top, math.nan
         peak = max(peak, top)
-        psi = _second_difference(cb, h)
-        psi -= eigs[blk, None] * cb[:, 1:-1]
+        psi = _residual(cb, eigs[blk], h, 1, c.shape[1] - 1)
         psi -= bvals * wc[blk] if perturbation.kind == "full" else (w[blk, None] * bvals) * cb[:, 1:-1]
         psi_peak = max(psi_peak, float(np.max(np.abs(psi))))
     return peak, float(psi_peak * h**2 / (peak or 1.0))
-
-
-def _discrete_residual(profile: SpectralProfile, perturbation: PerturbationFamily) -> float:
-    """Relative defect of the discrete equation on interior points."""
-    return _checked_residual(profile.coeffs, profile.eigs, profile.step, perturbation, profile.t_grid[1:-1])[1]
 
 
 @dataclass(frozen=True)
@@ -417,12 +411,28 @@ def inner_integral_check(x2_values, X: float) -> float:
 
 
 def _partial_weighted_integral(weight_rate: float, t_end: float) -> float:
-    """pi * int_0^T exp(2(rate-1)s)/(1+s) ds."""
-    from scipy.integrate import quad
+    """pi * int_0^T exp(a s)/(1+s) ds = pi e^(-a) [Ei(a(1+T)) - Ei(a)], a = 2(rate-1).
+
+    pi ln(1+T) at a = 0.  For a > 0 (where a T <= 700) both terms are written
+    with e^(-x) Ei(x), which stays finite where Ei(x) overflows.
+    """
+    from scipy.special import expi  # deferred like scipy.integrate: only the counterexample needs it
 
     a = 2.0 * (weight_rate - 1.0)
-    val, _ = quad(lambda s: math.exp(a * s) / (1.0 + s), 0.0, t_end, limit=400)
-    return math.pi * val
+    if a == 0.0:
+        return math.pi * math.log1p(t_end)
+    if a < 0.0:
+        return math.pi * math.exp(-a) * float(expi(a * (1.0 + t_end)) - expi(a))
+    return math.pi * (math.exp(a * t_end) * _scaled_ei(a * (1.0 + t_end)) - _scaled_ei(a))
+
+
+def _scaled_ei(x: float) -> float:
+    """e^(-x) Ei(x) for x > 0; past 700, where Ei overflows, by its asymptotic series sum_k k!/x^(k+1)."""
+    if x > 700.0:  # 20 terms: the last is 19!/x^19 < 1e-36 of the first
+        return sum(math.factorial(k) * (1.0 / x) ** (k + 1) for k in range(20))
+    from scipy.special import expi
+
+    return math.exp(-x) * float(expi(x))
 
 
 def harmonic_counterexample(weight_rates, T: float, X: float = 200.0) -> list[CounterexampleRow]:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import GridError, SchemaError
 from .fields import SampledField, cells_first
-from .lattice import Lattice, Quasimomentum, dual_basis, unit_cell_volume
-from .profiles import SpectralProfile, _second_difference
+from .lattice import Lattice, Quasimomentum, dual_basis, form_on_grid, unit_cell_volume
+from .profiles import SpectralProfile, _residual
 from .quadrature import composite_simpson
 
 STACK_BYTES = 1 << 20
@@ -60,6 +60,8 @@ class BlochFiber:
         n = self.points_per_cell
         if self.data.shape[:-1] != (n,) * self.lattice.dim:
             raise GridError("fiber data shape disagrees with the cell grid")
+        if self.theta.dim != self.lattice.dim:
+            raise GridError("fiber quasimomentum disagrees with the lattice dimension")
         if self.cells_lo is not None and len(self.cells_lo) != self.lattice.dim:
             raise GridError("fiber cell origin disagrees with the lattice dimension")
 
@@ -84,20 +86,17 @@ class BlochFiber:
         """Orthonormal DFT of ``data`` over the cell axes: mode coefficients per t."""
         return np.fft.fftn(self.data, axes=self.spatial_axes, norm="ortho")
 
-    def mode_vectors(self) -> np.ndarray:
-        """Wrapped integer mode indices, shape (n, ..., n, dim)."""
-        n = self.points_per_cell
-        wrapped = (np.fft.fftfreq(n) * n).astype(np.int64)
-        mesh = np.meshgrid(*([wrapped] * self.dim), indexing="ij")
-        return np.stack(mesh, axis=-1)
-
     def mode_eigenvalues(self, energy: float) -> np.ndarray:
-        """|k + theta|^2 - E per DFT mode, shape (n, ..., n)."""
-        dual = dual_basis(self.lattice)
-        theta_vec = self.theta.vector(dual)
-        m = self.mode_vectors().astype(float)
-        k = m @ dual.basis.T + theta_vec
-        return np.sum(k * k, axis=-1) - float(energy)
+        """|k + theta|^2 - E per DFT mode, shape (n, ..., n).
+
+        k + theta has dual-basis coordinates m + mu over the wrapped integer
+        modes m, so its squared length is the dual Gram form at m + mu.
+        """
+        n = self.points_per_cell
+        wrapped = (np.arange(n) + n // 2) % n - n // 2  # 0, 1, ..., -1: the DFT order
+        axes = [(wrapped + mu).reshape((-1,) + (1,) * (self.dim - 1 - i))
+                for i, mu in enumerate(self.theta.coeffs)]
+        return form_on_grid(dual_basis(self.lattice).gram(), axes) - float(energy)
 
     def to_profile(self, energy: float, max_modes: int | None = None):
         """Flatten to a SpectralProfile of DFT modes (optionally the heaviest).
@@ -260,9 +259,7 @@ def fiber_residual(
     if fiber.n_t < 5:
         raise GridError("fiber t-grid too coarse (need at least 5 points)")
     t = fiber.t_grid
-    c = fiber.coefficients
-    eigs = fiber.mode_eigenvalues(energy)
-    res_spec = _second_difference(c, t[1] - t[0]) - eigs[..., None] * c[..., 1:-1]
+    res_spec = _residual(fiber.coefficients, fiber.mode_eigenvalues(energy), t[1] - t[0], 1, fiber.n_t - 1)
     axes = fiber.spatial_axes
     res_phys = np.fft.ifftn(res_spec, axes=axes, norm="ortho")
     if potential is not None:

@@ -295,10 +295,6 @@ class Quasimomentum:
                 raise SchemaError(f"coordinate {f} not in [0,1)")
         return Quasimomentum.from_rational(l, residues)
 
-    def vector(self, dual: DualLattice) -> np.ndarray:
-        """theta = sum_i mu_i f_i as a point of R^(d-1)."""
-        return dual.basis @ self.coeffs
-
 
 @dataclass(frozen=True, eq=False)
 class QuadraticForm:
@@ -339,6 +335,26 @@ class QuadraticForm:
 
     def is_diagonal(self) -> bool:
         return bool(np.all(self.G == np.diag(np.diag(self.G))))
+
+
+def form_on_grid(G, axes, factor: int = 1):
+    """sum_ij G_ij x_i x_j on the broadcast grid of the per-axis coordinates.
+
+    Float coordinates are evaluated in float64.  Integer ones are evaluated in
+    int64 unless |value| * factor could reach 2**62, bounded in Python ints
+    from the per-axis extremes; then in Python ints (dtype=object).
+    """
+    dim = len(axes)
+    if axes[0].dtype.kind == "i":
+        G = [[int(G[i][j]) for j in range(dim)] for i in range(dim)]
+        peak = [int(np.abs(ax).max(initial=0)) for ax in axes]
+        worst = sum(abs(G[i][j]) * peak[i] * peak[j] for i in range(dim) for j in range(dim))
+        if max(worst, 1) * factor >= 2**62:
+            axes = [ax.astype(object) for ax in axes]
+    return sum(
+        (1 + (i != j)) * G[i][j] * axes[i] * axes[j]
+        for i in range(dim) for j in range(i, dim) if G[i][j]
+    )
 
 
 def _int_det(G: np.ndarray) -> int:

@@ -33,7 +33,7 @@ class SpectralProfile:
     def __post_init__(self):
         self.eigs = np.asarray(self.eigs, dtype=float).reshape(-1)
         self.t_grid = np.asarray(self.t_grid, dtype=float).reshape(-1)
-        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)  # densities() views it as floats
+        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)  # _residual views it as floats
         if self.coeffs.shape != (self.eigs.size, self.t_grid.size):
             raise SchemaError("coefficient array must have shape (modes, t-points)")
         if not np.all(np.isfinite(self.eigs)):
@@ -60,12 +60,6 @@ class SpectralProfile:
         out[bad] = np.hypot.reduce(np.abs(self.coeffs[:, bad]), axis=0, initial=0.0)
         return out
 
-    def second_difference(self) -> np.ndarray:
-        """Centred second difference of the coefficients; zero at the ends."""
-        out = np.zeros_like(self.coeffs)
-        out[:, 1:-1] = _second_difference(self.coeffs, self.step)
-        return out
-
     def first_difference(self) -> np.ndarray:
         """Centred first difference of the coefficients; zero at the ends."""
         h = self.step
@@ -74,8 +68,8 @@ class SpectralProfile:
         return out
 
     def equation_residual(self) -> np.ndarray:
-        """psi(t) = (d^2/dt^2 - A) phi(t) with centred differences."""
-        return self.second_difference() - self.eigs[:, None] * self.coeffs
+        """psi(t) = (d^2/dt^2 - A) phi(t) with centred differences; c'' is 0 at the ends."""
+        return _residual(self.coeffs, self.eigs, self.step)
 
     @cached_property
     def _support_index(self) -> tuple[int, int] | None:
@@ -104,14 +98,8 @@ class SpectralProfile:
         norm2, psi2 = np.zeros(n), np.zeros(n)
         if self._stencil is not None:
             lo, hi = self._stencil.start, self._stencil.stop
-            a, b = max(lo, 1), min(hi, n - 1)  # c'' is 0 at the ends, so psi = -mu c there
-            # mu is real: scale the (re, im) pairs instead of forming complex products
-            psi = self.eigs[:, None] * self.coeffs[:, lo:hi].view(np.float64)
-            inner = psi[:, 2 * (a - lo) : 2 * (b - lo)]
-            dtt = _second_difference(self.coeffs[:, a - 1 : b + 1], self.step)
-            np.subtract(dtt.view(np.float64), inner, out=inner)
             norm2[lo:hi] = _sum_abs2(self.coeffs[:, lo:hi])
-            psi2[lo:hi] = _sum_abs2(psi.view(complex))
+            psi2[lo:hi] = _sum_abs2(_residual(self.coeffs, self.eigs, self.step, lo, hi))
         return norm2, psi2
 
 
@@ -131,6 +119,23 @@ def _second_difference(c: np.ndarray, h: float) -> np.ndarray:
     d += c[..., :-2]
     d.view(np.float64)[...] *= 1.0 / h**2  # the bits of d / h**2 without a complex division
     return d
+
+
+def _residual(c: np.ndarray, mu: np.ndarray, h: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """psi = c'' - mu c on columns lo:hi, with c'' = 0 at the grid ends.
+
+    The one discretisation of d_t^2 - A: time runs along the last axis of c,
+    which must be contiguous, and the real eigenvalues mu of A along its
+    leading axes.  (-mu) scales the (re, im) pairs in place of a complex
+    product, and -mu c + c'' has the bits of c'' - mu c.
+    """
+    n = c.shape[-1]
+    hi = n if hi is None else hi
+    a, b = max(lo, 1), min(hi, n - 1)
+    psi = np.multiply(-mu[..., None], c[..., lo:hi].view(np.float64))
+    inner = psi[..., 2 * (a - lo) : 2 * (b - lo)]
+    inner += _second_difference(c[..., a - 1 : b + 1], h).view(np.float64)
+    return psi.view(complex)
 
 
 def smooth_bump(s: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import (
     SchemaError,
     VerificationError,
 )
-from .lattice import DualLattice, Lattice, QuadraticForm, Quasimomentum, dual_basis, integer_gram
+from .lattice import DualLattice, Lattice, QuadraticForm, Quasimomentum, dual_basis, form_on_grid, integer_gram
 
 MERGE_TOL = 1e-9
 DEFAULT_BUDGET = 10_000_000
@@ -104,37 +104,14 @@ def _ellipsoid_axes(gram: np.ndarray, mu, radius2: float, budget: int, l: int = 
     """
     mu = np.asarray(mu, dtype=float)
     half = np.sqrt(max(radius2, 0.0) * np.diagonal(np.linalg.inv(gram))) * (1.0 + 1e-12) + 1e-9
-    los = np.ceil(-mu - half).astype(np.int64)
-    his = np.floor(-mu + half).astype(np.int64)
-    total = math.prod(max(int(hi - lo + 1), 0) for lo, hi in zip(los, his))
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration needs {total} candidate points, budget is {budget}"
-        )
+    los, his = np.ceil(-mu - half), np.floor(-mu + half)
+    total = math.prod(max(hi - lo + 1.0, 0.0) for lo, hi in zip(los.tolist(), his.tolist()))
+    if not total <= budget:  # counted in floats, before any int64 cast could wrap
+        raise BudgetExceededError(f"enumeration needs {total:.6g} candidate points, budget is {budget}")
     return [
-        (l * np.arange(lo, hi + 1, dtype=np.int64) + r).reshape((-1,) + (1,) * (mu.size - 1 - i))
+        (l * np.arange(int(lo), int(hi) + 1, dtype=np.int64) + r).reshape((-1,) + (1,) * (mu.size - 1 - i))
         for i, (lo, hi, r) in enumerate(zip(los, his, np.broadcast_to(residues, mu.shape)))
     ]
-
-
-def _form_on_grid(G, axes, factor: int = 1):
-    """sum_ij G_ij x_i x_j on the broadcast grid of the per-axis coordinates.
-
-    Float coordinates are evaluated in float64.  Integer ones are evaluated in
-    int64 unless |value| * factor could reach 2**62, bounded in Python ints
-    from the per-axis extremes; then in Python ints (dtype=object).
-    """
-    dim = len(axes)
-    if axes[0].dtype.kind == "i":
-        G = [[int(G[i][j]) for j in range(dim)] for i in range(dim)]
-        peak = [int(np.abs(ax).max(initial=0)) for ax in axes]
-        worst = sum(abs(G[i][j]) * peak[i] * peak[j] for i in range(dim) for j in range(dim))
-        if max(worst, 1) * factor >= 2**62:
-            axes = [ax.astype(object) for ax in axes]
-    return sum(
-        (1 + (i != j)) * G[i][j] * axes[i] * axes[j]
-        for i in range(dim) for j in range(i, dim) if G[i][j]
-    )
 
 
 def enumerate_spectrum(
@@ -155,6 +132,8 @@ def enumerate_spectrum(
     dual = dual_basis(lat)
     if theta.dim != dual.dim:
         raise SchemaError("quasimomentum dimension disagrees with lattice")
+    if not (math.isfinite(cutoff) and math.isfinite(energy)):
+        raise SchemaError(f"cutoff and energy must be finite, not {cutoff} and {energy}")
     radius2 = float(cutoff) + float(energy)
     if radius2 < 0.0:
         return SpectrumSlice(
@@ -174,7 +153,7 @@ def enumerate_spectrum(
 
 def _enumerate_form_values(gram: np.ndarray, mu: np.ndarray, radius2: float, budget: int) -> np.ndarray:
     """Every (m+mu)^T gram (m+mu) <= radius2 + MERGE_TOL; the box covers that tolerance too."""
-    vals = _form_on_grid(gram, _ellipsoid_axes(gram, mu, radius2 + MERGE_TOL, budget, residues=mu))
+    vals = form_on_grid(gram, _ellipsoid_axes(gram, mu, radius2 + MERGE_TOL, budget, residues=mu))
     return vals[vals <= radius2 + MERGE_TOL]
 
 
@@ -225,7 +204,7 @@ def _value_set_diagonal(q: QuadraticForm, l: int, residues: np.ndarray, bound: i
 def _value_set_general(q: QuadraticForm, l: int, residues: np.ndarray, bound: int, budget: int) -> np.ndarray:
     """Bool array of attainable values via direct ellipsoid enumeration."""
     axes = _ellipsoid_axes(q.G * float(l * l), residues / l, float(bound), budget, l, residues)
-    vals = _form_on_grid(q.G, axes)
+    vals = form_on_grid(q.G, axes)
     reached = np.zeros(bound + 1, dtype=bool)
     reached[vals[(vals >= 0) & (vals <= bound)].astype(np.int64, copy=False)] = True
     return reached
@@ -315,6 +294,8 @@ def progression_containment(
     the reduction is consistent.  In float mode the geometric values are used
     and the distance is bounded by roundoff (<= 1e-9 for sane inputs).
     """
+    if not math.isfinite(n):
+        raise SchemaError(f"n must be finite, not {n}")
     sigma = Fraction(sigma)
     unit = sigma / (l * l)
     if exact:
@@ -327,7 +308,7 @@ def progression_containment(
         D, nums = integer_gram(dual.gram_exact)
         period = D * sigma.numerator
         # int64 only if N*b and the period D*a both stay below 2**62
-        N = _form_on_grid(nums, axes, factor=sigma.denominator * period)
+        N = form_on_grid(nums, axes, factor=sigma.denominator * period)
         # N/(D l^2) <= n  <=>  N <= floor(num(n) D l^2 / den(n)) for integer N
         n_exact = Fraction(n)
         N = N[N <= n_exact.numerator * D * l * l // n_exact.denominator]

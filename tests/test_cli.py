@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,7 +285,11 @@ def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, caps
         bad.write_text(content or "")
     argv = [a.format(lat=lat_json, bad=bad) for a in argv]
     assert main(argv) == EXIT_IO
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    if err.startswith("usage: "):  # a non-finite float flag is a usage error naming the flag
+        assert re.search(r"error: argument --[\w-]+: '-?(nan|inf)' is not a finite number$", err)
+    else:
+        assert err.startswith("error: ")
 
 
 def test_evolve_full_solve_over_memory_budget_is_refused(capsys):
@@ -430,6 +435,66 @@ def test_usage_error_is_schema_error(argv, capsys):
     # exit 2 is the contract's precondition refusal, not argparse's usage error
     assert main(argv) == EXIT_IO
     assert capsys.readouterr().err.startswith("usage: halfspace-decay")
+
+
+LAT = "<lattice>"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--lattice", LAT, "--cutoff", "nan"], "--cutoff"),
+    (["spectrum", "--lattice", LAT, "--cutoff", "inf"], "--cutoff"),
+    (["spectrum", "--lattice", LAT, "--cutoff", "10", "--energy", "nan"], "--energy"),
+    (["gaps", "--lattice", LAT, "--cutoff", "5", "--energy", "inf"], "--energy"),
+    (["gaps", "--lattice", LAT, "--cutoff", "10", "--min-gap", "nan"], "--min-gap"),
+    (["carleman", "verify43", "--eps", "1", "--modes", "0"], "--modes"),
+    (["carleman", "verify-gap", "--ensemble", "0"], "--ensemble"),
+], ids=["spectrum-cutoff-nan", "spectrum-cutoff-inf", "spectrum-energy-nan", "gaps-energy-inf",
+        "gaps-min-gap-nan", "verify43-modes-0", "verify-gap-ensemble-0"])
+def test_bad_number_is_refused_where_argparse_reads_it(argv, flag, lat_json, capsys):
+    assert main([lat_json if a == LAT else a for a in argv]) == EXIT_IO
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
+def test_gelfand_residual_refuses_non_finite_energy(tmp_path, capsys):
+    from halfspace_decay.fields import SampledField, save_field
+    from halfspace_decay.lattice import Lattice
+
+    lat = Lattice(basis=np.array([[TWO_PI]]), dual_gram_exact=[["1"]])
+    lat_path = tmp_path / "line.json"
+    lat_path.write_text(json.dumps(lat.to_json()))
+    u = SampledField(kind="u", lattice=lat, cells_lo=(0,), cells_shape=(1,), points_per_cell=4,
+                     t_start=0.0, t_end=1.0, values=np.ones((4, 5)))
+    save_field(u, tmp_path / "u.csv")
+    argv = ["gelfand", "residual", "--lattice", str(lat_path), "--u", str(tmp_path / "u.csv"),
+            "--theta", "0", "--energy", "nan"]
+    assert main(argv) == EXIT_IO
+    assert "argument --energy: " in capsys.readouterr().err
+
+
+def test_non_finite_list_entry_is_refused_where_it_is_parsed(capsys):
+    assert main(["evolve", "--eigs", "1,4", "--boundary", "1,nan"]) == EXIT_IO
+    assert capsys.readouterr().err == "error: cannot parse '1,nan' as a comma-separated list: 'nan' is not a finite number\n"
+
+
+def test_evolve_zero_horizon_is_refused(capsys):
+    assert main(["evolve", "--eigs", "1,4", "--T", "0"]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: T must be positive")
+
+
+def test_verify43_weight_that_overflows_is_refused(capsys):
+    """eps^(-4/3) overflows a float at eps = 1e-300: a refusal, not an OverflowError."""
+    assert main(["carleman", "verify43", "--eps", "1e-300"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: the weight exp(")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_enumeration_box_over_budget_is_refused(dim, tmp_path, capsys):
+    lat_path = tmp_path / "lat.json"
+    lat_path.write_text(json.dumps({"basis": (TWO_PI * np.eye(dim)).tolist()}))
+    assert main(["spectrum", "--lattice", str(lat_path), "--cutoff", "1e300"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: enumeration needs")
 
 
 def test_help_exits_ok(capsys):

@@ -524,6 +524,36 @@ def test_counterexample_converged_below_one():
     assert row.tail_bound < 1e-3 * row.partial_integral
 
 
+def _quad_mass(rate, t_end):
+    from scipy.integrate import quad
+
+    a = 2.0 * (rate - 1.0)
+    return math.pi * quad(lambda s: math.exp(a * s) / (1.0 + s), 0.0, t_end, limit=400)[0]
+
+
+@pytest.mark.parametrize("T", [1e3, 1e5, 1e300])
+def test_counterexample_mass_closed_form_at_every_horizon(T):
+    """Below rate 1 the mass converges (the tail past T = 1000 is below e^-200): it keeps
+    the quadrature value at T = 1000 however far T goes; 1 grows as pi ln(1+T)."""
+    rows = {r.weight_rate: r for r in harmonic_counterexample([0.5, 0.9, 1.0, 1.1], T=T)}
+    for rate in (0.5, 0.9):
+        assert rows[rate].partial_integral == pytest.approx(_quad_mass(rate, 1000.0), rel=1e-12)
+        assert rows[rate].indicator == "converged"
+    assert rows[1.0].partial_integral == pytest.approx(math.pi * math.log1p(T), rel=1e-14)
+    assert rows[1.0].indicator == "log-divergent"
+    assert rows[1.1].t_used == pytest.approx(min(T, 3500.0))
+    assert rows[1.1].partial_integral == pytest.approx(_quad_mass(1.1, rows[1.1].t_used), rel=1e-12)
+    assert rows[1.1].indicator == "exp-divergent"
+
+
+def test_counterexample_mass_where_ei_overflows():
+    """Rates far above 1: e^(-a) Ei(a(1+T)) is finite though Ei(a(1+T)) is not."""
+    for rate in (10.0, 400.0, 1e6):
+        (row,) = harmonic_counterexample([rate], T=1000.0)
+        assert row.partial_integral == pytest.approx(_quad_mass(rate, row.t_used), rel=1e-12)
+        assert row.indicator == "exp-divergent"
+
+
 def test_counterexample_threshold_scan():
     rows = harmonic_counterexample([0.5, 0.8, 0.9, 0.95, 1.0, 1.1], T=1000.0)
     by_rate = {r.weight_rate: r for r in rows}

@@ -447,3 +447,39 @@ def test_round_trip_keeps_non_centred_box():
     assert back.cells_lo == (5,)
     assert np.max(np.abs(back.values[:8] - u.values)) < 1e-12
     assert np.max(np.abs(back.values[8:])) < 1e-12
+
+
+def _euclidean_mode_eigenvalues(fiber, energy):
+    """|F^T (m + mu)|^2 - E with k + theta built as a Euclidean vector per mode."""
+    n = fiber.points_per_cell
+    wrapped = np.rint(np.fft.fftfreq(n) * n)
+    m = np.stack(np.meshgrid(*([wrapped] * fiber.dim), indexing="ij"), axis=-1)
+    k = (m + fiber.theta.coeffs) @ fibers_module.dual_basis(fiber.lattice).basis.T
+    return np.sum(k * k, axis=-1) - energy
+
+
+SKEWED = {
+    2: Lattice(basis=np.array([[2.0, 0.7], [0.3, 1.6]])),
+    3: Lattice(basis=np.array([[1.9, 0.4, -0.2], [0.1, 2.3, 0.5], [0.6, -0.3, 1.4]])),
+}
+
+
+@pytest.mark.parametrize("n", [4, 7, 14])
+@pytest.mark.parametrize("lat", [Lattice.cubic(TWO_PI, d) for d in (1, 2, 3)] + list(SKEWED.values()),
+                         ids=["cubic1", "cubic2", "cubic3", "skewed2", "skewed3"])
+def test_mode_eigenvalues_match_euclidean_reference(lat, n):
+    rng = np.random.default_rng(n)
+    theta = Quasimomentum(coeffs=rng.uniform(0.0, 1.0, size=lat.dim))
+    fiber = BlochFiber(theta=theta, lattice=lat, points_per_cell=n, t_start=0.0, t_end=1.0,
+                       data=np.zeros((n,) * lat.dim + (3,)))
+    got, ref = fiber.mode_eigenvalues(0.7), _euclidean_mode_eigenvalues(fiber, 0.7)
+    if lat in SKEWED.values():
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+    else:  # the dual Gram of 2*pi*I is exactly I: same bits as the Euclidean sum
+        assert np.array_equal(got, ref)
+
+
+def test_fiber_refuses_a_quasimomentum_of_another_dimension():
+    with pytest.raises(GridError, match="quasimomentum"):
+        BlochFiber(theta=Quasimomentum(coeffs=[0.5]), lattice=square_lattice(), points_per_cell=4,
+                   t_start=0.0, t_end=1.0, data=np.zeros((4, 4, 3)))

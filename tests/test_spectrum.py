@@ -510,3 +510,32 @@ def test_density_landau_ramanujan():
     assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
     assert all(r > K for r in ratios), ratios
     assert ratios[-1] - K < 0.05, ratios
+
+
+@pytest.mark.parametrize("cutoff, energy", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                                            (10.0, math.nan), (5.0, math.inf)])
+def test_enumerate_spectrum_refuses_non_finite_input(cutoff, energy):
+    with pytest.raises(SchemaError, match="must be finite"):
+        enumerate_spectrum(Lattice.cubic(TWO_PI, 2), Quasimomentum.zero(2), energy, cutoff)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_enumeration_box_is_counted_before_any_int64_cast(dim):
+    """Bounds past 2**63 used to wrap in the int64 cast and pass the budget as a 1-point box."""
+    with pytest.raises(BudgetExceededError, match="candidate points"):
+        _ellipsoid_axes(np.eye(dim), np.zeros(dim), 1e300, 10**7)
+    with pytest.raises(BudgetExceededError, match="candidate points"):
+        enumerate_spectrum(Lattice.cubic(TWO_PI, dim), Quasimomentum.zero(dim), 0.0, 1e300)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_progression_containment_refuses_non_finite_and_huge_n(exact):
+    lat = Lattice(basis=TWO_PI * np.eye(2), dual_gram_exact=[["1", "0"], ["0", "1"]])
+    dual = dual_basis(lat)
+    theta = Quasimomentum.from_rational(2, (1, 1))
+    sigma, q, l, _ = rational_structure(dual, theta)
+    for n in (math.nan, math.inf, -math.inf):
+        with pytest.raises(SchemaError, match="must be finite"):
+            progression_containment(dual, q, theta, sigma, l, n, exact=exact)
+    with pytest.raises(BudgetExceededError, match="candidate points"):
+        progression_containment(dual, q, theta, sigma, l, 1e300, exact=exact)
