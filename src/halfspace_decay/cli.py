@@ -372,7 +372,8 @@ def _fixed_profile(eigs_text: str, alpha: float | None = None) -> SpectralProfil
 
 def _cmd_carleman(args) -> int:
     if args.subcommand == "verify43":
-        wl = carl.min_weight_lambda(args.eps) if args.weight_lambda is None else args.weight_lambda
+        lam_min = carl.min_weight_lambda(args.eps)  # a bad --eps is refused before a case builds its grid
+        wl = lam_min if args.weight_lambda is None else args.weight_lambda
 
         def run_case_43(i):
             profile, _ = bump_case_43(args.seed, i, args.eps, wl, max_modes=args.modes)

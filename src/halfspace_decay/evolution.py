@@ -458,7 +458,7 @@ def harmonic_counterexample(weight_rates, T: float, X: float = 200.0) -> list[Co
         quarters = [_partial_weighted_integral(rate, t_used * f) for f in (0.25, 0.5, 1.0)]
         d1 = quarters[1] - quarters[0]
         d2 = quarters[2] - quarters[1]
-        growth_ratio = d2 / d1 if d1 > 0 else math.inf
+        growth_ratio = d2 / d1 if d1 > 0 else (math.inf if d2 > 0 else 0.0)  # 0/0: no growth
         tail_bound = None
         if rate < 1.0:
             tail_bound = math.pi * math.exp(2.0 * (rate - 1.0) * t_used) / (

@@ -4,6 +4,12 @@ A SpectralProfile stores the coefficients of phi(t) over finitely many
 orthonormal eigenvectors of a self-adjoint operator, so norms are plain
 Euclidean norms of the coefficient columns.  Profiles are the common currency
 between the inequality verifiers and the evolution solver.
+
+A bump profile phi(t) = s(t) v is stored factored (BumpProfile): its two
+densities have closed forms in the real bump s, so the Carleman ensembles
+never build the (modes, t-points) complex array.  Its coefficients, built on
+demand, keep the bits of the full product; its densities differ from the
+full-array mode sums by roundoff only.
 """
 
 from __future__ import annotations
@@ -31,10 +37,14 @@ class SpectralProfile:
     alpha: float | None = None
 
     def __post_init__(self):
+        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)  # _residual views it as floats
+        self._check_frame(self.coeffs.shape)
+
+    def _check_frame(self, coeffs_shape: tuple[int, ...]) -> None:
+        """Normalise eigs, t_grid and alpha; refuse a frame the coefficient shape does not fit."""
         self.eigs = np.asarray(self.eigs, dtype=float).reshape(-1)
         self.t_grid = np.asarray(self.t_grid, dtype=float).reshape(-1)
-        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)  # _residual views it as floats
-        if self.coeffs.shape != (self.eigs.size, self.t_grid.size):
+        if coeffs_shape != (self.eigs.size, self.t_grid.size):
             raise SchemaError("coefficient array must have shape (modes, t-points)")
         if not np.all(np.isfinite(self.eigs)):
             raise SchemaError("eigenvalues must be finite")
@@ -126,16 +136,18 @@ def _residual(c: np.ndarray, mu: np.ndarray, h: float, lo: int = 0, hi: int | No
 
     The one discretisation of d_t^2 - A: time runs along the last axis of c,
     which must be contiguous, and the real eigenvalues mu of A along its
-    leading axes.  (-mu) scales the (re, im) pairs in place of a complex
-    product, and -mu c + c'' has the bits of c'' - mu c.
+    leading axes (a real 1-D c is broadcast against every mu).  (-mu) scales
+    the (re, im) pairs of a complex c in place of a complex product, and
+    -mu c + c'' has the bits of c'' - mu c.
     """
     n = c.shape[-1]
     hi = n if hi is None else hi
     a, b = max(lo, 1), min(hi, n - 1)
+    k = c.itemsize // 8  # floats per sample: 2 for complex c, 1 for real c
     psi = np.multiply(-mu[..., None], c[..., lo:hi].view(np.float64))
-    inner = psi[..., 2 * (a - lo) : 2 * (b - lo)]
+    inner = psi[..., k * (a - lo) : k * (b - lo)]
     inner += _second_difference(c[..., a - 1 : b + 1], h).view(np.float64)
-    return psi.view(complex)
+    return psi.view(c.dtype)
 
 
 def smooth_bump(s: np.ndarray) -> np.ndarray:
@@ -168,12 +180,66 @@ def plateau_shape(t: np.ndarray, lo: float, hi: float, taper: float) -> np.ndarr
     return shape
 
 
+class BumpProfile(SpectralProfile):
+    """phi(t) = s(t) v, stored as its factors: amplitudes v (M,) and a real bump s (n,).
+
+    A is diagonal in the profile's frame, so ||phi||^2 = |v|^2 s^2 and
+    ||phi'' - A phi||^2 = sum_i |v_i|^2 (s'' - mu_i s)^2, both in real
+    arithmetic.  ``coeffs`` = v s^T is built only on first access, then cached
+    read-only; the support and both densities never need it.
+    """
+
+    def __init__(self, eigs, t_grid, amps: np.ndarray, bump: np.ndarray, alpha: float | None = None):
+        self.eigs, self.t_grid, self.alpha = eigs, t_grid, alpha
+        self.amps = np.ascontiguousarray(amps, dtype=complex).reshape(-1)  # _peak_part views it as floats
+        self.bump = np.ascontiguousarray(bump, dtype=float).reshape(-1)
+        self._check_frame((self.amps.size, self.bump.size))
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        c = self.amps[:, None] * self.bump[None, :]
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def _peak_part(self) -> float:
+        """The largest |Re v_i| or |Im v_i|."""
+        return float(np.max(np.abs(self.amps.view(np.float64))))
+
+    @cached_property
+    def _support_index(self) -> tuple[int, int] | None:
+        # A coefficient column v_i s_j is nonzero iff one of its parts is, and rounding is
+        # monotone, so the columns of s * (largest part) that are nonzero are exactly the
+        # columns of coeffs that are, also where a product underflows.
+        idx = np.flatnonzero(self.bump * self._peak_part)
+        return (int(idx[0]), int(idx[-1])) if idx.size else None
+
+    def densities(self) -> tuple[np.ndarray, np.ndarray]:
+        """The closed forms |v|^2 s^2 and sum_i (|v_i| (s'' - mu_i s))^2 on the stencil.
+
+        |v|^2 s^2 is taken as sum_i (|v_i|/p)^2 (p s)^2 with p the largest part
+        of v, and each residual row is scaled by its own |v_i| before it is
+        squared, so a square over- or underflows where the full-array mode sum's
+        does, not where |v|^2 alone would.
+        """
+        n = self.t_grid.size
+        norm2, psi2 = np.zeros(n), np.zeros(n)
+        if self._stencil is not None:
+            lo, hi = self._stencil.start, self._stencil.stop
+            p, mod = self._peak_part, np.abs(self.amps)
+            norm2[lo:hi] = np.sum((mod / p) ** 2) * (p * self.bump[lo:hi]) ** 2
+            r = _residual(self.bump, self.eigs, self.step, lo, hi)
+            r *= mod[:, None]
+            psi2[lo:hi] = np.sum(np.square(r, out=r), axis=0)
+        return norm2, psi2
+
+
 def bump_profile(
     support: tuple[float, float],
     modes,
     t_grid: np.ndarray,
     alpha: float | None = None,
-) -> SpectralProfile:
+) -> BumpProfile:
     """Compactly supported smooth profile on the grid.
 
     ``modes`` is a list of (eigenvalue, coefficient) pairs; each coefficient
@@ -188,8 +254,7 @@ def bump_profile(
     shape = smooth_bump((2.0 * t_grid - (t_lo + t_hi)) / (t_hi - t_lo))
     eigs = np.array([float(m[0]) for m in modes])
     amps = np.array([complex(m[1]) for m in modes])
-    coeffs = amps[:, None] * shape[None, :]
-    return SpectralProfile(eigs=eigs, t_grid=t_grid, coeffs=coeffs, alpha=alpha)
+    return BumpProfile(eigs, t_grid, amps, shape, alpha)
 
 
 def zero_profile(eigs, t_grid: np.ndarray, alpha: float | None = None) -> SpectralProfile:

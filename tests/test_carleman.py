@@ -211,6 +211,28 @@ def test_verify_gap_property_random_admissible(seed):
     assert rep.passed
 
 
+def test_factored_bump_cases_keep_the_full_array_verdicts():
+    """Benchmark seed 4242, gap and 4/3 cases 0-63: the factored densities against the
+    same profiles rebuilt from their coefficients.  lhs and rhs carry the
+    densities' tolerances (1e-14 on ||phi||^2, 1e-11 on ||psi||^2); the verifiers
+    never materialise a bump profile's coefficients."""
+    eps = 0.5
+    wl = eps ** (-4.0 / 3.0)
+    for i in range(64):
+        profile, a, b, alpha = bump_case_gap(4242, i)
+        profile_43, _ = bump_case_43(4242, i, eps, wl)
+        pairs = [(profile, lambda p: verify_carleman_gap(p, a, b, alpha)),
+                 (profile_43, lambda p: verify_carleman_43(p, wl, eps))]
+        for p, verify in pairs:
+            rep = verify(p)
+            assert "coeffs" not in vars(p)
+            ref = verify(SpectralProfile(p.eigs, p.t_grid, p.coeffs, p.alpha))
+            assert rep.passed is ref.passed is True
+            assert rep.lhs == pytest.approx(ref.lhs, rel=1e-14)
+            assert rep.rhs == pytest.approx(ref.rhs, rel=1e-11)
+            assert rep.margin == pytest.approx(ref.margin, abs=1e-11 * ref.rhs)
+
+
 def test_system_check_mode_above_gap():
     t = uniform_grid(4.0, 2001)
     phi = bump_profile((0.5, 3.0), [(9.0, 1.0)], t, alpha=0.0)

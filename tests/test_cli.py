@@ -488,6 +488,14 @@ def test_verify43_weight_that_overflows_is_refused(capsys):
     assert captured.out == "" and captured.err.startswith("error: the weight exp(")
 
 
+@pytest.mark.parametrize("extra", [[], ["--weight-lambda", "5"]], ids=["eps-alone", "with-weight-lambda"])
+def test_verify43_bad_eps_is_one_refusal(extra, capsys):
+    """A non-positive eps is refused before any case builds its grid on [0, eps + 3]."""
+    assert main(["carleman", "verify43", "--eps", "-1", *extra]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: eps must be positive")
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_enumeration_box_over_budget_is_refused(dim, tmp_path, capsys):
     lat_path = tmp_path / "lat.json"

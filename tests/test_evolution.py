@@ -546,6 +546,16 @@ def test_counterexample_mass_closed_form_at_every_horizon(T):
     assert rows[1.1].indicator == "exp-divergent"
 
 
+def test_counterexample_growth_ratio_reads_no_growth_as_zero(monkeypatch):
+    """Converged masses have zero increments between T/4, T/2 and T: 0/0 is no growth."""
+    rows = harmonic_counterexample([0.5, 0.9], T=1000.0)
+    assert [(r.growth_ratio, r.indicator) for r in rows] == [(0.0, "converged")] * 2
+    masses = {250.0: 1.0, 500.0: 1.0, 1000.0: 2.0}  # d1 = 0 < d2: unbounded growth
+    monkeypatch.setattr(evolution, "_partial_weighted_integral", lambda rate, t: masses[t])
+    (row,) = harmonic_counterexample([1.0], T=1000.0)
+    assert row.growth_ratio == math.inf and row.indicator == "exp-divergent"
+
+
 def test_counterexample_mass_where_ei_overflows():
     """Rates far above 1: e^(-a) Ei(a(1+T)) is finite though Ei(a(1+T)) is not."""
     for rate in (10.0, 400.0, 1e6):

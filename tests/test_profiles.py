@@ -23,7 +23,7 @@ from halfspace_decay.evolution import (
 from halfspace_decay.fibers import BlochFiber, fiber_residual, weighted_norm
 from halfspace_decay.fields import SampledField
 from halfspace_decay.lattice import Lattice, Quasimomentum, unit_cell_volume
-from halfspace_decay.profiles import SpectralProfile, _second_difference
+from halfspace_decay.profiles import BumpProfile, SpectralProfile, _second_difference, bump_profile
 from halfspace_decay.quadrature import grid_step, simpson_weights, simpson_with_error
 
 TWO_PI = 2.0 * math.pi
@@ -152,12 +152,18 @@ def test_discrete_residual_matches_full_formula(kind):
     assert _checked_residual(c, p.eigs, p.step, pert, t[1:-1])[1] == ref
 
 
+def as_generic(p: BumpProfile) -> SpectralProfile:
+    """The same profile from its materialised coefficients, without the factored densities."""
+    return SpectralProfile(p.eigs, p.t_grid, p.coeffs, p.alpha)
+
+
 def test_carleman_reports_match_full_formula_path(monkeypatch):
     """32 gap and 32 4/3 ensemble cases, with the kernel and with the plain sums."""
     eps = 0.5
     wl = eps ** (-4.0 / 3.0)
-    cases = [(ensembles.bump_case_gap(3, i), None) for i in range(32)]
-    cases += [(None, ensembles.bump_case_43(3, i, eps, wl)[0]) for i in range(32)]
+    gap_cases = [ensembles.bump_case_gap(3, i) for i in range(32)]
+    cases = [((as_generic(p), a, b, alpha), None) for p, a, b, alpha in gap_cases]
+    cases += [(None, as_generic(ensembles.bump_case_43(3, i, eps, wl)[0])) for i in range(32)]
 
     def run_all():
         out = []
@@ -198,6 +204,58 @@ def test_norms_rescale_overflow_and_keep_zero_columns():
     assert norms[1] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
     assert norms[2] == 1e-170
     assert norms[0] == norms[3] == norms[4] == 0.0
+
+
+# Agreement of the factored densities with the full-array mode sums, relative to
+# the largest value.  They differ by summation order and because the factored form
+# takes the second difference of s where the full one takes it of v_i s: that
+# difference cancels about (width/h)^2 in relative terms, so psi2 gets the looser
+# bound.  Below DENSITY_ATOL (subnormal squares) both round on an absolute grid.
+NORM2_RTOL, PSI2_RTOL, DENSITY_ATOL = 1e-14, 1e-11, 1e-318
+
+
+def assert_densities_close(got, ref, rtol):
+    assert np.array_equal(np.isinf(got), np.isinf(ref))
+    finite = np.isfinite(ref)
+    scale = float(np.max(ref[finite], initial=0.0))
+    assert np.all(np.abs(got[finite] - ref[finite]) <= rtol * scale + DENSITY_ATOL)
+
+
+@st.composite
+def bump_profiles(draw):
+    """Bump profiles with amplitudes from 1e-300 to 1e160 and supports of every width.
+
+    The top amplitude is also drawn at the edges where squares under- or overflow,
+    and some modes get eigenvalues up to 5e5, so that one case mixes scales."""
+    m = draw(st.one_of(st.just(1), st.just(16), st.integers(2, 15)))
+    n = draw(st.integers(4, 600))
+    h = draw(st.sampled_from(STEPS))
+    t = draw(st.sampled_from([0.0, 0.25])) + h * np.arange(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.one_of(st.floats(-300.0, 160.0), st.sampled_from([-300.0, -162.0, 150.0, 154.5])))
+    amps = (rng.normal(size=m) + 1j * rng.normal(size=m)) * 10.0 ** np.maximum(top - rng.uniform(0, 30, m), -300)
+    amps[rng.random(m) < 0.2] = 0.0
+    kind = draw(st.sampled_from(["inner", "one", "two", "head", "tail", "full", "zero"]))
+    if kind == "zero":
+        amps[:] = 0.0
+    j, k = sorted(rng.choice(np.arange(1, n - 1), size=2, replace=False))
+    support = {"one": (t[j] - 0.5 * h, t[j] + 0.5 * h), "two": (t[j] - 0.5 * h, t[j] + 1.5 * h),
+               "head": (t[0], t[k]), "tail": (t[j], t[-1]), "full": (t[0], t[-1])}.get(kind, (t[j], t[k]))
+    eigs = rng.uniform(-5.0, 50.0, size=m) * 10.0 ** rng.choice([0, 0, 4], size=m)
+    return bump_profile(support, list(zip(eigs, amps)), t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bump_profiles())
+def test_factored_bump_densities_match_the_full_array_path(bp):
+    ref = as_generic(bp)
+    assert bp._support_index == ref._support_index and bp.support() == ref.support()
+    with np.errstate(over="ignore"):
+        (norm2, psi2), (ref_norm2, ref_psi2) = bp.densities(), ref.densities()
+    assert_densities_close(norm2, ref_norm2, NORM2_RTOL)
+    assert_densities_close(psi2, ref_psi2, PSI2_RTOL)
+    assert np.array_equal(bp.coeffs, bp.amps[:, None] * bp.bump[None, :])
+    assert not bp.coeffs.flags.writeable
 
 
 # Entries of every kind the support scan must classify: signed zeros, a
