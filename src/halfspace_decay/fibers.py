@@ -241,6 +241,7 @@ def gelfand_inverse(fibers: list[BlochFiber], lat: Lattice) -> SampledField:
         stack *= twist[..., None]
         # a vectorized multiply last: it clears vector state zgemm can leave dirty (slow SSE)
         np.multiply(_contract_cells(stack, mats), 1.0 / len(fibers), out=field[..., s])
+    out.flags.writeable = False  # the field adopts it: one field-sized array
     return SampledField(
         kind="u", lattice=lat, cells_lo=cells_lo, cells_shape=(per_axis,) * dim,
         points_per_cell=n, t_start=first.t_start, t_end=first.t_end, values=out,

@@ -8,6 +8,19 @@ per-cell grid exactly the periodic DFT grid of the torus.
 
 File format: a one-line JSON header followed by "re,im" pairs, one grid value
 per line, x-major then t.  NumPy .npz is accepted as a binary alternative.
+
+A field is the largest object a run holds, so each one is allocated once.
+``SampledField`` adopts a value array that nothing else can write: every
+array in its ``.base`` chain is read-only and the chain ends in an ndarray
+that owns its data.  Any other array (a caller's writable array, or a
+read-only view of one) is copied.  A writable view made before its root was
+sealed is not seen, so only a freshly built array should be sealed and
+handed over.  ``load_field`` and ``gelfand_inverse`` do that with theirs.
+In tracemalloc peaks per field size: loading takes about 1.2 (text) and 1.1
+(``.npz``), not 3 and 2; the inverse transform about 1.1-1.3 beyond its
+fibers, not 2; a pipeline run about 2, the field and its fibers during the
+forward pass.  The text loader views the parsed (re, im) pairs as complex,
+so the samples keep the exact bits of the file, signed zeros included.
 """
 
 from __future__ import annotations
@@ -26,6 +39,26 @@ from .runconfig import FIELD_HEADER_KEYS, check_keys
 FIELD_KINDS = ("u", "potential")
 
 
+def _adoptable(values: np.ndarray) -> bool:
+    """True when no array in the ``.base`` chain is writeable and it ends in an owner."""
+    while isinstance(values, np.ndarray):
+        if values.flags.writeable:
+            return False
+        if values.base is None:
+            return values.flags.owndata
+        values = values.base
+    return False
+
+
+def _hand_over(values: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only down its ``.base`` chain, so a field adopts it."""
+    array = values
+    while isinstance(array, np.ndarray):
+        array.flags.writeable = False
+        array = array.base
+    return values
+
+
 def cells_first(values: np.ndarray, cells_shape, n: int) -> np.ndarray:
     """View of samples (C_0 n, ..., C_{d-1} n, t) as (C_0, ..., C_{d-1}, n, ..., n, t)."""
     dim = len(cells_shape)
@@ -35,7 +68,11 @@ def cells_first(values: np.ndarray, cells_shape, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampledField:
-    """Complex samples indexed (x-axes..., t) on a box of whole cells."""
+    """Complex samples indexed (x-axes..., t) on a box of whole cells.
+
+    ``values`` is read-only: adopted when nothing else can write it (see the
+    module docstring), copied otherwise.
+    """
 
     kind: str
     lattice: Lattice
@@ -70,8 +107,9 @@ class SampledField:
             raise GridError("need at least two t samples")
         if not self.t_end > self.t_start:
             raise GridError("t-range must be increasing")
-        values = values.copy()
-        values.flags.writeable = False
+        if not _adoptable(values):
+            values = values.copy()
+            values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "cells_lo", cells_lo)
         object.__setattr__(self, "cells_shape", cells_shape)
@@ -80,9 +118,16 @@ class SampledField:
             self._check_periodic()
 
     def _check_periodic(self):
+        # copy by copy: temporaries of one cell, and max is exact, so the
+        # verdict is that of the whole-field comparison
         cells = cells_first(self.values, self.cells_shape, self.points_per_cell)
-        scale = max(1.0, float(np.max(np.abs(self.values))))
-        if np.max(np.abs(cells - cells[(0,) * self.dim])) > 1e-12 * scale:
+        first = cells[(0,) * self.dim]
+        scale, worst = 1.0, 0.0
+        for index in np.ndindex(*self.cells_shape):
+            cell = cells[index]
+            scale = max(scale, float(np.max(np.abs(cell))))
+            worst = max(worst, float(np.max(np.abs(cell - first))))
+        if worst > 1e-12 * scale:
             raise SchemaError("potential field is not periodic across cell copies")
 
     @property
@@ -130,7 +175,7 @@ def constant_potential(
         points_per_cell=points_per_cell,
         t_start=t_start,
         t_end=t_end,
-        values=np.full(shape, complex(value)),
+        values=_hand_over(np.full(shape, complex(value))),
     )
 
 
@@ -171,14 +216,16 @@ def load_field(path, lattice: Lattice) -> SampledField:
     if path.suffix == ".npz":
         data = read_npz(path, "field file", ("header", "values"))
         header = _parse_header(bytes(data["header"]).decode(errors="replace"))
-        values = np.ascontiguousarray(data["values"], dtype=complex)  # for the float view below
+        # np.load returns a reshaped view of the array it read: seal both
+        values = _hand_over(np.ascontiguousarray(data["values"], dtype=complex))
     else:
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
             header = _parse_header(fh.readline())
             pairs = read_rows(fh, "field file")
         if pairs.shape[1] != 2:
             raise SchemaError("field values must be 're,im' pairs, one per line")
-        values = pairs[:, 0] + 1j * pairs[:, 1]
+        # a complex view of the (re, im) pairs: the file's bits, signed zeros included
+        values = _hand_over(pairs).view(complex).reshape(-1)
     if not isinstance(header, dict):
         raise SchemaError("field header must be a JSON object")
     check_keys("field header", header, FIELD_HEADER_KEYS)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +94,7 @@ class Lattice:
     basis: np.ndarray
     gram_exact: RationalMatrix | None = None
     dual_gram_exact: RationalMatrix | None = None
+    _dual: DualLattice | None = field(default=None, init=False, repr=False)  # dual_basis fills it
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -210,7 +211,13 @@ class DualLattice:
 
 
 def dual_basis(lat: Lattice) -> DualLattice:
-    """Dual basis 2*pi*(B^T)^{-1}; attaches the exact dual Gram when supplied."""
+    """Dual basis 2*pi*(B^T)^{-1}; attaches the exact dual Gram when supplied.
+
+    Computed once per lattice and kept on it (both are frozen); a singular
+    basis is refused on every call.
+    """
+    if lat._dual is not None:
+        return lat._dual
     try:
         inv_t = np.linalg.inv(lat.basis.T)
     except np.linalg.LinAlgError as exc:
@@ -218,11 +225,9 @@ def dual_basis(lat: Lattice) -> DualLattice:
     cond = np.linalg.cond(lat.basis)
     if not np.isfinite(cond) or cond > 1e12:
         raise DegenerateLatticeError(f"lattice basis is numerically singular (cond={cond:.3g})")
-    return DualLattice(
-        basis=TWO_PI * inv_t,
-        parent=lat,
-        gram_exact=lat.dual_gram_exact,
-    )
+    dual = DualLattice(basis=TWO_PI * inv_t, parent=lat, gram_exact=lat.dual_gram_exact)
+    object.__setattr__(lat, "_dual", dual)
+    return dual
 
 
 def unit_cell_volume(lat) -> float:

@@ -149,6 +149,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
     reports = []
     decay_rows = []
     fibers = gelfand_forward(u, thetas, params.get("l_max", 10**6))
+    del u  # the fibers are all the cases read: one field size less while they run
     for idx in range(len(fibers)):
         # take the fiber out of the list: its cached coefficients go with it after its case
         fiber, fibers[idx] = fibers[idx], None

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.line(line)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak of the memory it allocated, in bytes, by tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def manufactured_line_input(tmp_path, theta_points=3, n=8, nt=1025, t_end=5.0, energy=0.0, mode=1):

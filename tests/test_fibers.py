@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import manufactured_line_input, traced_peak
 from halfspace_decay import (
     BlochFiber,
     GridError,
@@ -374,13 +375,120 @@ def test_field_file_round_trip(tmp_path):
         assert again.cells_lo == u.cells_lo
         assert again.cells_shape == u.cells_shape
         assert again.points_per_cell == u.points_per_cell
-        assert np.max(np.abs(again.values - u.values)) < 1e-15
+        assert np.array_equal(again.values.view(np.float64), u.values.view(np.float64))
     with pytest.raises(SchemaError):
         bad = tmp_path / "bad.csv"
         text = (tmp_path / "field.csv").read_text().splitlines()
         header = text[0].replace("\"dim\"", "\"odd\"")
         bad.write_text("\n".join([header] + text[1:]))
         load_field(bad, lat)
+
+
+@pytest.mark.parametrize("name", ["field.csv", "field.npz"])
+def test_field_file_keeps_signed_zeros(tmp_path, name):
+    """The text loader views the (re, im) pairs as complex: '1,-0' stays 1-0j, not 1+0j."""
+    lat = line_lattice()
+    values = np.array([complex(1.0, -0.0), complex(-0.0, 2.0), complex(-0.0, -0.0), 0j] * 4)
+    u = make_u(lat, (0,), (2,), 4, 2, values=values.reshape(8, 2))
+    save_field(u, tmp_path / name)
+    again = load_field(tmp_path / name, lat)
+    assert np.array_equal(np.signbit(again.values.view(np.float64)), np.signbit(u.values.view(np.float64)))
+    assert np.array_equal(again.values.view(np.float64), u.values.view(np.float64))
+
+
+def test_sampled_field_copies_unless_nothing_else_can_write():
+    lat = line_lattice()
+    writable = np.ones((4, 3), dtype=complex)
+    field = make_u(lat, (0,), (1,), 4, 3, values=writable)
+    assert not np.shares_memory(field.values, writable) and not field.values.flags.writeable
+    view = writable[:]
+    view.flags.writeable = False  # read-only, but its base is not
+    assert not np.shares_memory(make_u(lat, (0,), (1,), 4, 3, values=view).values, writable)
+    sealed = np.ones(12, dtype=complex)
+    sealed.flags.writeable = False
+    adopted = make_u(lat, (0,), (1,), 4, 3, values=sealed.reshape(4, 3))
+    assert np.shares_memory(adopted.values, sealed) and not adopted.values.flags.writeable
+    buffer = bytearray(12 * 16)  # read-only array over memory that stays writable
+    foreign = np.frombuffer(memoryview(buffer).toreadonly(), dtype=complex).reshape(4, 3)
+    assert not foreign.flags.writeable
+    assert not np.shares_memory(make_u(lat, (0,), (1,), 4, 3, values=foreign).values, foreign)
+
+
+@pytest.fixture(scope="module")
+def line_field_8mb(tmp_path_factory):
+    """The benchmark's 1D text field shape: 16 cells x 16 points x 2049 t, 8.4 MB complex."""
+    lat_path, u_path, lat = manufactured_line_input(
+        tmp_path_factory.mktemp("field"), theta_points=16, n=16, nt=2049)
+    return u_path, lat
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".npz"])
+def test_load_field_holds_the_field_once(line_field_8mb, tmp_path, suffix):
+    """Loading peaks at one field size plus the parser's buffers (it was 3 for text, 2 for .npz)."""
+    u_path, lat = line_field_8mb
+    if suffix == ".npz":
+        save_field(load_field(u_path, lat), tmp_path / "u.npz")
+        u_path = tmp_path / "u.npz"
+    field, peak = traced_peak(load_field, u_path, lat)
+    assert not field.values.flags.writeable
+    assert peak <= 1.25 * field.values.nbytes
+
+
+def test_gelfand_inverse_allocates_the_field_once():
+    """Beyond its fibers the inverse holds the field and t-chunk temporaries (it was 2 fields)."""
+    lat = line_lattice()
+    n, nt = 16, 4097
+    rng = np.random.default_rng(5)
+    fibers = [
+        BlochFiber(theta=q, lattice=lat, points_per_cell=n, t_start=0.0, t_end=1.0,
+                   data=rng.normal(size=(n, nt)) + 1j * rng.normal(size=(n, nt)))
+        for q in theta_grid(lat, 16)
+    ]
+    field, peak = traced_peak(gelfand_inverse, fibers, lat)
+    assert not field.values.flags.writeable
+    assert peak <= 1.3 * field.values.nbytes
+
+
+@pytest.mark.parametrize("writable", [True, False])
+def test_potential_check_has_no_field_sized_temporaries(writable):
+    """A 6x6-cell 2D potential: the periodicity check works copy by copy (it peaked at 2.5 fields)."""
+    lat = square_lattice()
+    rng = np.random.default_rng(2)
+    cell = rng.normal(size=(4, 4, 257)) + 1j * rng.normal(size=(4, 4, 257))
+    values = np.tile(cell, (6, 6, 1)).copy()  # an owner: np.tile returns a view
+    values.flags.writeable = writable
+
+    def build():
+        return SampledField(kind="potential", lattice=lat, cells_lo=(0, 0), cells_shape=(6, 6),
+                            points_per_cell=4, t_start=0.0, t_end=1.0, values=values)
+
+    _, peak = traced_peak(build)
+    # a writable array is copied once; a sealed one is adopted
+    assert peak <= (1.3 if writable else 0.3) * values.nbytes
+
+
+@pytest.mark.parametrize("rel", [0.5e-12, 2e-12])
+@pytest.mark.parametrize("scale", [0.5, 1e6])
+def test_potential_check_keeps_the_whole_field_verdict(rel, scale):
+    """Copy-by-copy maxima equal the whole-field ones: the 1e-12 relative gate is unchanged."""
+    lat = square_lattice()
+    rng = np.random.default_rng(4)
+    values = np.tile(scale * (rng.uniform(size=(3, 3, 5)) + 0j), (2, 3, 1))
+    big = max(1.0, float(np.max(np.abs(values))))
+    values[4, 7, 2] += rel * big  # a copy away from the first, off by rel of the scale
+
+    def build():
+        return SampledField(kind="potential", lattice=lat, cells_lo=(0, 0), cells_shape=(2, 3),
+                            points_per_cell=3, t_start=0.0, t_end=1.0, values=values)
+
+    cells = values.reshape(2, 3, 3, 3, 5).transpose(0, 2, 1, 3, 4)
+    whole = np.max(np.abs(cells - cells[0, 0])) > 1e-12 * max(1.0, float(np.max(np.abs(values))))
+    assert whole == (rel > 1e-12)
+    if whole:
+        with pytest.raises(SchemaError, match="not periodic across cell copies"):
+            build()
+    else:
+        build()
 
 
 def test_inverse_grid_mismatch():

@@ -89,6 +89,23 @@ def test_singular_basis_rejected():
         dual_basis(near)
 
 
+def test_dual_basis_is_computed_once_per_lattice(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(1) or cond(a))
+    lat = Lattice(basis=np.array([[2.0, 1.0], [0.0, 3.0]]))
+    dual = dual_basis(lat)
+    assert dual_basis(lat) is dual and dual.parent is lat and len(calls) == 1
+    other = Lattice(basis=lat.basis)  # a new lattice computes its own
+    assert dual_basis(other) is not dual and len(calls) == 2
+    assert np.array_equal(dual_basis(other).basis, dual.basis)
+    near = Lattice(basis=np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+    for _ in range(2):  # a refusal is not cached: every call refuses
+        with pytest.raises(DegenerateLatticeError):
+            dual_basis(near)
+    assert len(calls) == 4
+
+
 def test_gram_exact_must_match_geometry():
     with pytest.raises(SchemaError):
         Lattice(basis=np.eye(2), gram_exact=[["2", "0"], ["0", "1"]])

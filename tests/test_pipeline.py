@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import manufactured_line_input
+from conftest import manufactured_line_input, traced_peak
 from halfspace_decay import GridError, RunConfig, SchemaError, cli, fields, manifest, pipeline, run_pipeline, svgplot
 from halfspace_decay.fibers import fiber_residual, gelfand_forward, theta_grid
 from halfspace_decay.fields import load_field
@@ -210,6 +210,21 @@ def test_pipeline_holds_one_fiber_coefficients_at_a_time(tmp_path, monkeypatch):
     assert at_entry[-1] - at_entry[1] < fiber_bytes
     # the K fibers' samples, the field and one case's temporaries; all K fibers' coefficients would not fit
     assert peak - at_entry[0] < (K // 2) * fiber_bytes
+
+
+def test_pipeline_text_field_peak_memory(tmp_path):
+    """Load, forward pass and cases of a 1D text field: at most 2.2 field sizes.
+
+    The field is adopted from the parsed text and dropped after the forward
+    pass, so only the forward pass holds two field-sized arrays (it was 3).
+    """
+    lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=16, n=16, nt=1025)
+    field_bytes = 16 * 16 * 1025 * 16
+    cfg = pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=16)
+    import numpy.fft, numpy.ma  # noqa: E401, F401  loaded on first use: a one-off cost, not the pipeline's
+    (_, code), peak = traced_peak(run_pipeline, cfg)
+    assert code == 0
+    assert peak <= 2.2 * field_bytes
 
 
 def test_pipeline_empty_theta_grid_is_schema_error(line_pipeline_input, tmp_path):
