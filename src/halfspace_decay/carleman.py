@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SchemaError, VerificationError
-from .profiles import SpectralProfile, _second_difference
+from .profiles import SpectralProfile, _first_difference, _second_difference
 from .quadrature import GATE_RTOL, check_resolution, simpson_with_error, window_integral
 
 # The 4/3 weight has singular derivatives at t=0; profiles must stay clear.
@@ -135,11 +135,10 @@ def conjugation_identity_check(psi: SpectralProfile, weight_lambda: float) -> fl
     om, om1, _, _ = _omega_derivatives(ts_int, weight_lambda)
     f = np.exp(-big_w)[None, :] * c
     lhs = np.exp(big_w[1:-1])[None, :] * _second_difference(f, h) - mu * c[:, 1:-1]
-    dt_c = (c[:, 2:] - c[:, :-2]) / (2 * h)
     rhs = (
         _second_difference(c, h)
         - (mu - om[None, :] ** 2) * c[:, 1:-1]
-        - 2.0 * om[None, :] * dt_c
+        - 2.0 * om[None, :] * _first_difference(c, h)
         - om1[None, :] * c[:, 1:-1]
     )
     residual = np.sqrt(np.sum(np.abs(lhs - rhs) ** 2, axis=0))
@@ -326,7 +325,7 @@ def first_order_system_check(phi: SpectralProfile, a: float, b: float) -> System
         Phi = np.stack([ew * (dphi + kc), ew * (dphi - kc)], axis=1)  # (M, 2, n)
         del dphi, kc
         psi = (ew * phi.equation_residual())[:, None, 2:-2]  # Phi itself uses centred differences
-        dPhi = (Phi[..., 3:-1] - Phi[..., 1:-3]) / (2 * phi.step)
+        dPhi = _first_difference(Phi[..., 1:-1], phi.step)
         defect2 = np.abs(dPhi - (np.einsum("mij,mjt->mit", blk, Phi[..., 2:-2]) + psi)) ** 2
         groups = (defect2[below].sum(axis=(0, 1)), defect2[~below, 0].sum(axis=0),
                   defect2[~below, 1].sum(axis=0))

@@ -26,7 +26,7 @@ from .errors import (
     HalfspaceDecayError,
     SchemaError,
 )
-from .fibers import BlochFiber, fiber_residual, gelfand_forward, gelfand_inverse, theta_grid
+from .fibers import fiber_residual, gelfand_forward, gelfand_inverse, load_fiber, save_fiber, theta_grid
 from .fields import load_field, save_field
 from .lattice import (
     Lattice,
@@ -36,11 +36,11 @@ from .lattice import (
     rational_structure,
     unit_cell_volume,
 )
-from .manifest import read_npz, read_rows, write_csv, write_json, write_rows
+from .manifest import read_rows, write_csv, write_json, write_rows
 from .pipeline import run_pipeline
 from .profiles import SpectralProfile, bump_profile
 from .quadrature import uniform_grid
-from .runconfig import RunConfig
+from .runconfig import _SEED, RunConfig
 from .spectrum import density_scan, enumerate_spectrum, find_gaps, max_gap_growth
 from .lattice import QuadraticForm
 
@@ -77,6 +77,14 @@ def _count(text: str) -> int:
     """argparse type of --modes and --ensemble: an integer >= 1."""
     if (value := int(text)) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of every --seed: the config's rule, an integer in [0, 2**64)."""
+    kind, check = _SEED
+    if not check(value := int(text)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not {kind}")
     return value
 
 
@@ -158,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=_finite, required=True)
     sp.add_argument("--weight-lambda", type=_finite, default=None)
     sp.add_argument("--modes", type=_count, default=4)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--ensemble", type=_count, default=1)
     sp.add_argument("--out-dir", default=None)
     sp = car_sub.add_parser("verify-gap")
@@ -166,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=_finite, default=None, help="window end; with --eigs only")
     sp.add_argument("--alpha", type=_finite, default=None, help="default 0; with --eigs only")
     sp.add_argument("--eigs", default=None, help="explicit eigenvalues '1,9'; without it, an ensemble")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--ensemble", type=_count, default=1)
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--out-dir", default=None)
@@ -174,11 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eigs", required=True)
     sp.add_argument("--a", type=_finite, required=True)
     sp.add_argument("--b", type=_finite, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp = car_sub.add_parser("ellreg")
     sp.add_argument("--eps", type=_finite, required=True)
     sp.add_argument("--s-list", required=True, help="window starts '1,2,3'")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--ensemble", type=_count, default=1)
 
     sp = sub.add_parser("evolve", help="decaying two-point solve plus rate fit")
@@ -188,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", choices=("const", "exp"), default="exp")
     sp.add_argument("--T", type=_finite, default=None)
     sp.add_argument("--boundary", default=None, help="per-mode values '1,0.5'")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", default=None, help="profile CSV (t, norm)")
     sp.add_argument("--svg", default=None, help="log-norm decay plot output")
 
@@ -264,55 +272,17 @@ def _cmd_density(args) -> int:
     return EXIT_OK
 
 
-# (ndim, dtype kinds) of every fiber entry but ``data``; ``cells_lo`` is optional
-_FIBER_ENTRIES = {
-    "mu": (1, "iuf"), "points_per_cell": (0, "iu"), "t_start": (0, "iuf"),
-    "t_end": (0, "iuf"), "tail_bound": (0, "iuf"), "cells_lo": (1, "iu"),
-}
-_FIBER_KEYS = {"data", *_FIBER_ENTRIES} - {"cells_lo"}
-
-
-def _load_fiber(path, lat: Lattice) -> BlochFiber:
-    """A fiber file written by ``gelfand forward``."""
-    data = read_npz(path, "fiber file", _FIBER_KEYS)
-    for key, (ndim, kinds) in _FIBER_ENTRIES.items():
-        a = data.get(key)
-        if a is not None and (a.ndim != ndim or a.dtype.kind not in kinds or not np.isfinite(a).all()):
-            what = ("an integer" if kinds == "iu" else "a finite real") + (" scalar" if ndim == 0 else " vector")
-            shown = np.array2string(a, threshold=6).replace("\n", "")
-            raise SchemaError(f"fiber file {path}: {key} must be {what}, not {shown} ({a.dtype})")
-    return BlochFiber(
-        theta=Quasimomentum(coeffs=data["mu"]),
-        lattice=lat,
-        points_per_cell=int(data["points_per_cell"]),
-        t_start=float(data["t_start"]),
-        t_end=float(data["t_end"]),
-        data=data["data"],
-        tail_bound=float(data["tail_bound"]),
-        cells_lo=tuple(data["cells_lo"]) if "cells_lo" in data else None,
-    )
-
-
 def _cmd_gelfand(args) -> int:
     lat = Lattice.load(args.lattice)
     if args.subcommand == "forward":
         u = load_field(args.u, lat)
         theta = Quasimomentum.parse(args.theta)
         fiber = gelfand_forward(u, theta, args.lmax)
-        np.savez(
-            args.out,
-            data=fiber.data,
-            mu=fiber.theta.coeffs,
-            points_per_cell=fiber.points_per_cell,
-            t_start=fiber.t_start,
-            t_end=fiber.t_end,
-            tail_bound=fiber.tail_bound,
-            cells_lo=fiber.cells_lo,
-        )
+        save_fiber(fiber, args.out)
         _print_json({"tail_bound": fiber.tail_bound})
         return EXIT_OK
     if args.subcommand == "inverse":
-        u = gelfand_inverse([_load_fiber(path, lat) for path in args.fibers], lat)
+        u = gelfand_inverse([load_fiber(path, lat) for path in args.fibers], lat)
         save_field(u, args.out)
         return EXIT_OK
     if args.subcommand == "roundtrip":

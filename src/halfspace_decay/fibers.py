@@ -29,6 +29,7 @@ import numpy as np
 from .errors import GridError, SchemaError
 from .fields import SampledField, cells_first
 from .lattice import Lattice, Quasimomentum, dual_basis, form_on_grid, unit_cell_volume
+from .manifest import read_npz
 from .profiles import SpectralProfile, _residual
 from .quadrature import composite_simpson
 
@@ -111,6 +112,37 @@ class BlochFiber:
         keep = order if max_modes is None else order[:max_modes]
         dropped = 0.0 if total == 0 else float(1.0 - np.sum(mass[keep]) / total)
         return SpectralProfile(eigs=eigs[keep], t_grid=self.t_grid, coeffs=coeffs[keep]), dropped
+
+
+# The fiber file of ``gelfand forward``, a NumPy archive: ``data`` plus these
+# entries, each (ndim, dtype kinds); ``cells_lo`` is optional, as on BlochFiber.
+_FIBER_ENTRIES = {
+    "mu": (1, "iuf"), "points_per_cell": (0, "iu"), "t_start": (0, "iuf"),
+    "t_end": (0, "iuf"), "tail_bound": (0, "iuf"), "cells_lo": (1, "iu"),
+}
+
+
+def save_fiber(fiber: BlochFiber, path) -> None:
+    """Write ``fiber`` as the archive that ``load_fiber`` reads."""
+    origin = {} if fiber.cells_lo is None else {"cells_lo": fiber.cells_lo}
+    np.savez(path, data=fiber.data, mu=fiber.theta.coeffs, points_per_cell=fiber.points_per_cell,
+             t_start=fiber.t_start, t_end=fiber.t_end, tail_bound=fiber.tail_bound, **origin)
+
+
+def load_fiber(path, lat: Lattice) -> BlochFiber:
+    """The fiber in a file written by ``save_fiber``; a malformed entry is a SchemaError."""
+    data = read_npz(path, "fiber file", {"data", *_FIBER_ENTRIES} - {"cells_lo"})
+    for key, (ndim, kinds) in _FIBER_ENTRIES.items():
+        a = data.get(key)
+        if a is not None and (a.ndim != ndim or a.dtype.kind not in kinds or not np.isfinite(a).all()):
+            what = ("an integer" if kinds == "iu" else "a finite real") + (" scalar" if ndim == 0 else " vector")
+            shown = np.array2string(a, threshold=6).replace("\n", "")
+            raise SchemaError(f"fiber file {path}: {key} must be {what}, not {shown} ({a.dtype})")
+    return BlochFiber(
+        theta=Quasimomentum(coeffs=data["mu"]), lattice=lat, points_per_cell=int(data["points_per_cell"]),
+        t_start=float(data["t_start"]), t_end=float(data["t_end"]), data=data["data"],
+        tail_bound=float(data["tail_bound"]), cells_lo=tuple(data["cells_lo"]) if "cells_lo" in data else None,
+    )
 
 
 def _intra_cell_phase(axes_mu, n: int, sign: float) -> np.ndarray:

@@ -17,10 +17,10 @@ read-only view of one) is copied.  A writable view made before its root was
 sealed is not seen, so only a freshly built array should be sealed and
 handed over.  ``load_field`` and ``gelfand_inverse`` do that with theirs.
 In tracemalloc peaks per field size: loading takes about 1.2 (text) and 1.1
-(``.npz``), not 3 and 2; the inverse transform about 1.1-1.3 beyond its
-fibers, not 2; a pipeline run about 2, the field and its fibers during the
-forward pass.  The text loader views the parsed (re, im) pairs as complex,
-so the samples keep the exact bits of the file, signed zeros included.
+(``.npz``); the inverse transform about 1.1-1.3 beyond its fibers; a pipeline
+run about 2, the field and its fibers during the forward pass.  The text
+loader views the parsed (re, im) pairs as complex, so the samples keep the
+exact bits of the file, signed zeros included.
 """
 
 from __future__ import annotations
@@ -34,9 +34,20 @@ import numpy as np
 from .errors import GridError, SchemaError
 from .lattice import Lattice
 from .manifest import read_npz, read_rows, write_rows
-from .runconfig import FIELD_HEADER_KEYS, check_keys
+from .runconfig import _INT, _INTS, _NUMBER, _POSITIVE_INT, _POSITIVE_INTS, _STR, check_keys, parse_json
 
 FIELD_KINDS = ("u", "potential")
+# The one-line JSON header of a text or .npz field file.
+FIELD_HEADER_KEYS = {
+    "dim": (_INT, True),
+    "cells_lo": (_INTS, True),
+    "cells_shape": (_POSITIVE_INTS, True),
+    "points_per_cell": (_POSITIVE_INT, True),
+    "t_start": (_NUMBER, True),
+    "t_end": (_NUMBER, True),
+    "t_points": (_POSITIVE_INT, True),
+    "kind": (_STR, True),
+}
 
 
 def _adoptable(values: np.ndarray) -> bool:
@@ -204,30 +215,21 @@ def save_field(field: SampledField, path) -> None:
         write_rows(fh, flat.view(np.float64).reshape(-1, 2))  # (re, im) pairs, no copy
 
 
-def _parse_header(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"field header is not JSON: {exc}") from exc
-
-
 def load_field(path, lattice: Lattice) -> SampledField:
     path = Path(path)
     if path.suffix == ".npz":
         data = read_npz(path, "field file", ("header", "values"))
-        header = _parse_header(bytes(data["header"]).decode(errors="replace"))
+        header = parse_json(bytes(data["header"]), "field header")
         # np.load returns a reshaped view of the array it read: seal both
         values = _hand_over(np.ascontiguousarray(data["values"], dtype=complex))
     else:
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            header = _parse_header(fh.readline())
+            header = parse_json(fh.readline(), "field header")
             pairs = read_rows(fh, "field file")
         if pairs.shape[1] != 2:
             raise SchemaError("field values must be 're,im' pairs, one per line")
         # a complex view of the (re, im) pairs: the file's bits, signed zeros included
         values = _hand_over(pairs).view(complex).reshape(-1)
-    if not isinstance(header, dict):
-        raise SchemaError("field header must be a JSON object")
     check_keys("field header", header, FIELD_HEADER_KEYS)
     if header["dim"] != lattice.dim:
         raise GridError("field dimension disagrees with the lattice")

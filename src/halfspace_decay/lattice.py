@@ -12,10 +12,11 @@ by the caller as fractions and validated against the float geometry.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
     RationalityRequiredError,
     SchemaError,
 )
+from .runconfig import _POSITIVE_INT, _is_number, check_keys, parse_json
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,6 +56,8 @@ def _as_rational_matrix(rows) -> RationalMatrix:
         mat = tuple(tuple(parse_rational(v) for v in row) for row in rows)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"exact Gram matrix is not a matrix of rationals: {exc}") from exc
+    if any(abs(v) > sys.float_info.max for row in mat for v in row):
+        raise SchemaError("exact Gram matrix entries must lie in the float range")
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise SchemaError("exact Gram matrix must be square")
@@ -78,6 +82,19 @@ def _check_gram_matches(gram: RationalMatrix, basis: np.ndarray, what: str) -> N
                     f"{what} entry ({i},{j})={g} disagrees with basis geometry "
                     f"{num[i, j]!r}"
                 )
+
+
+# The lattice document: basis rows are the generators, and _as_rational_matrix
+# parses the entries of the exact Gram matrices.
+_MATRIX = ("a matrix (a list of rows)", lambda v: isinstance(v, list) and all(isinstance(r, list) for r in v))
+_BASIS = ("a non-empty square matrix of finite numbers", lambda v: _MATRIX[1](v) and len(v) > 0 and all(
+    len(row) == len(v) and all(map(_is_number, row)) for row in v))
+_LATTICE_KEYS = {
+    "dim": (_POSITIVE_INT, False),
+    "basis": (_BASIS, True),
+    "gram_exact": (_MATRIX, False),
+    "dual_gram_exact": (_MATRIX, False),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,25 +158,11 @@ class Lattice:
         return Lattice(basis=basis, dual_gram_exact=gram)
 
     @staticmethod
-    def from_json(doc: dict) -> "Lattice":
-        if not isinstance(doc, dict):
-            raise SchemaError("lattice document must be a JSON object")
-        allowed = {"dim", "basis", "gram_exact", "dual_gram_exact"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise SchemaError(f"unknown lattice keys: {sorted(unknown)}")
-        if "basis" not in doc:
-            raise SchemaError("lattice document requires 'basis'")
-        try:
-            basis = np.array(doc["basis"], dtype=float).T  # rows in JSON are generators
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"lattice 'basis' is not a numeric matrix: {exc}") from exc
-        lat = Lattice(
-            basis=basis,
-            gram_exact=doc.get("gram_exact"),
-            dual_gram_exact=doc.get("dual_gram_exact"),
-        )
-        if "dim" in doc and doc["dim"] != lat.dim:
+    def from_json(doc) -> "Lattice":
+        check_keys("lattice", doc, _LATTICE_KEYS)
+        basis = np.array(doc["basis"], dtype=float).T  # rows in JSON are generators
+        lat = Lattice(basis, gram_exact=doc.get("gram_exact"), dual_gram_exact=doc.get("dual_gram_exact"))
+        if doc.get("dim", lat.dim) != lat.dim:
             raise SchemaError("lattice 'dim' disagrees with basis shape")
         return lat
 
@@ -175,12 +178,7 @@ class Lattice:
 
     @staticmethod
     def load(path) -> "Lattice":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"lattice file {path} is not valid JSON: {exc}") from exc
-        return Lattice.from_json(doc)
+        return Lattice.from_json(parse_json(Path(path).read_bytes(), f"lattice file {path}"))
 
 
 @dataclass(frozen=True, eq=False)

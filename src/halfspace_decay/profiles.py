@@ -72,9 +72,8 @@ class SpectralProfile:
 
     def first_difference(self) -> np.ndarray:
         """Centred first difference of the coefficients; zero at the ends."""
-        h = self.step
         out = np.zeros_like(self.coeffs)
-        out[:, 1:-1] = (self.coeffs[:, 2:] - self.coeffs[:, :-2]) / (2 * h)
+        out[:, 1:-1] = _first_difference(self.coeffs, self.step)
         return out
 
     def equation_residual(self) -> np.ndarray:
@@ -120,6 +119,11 @@ def _sum_abs2(z: np.ndarray) -> np.ndarray:
     """
     mag = np.abs(z)
     return np.sum(np.multiply(mag, mag, out=mag), axis=0)
+
+
+def _first_difference(c: np.ndarray, h: float) -> np.ndarray:
+    """Centred first difference along the last axis, interior columns only."""
+    return (c[..., 2:] - c[..., :-2]) / (2 * h)
 
 
 def _second_difference(c: np.ndarray, h: float) -> np.ndarray:

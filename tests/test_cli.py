@@ -6,7 +6,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import manufactured_line_input
 from halfspace_decay.cli import main
 from halfspace_decay.errors import (
     EXIT_IO,
@@ -154,6 +157,21 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0, 1]], "gram_exact": [["1"]]}'),
         (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0, 1]], "gram_exact": [[[1.9, 1], "0"], ["0", "1"]]}'),
         (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0, 1]], "gram_exact": [[[true, 1], "0"], ["0", "1"]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [["1", "0"], ["0", "1"]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[true, false], [false, true]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"dim": 2.0, "basis": [[1, 0], [0, 1]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"dim": true, "basis": [[1]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1e400, 0], [0, 1]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0, 1]], "gram_exact": [["1e400", "0"], ["0", "1"]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0, 1]], "gram_exact": null}'),
+        (["lattice", "dual", "--lattice", "{bad}"], b'{"basis": [[1\xff]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[' + "1" * 5000 + "]]}"),
+        (["pipeline", "--config", "{bad}"], b'{"command": "pipeline\xff"}'),
+        (["pipeline", "--config", "{bad}"], _config().replace('"command"', '"seed": ' + "1" * 5000 + ', "command"')),
+        (_ROUNDTRIP, _field().replace('"dim": 2', '"dim": ' + "1" * 5000)),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": ' + "[" * 100000),
+        (["pipeline", "--config", "{bad}"], _config().replace('"command"', '"seed": ' + "[" * 100000 + ', "command"')),
+        (_ROUNDTRIP, _field().replace('"dim": 2', '"dim": ' + "[" * 100000)),
         (["gelfand", "roundtrip", "--lattice", "{lat}", "--u", "{bad}", "--theta-points", "2"], _SHORT_FIELD),
         (["pipeline", "--config", "{bad}"], _config(seed="x")),
         (["pipeline", "--config", "{bad}"], _config(seed=1.9)),
@@ -249,7 +267,11 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
         "lattice-not-object", "lattice-ragged-basis", "lattice-gram-not-rational",
-        "lattice-gram-wrong-size", "lattice-gram-float-pair", "lattice-gram-bool-pair", "field-short",
+        "lattice-gram-wrong-size", "lattice-gram-float-pair", "lattice-gram-bool-pair",
+        "lattice-basis-str", "lattice-basis-bool", "lattice-dim-float", "lattice-dim-bool",
+        "lattice-basis-inf", "lattice-gram-beyond-float", "lattice-gram-null", "lattice-not-utf8", "lattice-int-over-4300-digits",
+        "config-not-utf8", "config-int-over-4300-digits", "field-header-int-over-4300-digits",
+        "lattice-nested-too-deep", "config-nested-too-deep", "field-header-nested-too-deep", "field-short",
         "seed-str", "seed-float", "seed-bool", "threads-str", "threads-float",
         "tolerances-not-object", "config-not-object", "theta-points-float", "energy-bool",
         "theta-points-str", "cutoff-str", "max-modes-float", "decay-window-str", "plots-str",
@@ -290,6 +312,72 @@ def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, caps
         assert re.search(r"error: argument --[\w-]+: '-?(nan|inf)' is not a finite number$", err)
     else:
         assert err.startswith("error: ")
+
+
+# Any JSON value, NaN and infinity included, with small numbers, number pairs and
+# 2x2 matrices drawn often, so that a fair share of the documents is well formed.
+# Strings hold no path separator: a path-valued key names nothing outside the
+# working directory.
+_PAIRS = st.lists(st.floats(-1.0, 10.0), min_size=2, max_size=2)
+_JSON_VALUES = st.one_of(
+    st.integers(-2, 40), st.floats(-100.0, 100.0), _PAIRS, st.lists(_PAIRS, min_size=2, max_size=2),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(st.characters(blacklist_characters="/\\"), max_size=8),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        max_leaves=16,
+    ),
+)
+_LATTICE_DOC = {"dim": 2, "basis": [[TWO_PI, 0.0], [0.0, TWO_PI]]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["dim", "basis", "gram_exact", "dual_gram_exact", "mystery"]), _JSON_VALUES)
+def test_any_lattice_value_exits_by_the_contract(tmp_path_factory, key, value):
+    path = tmp_path_factory.getbasetemp() / "any_lattice.json"
+    path.write_text(json.dumps({**_LATTICE_DOC, key: value}))
+    for argv in (["volume"], ["rational", "--theta", "1/2,0"]):
+        assert main(["lattice", *argv, "--lattice", str(path)]) in (EXIT_OK, EXIT_PRECONDITION, EXIT_IO)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([*json.loads(_field().split("\n")[0]), "mystery"]), _JSON_VALUES)
+def test_any_field_header_value_exits_by_the_contract(tmp_path_factory, key, value):
+    base = tmp_path_factory.getbasetemp()
+    (base / "any_header_lattice.json").write_text(json.dumps(_LATTICE_DOC))
+    (base / "any_header.csv").write_text(_field(**{key: value}))
+    argv = [a.format(lat=base / "any_header_lattice.json", bad=base / "any_header.csv") for a in _ROUNDTRIP]
+    assert main(argv) in (EXIT_OK, EXIT_PRECONDITION, EXIT_IO)
+
+
+@pytest.fixture(scope="module")
+def tiny_pipeline_config(tmp_path_factory):
+    base = tmp_path_factory.mktemp("tiny_pipeline")
+    lat_path, u_path, _ = manufactured_line_input(base, theta_points=2, n=4)
+    params = {"lattice": str(lat_path), "u_field": str(u_path), "theta_points": 2, "cutoff": 30.0}
+    return base, {"command": "pipeline", "seed": 7, "params": params}
+
+
+_PARAM_NAMES = ["lattice", "u_field", "v_field", "energy", "theta_points", "l_max", "cutoff", "min_gap",
+                "decay_window", "max_modes", "carleman_taper", "plots", "mystery"]
+_CONFIG_PLACES = [(key,) for key in ("command", "params", "seed", "out_dir", "threads", "tolerances", "mystery")]
+_CONFIG_PLACES += [("params", key) for key in _PARAM_NAMES]
+_CONFIG_PLACES += [("tolerances", key) for key in ("carleman_pass_rtol", "resolution_gate_rtol")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_CONFIG_PLACES), _JSON_VALUES)
+def test_any_config_value_exits_by_the_contract(tiny_pipeline_config, place, value):
+    # a large theta_points is a large run, not a malformed document
+    assume(not (place == ("params", "theta_points") and type(value) is int and value > 4))
+    base, doc = tiny_pipeline_config
+    doc = {**doc, "params": dict(doc["params"]), "tolerances": {}}
+    *outer, key = place
+    (doc[outer[0]] if outer else doc)[key] = value
+    path = base / "any_config.json"
+    path.write_text(json.dumps(doc))
+    code = main(["pipeline", "--config", str(path), "--out-dir", str(base / "out")])
+    assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_VIOLATION, EXIT_IO)
 
 
 def test_evolve_full_solve_over_memory_budget_is_refused(capsys):
@@ -453,6 +541,24 @@ LAT = "<lattice>"
 def test_bad_number_is_refused_where_argparse_reads_it(argv, flag, lat_json, capsys):
     assert main([lat_json if a == LAT else a for a in argv]) == EXIT_IO
     assert f"argument {flag}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["carleman", "verify43", "--eps", "1"],
+    ["carleman", "verify-gap"],
+    ["carleman", "system-check", "--eigs", "1,9", "--a", "2", "--b", "3"],
+    ["carleman", "ellreg", "--eps", "0.5", "--s-list", "2"],
+    ["evolve", "--eigs", "1,4", "--perturbation", "diagonal"],
+], ids=["verify43", "verify-gap", "system-check", "ellreg", "evolve-diagonal"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1.9"])
+def test_bad_seed_is_a_usage_error(argv, seed, capsys):
+    """Every --seed takes the config's rule: an integer in [0, 2**64)."""
+    assert main([*argv, "--seed", seed]) == EXIT_IO
+    assert "error: argument --seed: " in capsys.readouterr().err
+
+
+def test_largest_seed_is_accepted(capsys):
+    assert main(["carleman", "verify43", "--eps", "1", "--seed", str(2**64 - 1)]) == EXIT_OK
 
 
 def test_gelfand_residual_refuses_non_finite_energy(tmp_path, capsys):
