@@ -344,20 +344,26 @@ def form_on_grid(G, axes, factor: int = 1):
     """sum_ij G_ij x_i x_j on the broadcast grid of the per-axis coordinates.
 
     Float coordinates are evaluated in float64.  Integer ones are evaluated in
-    int64 unless |value| * factor could reach 2**62, bounded in Python ints
-    from the per-axis extremes; then in Python ints (dtype=object).
+    the narrowest exact type for |value| * factor, bounded in Python ints from
+    the per-axis extremes (at least 1, so every coefficient fits too): int32
+    below 2**31, int64 below 2**62, Python ints (dtype=object) beyond.  The
+    terms are summed left to right, in place once the sum has the grid's shape,
+    so float results keep the bits of a plain sum.
     """
     dim = len(axes)
     if axes[0].dtype.kind == "i":
         G = [[int(G[i][j]) for j in range(dim)] for i in range(dim)]
-        peak = [int(np.abs(ax).max(initial=0)) for ax in axes]
-        worst = sum(abs(G[i][j]) * peak[i] * peak[j] for i in range(dim) for j in range(dim))
-        if max(worst, 1) * factor >= 2**62:
-            axes = [ax.astype(object) for ax in axes]
-    return sum(
-        (1 + (i != j)) * G[i][j] * axes[i] * axes[j]
-        for i in range(dim) for j in range(i, dim) if G[i][j]
-    )
+        peak = [max(int(np.abs(ax).max(initial=0)), 1) for ax in axes]
+        worst = factor * sum(abs(G[i][j]) * peak[i] * peak[j] for i in range(dim) for j in range(dim))
+        dtype = np.int32 if worst < 2**31 else np.int64 if worst < 2**62 else object
+        axes = [ax.astype(dtype, copy=False) for ax in axes]
+    grid, out = np.broadcast_shapes(*(ax.shape for ax in axes)), 0
+    for i in range(dim):
+        for j in range(i, dim):
+            if G[i][j]:
+                term = (1 + (i != j)) * G[i][j] * axes[i] * axes[j]
+                out = np.add(out, term, out=out if np.shape(out) == grid else None)
+    return out
 
 
 def _int_det(G: np.ndarray) -> int:

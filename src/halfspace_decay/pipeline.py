@@ -21,6 +21,7 @@ from .errors import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_VIOLATION,
+    BudgetExceededError,
     PreconditionError,
     SchemaError,
     strictest_exit_code,
@@ -34,6 +35,9 @@ from .profiles import SpectralProfile, plateau_shape
 from .runconfig import RunConfig
 from .spectrum import enumerate_spectrum, find_gaps
 from .svgplot import PlotTable, emit_plots
+
+# bytes of fiber samples a theta grid may ask of gelfand_forward: P^d fibers of n^d x n_t complex
+THETA_GRID_BYTES = 2**30
 
 
 def _load_lattice(spec) -> Lattice:
@@ -136,6 +140,10 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
         v = load_field(params["v_field"], lat)
         if v.kind != "potential":
             raise SchemaError("v_field must have kind 'potential'")
+    fiber_bytes = params["theta_points"] ** lat.dim * u.points_per_cell**u.dim * u.n_t * 16
+    if fiber_bytes > THETA_GRID_BYTES:
+        raise BudgetExceededError(f"a theta grid of {params['theta_points']}^{lat.dim} fibers needs "
+                                  f"{fiber_bytes} bytes, budget is {THETA_GRID_BYTES}")
     thetas = theta_grid(lat, params["theta_points"])
 
     out_dir = Path(cfg.out_dir)

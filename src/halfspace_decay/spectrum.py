@@ -4,6 +4,9 @@ The fiber operator acts on lattice-periodic functions with eigenvalues
 |k + theta|^2 - E over the dual lattice.  Everything here is elementary
 lattice-point enumeration; the interesting structure is in the gap scans
 and in the reduction of the values to a scaled integral quadratic form.
+An integer value set up to N holds its N + 1 entries plus one block: the
+diagonal sieve keeps the set bit-packed, and the general enumeration and the
+gap scan go through it VALUE_BLOCK candidates or entries at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .lattice import DualLattice, Lattice, QuadraticForm, Quasimomentum, dual_ba
 
 MERGE_TOL = 1e-9
 DEFAULT_BUDGET = 10_000_000
+VALUE_BLOCK = 2**16  # candidates per enumeration block, and set entries per gap-scan block
 
 
 @dataclass(eq=False)
@@ -178,35 +182,46 @@ def find_gaps(slc: SpectrumSlice, min_len: float = 0.0, full_axis: bool = False)
 def _value_set_diagonal(q: QuadraticForm, l: int, residues: np.ndarray, bound: int, budget: int) -> np.ndarray:
     """Bool array of attainable q(l*m+r) values up to bound for diagonal q.
 
-    A bit-packed shift-OR sieve: per axis, the attained set is packed into
-    eight bit-shifted uint8 copies, and every axis value s ORs copy s % 8 into
-    the next set at byte offset s // 8.
+    A bit-packed shift-OR sieve, value v at bit v % 8 of byte v // 8, unpacked
+    only at the return.  The first axis sets its values' bits by indexing; each
+    later axis value s ORs the set, shifted by s % 8 bits, into the next set at
+    byte offset s // 8.  The shifted copies are made one at a time by byte
+    shifts of the packed set, each byte taking the bits its predecessor carries.
     """
-    reached = np.zeros(bound + 1, dtype=bool)
-    reached[0] = True
+    packed = None
     for axis in range(q.dim):
         coeff = int(q.G[axis, axis])
         r = int(residues[axis])
         x, = _ellipsoid_axes(np.array([[float(coeff * l * l)]]), [r / l], float(bound), budget, l, r)
-        axis_vals = np.unique(coeff * x * x)
-        # the set up to its last member, behind 8 zeros: slice 8-t is the set shifted by t bits
-        padded = np.concatenate((np.zeros(8, dtype=bool), reached[: bound + 1 - np.argmax(reached[::-1])]))
-        shifted = [np.packbits(padded[8 - t :], bitorder="little") for t in range(8)]
+        s = np.unique(coeff * x * x)
+        s = s[s <= bound]
         nxt = np.zeros((bound + 8) // 8, dtype=np.uint8)
-        for s in axis_vals[axis_vals <= bound].tolist():
-            q8, t = divmod(s, 8)
-            stop = min(q8 + shifted[t].size, nxt.size)
-            nxt[q8:stop] |= shifted[t][: stop - q8]
-        reached = np.unpackbits(nxt, count=bound + 1, bitorder="little").view(bool)
-    return reached
+        if packed is None:
+            np.bitwise_or.at(nxt, s >> 3, (1 << (s & 7)).astype(np.uint8))
+        else:
+            for t in np.unique(s & 7).tolist():
+                shifted = packed << t
+                if t:
+                    shifted[1:] |= packed[:-1] >> (8 - t)
+                for q8 in (s[(s & 7) == t] >> 3).tolist():
+                    nxt[q8:] |= shifted[: nxt.size - q8]
+        packed = nxt
+    return np.unpackbits(packed, count=bound + 1, bitorder="little").view(bool)
 
 
 def _value_set_general(q: QuadraticForm, l: int, residues: np.ndarray, bound: int, budget: int) -> np.ndarray:
-    """Bool array of attainable values via direct ellipsoid enumeration."""
-    axes = _ellipsoid_axes(q.G * float(l * l), residues / l, float(bound), budget, l, residues)
-    vals = form_on_grid(q.G, axes)
+    """Bool array of attainable values via direct ellipsoid enumeration.
+
+    The box is enumerated in blocks of its first axis, each of at most
+    VALUE_BLOCK candidates (or one row, when a row is longer), and each block
+    is scattered into the set before the next is made.
+    """
+    first, *rest = _ellipsoid_axes(q.G * float(l * l), residues / l, float(bound), budget, l, residues)
+    rows = max(1, VALUE_BLOCK // max(math.prod(ax.size for ax in rest), 1))
     reached = np.zeros(bound + 1, dtype=bool)
-    reached[vals[(vals >= 0) & (vals <= bound)].astype(np.int64, copy=False)] = True
+    for i in range(0, first.size, rows):
+        vals = form_on_grid(q.G, [first[i : i + rows], *rest])
+        reached[vals[(vals >= 0) & (vals <= bound)].astype(np.int64, copy=False)] = True
     return reached
 
 
@@ -238,24 +253,28 @@ def max_gap_growth(
 ) -> list[tuple[int, float]]:
     """Per N: the maximal gap of (sigma/l^2)*{q(l*m+r)} within [0, N].
 
-    The returned column is monotone non-decreasing in N because the scanned
-    ranges are nested.
+    One scan of the value set serves the whole table: it walks the set in
+    blocks of VALUE_BLOCK entries and carries the last attained value from one
+    block to the next, so the returned column is monotone non-decreasing in N.
+    An empty N_list, or a negative N, is a SchemaError.
     """
     n_list = [int(n) for n in n_list]
+    if not n_list or n_list[0] < 0:
+        raise SchemaError(f"N_list must be a non-empty list of N >= 0, not {n_list}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise SchemaError("N_list must be strictly increasing")
     l = 1 if theta is None or theta.exact is None else theta.exact[0]
     unit = q.sigma / (l * l)
-    bound = int(Fraction(n_list[-1]) / unit)
-    reached = spectrum_value_set(q, theta, bound, budget)
-    table = []
+    reached = spectrum_value_set(q, theta, int(Fraction(n_list[-1]) / unit), budget)
+    table, gap, last, start = [], 0, None, 0
     for n in n_list:
-        limit = int(Fraction(n) / unit)
-        vals = np.flatnonzero(reached[: limit + 1])
-        if vals.size < 2:
-            table.append((n, 0.0))
-            continue
-        gap = int(np.max(np.diff(vals)))
+        stop = int(Fraction(n) / unit) + 1
+        for lo in range(start, stop, VALUE_BLOCK):
+            vals = np.flatnonzero(reached[lo : min(lo + VALUE_BLOCK, stop)]) + lo
+            if vals.size:
+                steps = np.diff(vals) if last is None else np.diff(vals, prepend=last)
+                gap, last = max(gap, int(steps.max(initial=0))), int(vals[-1])
+        start = stop
         table.append((n, float(Fraction(gap) * unit)))
     return table
 

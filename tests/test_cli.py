@@ -380,6 +380,29 @@ def test_any_config_value_exits_by_the_contract(tiny_pipeline_config, place, val
     assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_VIOLATION, EXIT_IO)
 
 
+def test_theta_grid_over_budget_is_refused_before_any_output(tiny_pipeline_config, tmp_path, capsys):
+    base, doc = tiny_pipeline_config
+    path = tmp_path / "huge_grid.json"
+    path.write_text(json.dumps({**doc, "params": {**doc["params"], "theta_points": 10**6}}))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(out)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    # 10^6 fibers of 4 points per cell and 1025 t samples, 16 bytes each
+    assert captured.err.startswith("error: a theta grid of 1000000^1 fibers needs 65600000000 bytes, "
+                                   "budget is 1073741824")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("growth", [",", "-5,10", "-100,-50"])
+def test_gaps_growth_refuses_an_empty_or_negative_n_list(growth, tmp_path, capsys):
+    lat_path = tmp_path / "z3.json"
+    lat_path.write_text(json.dumps({"basis": (TWO_PI * np.eye(3)).tolist(),
+                                    "dual_gram_exact": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}))
+    assert main(["gaps", "--lattice", str(lat_path), f"--growth={growth}"]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: N_list must be a non-empty list of N >= 0")
+
+
 def test_evolve_full_solve_over_memory_budget_is_refused(capsys):
     # T = 10 gives 2001 points: 1999 * 100 unknowns pass, about 803 MB of band and LU do not
     eigs = ",".join(str(1.0 + 0.08 * i) for i in range(100))

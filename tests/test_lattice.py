@@ -16,6 +16,7 @@ from halfspace_decay import (
     rational_structure,
     unit_cell_volume,
 )
+from halfspace_decay.lattice import form_on_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,3 +235,44 @@ def test_lattice_json_round_trip(tmp_path):
 
     path.write_text(json.dumps(doc))
     assert np.allclose(Lattice.load(path).basis, lat.basis)
+
+
+# G = [[3, -1], [-1, 2]] at the corner (-p, p) reaches |value| = 7 p^2 = worst, the
+# bound form_on_grid picks its dtype by: just below a limit must hold it exactly
+_G2 = [[3, -1], [-1, 2]]
+
+
+@pytest.mark.parametrize("limit, dtype", [(2**31, np.int32), (2**62, np.int64)])
+@pytest.mark.parametrize("factor", [1, 3])
+@pytest.mark.parametrize("side", ["below", "at-or-above"])
+def test_form_on_grid_picks_the_narrowest_exact_integer_type(limit, dtype, factor, side):
+    p = math.isqrt((limit - 1) // (7 * factor)) + (side != "below")
+    worst = 7 * p * p * factor
+    assert (worst < limit) == (side == "below")
+    x0 = np.array([-p, -p + 1, -1, 0, 5, p], dtype=np.int64).reshape(-1, 1)
+    x1 = np.array([-p, 0, 3, p - 1, p], dtype=np.int64)
+    got = form_on_grid(np.array(_G2), [x0, x1], factor=factor)
+    wider = {np.int32: np.int64, np.int64: object}[dtype]
+    assert got.dtype == (dtype if side == "below" else wider)
+    reference = [[3 * w0 * w0 - 2 * w0 * w1 + 2 * w1 * w1 for w1 in x1.tolist()] for w0 in x0.ravel().tolist()]
+    assert [[int(v) for v in row] for row in got.tolist()] == reference
+    assert max(abs(v) for row in reference for v in row) == 7 * p * p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_form_on_grid_float_path_keeps_the_plain_sum_bits(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim))
+    G = a @ a.T + rng.uniform(0.0, 1.0) * np.eye(dim)
+    if rng.random() < 0.3:
+        G[~np.eye(dim, dtype=bool)] = 0.0
+    axes = [(np.arange(rng.integers(1, 9)) - 3 + rng.normal()).reshape((-1,) + (1,) * (dim - 1 - i))
+            for i in range(dim)]
+    plain = sum(
+        (1 + (i != j)) * G[i][j] * axes[i] * axes[j]
+        for i in range(dim) for j in range(i, dim) if G[i][j]
+    )
+    got = form_on_grid(G, axes)
+    assert got.dtype == np.float64 and np.array_equal(got, plain)
+    assert np.array_equal(np.signbit(got), np.signbit(plain))

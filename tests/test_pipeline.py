@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import manufactured_line_input, traced_peak
-from halfspace_decay import GridError, RunConfig, SchemaError, cli, fields, manifest, pipeline, run_pipeline, svgplot
+from halfspace_decay import BudgetExceededError, GridError, RunConfig, SchemaError, cli, fields, manifest, pipeline, run_pipeline, svgplot
 from halfspace_decay.fibers import fiber_residual, gelfand_forward, theta_grid
 from halfspace_decay.fields import load_field
 from halfspace_decay.lattice import Lattice
@@ -232,6 +232,20 @@ def test_pipeline_empty_theta_grid_is_schema_error(line_pipeline_input, tmp_path
     cfg = pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=0)
     with pytest.raises(SchemaError):
         run_pipeline(cfg)
+
+
+@pytest.mark.parametrize("spare", [0, -1])
+def test_theta_grid_budget_counts_every_fiber_sample(tmp_path, monkeypatch, spare):
+    lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=3, n=4)
+    needed = 3 * 4 * 1025 * 16  # P^d fibers of n^d x n_t complex samples
+    monkeypatch.setattr(pipeline, "THETA_GRID_BYTES", needed + spare)
+    cfg = pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=3)
+    if spare == 0:
+        assert run_pipeline(cfg)[1] == 0
+    else:
+        with pytest.raises(BudgetExceededError, match=f"needs {needed} bytes, budget is {needed - 1}$"):
+            run_pipeline(cfg)
+        assert not (tmp_path / "run").exists()
 
 
 def test_pipeline_empty_spectrum_slice_is_one_case(line_pipeline_input, tmp_path):

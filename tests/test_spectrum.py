@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from halfspace_decay import (
     BudgetExceededError,
     FormArityError,
@@ -24,6 +26,7 @@ from halfspace_decay import (
 from halfspace_decay.lattice import integer_gram, rational_structure
 from halfspace_decay.spectrum import (
     MERGE_TOL,
+    VALUE_BLOCK,
     _ellipsoid_axes,
     _enumerate_form_values,
     _merge_close,
@@ -313,6 +316,10 @@ def test_gap_growth_budget_and_n_list_validation():
         max_gap_growth(q, None, [10_000], budget=100)
     with pytest.raises(SchemaError):
         max_gap_growth(q, None, [100, 100])
+    q3 = QuadraticForm(G=np.eye(3, dtype=np.int64))
+    for n_list in ([], [-100, -50], [-5, 10]):
+        with pytest.raises(SchemaError, match="N_list must be a non-empty list of N >= 0"):
+            max_gap_growth(q3, None, n_list)
 
 
 def test_density_floor():
@@ -440,7 +447,7 @@ def test_exact_containment_matches_fraction_walk(name, scale):
 
 @st.composite
 def integral_form_case(draw):
-    dim = draw(st.integers(min_value=2, max_value=3))
+    dim = draw(st.integers(min_value=1, max_value=3))
     if draw(st.booleans()):
         G = np.diag(draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim)))
     else:
@@ -448,28 +455,80 @@ def integral_form_case(draw):
             draw(st.lists(st.integers(-2, 2), min_size=dim * dim, max_size=dim * dim))
         ).reshape(dim, dim)
         G = a @ a.T + np.eye(dim, dtype=np.int64)
-    l = draw(st.integers(min_value=1, max_value=4))
+    l = draw(st.integers(min_value=1, max_value=6))
     residues = tuple(draw(st.integers(0, l - 1)) for _ in range(dim))
-    bound = draw(st.integers(min_value=0, max_value=2000))
+    # the packed sieve's bytes begin and end next to multiples of 8
+    bound = draw(st.integers(0, 5000) | st.builds(lambda k, d: max(8 * k + d, 0), st.integers(0, 625),
+                                                   st.integers(-1, 1)))
     return QuadraticForm(G=G.astype(np.int64)), l, residues, bound
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(integral_form_case())
 # odd x only, and x^2 >= 1 > bound: the first axis already leaves the set empty
 @example((QuadraticForm(G=np.eye(2, dtype=np.int64)), 2, (1, 0), 0))
+@example((QuadraticForm(G=np.diag([1, 2, 3])), 1, (0, 0, 0), 4095))
+@example((QuadraticForm(G=np.eye(3, dtype=np.int64)), 6, (5, 1, 3), 4097))
 def test_value_set_matches_brute_force(case):
     q, l, residues, bound = case
     # every eigenvalue of G is >= 1, so |x_i| <= sqrt(bound) on the ellipsoid
     reach = math.isqrt(bound) + 1
     line = np.arange(-reach, reach + 1, dtype=np.int64)
-    grids = np.meshgrid(*[line[(line - r) % l == 0] for r in residues], indexing="ij")
-    x = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    vals = np.einsum("ni,ij,nj->n", x, q.G, x)
+    lines = [line[(line - r) % l == 0] for r in residues]
+    rest = list(itertools.product(*lines[1:]))
+    rest = np.array(rest, dtype=np.int64).reshape(len(rest), q.dim - 1)
     expected = np.zeros(bound + 1, dtype=bool)
-    expected[vals[vals <= bound]] = True
+    for x0 in lines[0].tolist():  # one slab of the box per first coordinate
+        x = np.column_stack((np.full(len(rest), x0, dtype=np.int64), rest))
+        vals = np.einsum("ni,ij,nj->n", x, q.G, x)
+        expected[vals[vals <= bound]] = True
     got = spectrum_value_set(q, Quasimomentum.from_rational(l, residues), bound)
     assert got.dtype == bool and np.array_equal(got, expected)
+
+
+def reference_gap_table(q, theta, n_list):
+    """The index-array scan: every attained value within [0, N] at once, per N."""
+    l = 1 if theta is None else theta.exact[0]
+    unit = q.sigma / (l * l)
+    reached = spectrum_value_set(q, theta, int(Fraction(n_list[-1]) / unit))
+    table = []
+    for n in n_list:
+        vals = np.flatnonzero(reached[: int(Fraction(n) / unit) + 1])
+        gap = int(np.max(np.diff(vals))) if vals.size >= 2 else 0
+        table.append((n, float(Fraction(gap) * unit)))
+    return table
+
+
+_B = VALUE_BLOCK
+
+
+@pytest.mark.parametrize("G, theta", [
+    ([[1]], None),  # 256^2 = VALUE_BLOCK is a square: a scan block starts on a value
+    ([[1, 0], [0, 2]], None),
+    ([[2, 1], [1, 3]], None),
+    ([[1, 0], [0, 1]], Quasimomentum.from_rational(2, (1, 0))),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], Quasimomentum.from_rational(3, (1, 1, 2))),
+], ids=["squares", "diag-1-2", "binary-2-1-3", "two-squares-half-shift", "three-squares-thirds"])
+def test_gap_growth_matches_the_index_array_scan_across_blocks(G, theta):
+    q = QuadraticForm(G=np.array(G, dtype=np.int64))
+    # with theta = None, N is the value-set index: scan blocks end at, next to and between the N
+    n_list = [0, 1, 5, _B - 1, _B, _B + 1, 2 * _B + 3, 3 * _B - 2, 3 * _B + 5]
+    assert max_gap_growth(q, theta, n_list) == reference_gap_table(q, theta, n_list)
+
+
+def test_gap_scans_hold_the_value_set_plus_one_block():
+    """tracemalloc peaks: the index arrays and int64 candidate grid of a whole scan took 13.7 and 30.0 MiB."""
+    binary = QuadraticForm(G=np.array([[2, 1], [1, 3]], dtype=np.int64))
+    q3 = QuadraticForm(G=np.eye(3, dtype=np.int64))
+    peaks = {}
+    for n in (10**6, 4 * 10**6):
+        _, peaks["density", n] = traced_peak(density_scan, binary, n)
+        table, peaks["growth", n] = traced_peak(max_gap_growth, q3, None, [10**2, 10**4, n])
+        assert table == [(10**2, 2.0), (10**4, 3.0), (n, 3.0)]
+    assert peaks["density", 10**6] < 3 * 2**20 and peaks["growth", 10**6] < 5 * 2**20
+    for scan in ("density", "growth"):
+        # 3 MB more set entries, and nothing else that grows with N
+        assert peaks[scan, 4 * 10**6] - peaks[scan, 10**6] < 3e6 + 2**20, peaks
 
 
 def sequential_merge(raw):
