@@ -289,14 +289,11 @@ class Quasimomentum:
             fracs = [Fraction(p) for p in parts]
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"cannot parse quasimomentum {text!r}: {exc}") from exc
-        l = math.lcm(*(f.denominator for f in fracs))
-        residues = []
         for f in fracs:
-            r = f.numerator * (l // f.denominator)
-            residues.append(r % l)
-            if Fraction(r % l, l) != f % 1:
+            if not 0 <= f < 1:
                 raise SchemaError(f"coordinate {f} not in [0,1)")
-        return Quasimomentum.from_rational(l, residues)
+        l = math.lcm(*(f.denominator for f in fracs))
+        return Quasimomentum.from_rational(l, [f.numerator * (l // f.denominator) for f in fracs])
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,9 +4,11 @@ The fiber operator acts on lattice-periodic functions with eigenvalues
 |k + theta|^2 - E over the dual lattice.  Everything here is elementary
 lattice-point enumeration; the interesting structure is in the gap scans
 and in the reduction of the values to a scaled integral quadratic form.
-An integer value set up to N holds its N + 1 entries plus one block: the
-diagonal sieve keeps the set bit-packed, and the general enumeration and the
-gap scan go through it VALUE_BLOCK candidates or entries at a time.
+One walk, ``_box_blocks``, goes through every enumeration box VALUE_BLOCK
+candidates at a time: value sets scatter each block, containment keeps a
+running maximum, and the float spectrum keeps the values within the radius.
+The diagonal sieve keeps its value set bit-packed, and the gap scan goes
+through the set VALUE_BLOCK entries at a time.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ def _merge_close(raw: np.ndarray):
     starts at every chain start.  A chain spanning at most MERGE_TOL is one
     group; only wider chains are walked head by head.
     """
-    raw = np.sort(raw)
     if raw.size == 0:
         return np.empty(0), np.empty(0, dtype=np.int64)
     edges = np.concatenate(([0], np.flatnonzero(np.diff(raw) > MERGE_TOL) + 1, [raw.size]))
@@ -118,6 +119,21 @@ def _ellipsoid_axes(gram: np.ndarray, mu, radius2: float, budget: int, l: int = 
     ]
 
 
+def _box_blocks(G, axes, factor: int = 1):
+    """form_on_grid over the box of ``axes`` in grid order, in blocks of its first axis
+    of at most VALUE_BLOCK candidates (one row, when a row is longer)."""
+    first, *rest = axes
+    rows = max(1, VALUE_BLOCK // max(math.prod(ax.size for ax in rest), 1))
+    for i in range(0, first.size, rows):
+        yield form_on_grid(G, [first[i : i + rows], *rest], factor)
+
+
+def _form_value_blocks(gram: np.ndarray, mu: np.ndarray, radius2: float, budget: int):
+    """Per block, every (m+mu)^T gram (m+mu) <= radius2 + MERGE_TOL; the box covers that tolerance too."""
+    for vals in _box_blocks(gram, _ellipsoid_axes(gram, mu, radius2 + MERGE_TOL, budget, residues=mu)):
+        yield vals[vals <= radius2 + MERGE_TOL]
+
+
 def enumerate_spectrum(
     lat: Lattice,
     theta: Quasimomentum,
@@ -128,10 +144,10 @@ def enumerate_spectrum(
 ) -> SpectrumSlice:
     """All values |k + theta|^2 - E <= cutoff over the dual lattice.
 
-    Enumerates integer coordinates inside the ellipsoid of squared radius
-    cutoff + E, evaluates the dual Gram form, and merges coincidences within
-    1e-9.  ``verify=True`` re-enumerates with a padded radius and checks that
-    no value below the cutoff was missed.
+    Walks the box of the ellipsoid of squared radius cutoff + E, keeps each
+    block's values within it, sorts them once and merges coincidences within
+    1e-9.  ``verify=True`` counts, block by block, the values below the cutoff
+    in a box of padded radius, and checks that none was missed.
     """
     dual = dual_basis(lat)
     if theta.dim != dual.dim:
@@ -143,22 +159,16 @@ def enumerate_spectrum(
         return SpectrumSlice(
             values=np.empty(0), mults=np.empty(0, dtype=np.int64), cutoff=float(cutoff), energy=float(energy)
         )
-    raw = _enumerate_form_values(dual.gram(), theta.coeffs, radius2, budget)
+    raw = np.concatenate([np.empty(0), *_form_value_blocks(dual.gram(), theta.coeffs, radius2, budget)])
+    raw.sort()
     if verify:
-        padded = _enumerate_form_values(dual.gram(), theta.coeffs, radius2 * 1.05 + 1.0, budget)
-        padded = padded[padded <= radius2 + MERGE_TOL]
-        if padded.size != raw.size:
+        padded = _form_value_blocks(dual.gram(), theta.coeffs, radius2 * 1.05 + 1.0, budget)
+        if sum(int(np.count_nonzero(vals <= radius2 + MERGE_TOL)) for vals in padded) != raw.size:
             raise VerificationError("enumeration completeness check failed")
     values, mults = _merge_close(raw)
     return SpectrumSlice(
         values=values - float(energy), mults=mults, cutoff=float(cutoff), energy=float(energy)
     )
-
-
-def _enumerate_form_values(gram: np.ndarray, mu: np.ndarray, radius2: float, budget: int) -> np.ndarray:
-    """Every (m+mu)^T gram (m+mu) <= radius2 + MERGE_TOL; the box covers that tolerance too."""
-    vals = form_on_grid(gram, _ellipsoid_axes(gram, mu, radius2 + MERGE_TOL, budget, residues=mu))
-    return vals[vals <= radius2 + MERGE_TOL]
 
 
 def find_gaps(slc: SpectrumSlice, min_len: float = 0.0, full_axis: bool = False) -> list[Gap]:
@@ -210,17 +220,10 @@ def _value_set_diagonal(q: QuadraticForm, l: int, residues: np.ndarray, bound: i
 
 
 def _value_set_general(q: QuadraticForm, l: int, residues: np.ndarray, bound: int, budget: int) -> np.ndarray:
-    """Bool array of attainable values via direct ellipsoid enumeration.
-
-    The box is enumerated in blocks of its first axis, each of at most
-    VALUE_BLOCK candidates (or one row, when a row is longer), and each block
-    is scattered into the set before the next is made.
-    """
-    first, *rest = _ellipsoid_axes(q.G * float(l * l), residues / l, float(bound), budget, l, residues)
-    rows = max(1, VALUE_BLOCK // max(math.prod(ax.size for ax in rest), 1))
+    """Bool array of attainable values; each block of the box walk is scattered into the set."""
+    axes = _ellipsoid_axes(q.G * float(l * l), residues / l, float(bound), budget, l, residues)
     reached = np.zeros(bound + 1, dtype=bool)
-    for i in range(0, first.size, rows):
-        vals = form_on_grid(q.G, [first[i : i + rows], *rest])
+    for vals in _box_blocks(q.G, axes):
         reached[vals[(vals >= 0) & (vals <= bound)].astype(np.int64, copy=False)] = True
     return reached
 
@@ -326,20 +329,17 @@ def progression_containment(
         axes = _ellipsoid_axes(dual.gram(), theta.coeffs, float(n), budget, l, residues)
         D, nums = integer_gram(dual.gram_exact)
         period = D * sigma.numerator
-        # int64 only if N*b and the period D*a both stay below 2**62
-        N = form_on_grid(nums, axes, factor=sigma.denominator * period)
         # N/(D l^2) <= n  <=>  N <= floor(num(n) D l^2 / den(n)) for integer N
         n_exact = Fraction(n)
-        N = N[N <= n_exact.numerator * D * l * l // n_exact.denominator]
-        if N.size == 0:
-            return 0.0
-        # value/unit = N b / (D a) for sigma = a/b; its distance to Z, in units of 1/(D a)
-        rem = N * sigma.denominator % period
-        worst = int(np.max(np.minimum(rem, period - rem)))
+        top, worst = n_exact.numerator * D * l * l // n_exact.denominator, 0
+        # each block is int64 only if its N*b and the period D*a both stay below 2**62
+        for N in _box_blocks(nums, axes, factor=sigma.denominator * period):
+            # value/unit = N b / (D a) for sigma = a/b; its distance to Z, in units of 1/(D a)
+            rem = N[N <= top] * sigma.denominator % period
+            worst = max(worst, int(np.minimum(rem, period - rem).max(initial=0)))
         return float(Fraction(worst, period) * unit)
-    raw = _enumerate_form_values(dual.gram(), theta.coeffs, float(n), budget)
-    if raw.size == 0:
-        return 0.0
     unit_f = float(unit)
-    dist = np.abs(raw - np.round(raw / unit_f) * unit_f)
-    return float(np.max(dist))
+    worst = 0.0
+    for raw in _form_value_blocks(dual.gram(), theta.coeffs, float(n), budget):
+        worst = max(worst, float(np.abs(raw - np.round(raw / unit_f) * unit_f).max(initial=0.0)))
+    return worst

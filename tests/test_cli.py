@@ -220,6 +220,12 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (["spectrum", "--lattice", "{lat}", "--theta", "nan,0", "--cutoff", "10"], None),
         (["gaps", "--lattice", "{lat}", "--theta", "1/0,0", "--cutoff", "10"], None),
         (["lattice", "rational", "--lattice", "{lat}", "--theta", "1/2,x"], None),
+        (["lattice", "rational", "--lattice", "{lat}", "--theta", "3/2,0"], None),
+        (["lattice", "rational", "--lattice", "{lat}", "--theta=-1/2,0"], None),
+        (["lattice", "rational", "--lattice", "{lat}", "--theta", "1,0"], None),
+        (["lattice", "rational", "--lattice", "{lat}", "--theta", "0,1/1"], None),
+        (["spectrum", "--lattice", "{lat}", "--theta", "3/2,0", "--cutoff", "10"], None),
+        (["gaps", "--lattice", "{lat}", "--theta=-1/2,0", "--cutoff", "10"], None),
         (["evolve", "--eigs", ""], None),
         (_INVERSE, "not a fiber\n"),
         (_INVERSE, _npz_bytes(data=np.zeros((2, 2, 5)))),
@@ -284,6 +290,8 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         "decay-input-not-numeric", "decay-input-header-only", "decay-input-one-column",
         "decay-input-nan", "decay-window-one-number", "decay-window-three-numbers",
         "spectrum-theta-not-number", "spectrum-theta-nan", "gaps-theta-zero-denominator", "lattice-rational-theta-not-number",
+        "lattice-rational-theta-three-halves", "lattice-rational-theta-minus-half", "lattice-rational-theta-one",
+        "lattice-rational-theta-one-over-one", "spectrum-theta-three-halves", "gaps-theta-minus-half",
         "evolve-eigs-empty", "fibers-not-npz", "fibers-npz-without-mu", "fibers-empty-file",
         "evolve-eigs-nan", "evolve-eigs-inf", "evolve-T-nan", "evolve-T-inf", "evolve-beta-nan",
         "evolve-beta-inf", "evolve-boundary-nan", "ellreg-s-list-empty", "verify-gap-eigs-empty",

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,12 +24,13 @@ from halfspace_decay import (
     max_gap_growth,
     progression_containment,
 )
+from halfspace_decay import spectrum
 from halfspace_decay.lattice import integer_gram, rational_structure
 from halfspace_decay.spectrum import (
     MERGE_TOL,
     VALUE_BLOCK,
     _ellipsoid_axes,
-    _enumerate_form_values,
+    _form_value_blocks,
     _merge_close,
     spectrum_value_set,
 )
@@ -151,22 +153,28 @@ def einsum_grid_values(gram, mu, radius2):
     return np.sort(vals[vals <= radius2 + MERGE_TOL])
 
 
+# a block of 7 candidates, or one row, splits every box of the box-walk oracles into many blocks
+BLOCKS = st.sampled_from([VALUE_BLOCK, 7])
+
+
 @settings(max_examples=60, deadline=None)
-@given(float_form_case())
-# the cubic 3D enumeration of the benchmark, theta = (1, 1, 2)/3, cutoff 10^3
-@example((np.eye(3), np.array([1.0, 1.0, 2.0]) / 3, 1000.0, True))
+@given(float_form_case(), BLOCKS)
+# the cubic 3D enumeration of the benchmark, theta = (1, 1, 2)/3, cutoff 10^3, in 4 and in 64 blocks
+@example((np.eye(3), np.array([1.0, 1.0, 2.0]) / 3, 1000.0, True), VALUE_BLOCK)
+@example((np.eye(3), np.array([1.0, 1.0, 2.0]) / 3, 1000.0, True), 7)
 # x = -1e-5 lies outside the cutoff-0 box, yet within MERGE_TOL of the cutoff
-@example((np.eye(1), np.array([0.99999]), 0.0, False))
-def test_float_enumeration_matches_einsum_grid(case):
+@example((np.eye(1), np.array([0.99999]), 0.0, False), VALUE_BLOCK)
+def test_float_enumeration_matches_einsum_grid(case, block):
     F, mu, cutoff, diagonal = case
     lat = Lattice(basis=TWO_PI * np.linalg.inv(F.T))
     gram = dual_basis(lat).gram()
     want = einsum_grid_values(gram, mu, cutoff)
-    got = np.sort(_enumerate_form_values(gram, mu, cutoff, budget=10**7))
+    with mock.patch.object(spectrum, "VALUE_BLOCK", block):
+        got = np.sort(np.concatenate([np.empty(0), *_form_value_blocks(gram, mu, cutoff, budget=10**7)]))
+        slc = enumerate_spectrum(lat, Quasimomentum(coeffs=mu), 0.0, cutoff, verify=True)
     assert got.size == want.size
     # every term G_ij x_i x_j is at most about cond(G) * cutoff
     assert np.all(np.abs(got - want) <= 1e-12 * max(cutoff, 1.0))
-    slc = enumerate_spectrum(lat, Quasimomentum(coeffs=mu), 0.0, cutoff)
     values, mults = _merge_close(want)
     assert np.array_equal(slc.mults, mults)
     if diagonal:
@@ -191,6 +199,24 @@ def test_float_enumeration_never_materialises_the_grid(F, cutoff):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 8 * n, peak / (8 * n)
+
+
+def test_box_walk_holds_one_block_beyond_the_result():
+    """tracemalloc peaks of second calls on the Z^3 dual; whole-box evaluation took 16.2, 25.3 MiB and 4.4x."""
+    lat = Lattice.from_dual_gram([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    dual = dual_basis(lat)
+    theta = Quasimomentum.from_rational(3, (1, 1, 2))
+    sigma, q, l, _ = rational_structure(dual, theta)
+    for exact, bound in ((True, 2 * 2**20), (False, 4 * 2**20)):
+        for _ in range(2):
+            worst, peak = traced_peak(progression_containment, dual, q, theta, sigma, l, 4000.0, exact)
+        assert worst == 0.0 if exact else worst <= 1e-9
+        assert peak < bound, (exact, peak / 2**20)
+    for _ in range(2):
+        slc, peak = traced_peak(enumerate_spectrum, lat, theta, 0.0, 1e4, spectrum.DEFAULT_BUDGET, True)
+    assert 4.1e6 < slc.total_count() < 4.3e6
+    # the blocks kept within the radius and their concatenation, then the sort and merge of that array
+    assert peak <= 2.5 * 8 * slc.total_count(), peak / (8 * slc.total_count())
 
 
 def test_shift_covariance_exact():
@@ -428,7 +454,7 @@ CONTAINMENT_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CONTAINMENT_CASES))
-@pytest.mark.parametrize("scale", [1, 2], ids=["sigma", "wrong-sigma"])
+@pytest.mark.parametrize("scale", [1, 2, Fraction(101, 100)], ids=["sigma", "wrong-sigma", "near-sigma"])
 def test_exact_containment_matches_fraction_walk(name, scale):
     gram, l, residues, n = CONTAINMENT_CASES[name]
     dual = dual_basis(Lattice.from_dual_gram(gram))
@@ -436,10 +462,15 @@ def test_exact_containment_matches_fraction_walk(name, scale):
     sigma, q, l, _ = rational_structure(dual, theta)
     got = progression_containment(dual, q, theta, scale * sigma, l, n, exact=True)
     assert got == fraction_walk_containment(dual, theta, scale * sigma, l, n)
+    # in blocks of one row; with the near sigma, the worst candidate sits in a later block than the first
+    with mock.patch.object(spectrum, "VALUE_BLOCK", 7):
+        assert progression_containment(dual, q, theta, scale * sigma, l, n, exact=True) == got
+        # float mode walks the same blocks, and its distances differ from the exact ones by roundoff
+        assert abs(progression_containment(dual, q, theta, scale * sigma, l, n, exact=False) - got) <= 1e-9
     if scale == 1:
         assert got == 0.0
     else:
-        # a doubled sigma puts the odd multiples of sigma/l^2 off its grid
+        # a doubled sigma puts the odd multiples of sigma/l^2 off its grid, and 101/100 sigma most of them
         assert got > 0.0
     if name == "denominators-1e9":
         assert integer_gram(dual.gram_exact)[0] * l * l * n >= 2**62
@@ -464,12 +495,15 @@ def integral_form_case(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(integral_form_case())
+@given(integral_form_case(), BLOCKS)
 # odd x only, and x^2 >= 1 > bound: the first axis already leaves the set empty
-@example((QuadraticForm(G=np.eye(2, dtype=np.int64)), 2, (1, 0), 0))
-@example((QuadraticForm(G=np.diag([1, 2, 3])), 1, (0, 0, 0), 4095))
-@example((QuadraticForm(G=np.eye(3, dtype=np.int64)), 6, (5, 1, 3), 4097))
-def test_value_set_matches_brute_force(case):
+@example((QuadraticForm(G=np.eye(2, dtype=np.int64)), 2, (1, 0), 0), VALUE_BLOCK)
+@example((QuadraticForm(G=np.diag([1, 2, 3])), 1, (0, 0, 0), 4095), VALUE_BLOCK)
+@example((QuadraticForm(G=np.eye(3, dtype=np.int64)), 6, (5, 1, 3), 4097), VALUE_BLOCK)
+# non-diagonal forms take the box walk, here in blocks of one row (89 and about 1500 candidates)
+@example((QuadraticForm(G=np.array([[2, 1], [1, 3]], dtype=np.int64)), 1, (0, 0), 5000), 7)
+@example((QuadraticForm(G=np.array([[2, 1, 0], [1, 3, 1], [0, 1, 4]], dtype=np.int64)), 2, (1, 0, 1), 4097), 7)
+def test_value_set_matches_brute_force(case, block):
     q, l, residues, bound = case
     # every eigenvalue of G is >= 1, so |x_i| <= sqrt(bound) on the ellipsoid
     reach = math.isqrt(bound) + 1
@@ -482,7 +516,8 @@ def test_value_set_matches_brute_force(case):
         x = np.column_stack((np.full(len(rest), x0, dtype=np.int64), rest))
         vals = np.einsum("ni,ij,nj->n", x, q.G, x)
         expected[vals[vals <= bound]] = True
-    got = spectrum_value_set(q, Quasimomentum.from_rational(l, residues), bound)
+    with mock.patch.object(spectrum, "VALUE_BLOCK", block):
+        got = spectrum_value_set(q, Quasimomentum.from_rational(l, residues), bound)
     assert got.dtype == bool and np.array_equal(got, expected)
 
 
@@ -553,8 +588,8 @@ def sequential_merge(raw):
     st.sampled_from([1e-10, 4e-10, 7e-10]),
 )
 def test_merge_close_matches_sequential(ticks, offset, step):
-    # steps below MERGE_TOL chain up into runs wider than MERGE_TOL
-    raw = offset + step * np.array(ticks, dtype=float)
+    # steps below MERGE_TOL chain up into runs wider than MERGE_TOL; _merge_close takes sorted input
+    raw = offset + step * np.sort(np.array(ticks, dtype=float))
     values, mults = _merge_close(raw)
     ref_values, ref_mults = sequential_merge(raw)
     assert np.array_equal(values, ref_values) and values.dtype == ref_values.dtype
