@@ -20,7 +20,6 @@ from .errors import (
     VerificationError,
 )
 from .lattice import (
-    DualLattice,
     Lattice,
     QuadraticForm,
     Quasimomentum,

@@ -40,7 +40,7 @@ from .manifest import read_rows, write_csv, write_json, write_rows
 from .pipeline import run_pipeline
 from .profiles import SpectralProfile, bump_profile
 from .quadrature import uniform_grid
-from .runconfig import _SEED, RunConfig
+from .runconfig import _COUNT, _POSITIVE_INT, _SEED, RunConfig
 from .spectrum import density_scan, enumerate_spectrum, find_gaps, max_gap_growth
 from .lattice import QuadraticForm
 
@@ -73,19 +73,22 @@ def _finite(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    """argparse type of --modes and --ensemble: an integer >= 1."""
-    if (value := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-    return value
+def _integer(rule):
+    """argparse type of an integer flag that follows a config rule (description, check)."""
+    kind, check = rule
+
+    def parse(text: str) -> int:
+        if not check(value := int(text)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
-def _seed(text: str) -> int:
-    """argparse type of every --seed: the config's rule, an integer in [0, 2**64)."""
-    kind, check = _SEED
-    if not check(value := int(text)):
-        raise argparse.ArgumentTypeError(f"{text!r} is not {kind}")
-    return value
+_count = _integer(_POSITIVE_INT)  # --modes and --ensemble
+_seed = _integer(_SEED)  # every --seed
+_lmax = _integer(_COUNT)  # --lmax, like the config's l_max
 
 
 def _parse_list(text: str, kind=_finite) -> list:
@@ -144,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "forward":
             sp.add_argument("--u", required=True)
             sp.add_argument("--theta", required=True)
-            sp.add_argument("--lmax", type=int, default=10**6)
+            sp.add_argument("--lmax", type=_lmax, default=10**6)
             sp.add_argument("--out", required=True, help="fiber .npz output")
         elif name == "inverse":
             sp.add_argument("--fibers", nargs="+", required=True)
@@ -157,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--theta", required=True)
             sp.add_argument("--v", default=None)
             sp.add_argument("--energy", type=_finite, default=0.0)
-            sp.add_argument("--lmax", type=int, default=10**6)
+            sp.add_argument("--lmax", type=_lmax, default=10**6)
             sp.add_argument("--out", default=None)
 
     car = sub.add_parser("carleman", help="weighted inequality verification")

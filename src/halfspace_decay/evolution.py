@@ -445,8 +445,8 @@ def harmonic_counterexample(weight_rates, T: float, X: float = 200.0) -> list[Co
     (converging), steady (logarithmic), or accelerating (exponential).
     """
     rates = np.atleast_1d(np.asarray(weight_rates, dtype=float))
-    if not (np.all(np.isfinite(rates)) and 0 < T < math.inf and 0 < X < math.inf):
-        raise SchemaError("weight rates must be finite, and T and X finite and positive")
+    if not (rates.size and np.all(np.isfinite(rates)) and 0 < T < math.inf and 0 < X < math.inf):
+        raise SchemaError("weight rates must be one or more finite numbers, and T and X finite and positive")
     inner_integral_check([0.0, 1.0, 5.0], X)
     rows = []
     for rate in rates:

@@ -280,6 +280,14 @@ def gelfand_inverse(fibers: list[BlochFiber], lat: Lattice) -> SampledField:
     )
 
 
+def check_potential_grid(potential: SampledField, grid: SampledField | BlochFiber) -> None:
+    """Refuse a potential sampled on other points per cell or another t-grid than ``grid``."""
+    if potential.points_per_cell != grid.points_per_cell:
+        raise GridError("potential grid is incommensurate with the fiber")
+    if (potential.n_t, potential.t_start, potential.t_end) != (grid.n_t, grid.t_start, grid.t_end):
+        raise GridError("potential t-grid disagrees with the fiber")
+
+
 def fiber_residual(
     fiber: BlochFiber, potential: SampledField | None, energy: float
 ) -> np.ndarray:
@@ -296,11 +304,7 @@ def fiber_residual(
     axes = fiber.spatial_axes
     res_phys = np.fft.ifftn(res_spec, axes=axes, norm="ortho")
     if potential is not None:
-        if potential.points_per_cell != fiber.points_per_cell:
-            raise GridError("potential grid is incommensurate with the fiber")
-        t_range = (fiber.n_t, fiber.t_start, fiber.t_end)
-        if (potential.n_t, potential.t_start, potential.t_end) != t_range:
-            raise GridError("potential t-grid disagrees with the fiber")
+        check_potential_grid(potential, fiber)
         v_cell = potential.cell_block(potential.cells_lo)[..., 1:-1]
         res_phys = res_phys - v_cell * fiber.data[..., 1:-1]
     w = unit_cell_volume(fiber.lattice) / fiber.points_per_cell**fiber.dim

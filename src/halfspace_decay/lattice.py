@@ -99,19 +99,20 @@ _LATTICE_KEYS = {
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """A full-rank lattice given by basis column vectors.
+    """A full-rank lattice given by basis column vectors; ``dual_basis`` gives its dual.
 
     ``basis[:, i]`` is the i-th generator.  ``gram_exact`` optionally holds the
     exact rational Gram matrix of this basis; ``dual_gram_exact`` optionally
     holds the exact rational Gram matrix of the dual basis (the two are
     mutually exclusive under the 2*pi duality convention, except in trivial
     dimension-0 cases, since one is (2*pi)^2 times the inverse of the other).
+    The cell volume |det basis| must be a finite float of at least 1e-300.
     """
 
     basis: np.ndarray
     gram_exact: RationalMatrix | None = None
     dual_gram_exact: RationalMatrix | None = None
-    _dual: DualLattice | None = field(default=None, init=False, repr=False)  # dual_basis fills it
+    _dual: Lattice | None = field(default=None, init=False, repr=False)  # dual_basis fills it
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -120,17 +121,19 @@ class Lattice:
         basis = basis.copy()
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
-        if abs(np.linalg.det(basis)) < 1e-300 or not np.all(np.isfinite(basis)):
-            raise DegenerateLatticeError("lattice basis is singular")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite volume is refused, not warned of
+            volume = abs(np.linalg.det(basis))
+        if not (np.all(np.isfinite(basis)) and 1e-300 <= volume <= sys.float_info.max):
+            raise DegenerateLatticeError(f"lattice cell volume {volume:.3g} is not a finite float >= 1e-300")
         if self.gram_exact is not None:
             object.__setattr__(self, "gram_exact", _as_rational_matrix(self.gram_exact))
             _check_gram_matches(self.gram_exact, basis, "gram_exact")
-        if self.dual_gram_exact is not None:
-            object.__setattr__(
-                self, "dual_gram_exact", _as_rational_matrix(self.dual_gram_exact)
-            )
-            dual = TWO_PI * np.linalg.inv(basis.T)
-            _check_gram_matches(self.dual_gram_exact, dual, "dual_gram_exact")
+        if self.dual_gram_exact is not None:  # the constructor of the dual basis checks it
+            dual = Lattice(TWO_PI * np.linalg.inv(basis.T), gram_exact=self.dual_gram_exact)
+            object.__setattr__(self, "dual_gram_exact", dual.gram_exact)
+
+    def gram(self) -> np.ndarray:
+        return self.basis.T @ self.basis
 
     @property
     def dim(self) -> int:
@@ -181,38 +184,11 @@ class Lattice:
         return Lattice.from_json(parse_json(Path(path).read_bytes(), f"lattice file {path}"))
 
 
-@dataclass(frozen=True, eq=False)
-class DualLattice:
-    """Dual lattice with basis columns f_i satisfying f_i.e_j = 2*pi*delta_ij."""
+def dual_basis(lat: Lattice) -> Lattice:
+    """The dual lattice, basis 2*pi*(B^T)^{-1}, whose exact Gram is ``lat.dual_gram_exact``.
 
-    basis: np.ndarray
-    parent: Lattice
-    gram_exact: RationalMatrix | None = None
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float).copy()
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-        prod = basis.T @ self.parent.basis
-        if np.max(np.abs(prod - TWO_PI * np.eye(self.dim))) > 1e-12:
-            raise DegenerateLatticeError("dual basis violates f_i.e_j = 2*pi*delta_ij")
-        if self.gram_exact is not None:
-            object.__setattr__(self, "gram_exact", _as_rational_matrix(self.gram_exact))
-            _check_gram_matches(self.gram_exact, basis, "dual gram_exact")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def gram(self) -> np.ndarray:
-        return self.basis.T @ self.basis
-
-
-def dual_basis(lat: Lattice) -> DualLattice:
-    """Dual basis 2*pi*(B^T)^{-1}; attaches the exact dual Gram when supplied.
-
-    Computed once per lattice and kept on it (both are frozen); a singular
-    basis is refused on every call.
+    Computed once per lattice and kept on both (they are frozen), so the dual
+    of the dual is the lattice itself; a singular basis is refused on every call.
     """
     if lat._dual is not None:
         return lat._dual
@@ -220,20 +196,20 @@ def dual_basis(lat: Lattice) -> DualLattice:
         inv_t = np.linalg.inv(lat.basis.T)
     except np.linalg.LinAlgError as exc:
         raise DegenerateLatticeError("cannot invert lattice basis") from exc
+    dual = Lattice(TWO_PI * inv_t, gram_exact=lat.dual_gram_exact)
     cond = np.linalg.cond(lat.basis)
     if not np.isfinite(cond) or cond > 1e12:
         raise DegenerateLatticeError(f"lattice basis is numerically singular (cond={cond:.3g})")
-    dual = DualLattice(basis=TWO_PI * inv_t, parent=lat, gram_exact=lat.dual_gram_exact)
+    if np.max(np.abs(dual.basis.T @ lat.basis - TWO_PI * np.eye(lat.dim))) > 1e-12:
+        raise DegenerateLatticeError("dual basis violates f_i.e_j = 2*pi*delta_ij")
     object.__setattr__(lat, "_dual", dual)
+    object.__setattr__(dual, "_dual", lat)
     return dual
 
 
-def unit_cell_volume(lat) -> float:
-    """|det basis| of a Lattice or DualLattice."""
-    vol = abs(np.linalg.det(lat.basis))
-    if vol <= 0.0 or not np.isfinite(vol):
-        raise DegenerateLatticeError("unit cell volume is not positive")
-    return float(vol)
+def unit_cell_volume(lat: Lattice) -> float:
+    """|det basis|, a finite float >= 1e-300 by the lattice's constructor."""
+    return float(abs(np.linalg.det(lat.basis)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,7 +357,7 @@ def integer_gram(gram: RationalMatrix) -> tuple[int, list[list[int]]]:
     return denom_lcm, [[int(v * denom_lcm) for v in row] for row in gram]
 
 
-def rational_structure(dual: DualLattice, theta: Quasimomentum):
+def rational_structure(dual: Lattice, theta: Quasimomentum):
     """Reduce |k + theta|^2 over the dual lattice to an integral quadratic form.
 
     Returns (sigma, q, l, r) such that for k = sum_i m_i f_i,

@@ -27,7 +27,7 @@ from .errors import (
     strictest_exit_code,
 )
 from .evolution import decay_rate_estimate, default_tail_window
-from .fibers import fiber_residual, gelfand_forward, theta_grid
+from .fibers import check_potential_grid, fiber_residual, gelfand_forward, theta_grid
 from .fields import load_field
 from .lattice import Lattice
 from .manifest import RunManifest, write_csv, write_json
@@ -38,6 +38,10 @@ from .svgplot import PlotTable, emit_plots
 
 # bytes of fiber samples a theta grid may ask of gelfand_forward: P^d fibers of n^d x n_t complex
 THETA_GRID_BYTES = 2**30
+# share of the profile's t-span cut off at each end of the Carleman window;
+# the taper of each side must leave the plateau between them non-empty
+WINDOW_MARGIN = 0.02
+MAX_TAPER = 0.5 - WINDOW_MARGIN
 
 
 def _load_lattice(spec) -> Lattice:
@@ -51,7 +55,7 @@ def _window_profile(profile: SpectralProfile, taper_frac: float) -> SpectralProf
     t = t[:n_use]
     coeffs = profile.coeffs[:, :n_use]
     span = t[-1] - t[0]
-    margin = 0.02 * span
+    margin = WINDOW_MARGIN * span
     taper = taper_frac * span
     shape = plateau_shape(t, t[0] + margin, t[-1] - margin, taper)
     return SpectralProfile(eigs=profile.eigs, t_grid=t, coeffs=coeffs * shape[None, :])
@@ -140,6 +144,12 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
         v = load_field(params["v_field"], lat)
         if v.kind != "potential":
             raise SchemaError("v_field must have kind 'potential'")
+        check_potential_grid(v, u)
+    window_t = params.get("decay_window")
+    if window_t is not None and not u.t_start <= window_t[0] < window_t[1] <= u.t_end:
+        raise SchemaError(f"decay_window {window_t} must satisfy t_start <= a < b <= t_end of the field")
+    if params.get("carleman_taper", 0.2) >= MAX_TAPER:
+        raise SchemaError(f"carleman_taper must be below {MAX_TAPER}: each side keeps a {WINDOW_MARGIN} margin")
     fiber_bytes = params["theta_points"] ** lat.dim * u.points_per_cell**u.dim * u.n_t * 16
     if fiber_bytes > THETA_GRID_BYTES:
         raise BudgetExceededError(f"a theta grid of {params['theta_points']}^{lat.dim} fibers needs "

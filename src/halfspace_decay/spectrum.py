@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     VerificationError,
 )
-from .lattice import DualLattice, Lattice, QuadraticForm, Quasimomentum, dual_basis, form_on_grid, integer_gram
+from .lattice import Lattice, QuadraticForm, Quasimomentum, dual_basis, form_on_grid, integer_gram
 
 MERGE_TOL = 1e-9
 DEFAULT_BUDGET = 10_000_000
@@ -299,7 +299,7 @@ def density_scan(q: QuadraticForm, n: int, budget: int = DEFAULT_BUDGET) -> tupl
 
 
 def progression_containment(
-    dual: DualLattice,
+    dual: Lattice,
     q: QuadraticForm,
     theta: Quasimomentum,
     sigma: Fraction,

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ def test_lattice_commands(lat_json, capsys):
     assert main(["lattice", "rational", "--lattice", lat_json, "--theta", "1/2,0"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out == {"sigma": "1", "G": [[1, 0], [0, 1]], "l": 2, "r": [1, 0]}
+
+
+def test_lattice_of_overflowing_cell_volume_is_refused(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"basis": [[1e160, 0], [0, 1e160]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused without a NumPy overflow warning
+        for sub in ("dual", "volume"):
+            assert main(["lattice", sub, "--lattice", str(path)]) == EXIT_PRECONDITION
+            assert "cell volume inf is not a finite float" in capsys.readouterr().err
 
 
 def test_spectrum_and_gaps_csv(lat_json, tmp_path, capsys):
@@ -269,6 +280,11 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         *((_INVERSE, _fiber(**entries)) for entries in _BAD_FIBER_ENTRIES.values()),
         (_ROUNDTRIP, _field().replace("0.5,0.0\n", "nan,0\n", 1)),
         (_ROUNDTRIP, _npz_bytes(header=_FIELD_HEADER, values=np.r_[math.inf, np.zeros(19)])),
+        (["gelfand", "forward", "--lattice", "{lat}", "--u", "{bad}", "--theta", "0,0", "--lmax", "-1",
+          "--out", "{bad}.npz"], _field()),
+        (["gelfand", "residual", "--lattice", "{lat}", "--u", "{bad}", "--theta", "0,0", "--lmax", "-1"], _field()),
+        (["counterexample", "--lambdas", "", "--T", "10"], None),
+        (["counterexample", "--lambdas", ",", "--T", "10"], None),
     ],
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
@@ -303,7 +319,8 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         "field-header-not-json", "field-npz-header-not-json", "field-header-not-utf8", "ellreg-s-list-nan",
         "counterexample-lambda-nan", "counterexample-T-negative", "counterexample-T-inf",
         "counterexample-X-zero", *(f"fibers-{name}" for name in _BAD_FIBER_ENTRIES),
-        "field-sample-nan", "field-npz-sample-inf",
+        "field-sample-nan", "field-npz-sample-inf", "forward-lmax-negative", "residual-lmax-negative",
+        "counterexample-lambdas-empty", "counterexample-lambdas-comma",
     ],
 )
 def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, capsys):
@@ -316,8 +333,9 @@ def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, caps
     argv = [a.format(lat=lat_json, bad=bad) for a in argv]
     assert main(argv) == EXIT_IO
     err = capsys.readouterr().err
-    if err.startswith("usage: "):  # a non-finite float flag is a usage error naming the flag
-        assert re.search(r"error: argument --[\w-]+: '-?(nan|inf)' is not a finite number$", err)
+    if err.startswith("usage: "):  # a non-finite float or a negative count is a usage error naming the flag
+        usage = r"'(-?(nan|inf)' is not a finite number|-1' is not an integer >= 0)$"
+        assert re.search(r"error: argument --[\w-]+: " + usage, err)
     else:
         assert err.startswith("error: ")
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -57,11 +58,10 @@ def test_duality_pairing_random(basis):
 @given(well_conditioned_2x2())
 def test_duality_round_trip(basis):
     lat = Lattice(basis=basis)
-    again = dual_basis(dual_basis(lat).parent)
-    # dual of the dual: rebuild a Lattice from the dual basis and dualise
+    assert dual_basis(dual_basis(lat)) is lat
+    # a fresh Lattice on the dual basis dualises back to the basis up to roundoff
     dd = dual_basis(Lattice(basis=dual_basis(lat).basis))
     assert np.max(np.abs(dd.basis - lat.basis)) < 1e-10
-    assert np.max(np.abs(again.basis - dual_basis(lat).basis)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -90,13 +90,31 @@ def test_singular_basis_rejected():
         dual_basis(near)
 
 
+def test_primal_and_dual_share_the_cell_volume_rule():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning on the way
+        with pytest.raises(DegenerateLatticeError, match="cell volume inf"):
+            Lattice(basis=1e160 * np.eye(2))
+        big = Lattice(basis=1e152 * np.eye(2))  # cell volume 1e304; its dual's, 3.95e-303, is too small
+        with pytest.raises(DegenerateLatticeError, match="cell volume 3.95e-303"):
+            dual_basis(big)
+
+
+def test_dual_is_a_lattice_checked_by_the_same_constructor():
+    lat = Lattice(basis=TWO_PI * np.eye(2), dual_gram_exact=[["1", "0"], ["0", "1"]])
+    dual = dual_basis(lat)
+    assert type(dual) is Lattice and dual.gram_exact == lat.dual_gram_exact
+    with pytest.raises(SchemaError, match="gram_exact entry"):  # refused when the lattice is built
+        Lattice(basis=TWO_PI * np.eye(2), dual_gram_exact=[["2", "0"], ["0", "1"]])
+
+
 def test_dual_basis_is_computed_once_per_lattice(monkeypatch):
     calls = []
     cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(1) or cond(a))
     lat = Lattice(basis=np.array([[2.0, 1.0], [0.0, 3.0]]))
     dual = dual_basis(lat)
-    assert dual_basis(lat) is dual and dual.parent is lat and len(calls) == 1
+    assert dual_basis(lat) is dual and dual_basis(dual) is lat and len(calls) == 1
     other = Lattice(basis=lat.basis)  # a new lattice computes its own
     assert dual_basis(other) is not dual and len(calls) == 2
     assert np.array_equal(dual_basis(other).basis, dual.basis)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import manufactured_line_input, traced_peak
 from halfspace_decay import BudgetExceededError, GridError, RunConfig, SchemaError, cli, fields, manifest, pipeline, run_pipeline, svgplot
 from halfspace_decay.fibers import fiber_residual, gelfand_forward, theta_grid
-from halfspace_decay.fields import load_field
+from halfspace_decay.fields import constant_potential, load_field, save_field
 from halfspace_decay.lattice import Lattice
 from halfspace_decay.manifest import RunManifest, write_csv, write_rows
 from halfspace_decay.svgplot import PlotTable, emit_plots, render_svg
@@ -232,6 +233,72 @@ def test_pipeline_empty_theta_grid_is_schema_error(line_pipeline_input, tmp_path
     cfg = pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=0)
     with pytest.raises(SchemaError):
         run_pipeline(cfg)
+
+
+def _cli_exit_code(cfg: RunConfig, tmp_path) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
+    return cli.main(["pipeline", "--config", str(path)])
+
+
+@pytest.mark.parametrize(
+    "extra, potential, code",
+    [
+        ({"decay_window": [5.0, 1.0]}, None, 4),
+        ({"decay_window": [0.0, 100.0]}, None, 4),
+        ({"carleman_taper": 0.6}, None, 4),
+        ({"carleman_taper": pipeline.MAX_TAPER}, None, 4),
+        ({"carleman_taper": 0.6, "cutoff": -1.0}, None, 4),  # no case builds a window: still refused
+        ({}, (4, 5.0), 2),
+        ({}, (8, 4.0), 2),
+    ],
+    ids=["window-reversed", "window-past-t-end", "taper-0.6", "taper-at-bound", "taper-without-gap",
+         "potential-points-per-cell", "potential-t-range"],
+)
+def test_pipeline_config_errors_are_refused_before_anything_is_written(
+    line_pipeline_input, tmp_path, extra, potential, code
+):
+    lat_path, u_path, lat = line_pipeline_input
+    if potential is not None:
+        points_per_cell, t_end = potential  # the field has 8 points per cell on t in [0, 5]
+        v_path = tmp_path / "v.csv"
+        save_field(constant_potential(lat, 0.5, points_per_cell, 0.0, t_end, 1025), v_path)
+        extra = {**extra, "v_field": str(v_path)}
+    cfg = pipeline_config(lat_path, u_path, tmp_path / "run", **extra)
+    assert _cli_exit_code(cfg, tmp_path) == code
+    assert not (tmp_path / "run").exists()
+
+
+def test_pipeline_taper_below_the_bound_runs(line_pipeline_input, tmp_path):
+    lat_path, u_path, _ = line_pipeline_input
+    cfg = pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=1, carleman_taper=0.47)
+    manifest, code = run_pipeline(cfg)
+    assert code == 0 and manifest.cases[0]["verdict"] == "pass"
+
+
+def test_pipeline_resolution_gate_refuses_every_case(line_pipeline_input, tmp_path):
+    """A Carleman precondition failure is one refused case each; the run is still written."""
+    lat_path, u_path, _ = line_pipeline_input
+    cfg = dataclasses.replace(pipeline_config(lat_path, u_path, tmp_path / "run"),
+                              tolerances={"resolution_gate_rtol": 1e-300})
+    assert _cli_exit_code(cfg, tmp_path) == 2
+    out = tmp_path / "run"
+    cases = json.loads((out / "manifest.json").read_text())["cases"]
+    assert len(cases) == 3
+    assert all(c["verdict"].startswith("refused: carleman-gap: resolution gate ") for c in cases)
+    assert json.loads((out / "summary.json").read_text())["exit_code"] == 2
+    assert json.loads((out / "carleman_reports.json").read_text()) == []
+
+
+def test_pipeline_decay_window_of_one_grid_point_leaves_no_rate(line_pipeline_input, tmp_path):
+    """A decay fit refused on its window leaves a null rate and no decay.csv row."""
+    lat_path, u_path, _ = line_pipeline_input
+    cfg = pipeline_config(lat_path, u_path, tmp_path / "run", decay_window=[0.0, 0.001])  # t = 0 only
+    assert _cli_exit_code(cfg, tmp_path) == 0
+    out = tmp_path / "run"
+    cases = json.loads((out / "manifest.json").read_text())["cases"]
+    assert len(cases) == 3 and all(c["data"]["decay_rate"] is None for c in cases)
+    assert (out / "decay.csv").read_text() == "theta_index,rate,fit_residual,superexp\n"
 
 
 @pytest.mark.parametrize("spare", [0, -1])
