@@ -43,7 +43,6 @@ from .fibers import (
     gelfand_forward,
     gelfand_inverse,
     theta_grid,
-    weighted_norm,
 )
 from .profiles import SpectralProfile, bump_profile, zero_profile
 from .carleman import (

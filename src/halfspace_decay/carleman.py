@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -145,28 +146,42 @@ def conjugation_identity_check(psi: SpectralProfile, weight_lambda: float) -> fl
     return float(np.max(residual))
 
 
+def _stencil_weight(phi: SpectralProfile, rate: float, power: float, label: Callable[[], str]) -> np.ndarray:
+    """exp(rate * t^power) on phi's stencil: everything it weighs is 0 elsewhere.  Refused if it overflows."""
+    with np.errstate(over="ignore"):
+        weight = np.exp(rate * phi.t_grid[phi._stencil] ** power)
+    if not np.isfinite(weight).all():
+        raise PreconditionError(f"{label()} overflows")  # label() is formatted only on refusal
+    return weight
+
+
 def _weighted_report(
-    phi: SpectralProfile, rate: float, power: float, densities, const: float, params: dict,
+    phi: SpectralProfile, rate: float, power: float, const: float, params: dict,
     what: str, gate_rtol: float, pass_rtol: float | None,
 ) -> CarlemanReport:
     """const * I[e^(2 rate t^power) ||phi||^2] against I[e^(2 rate t^power) ||psi||^2].
 
-    The weight is evaluated on the stencil only: elsewhere both integrands are exactly 0,
-    however far it overflows.  A non-finite result is refused; no verdict if pass_rtol is None.
+    A profile with no support gets the zero report, whatever the weight and const.  Otherwise
+    an overflow of the weight or of an integral is refused; no verdict if pass_rtol is None.
     """
-    t = phi.t_grid[phi._stencil]
+    if phi._stencil is None:
+        return CarlemanReport(lhs=0.0, rhs=0.0, margin=0.0, params=params, quad_err=0.0,
+                              passed=None if pass_rtol is None else True)
+
+    def label():
+        return f"{what}: the weight exp(2*{rate:g}*t^{power:.4g}) or its integral"
+
+    weight = _stencil_weight(phi, 2.0 * rate, power, label)
     ys = np.zeros((2, phi.t_grid.size))
+    densities = phi.densities()
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = np.exp(2.0 * rate * t**power)
         for y, density in zip(ys, densities):
             np.multiply(weight, density[phi._stencil], out=y[phi._stencil])
         lhs_int, rhs_int = (simpson_with_error(y, phi.step) for y in ys)
         lhs, rhs = const * lhs_int.value, rhs_int.value
         quad_err = const * lhs_int.err_estimate + rhs_int.err_estimate
     if not all(map(math.isfinite, (lhs, rhs, quad_err))):
-        raise PreconditionError(
-            f"{what}: the weight exp(2*{rate:g}*t^{power:.4g}) or its integral overflows"
-        )
+        raise PreconditionError(f"{label()} overflows")
     check_resolution(lhs_int, rhs_int, what=what, gate_rtol=gate_rtol)
     passed = None if pass_rtol is None else _pass_rule(lhs, rhs, quad_err, pass_rtol)
     return CarlemanReport(
@@ -204,17 +219,19 @@ def verify_carleman_43(
     support = phi.support()
     if support is not None and support[0] <= eps:
         raise PreconditionError(f"profile is nonzero at some t <= eps={eps:g}")
+    _support_clear_of_zero(phi)
+    try:
+        const = weight_lambda**3
+    except OverflowError:  # its weight overflows too: refused by _weighted_report unless phi has no support
+        const = math.inf
     params = {
         "weight": "t^(4/3)",
         "weight_lambda": weight_lambda,
         "eps": eps,
         "modes": int(phi.n_modes),
     }
-    if _support_clear_of_zero(phi) is None:
-        return CarlemanReport(lhs=0.0, rhs=0.0, margin=0.0, params=params, quad_err=0.0, passed=True)
     return _weighted_report(
-        phi, weight_lambda, 4.0 / 3.0, phi.densities(), weight_lambda**3, params, "carleman-4/3",
-        gate_rtol, pass_rtol,
+        phi, weight_lambda, 4.0 / 3.0, const, params, "carleman-4/3", gate_rtol, pass_rtol
     )
 
 
@@ -263,17 +280,9 @@ def verify_carleman_gap(
         "modes": int(phi.n_modes),
         "forced": bool(force),
     }
-    densities = phi.densities()
-    if not densities[0].any():
-        return CarlemanReport(
-            lhs=0.0, rhs=0.0, margin=0.0, params=params, quad_err=0.0,
-            passed=None if force else True,
-        )
     const = a * a * m * m / 4.0
     pass_rtol = None if force else pass_rtol
-    return _weighted_report(
-        phi, w, 1.0, densities, const, params, "carleman-gap", gate_rtol, pass_rtol
-    )
+    return _weighted_report(phi, w, 1.0, const, params, "carleman-gap", gate_rtol, pass_rtol)
 
 
 @dataclass(frozen=True)
@@ -316,11 +325,9 @@ def first_order_system_check(phi: SpectralProfile, a: float, b: float) -> System
     ).reshape(-1, 2, 2)
 
     ew = np.zeros(phi.t_grid.size)  # Phi and psi are exactly 0 off the stencil
+    if phi._stencil is not None:
+        ew[phi._stencil] = _stencil_weight(phi, w, 1.0, lambda: f"system check: the weight exp({w:g}*t)")
     with np.errstate(over="ignore", invalid="ignore"):
-        if phi._stencil is not None:
-            ew[phi._stencil] = np.exp(w * phi.t_grid[phi._stencil])
-        if not np.all(np.isfinite(ew)):
-            raise PreconditionError(f"system check: the weight exp({w:g}*t) overflows")
         dphi, kc = phi.first_difference(), k[:, None] * phi.coeffs
         Phi = np.stack([ew * (dphi + kc), ew * (dphi - kc)], axis=1)  # (M, 2, n)
         del dphi, kc

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .errors import PreconditionError
 from .evolution import PerturbationFamily, exponential_bound, solve_decaying
 from .profiles import SpectralProfile, bump_profile
 from .quadrature import uniform_grid
@@ -34,14 +35,24 @@ def bump_case_43(
     max_modes: int = 16,
     t_points: int = DEFAULT_T_POINTS,
 ):
-    """Random admissible profile for the 4/3-weight inequality."""
-    rng = case_rng(seed, 43, index)
+    """Random admissible profile for the 4/3-weight inequality.
+
+    Refused when floats near eps + 3 are too far apart for a bump of the least
+    width 0.8 (before any draw), and when the drawn bump is 0 on every grid point.
+    """
     t_end = eps + 3.0
+    if not np.spacing(t_end) < 0.8:
+        raise PreconditionError(f"eps={eps:g} leaves no room for a bump: floats near eps+3 are "
+                                f"{np.spacing(t_end):g} apart")
+    rng = case_rng(seed, 43, index)
     t = uniform_grid(t_end, t_points)
     lo = eps + rng.uniform(0.05, 0.6)
     width = rng.uniform(0.8, t_end - lo - 0.15)
     modes = random_modes(rng, max_modes, 0.0, 50.0)
     profile = bump_profile((lo, lo + width), modes, t)
+    if profile.support() is None:
+        raise PreconditionError(f"the bump on ({lo:g}, {lo + width:g}) is 0 on every point of the grid "
+                                f"of step {profile.step:g}")
     return profile, {"eps": eps, "weight_lambda": weight_lambda, "support": (lo, lo + width)}
 
 

@@ -54,6 +54,8 @@ class PerturbationFamily:
     def __post_init__(self):
         if self.kind not in ("zero", "diagonal", "full"):
             raise SchemaError(f"unknown perturbation kind {self.kind!r}")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):  # b(t) is clipped to [0, beta]
+            raise SchemaError(f"perturbation bound beta must be a finite number >= 0, not {self.beta:g}")
 
     @staticmethod
     def zero() -> "PerturbationFamily":

@@ -31,7 +31,6 @@ from .fields import SampledField, cells_first
 from .lattice import Lattice, Quasimomentum, dual_basis, form_on_grid, unit_cell_volume
 from .manifest import read_npz
 from .profiles import SpectralProfile, _residual
-from .quadrature import composite_simpson
 
 STACK_BYTES = 1 << 20
 
@@ -288,6 +287,12 @@ def check_potential_grid(potential: SampledField, grid: SampledField | BlochFibe
         raise GridError("potential t-grid disagrees with the fiber")
 
 
+def check_residual_t_grid(grid: SampledField | BlochFiber) -> None:
+    """Refuse a t-grid too coarse for ``fiber_residual``."""
+    if grid.n_t < 5:
+        raise GridError("fiber t-grid too coarse (need at least 5 points)")
+
+
 def fiber_residual(
     fiber: BlochFiber, potential: SampledField | None, energy: float
 ) -> np.ndarray:
@@ -297,8 +302,7 @@ def fiber_residual(
     on the samples; second t-derivatives are centred differences; endpoints are
     excluded.  Returns the residual per interior t sample.
     """
-    if fiber.n_t < 5:
-        raise GridError("fiber t-grid too coarse (need at least 5 points)")
+    check_residual_t_grid(fiber)
     t = fiber.t_grid
     res_spec = _residual(fiber.coefficients, fiber.mode_eigenvalues(energy), t[1] - t[0], 1, fiber.n_t - 1)
     axes = fiber.spatial_axes
@@ -310,25 +314,3 @@ def fiber_residual(
     w = unit_cell_volume(fiber.lattice) / fiber.points_per_cell**fiber.dim
     return np.sqrt(w * np.sum(np.abs(res_phys) ** 2, axis=axes))
 
-
-def weighted_norm(
-    u: SampledField, kappa: float, decay_lambda: float, weight_power: float = 1.0
-) -> tuple[float, float]:
-    """Quadrature of <x>^(2 kappa) exp(2 lambda t^power) |u|^2 over the box.
-
-    ``weight_power`` 1 gives the plain exponential weight; 4/3 the stronger
-    variant.  Simpson in t for an odd point count, trapezoid otherwise.
-    Returns (value, tail_bound); sampled fields are compactly supported on
-    their box so the truncation tail is zero by construction.
-    """
-    if weight_power not in (1.0, 4.0 / 3.0):
-        raise SchemaError("weight_power must be 1 or 4/3")
-    pos = u.positions()
-    xw = (1.0 + np.sum(pos * pos, axis=-1)) ** kappa
-    t = u.t_grid
-    tw = np.exp(2.0 * decay_lambda * t**weight_power)
-    w_x = unit_cell_volume(u.lattice) / u.points_per_cell**u.dim
-    y = w_x * np.sum(np.abs(u.values) ** 2 * xw[..., None], axis=tuple(range(u.dim))) * tw
-    h = t[1] - t[0]
-    value = composite_simpson(y, h) if u.n_t % 2 == 1 else float(np.trapezoid(y, dx=h))
-    return value, 0.0

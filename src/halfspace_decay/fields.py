@@ -158,16 +158,6 @@ class SampledField:
         cells = cells_first(self.values, self.cells_shape, self.points_per_cell)
         return cells[tuple(c - lo for c, lo in zip(cell, self.cells_lo))]
 
-    def positions(self) -> np.ndarray:
-        """Grid point coordinates, shape (*spatial, dim)."""
-        n = self.points_per_cell
-        axes = [
-            lo + np.arange(sh * n) / n for lo, sh in zip(self.cells_lo, self.cells_shape)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        frac = np.stack(mesh, axis=-1)
-        return frac @ self.lattice.basis.T
-
 
 def constant_potential(
     lattice: Lattice,

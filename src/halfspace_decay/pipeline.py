@@ -27,7 +27,7 @@ from .errors import (
     strictest_exit_code,
 )
 from .evolution import decay_rate_estimate, default_tail_window
-from .fibers import check_potential_grid, fiber_residual, gelfand_forward, theta_grid
+from .fibers import check_potential_grid, check_residual_t_grid, fiber_residual, gelfand_forward, theta_grid
 from .fields import load_field
 from .lattice import Lattice
 from .manifest import RunManifest, write_csv, write_json
@@ -139,6 +139,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
     u = load_field(params["u_field"], lat)
     if u.kind != "u":
         raise SchemaError("u_field must have kind 'u'")
+    check_residual_t_grid(u)
     v = None
     if params.get("v_field"):
         v = load_field(params["v_field"], lat)

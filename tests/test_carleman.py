@@ -124,6 +124,15 @@ def test_verify43_zero_profile_passes():
     assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
 
 
+def test_verify43_lambda_cubed_beyond_float_range():
+    """No support: the zero report, whatever lambda.  Any support: refused, never an OverflowError."""
+    t = uniform_grid(4.0, 4097)
+    rep = verify_carleman_43(zero_profile([1.0], t), 1e120, 1.0)
+    assert rep.passed and (rep.lhs, rep.rhs, rep.margin, rep.quad_err) == (0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(PreconditionError, match="overflows"):
+        verify_carleman_43(bump_profile((1.0, 3.0), [(1.0, 1.0)], t), 1e120, 1.0)
+
+
 def test_verify43_single_mode_example():
     t = uniform_grid(4.0, 4097)
     phi = bump_profile((1.0, 3.0), [(1.0, 1.0)], t)

@@ -285,6 +285,7 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (["gelfand", "residual", "--lattice", "{lat}", "--u", "{bad}", "--theta", "0,0", "--lmax", "-1"], _field()),
         (["counterexample", "--lambdas", "", "--T", "10"], None),
         (["counterexample", "--lambdas", ",", "--T", "10"], None),
+        (["evolve", "--eigs", "1,4", "--perturbation", "diagonal", "--beta", "-3", "--bound", "const"], None),
     ],
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
@@ -320,7 +321,7 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         "counterexample-lambda-nan", "counterexample-T-negative", "counterexample-T-inf",
         "counterexample-X-zero", *(f"fibers-{name}" for name in _BAD_FIBER_ENTRIES),
         "field-sample-nan", "field-npz-sample-inf", "forward-lmax-negative", "residual-lmax-negative",
-        "counterexample-lambdas-empty", "counterexample-lambdas-comma",
+        "counterexample-lambdas-empty", "counterexample-lambdas-comma", "evolve-beta-negative",
     ],
 )
 def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, capsys):
@@ -465,6 +466,8 @@ def test_evolve_band_that_overflows_is_refused(argv, capsys):
     ["carleman", "verify-gap", "--eigs", "1,90000", "--a", "200", "--b", "299"],
     ["carleman", "verify43", "--eps", "0.5", "--weight-lambda", "400"],
     ["carleman", "system-check", "--eigs", "1,90000", "--a", "200", "--b", "299"],
+    ["carleman", "verify43", "--eps", "1", "--weight-lambda", "1e120"],  # lambda^3 overflows a float
+    ["carleman", "verify43", "--eps", "1e-100"],  # so does eps^(-4/3) cubed
 ])
 def test_carleman_weight_overflow_is_refused(argv, capsys):
     """e^(2wt) or e^(2 lambda t^(4/3)) overflows on the support: a refusal, not a NaN verdict."""
@@ -649,6 +652,45 @@ def test_verify43_bad_eps_is_one_refusal(extra, capsys):
     assert main(["carleman", "verify43", "--eps", "-1", *extra]) == EXIT_PRECONDITION
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: eps must be positive")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--eps", "1e17"], "error: eps=1e+17 leaves no room for a bump: floats near eps+3 are 16 apart"),
+    (["--eps", "1e15", "--ensemble", "3"], "error: the bump on (1e+15, 1e+15) is 0 on every point of the grid"),
+], ids=["eps-plus-3-rounds-to-eps", "bump-between-grid-points"])
+def test_verify43_case_its_grid_cannot_hold_is_refused(argv, message, capsys):
+    """A case whose bump cannot be drawn, or is 0 on every grid point, is refused, never passed."""
+    assert main(["carleman", "verify43", *argv]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
+
+
+def test_gaps_without_cutoff_or_growth_is_refused(lat_json, capsys):
+    assert main(["gaps", "--lattice", lat_json]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: gaps requires --cutoff")
+
+
+@pytest.mark.parametrize("points", ["2", "4"])
+def test_gelfand_roundtrip_onto_another_box_is_refused(points, tmp_path, capsys):
+    """P theta points rebuild P cells per axis: a 3-cell field round-trips on 3 only."""
+    lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=3, nt=5)
+    argv = ["gelfand", "roundtrip", "--lattice", str(lat_path), "--u", str(u_path), "--theta-points", points]
+    assert main(argv) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: round trip box mismatch")
+
+
+def test_evolve_writes_its_plot_and_profile(tmp_path, capsys):
+    """--svg and --out each write their file, and the plot's bytes repeat from run to run."""
+    plots = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        svg, profile = tmp_path / run / "decay.svg", tmp_path / run / "profile.csv"
+        assert main(["evolve", "--eigs", "4", "--T", "15", "--svg", str(svg), "--out", str(profile)]) == EXIT_OK
+        assert profile.read_text().startswith("t,norm\n")
+        plots.append(svg.read_bytes())
+    assert plots[0] == plots[1] and b"<polyline" in plots[0]
 
 
 @pytest.mark.parametrize("dim", [1, 2])

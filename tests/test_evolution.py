@@ -655,6 +655,13 @@ def test_harmonicity_region_validation():
         harmonicity_check((1.0, -1.0, 0.5, 1.0), 1e-2)
 
 
+@pytest.mark.parametrize("beta", [-3.0, math.nan, math.inf])
+def test_perturbation_bound_must_be_finite_and_non_negative(beta):
+    """b(t) is clipped to [0, beta]: a negative beta would make b(t) < 0, which bounds no norm."""
+    with pytest.raises(SchemaError, match="beta must be a finite number >= 0"):
+        PerturbationFamily.diagonal(constant_bound(beta), beta=beta, decays=False)
+
+
 def test_perturbation_norm_certificates():
     t = np.linspace(0.0, 10.0, 101)
     pert = PerturbationFamily.diagonal(exponential_bound(0.5, 1.0), beta=0.5, decays=True, seed=3)

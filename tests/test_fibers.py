@@ -19,7 +19,6 @@ from halfspace_decay import (
     load_field,
     save_field,
     theta_grid,
-    weighted_norm,
 )
 from halfspace_decay import fibers as fibers_module
 from halfspace_decay.fields import constant_potential
@@ -268,66 +267,15 @@ def test_parseval_fiber_representations():
     assert fiber.coefficients is fiber.coefficients  # computed once
 
 
-def test_weighted_norm_examples():
-    lat = line_lattice()
-    zero = make_u(lat, (0,), (1,), 8, 11, values=np.zeros((8, 11), dtype=complex))
-    assert weighted_norm(zero, 0.0, 0.0)[0] == 0.0
-
-    ones = make_u(lat, (0,), (1,), 8, 11, values=np.ones((8, 11), dtype=complex))
-    value, tail = weighted_norm(ones, 0.0, 0.0)
-    assert value == pytest.approx(TWO_PI, rel=1e-12)
-    assert tail == 0.0
-
-    nt = 201
-    t = np.linspace(0.0, 1.0, nt)
-    decay = make_u(
-        lat, (0,), (1,), 8, nt,
-        values=np.broadcast_to(np.exp(-t), (8, nt)).astype(complex), t_end=1.0,
-    )
-    value, _ = weighted_norm(decay, 0.0, 0.5)
-    assert value == pytest.approx(TWO_PI * (1.0 - math.exp(-1.0)), rel=1e-8)
-
-
-def test_weighted_norm_43_variant():
-    lat = line_lattice()
-    nt = 201
-    t = np.linspace(0.0, 1.0, nt)
-    u = make_u(
-        lat, (0,), (1,), 4, nt,
-        values=np.broadcast_to(np.exp(-t), (4, nt)).astype(complex), t_end=1.0,
-    )
-    from scipy.integrate import quad
-
-    expected = TWO_PI * quad(lambda s: math.exp(2 * 0.3 * s ** (4.0 / 3.0) - 2 * s), 0, 1)[0]
-    value, _ = weighted_norm(u, 0.0, 0.3, weight_power=4.0 / 3.0)
-    assert value == pytest.approx(expected, rel=1e-6)
-    with pytest.raises(SchemaError):
-        weighted_norm(u, 0.0, 0.3, weight_power=1.5)
-
-
-def test_weighted_norm_scaling_properties():
-    lat = line_lattice()
-    rng = np.random.default_rng(17)
-    nt = 101
-    u = make_u(lat, (-1,), (3,), 4, nt, rng=rng)
-    base, _ = weighted_norm(u, 0.0, 0.0)
-    # quadratic in the field amplitude
-    doubled = make_u(lat, (-1,), (3,), 4, nt, values=2.0 * u.values)
-    assert weighted_norm(doubled, 0.0, 0.0)[0] == pytest.approx(4.0 * base, rel=1e-12)
-    # monotone in the weight strength and in kappa (|x| >= 1 somewhere)
-    assert weighted_norm(u, 0.0, 0.5)[0] > base
-    assert weighted_norm(u, 1.0, 0.0)[0] > base
-    assert weighted_norm(u, 0.0, 0.5, weight_power=4.0 / 3.0)[0] > base
-
-
 def test_theta_continuity_lipschitz():
     lat = line_lattice()
     u = make_u(lat, (-1,), (3,), 8, 3)
     base_mu = 0.35
     base = gelfand_forward(u, Quasimomentum(coeffs=np.array([base_mu])), l_max=5)
     # Lipschitz constant: |dtheta| * max|x| * sum of cell L2 norms
-    pos = u.positions()
-    radius = float(np.max(np.abs(pos))) + TWO_PI  # include cell shifts within box
+    n = u.points_per_cell
+    coords = (u.cells_lo[0] + np.arange(u.cells_shape[0] * n) / n) * lat.basis[0, 0]  # the box's grid points
+    radius = float(np.max(np.abs(coords))) + TWO_PI  # include cell shifts within box
     w = abs(np.linalg.det(lat.basis)) / u.points_per_cell
     cell_norms = sum(
         math.sqrt(w * float(np.sum(np.abs(u.cell_block(c)) ** 2))) for c in cells_of(u)

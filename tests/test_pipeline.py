@@ -251,14 +251,18 @@ def _cli_exit_code(cfg: RunConfig, tmp_path) -> int:
         ({"carleman_taper": 0.6, "cutoff": -1.0}, None, 4),  # no case builds a window: still refused
         ({}, (4, 5.0), 2),
         ({}, (8, 4.0), 2),
+        ({"u_t_points": 4}, None, 2),  # fiber_residual needs 5
     ],
     ids=["window-reversed", "window-past-t-end", "taper-0.6", "taper-at-bound", "taper-without-gap",
-         "potential-points-per-cell", "potential-t-range"],
+         "potential-points-per-cell", "potential-t-range", "u-field-of-4-t-points"],
 )
 def test_pipeline_config_errors_are_refused_before_anything_is_written(
     line_pipeline_input, tmp_path, extra, potential, code
 ):
     lat_path, u_path, lat = line_pipeline_input
+    if "u_t_points" in extra:  # written over the fixture's u_field, at the same path
+        extra = dict(extra)
+        manufactured_line_input(tmp_path, nt=extra.pop("u_t_points"))
     if potential is not None:
         points_per_cell, t_end = potential  # the field has 8 points per cell on t in [0, 5]
         v_path = tmp_path / "v.csv"
