@@ -47,8 +47,8 @@ from .lattice import QuadraticForm
 
 def _parse_gram(text: str) -> np.ndarray:
     rows = [_parse_list(r, int) for r in text.split(";") if r.strip()]
-    if any(len(row) != len(rows) for row in rows):
-        raise SchemaError(f"gram {text!r} is not a square matrix")
+    if any(len(row) != len(rows) or not all(abs(v) < 2**63 for v in row) for row in rows):
+        raise SchemaError(f"gram {text!r} is not a square matrix of 64-bit integers")
     return np.array(rows, dtype=np.int64)
 
 
@@ -290,10 +290,9 @@ def _cmd_gelfand(args) -> int:
         return EXIT_OK
     if args.subcommand == "roundtrip":
         u = load_field(args.u, lat)
-        fibers = gelfand_forward(u, theta_grid(lat, args.theta_points), 10**6)
-        back = gelfand_inverse(fibers, lat)
-        if back.cells_shape != u.cells_shape:
+        if u.cells_shape != (args.theta_points,) * lat.dim:  # the box the inverse rebuilds
             raise SchemaError("round trip box mismatch: theta grid does not resolve the field box")
+        back = gelfand_inverse(gelfand_forward(u, theta_grid(lat, args.theta_points), 10**6), lat)
         err = float(np.max(np.abs(back.values - u.values)))
         _print_json({"max_error": err})
         return EXIT_OK

@@ -11,13 +11,16 @@ import math
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .evolution import PerturbationFamily, exponential_bound, solve_decaying
 from .profiles import SpectralProfile, bump_profile
 from .quadrature import uniform_grid
 from .runconfig import case_rng
 
 DEFAULT_T_POINTS = 8193
+# Budget of a 4/3-weight case's largest array, the (modes, t-points) float
+# residual plane of BumpProfile.densities: --modes 1023 on the default grid.
+MODES_BYTES = 64 * 2**20
 
 
 def random_modes(rng: np.random.Generator, max_modes: int, mu_low: float, mu_high: float):
@@ -38,12 +41,16 @@ def bump_case_43(
     """Random admissible profile for the 4/3-weight inequality.
 
     Refused when floats near eps + 3 are too far apart for a bump of the least
-    width 0.8 (before any draw), and when the drawn bump is 0 on every grid point.
+    width 0.8 or when max_modes residual rows exceed MODES_BYTES (both before
+    any draw), and when the drawn bump is 0 on every grid point.
     """
     t_end = eps + 3.0
     if not np.spacing(t_end) < 0.8:
         raise PreconditionError(f"eps={eps:g} leaves no room for a bump: floats near eps+3 are "
                                 f"{np.spacing(t_end):g} apart")
+    if 8 * max_modes * t_points > MODES_BYTES:
+        raise BudgetExceededError(f"{max_modes} modes on {t_points} points need {8 * max_modes * t_points} "
+                                  f"bytes of residuals, budget is {MODES_BYTES}")
     rng = case_rng(seed, 43, index)
     t = uniform_grid(t_end, t_points)
     lo = eps + rng.uniform(0.05, 0.6)

@@ -31,6 +31,7 @@ from .fields import SampledField, cells_first
 from .lattice import Lattice, Quasimomentum, dual_basis, form_on_grid, unit_cell_volume
 from .manifest import read_npz
 from .profiles import SpectralProfile, _residual
+from .runconfig import _INTS, _NUMBER, _NUMBERS, _POSITIVE_INT, check_keys
 
 STACK_BYTES = 1 << 20
 
@@ -113,11 +114,10 @@ class BlochFiber:
         return SpectralProfile(eigs=eigs[keep], t_grid=self.t_grid, coeffs=coeffs[keep]), dropped
 
 
-# The fiber file of ``gelfand forward``, a NumPy archive: ``data`` plus these
-# entries, each (ndim, dtype kinds); ``cells_lo`` is optional, as on BlochFiber.
-_FIBER_ENTRIES = {
-    "mu": (1, "iuf"), "points_per_cell": (0, "iu"), "t_start": (0, "iuf"),
-    "t_end": (0, "iuf"), "tail_bound": (0, "iuf"), "cells_lo": (1, "iu"),
+# The entries beside ``data`` of the fiber file of ``gelfand forward``, a NumPy archive.
+_FIBER_KEYS = {
+    "mu": (_NUMBERS, True), "points_per_cell": (_POSITIVE_INT, True), "t_start": (_NUMBER, True),
+    "t_end": (_NUMBER, True), "tail_bound": (_NUMBER, True), "cells_lo": (_INTS, False),
 }
 
 
@@ -129,18 +129,14 @@ def save_fiber(fiber: BlochFiber, path) -> None:
 
 
 def load_fiber(path, lat: Lattice) -> BlochFiber:
-    """The fiber in a file written by ``save_fiber``; a malformed entry is a SchemaError."""
-    data = read_npz(path, "fiber file", {"data", *_FIBER_ENTRIES} - {"cells_lo"})
-    for key, (ndim, kinds) in _FIBER_ENTRIES.items():
-        a = data.get(key)
-        if a is not None and (a.ndim != ndim or a.dtype.kind not in kinds or not np.isfinite(a).all()):
-            what = ("an integer" if kinds == "iu" else "a finite real") + (" scalar" if ndim == 0 else " vector")
-            shown = np.array2string(a, threshold=6).replace("\n", "")
-            raise SchemaError(f"fiber file {path}: {key} must be {what}, not {shown} ({a.dtype})")
+    """The fiber in a file written by ``save_fiber``; an unknown or malformed entry is a SchemaError."""
+    arrays = read_npz(path, "fiber file", {"data"})
+    doc = {key: a.tolist() if key in _FIBER_KEYS else a for key, a in arrays.items() if key != "data"}
+    check_keys(f"fiber file {path}", doc, _FIBER_KEYS)
     return BlochFiber(
-        theta=Quasimomentum(coeffs=data["mu"]), lattice=lat, points_per_cell=int(data["points_per_cell"]),
-        t_start=float(data["t_start"]), t_end=float(data["t_end"]), data=data["data"],
-        tail_bound=float(data["tail_bound"]), cells_lo=tuple(data["cells_lo"]) if "cells_lo" in data else None,
+        theta=Quasimomentum(coeffs=doc["mu"]), lattice=lat, points_per_cell=doc["points_per_cell"],
+        t_start=float(doc["t_start"]), t_end=float(doc["t_end"]), data=arrays["data"],
+        tail_bound=float(doc["tail_bound"]), cells_lo=tuple(doc["cells_lo"]) if "cells_lo" in doc else None,
     )
 
 

@@ -149,10 +149,6 @@ class SampledField:
     def n_t(self) -> int:
         return self.values.shape[-1]
 
-    @property
-    def t_grid(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_t)
-
     def cell_block(self, cell) -> np.ndarray:
         """Samples of one cell, shape (n, ..., n, n_t)."""
         cells = cells_first(self.values, self.cells_shape, self.points_per_cell)

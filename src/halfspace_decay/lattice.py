@@ -129,8 +129,7 @@ class Lattice:
             object.__setattr__(self, "gram_exact", _as_rational_matrix(self.gram_exact))
             _check_gram_matches(self.gram_exact, basis, "gram_exact")
         if self.dual_gram_exact is not None:  # the constructor of the dual basis checks it
-            dual = Lattice(TWO_PI * np.linalg.inv(basis.T), gram_exact=self.dual_gram_exact)
-            object.__setattr__(self, "dual_gram_exact", dual.gram_exact)
+            object.__setattr__(self, "dual_gram_exact", dual_basis(self).gram_exact)
 
     def gram(self) -> np.ndarray:
         return self.basis.T @ self.basis

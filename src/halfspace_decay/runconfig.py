@@ -11,6 +11,7 @@ counter-style spawn keys, so each case's stream depends only on its index.
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -47,6 +48,7 @@ _NUMBER_PAIR_OR_NULL = (
     or (isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_number(x) for x in v)),
 )
 _INTS = ("a list of integers", lambda v: isinstance(v, list) and all(_is_int(x) for x in v))
+_NUMBERS = ("a list of finite numbers", lambda v: isinstance(v, list) and all(_is_number(x) for x in v))
 _POSITIVE_INTS = (
     "a list of integers >= 1", lambda v: isinstance(v, list) and all(_is_int(x) and x >= 1 for x in v)
 )
@@ -108,7 +110,7 @@ def check_keys(what: str, doc, spec: dict) -> None:
     for key, value in sorted(doc.items()):
         kind, check = spec[key][0]
         if not check(value):
-            raise SchemaError(f"{what} {key!r} must be {kind}, not {value!r}")
+            raise SchemaError(f"{what} {key!r} must be {kind}, not {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,14 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and the infinities, which strict JSON lacks."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def manufactured_line_input(tmp_path, theta_points=3, n=8, nt=1025, t_end=5.0, energy=0.0, mode=1):
     """Band-limited field whose fibers are single decaying torus modes.
 

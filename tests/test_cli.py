@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import manufactured_line_input
+from conftest import manufactured_line_input, strict_json
 from halfspace_decay.cli import main
 from halfspace_decay.errors import (
     EXIT_IO,
@@ -119,23 +119,25 @@ _FIELD_HEADER = np.frombuffer(_field().split("\n")[0].encode(), np.uint8)
 
 
 def _fiber(**entries) -> bytes:
-    """A fiber file for the 2D test lattice that inverts, with the given entries replaced."""
+    """A fiber file for the 2D test lattice that inverts, with the given entries replaced (None drops one)."""
     good = {
         "data": np.zeros((4, 4, 5), complex), "mu": np.array([0.5, 0.5]), "points_per_cell": 4,
         "t_start": 0.0, "t_end": 1.0, "tail_bound": 0.0, "cells_lo": np.array([0, 0]),
     }
-    return _npz_bytes(**{**good, **entries})
+    return _npz_bytes(**{k: v for k, v in {**good, **entries}.items() if v is not None})
 
 
 # one malformed value per fiber entry other than the data
 _BAD_FIBER_ENTRIES = {
     "points-per-cell-array": {"points_per_cell": np.array([4, 4])},
     "points-per-cell-fraction": {"points_per_cell": 4.5},
+    "points-per-cell-zero": {"points_per_cell": 0},
     "t-start-array": {"t_start": np.array([0.0, 1.0])},
     "t-end-nan": {"t_end": math.nan},
     "tail-bound-array": {"tail_bound": np.array([0.0, 1.0])},
     "cells-lo-scalar": {"cells_lo": np.array(0)},
     "mu-matrix": {"mu": np.full((1, 2), 0.5)},
+    "mu-long-matrix": {"mu": np.full((10**5, 2), 0.5)},
 }
 
 # a decaying profile in the `evolve --out` format
@@ -161,6 +163,7 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (["gaps", "--lattice", "{lat}", "--growth", "100,1e4"], None),
         (["density", "--gram", "x,0;0,1", "--N", "100"], None),
         (["density", "--gram", "1,0;0", "--N", "100"], None),
+        (["density", "--gram", f"{10**30},0;0,1", "--N", "100"], None),
         (["lattice", "dual", "--lattice", "{bad}"], '{"dim": 2, "basis": '),
         (["lattice", "dual", "--lattice", "{bad}"], "5"),
         (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0]]}'),
@@ -278,6 +281,7 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (["counterexample", "--lambdas", "0.5", "--T", "inf"], None),
         (["counterexample", "--lambdas", "0.5", "--X", "0"], None),
         *((_INVERSE, _fiber(**entries)) for entries in _BAD_FIBER_ENTRIES.values()),
+        (_INVERSE, _fiber(cells_lo=None, cell_lo=np.array([0, 0]))),
         (_ROUNDTRIP, _field().replace("0.5,0.0\n", "nan,0\n", 1)),
         (_ROUNDTRIP, _npz_bytes(header=_FIELD_HEADER, values=np.r_[math.inf, np.zeros(19)])),
         (["gelfand", "forward", "--lattice", "{lat}", "--u", "{bad}", "--theta", "0,0", "--lmax", "-1",
@@ -288,7 +292,7 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (["evolve", "--eigs", "1,4", "--perturbation", "diagonal", "--beta", "-3", "--bound", "const"], None),
     ],
     ids=[
-        "growth-not-int", "gram-not-int", "gram-ragged", "lattice-bad-json",
+        "growth-not-int", "gram-not-int", "gram-ragged", "gram-beyond-int64", "lattice-bad-json",
         "lattice-not-object", "lattice-ragged-basis", "lattice-gram-not-rational",
         "lattice-gram-wrong-size", "lattice-gram-float-pair", "lattice-gram-bool-pair",
         "lattice-basis-str", "lattice-basis-bool", "lattice-dim-float", "lattice-dim-bool",
@@ -319,7 +323,7 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         "field-values-not-numeric", "field-blank-lines-only", "decay-input-comment-and-empty-lines",
         "field-header-not-json", "field-npz-header-not-json", "field-header-not-utf8", "ellreg-s-list-nan",
         "counterexample-lambda-nan", "counterexample-T-negative", "counterexample-T-inf",
-        "counterexample-X-zero", *(f"fibers-{name}" for name in _BAD_FIBER_ENTRIES),
+        "counterexample-X-zero", *(f"fibers-{name}" for name in _BAD_FIBER_ENTRIES), "fibers-cells-lo-misspelled",
         "field-sample-nan", "field-npz-sample-inf", "forward-lmax-negative", "residual-lmax-negative",
         "counterexample-lambdas-empty", "counterexample-lambdas-comma", "evolve-beta-negative",
     ],
@@ -503,7 +507,11 @@ def test_fiber_entries_are_checked_by_name(lat_json, tmp_path, capsys):
         fiber.write_bytes(_fiber(**entries))
         assert main([a.format(lat=lat_json, bad=fiber) for a in _INVERSE]) == EXIT_IO
         err = capsys.readouterr().err
-        assert str(fiber) in err and f" {next(iter(entries))} must be " in err
+        assert str(fiber) in err and f" {next(iter(entries))!r} must be " in err
+        assert len(err) < len(str(fiber)) + 200  # the value is shown in a bounded repr
+    fiber.write_bytes(_fiber(cells_lo=None, cell_lo=np.array([0, 0])))  # not ignored: it would move the box
+    assert main([a.format(lat=lat_json, bad=fiber) for a in _INVERSE]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: unknown fiber file {fiber} keys: ['cell_lo']\n"
 
 
 def test_non_finite_json_result_is_refused_not_printed(monkeypatch, capsys):
@@ -516,19 +524,12 @@ def test_non_finite_json_result_is_refused_not_printed(monkeypatch, capsys):
     assert out.out == "" and "not finite" in out.err
 
 
-def _strict_json(text: str):
-    def refuse(constant):
-        raise AssertionError(f"{constant} is not JSON")
-
-    return json.loads(text, parse_constant=refuse)
-
-
 @pytest.mark.parametrize("eigs, empty", [("9", ["min_eig_b0"]), ("1", ["min_eig_b1", "max_eig_b2"])],
                          ids=["above-gap-only", "below-gap-only"])
 def test_one_sided_spectrum_certifies_with_null_bounds(eigs, empty, capsys):
     """A bound over an empty projector range is printed as null, and the check still certifies."""
     assert main(["carleman", "system-check", "--eigs", eigs, "--a", "2", "--b", "3"]) == EXIT_OK
-    doc = _strict_json(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     bounds = ["min_eig_b0", "min_eig_b1", "max_eig_b2"]
     assert [k for k in bounds if doc[k] is None] == empty
     assert all(math.isfinite(doc[k]) for k in bounds if k not in empty) and doc["certificates_ok"] is True
@@ -665,15 +666,37 @@ def test_verify43_case_its_grid_cannot_hold_is_refused(argv, message, capsys):
     assert captured.out == "" and captured.err.startswith(message)
 
 
+def test_verify43_modes_over_budget_are_refused_before_the_draw(monkeypatch, capsys):
+    """--modes 1023 is the largest whose residual plane on 8193 points fits MODES_BYTES."""
+    from halfspace_decay import ensembles
+
+    largest = ensembles.MODES_BYTES // (8 * ensembles.DEFAULT_T_POINTS)
+    assert largest == 1023
+    assert main(["carleman", "verify43", "--eps", "1", "--modes", str(largest)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(ensembles, "random_modes", lambda *args: pytest.fail("modes drawn over budget"))
+    for modes in (largest + 1, 10**8):
+        assert main(["carleman", "verify43", "--eps", "1", "--modes", str(modes)]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {modes} modes on 8193 points need ")
+
+
 def test_gaps_without_cutoff_or_growth_is_refused(lat_json, capsys):
     assert main(["gaps", "--lattice", lat_json]) == EXIT_IO
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: gaps requires --cutoff")
 
 
-@pytest.mark.parametrize("points", ["2", "4"])
-def test_gelfand_roundtrip_onto_another_box_is_refused(points, tmp_path, capsys):
-    """P theta points rebuild P cells per axis: a 3-cell field round-trips on 3 only."""
+@pytest.mark.parametrize("points", ["2", "4", "100000"])
+def test_gelfand_roundtrip_onto_another_box_is_refused(points, tmp_path, capsys, monkeypatch):
+    """P theta points rebuild P cells per axis: a 3-cell field round-trips on 3 only,
+    and another P is refused before any transform (the inverse's phases grow as P^2)."""
+    from halfspace_decay import cli
+
+    def no_transform(*args):
+        raise AssertionError("gelfand_forward called on a box the inverse cannot rebuild")
+
+    monkeypatch.setattr(cli, "gelfand_forward", no_transform)
     lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=3, nt=5)
     argv = ["gelfand", "roundtrip", "--lattice", str(lat_path), "--u", str(u_path), "--theta-points", points]
     assert main(argv) == EXIT_IO
@@ -864,6 +887,22 @@ def test_counterexample_cli(capsys):
     assert rows[0].startswith("weight_rate")
     assert "converged" in rows[1]
     assert "log-divergent" in rows[2]
+
+
+@pytest.mark.parametrize("X", ["1e6", "1e20", "1e300"])
+def test_counterexample_runs_at_any_finite_x(X, capsys):
+    """The inner-integral check resolves its peak at any X: no false violation, no warning, the same rows."""
+    assert main(["counterexample", "--lambdas", "0.5", "--X", "200"]) == EXIT_OK
+    ref = capsys.readouterr()
+    assert main(["counterexample", "--lambdas", "0.5", "--X", X]) == EXIT_OK
+    assert capsys.readouterr() == ref and ref.err == ""
+
+
+def test_counterexample_rate_whose_exponent_overflows_is_refused(capsys):
+    """2(rate - 1) = inf read as 'converging': refused before any row, with no warning."""
+    assert main(["counterexample", "--lambdas", "0.5,1e308", "--T", "10"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "overflows a float" in captured.err
 
 
 def test_cli_determinism(lat_json, capsys):

@@ -508,7 +508,8 @@ def test_rate_scan_perturbation_bound_refused():
 
 
 def test_counterexample_inner_integral():
-    assert inner_integral_check([0.0], 200.0) < 1e-6
+    for X in (0.5, 200.0, 1e6, 1e20, 1e300):  # the Simpson rule resolves the peak at any X
+        assert inner_integral_check([0.0, 1.0, 5.0], X) < 1e-14
 
 
 def test_counterexample_log_divergence_at_one():
@@ -592,13 +593,16 @@ report = {{"import": sorted(m for m in sys.modules if m == "scipy" or m.startswi
 report["spectrum"] = run(["spectrum", "--lattice", {lat!r}, "--theta", "1/2", "--cutoff", "10"])
 report["pipeline"] = run(["pipeline", "--config", {config!r}])
 report["evolve"] = run(["evolve", "--eigs", "1,4"])
+report["counterexample"] = run(["counterexample", "--lambdas", "0.5,1"])
+report["integrate"] = "scipy.integrate" in sys.modules
 print(json.dumps(report))
 """
 
 
 def test_scipy_loads_only_on_the_first_solve(tmp_path):
-    # only the banded solve needs SciPy: the import and every command that never
-    # solves load none of it, and an evolve loads it without changing its output
+    # only the banded solve and the counterexample's expi need SciPy: the import and
+    # every command that never solves load none of it, an evolve loads it without
+    # changing its output, and nothing loads scipy.integrate
     import json
     import os
     import subprocess
@@ -630,7 +634,8 @@ def test_scipy_loads_only_on_the_first_solve(tmp_path):
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert stdout == alone.stdout
-    assert inner_integral_check([0.0], 200.0) < 1e-6  # the deferred quadrature import still resolves
+    code, stdout, _ = report["counterexample"]  # its self-check is the package's Simpson rule
+    assert code == 0 and stdout.startswith("weight_rate") and not report["integrate"]
 
 
 def test_harmonicity_counterexample_function():

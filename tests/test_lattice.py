@@ -108,6 +108,18 @@ def test_dual_is_a_lattice_checked_by_the_same_constructor():
         Lattice(basis=TWO_PI * np.eye(2), dual_gram_exact=[["2", "0"], ["0", "1"]])
 
 
+def test_dual_gram_exact_is_checked_on_the_one_dual(monkeypatch):
+    """The constructor checks dual_gram_exact through dual_basis: one inverse for the
+    lattice and its cached dual, and a numerically singular basis is refused when built."""
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+    lat = Lattice(basis=TWO_PI * np.eye(2), dual_gram_exact=[["1", "0"], ["0", "1"]])
+    assert dual_basis(lat) is dual_basis(lat) and len(calls) == 1
+    with pytest.raises(DegenerateLatticeError, match="numerically singular"):
+        Lattice(basis=TWO_PI * np.diag([1.0, 1e-13]), dual_gram_exact=[["1", "0"], ["0", str(10**26)]])
+
+
 def test_dual_basis_is_computed_once_per_lattice(monkeypatch):
     calls = []
     cond = np.linalg.cond
