@@ -129,10 +129,20 @@ def save_fiber(fiber: BlochFiber, path) -> None:
 
 
 def load_fiber(path, lat: Lattice) -> BlochFiber:
-    """The fiber in a file written by ``save_fiber``; an unknown or malformed entry is a SchemaError."""
-    arrays = read_npz(path, "fiber file", {"data"})
-    doc = {key: a.tolist() if key in _FIBER_KEYS else a for key, a in arrays.items() if key != "data"}
+    """The fiber in a file written by ``save_fiber``.
+
+    An unknown or malformed entry, or entries that disagree, is a SchemaError.
+    """
+    arrays = read_npz(path, "fiber file", {"data"}, {"data", *_FIBER_KEYS})
+    doc = {key: a.tolist() for key, a in arrays.items() if key != "data"}
     check_keys(f"fiber file {path}", doc, _FIBER_KEYS)
+    cells = (doc["points_per_cell"],) * len(doc["mu"])
+    if arrays["data"].shape[:-1] != cells:
+        raise SchemaError(f"fiber file {path} 'data' must be of shape {cells} + (n_t,) by its "
+                          f"'points_per_cell' and 'mu', not {arrays['data'].shape}")
+    if not doc["t_start"] < doc["t_end"]:
+        raise SchemaError(f"fiber file {path} 't_start' must be below 't_end' {doc['t_end']!r}, "
+                          f"not {doc['t_start']!r}")
     return BlochFiber(
         theta=Quasimomentum(coeffs=doc["mu"]), lattice=lat, points_per_cell=doc["points_per_cell"],
         t_start=float(doc["t_start"]), t_end=float(doc["t_end"]), data=arrays["data"],

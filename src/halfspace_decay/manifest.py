@@ -2,8 +2,8 @@
 
 All floats are serialised with 17 significant digits so a manifest written by
 one run compares bit-for-bit with a re-run of the same config and seed.  The
-hash covers the config and the ordered verdicts; wall-clock time and tool
-version are recorded alongside but excluded from the hash.  ``write_rows`` is
+hash covers the config and the ordered verdicts; wall-clock time, tool version
+and the refused stages' diagnostics stay outside it.  ``write_rows`` is
 the one table formatter: every CSV file, CLI table and text field uses it;
 ``read_rows`` reads such rows back, and ``read_npz`` reads every .npz input.
 """
@@ -47,6 +47,7 @@ class RunManifest:
     cases: list = field(default_factory=list)
     wall_clock_s: float = 0.0
     tool_version: str = TOOL_VERSION
+    diagnostics: dict = field(default_factory=dict)  # case id -> {stage: reason} of its refused stages
 
     @staticmethod
     def for_config(cfg: RunConfig) -> "RunManifest":
@@ -69,6 +70,7 @@ class RunManifest:
             "verdict_hash": self.verdict_hash(),
             "tool_version": self.tool_version,
             "wall_clock_s": format(self.wall_clock_s, ".3f"),
+            "diagnostics": _canonical(self.diagnostics),
             "cases": _canonical(self.cases),
         }
 
@@ -114,15 +116,20 @@ def read_rows(fh, what: str) -> np.ndarray:
         raise SchemaError(f"{what} rows must be comma-separated numbers: {exc}") from exc
 
 
-def read_npz(path, what: str, keys) -> dict[str, np.ndarray]:
-    """Every array of the NumPy archive ``path``, which must hold numeric ``keys``.
+def read_npz(path, what: str, keys, known=None) -> dict[str, np.ndarray]:
+    """The arrays ``keys`` of the NumPy archive ``path``, which must be numeric.
 
-    Any other file (no archive, a missing key, object or text arrays) is a
-    SchemaError naming it; a missing file stays an OSError.
+    With ``known``, every name the archive may hold, it reads every entry, and
+    refuses one outside ``known`` before any array is read.  Any other file (no
+    archive, a missing key, object or text arrays) is a SchemaError naming it;
+    a missing file stays an OSError.
     """
     try:
         with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
+            names = set(data.files)
+            if known is not None and names - set(known):
+                raise SchemaError(f"unknown {what} {path} keys: {sorted(names - set(known))}")
+            arrays = {k: data[k] for k in (names & set(keys) if known is None else names)}
     except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise SchemaError(f"{what} {path} is not a NumPy .npz archive: {exc}") from exc
     if set(keys) - set(arrays) or any(a.dtype.kind not in "biufc" for a in arrays.values()):

@@ -1,11 +1,11 @@
 """End-to-end run: fields -> fibers -> residuals, gaps, inequality checks, decay.
 
-Per quasimomentum on the midpoint grid the pipeline computes the fiber, its
-equation residual curve, the spectrum slice with gap table, a gap-inequality
-verification on the windowed fiber profile (where an admissible window
-exists), and a tail decay estimate.  Results are written as CSV/JSON next to
-a resolved copy of the configuration, and summarised in a manifest whose
-verdict hash is reproducible bit-for-bit for a fixed config and seed.
+Per quasimomentum on the midpoint grid one stage table computes the fiber's
+equation residual, spectrum slice with gap table and profile, a gap-inequality
+verification on the windowed profile (where an admissible window exists) and a
+tail decay estimate; a refused stage is one refusal of its case.  Results are
+written as CSV/JSON next to a resolved copy of the configuration, and summarised
+in a manifest whose verdict hash is reproducible bit-for-bit for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -71,63 +72,85 @@ def _admissible_window(gaps, alpha: float):
     return None
 
 
-def _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir):
-    """One quasimomentum's case record, exit code and Carleman report (or None).
+def _residual_stage(c) -> dict:
+    residuals = fiber_residual(c.fiber, c.v, c.energy)
+    t = c.fiber.t_grid
+    write_csv(c.out_dir / f"residual_theta{c.idx}.csv", ["t", "residual"], np.column_stack((t[1:-1], residuals)))
+    return {"max_residual": float(np.max(residuals)) if residuals.size else 0.0}
 
-    Writes the spectrum, gap and residual CSVs of the case (and its log-norm
-    plot when ``plots`` is on).
-    """
-    energy = params.get("energy", 0.0)
-    residuals = fiber_residual(fiber, v, energy)
-    slc = enumerate_spectrum(lat, fiber.theta, energy, params.get("cutoff", 50.0))
+
+def _spectrum_stage(c) -> dict:
+    slc = enumerate_spectrum(c.lat, c.fiber.theta, c.energy, c.params.get("cutoff", 50.0))
     # an empty slice has nothing below the cutoff
-    gaps = find_gaps(slc, params.get("min_gap", 0.0)) if slc.values.size else []
-    profile, dropped = fiber.to_profile(energy, max_modes=params.get("max_modes", 16))
-    t = profile.t_grid
-    write_csv(out_dir / f"spectrum_theta{idx}.csv", ["value", "multiplicity"],
+    c.gaps = find_gaps(slc, c.params.get("min_gap", 0.0)) if slc.values.size else []
+    write_csv(c.out_dir / f"spectrum_theta{c.idx}.csv", ["value", "multiplicity"],
               list(zip(slc.values.tolist(), slc.mults.tolist())))
-    write_csv(out_dir / f"gaps_theta{idx}.csv", ["lo", "hi", "length"],
-              [(g.lo, g.hi, g.length) for g in gaps])
-    write_csv(out_dir / f"residual_theta{idx}.csv", ["t", "residual"],
-              np.column_stack((t[1:-1], residuals)))
-    if params.get("plots"):
-        ys = np.log(np.maximum(profile.norms(), 1e-300))
-        emit_plots([PlotTable(name=f"lognorm_theta{idx}", xs=t, ys=ys,
-                              x_label="t", y_label="log ||phi||")], out_dir)
+    write_csv(c.out_dir / f"gaps_theta{c.idx}.csv", ["lo", "hi", "length"],
+              [(g.lo, g.hi, g.length) for g in c.gaps])
+    return {"spectrum_count": int(slc.values.size), "gap_count": len(c.gaps)}
 
-    case = {
-        "theta_index": idx,
-        "theta": [float(m) for m in fiber.theta.coeffs],
-        "tail_bound": fiber.tail_bound,
-        "max_residual": float(np.max(residuals)) if residuals.size else 0.0,
-        "spectrum_count": int(slc.values.size),
-        "gap_count": len(gaps),
-        "dropped_mode_mass": dropped,
-    }
-    code, report = EXIT_OK, None
-    window = _admissible_window(gaps, profile.alpha)
+
+def _profile_stage(c) -> dict:
+    c.profile, dropped = c.fiber.to_profile(c.energy, max_modes=c.params.get("max_modes", 16))
+    if c.params.get("plots"):
+        ys = np.log(np.maximum(c.profile.norms(), 1e-300))
+        emit_plots([PlotTable(name=f"lognorm_theta{c.idx}", xs=c.profile.t_grid, ys=ys,
+                              x_label="t", y_label="log ||phi||")], c.out_dir)
+    return {"dropped_mode_mass": dropped}
+
+
+def _carleman_stage(c) -> dict:
+    window = _admissible_window(c.gaps, c.profile.alpha)
     if window is None:
-        case["carleman"] = "no-admissible-gap"
-    else:
-        try:
-            windowed = _window_profile(profile, params.get("carleman_taper", 0.2))
-            report = verify_carleman_gap(windowed, *window, profile.alpha, **verify_kwargs)
-            case["carleman"] = "pass" if report.passed else "fail"
-            case["carleman_margin"] = report.margin
-            code = EXIT_OK if report.passed else EXIT_VIOLATION
-        except PreconditionError as exc:
-            case["carleman"] = f"refused: {exc}"
-            code = EXIT_PRECONDITION
+        return {"carleman": "no-admissible-gap"}
+    windowed = _window_profile(c.profile, c.params.get("carleman_taper", 0.2))
+    c.report = verify_carleman_gap(windowed, *window, c.profile.alpha, **c.verify_kwargs)
+    return {"carleman": "pass" if c.report.passed else "fail", "carleman_margin": c.report.margin}
 
-    window_t = params.get("decay_window")
+
+def _decay_stage(c) -> dict:
+    t = c.profile.t_grid
+    window_t = c.params.get("decay_window")
     if window_t is None:
         window_t = tuple(t[0] + s for s in default_tail_window(t[-1] - t[0]))
-    try:
-        est = decay_rate_estimate(profile, window_t)
-        case.update(decay_rate=est.rate, decay_residual=est.residual, superexp=est.superexp)
-    except PreconditionError:
-        case["decay_rate"] = None
-    return case, code, report
+    est = decay_rate_estimate(c.profile, window_t)
+    return {"decay_rate": est.rate, "decay_residual": est.residual, "superexp": est.superexp}
+
+
+# (name, stage, the stages it reads, exit code of its refusal, the case fields its refusal
+# leaves: None for "<name>": "refused: <reason>"); a refused decay fit leaves a null rate
+_STAGES = (
+    ("residual", _residual_stage, (), EXIT_PRECONDITION, None),
+    ("spectrum", _spectrum_stage, (), EXIT_PRECONDITION, None),
+    ("profile", _profile_stage, (), EXIT_PRECONDITION, None),
+    ("carleman", _carleman_stage, ("spectrum", "profile"), EXIT_PRECONDITION, None),
+    ("decay", _decay_stage, ("profile",), EXIT_OK, {"decay_rate": None}),
+)
+
+
+def _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir):
+    """One quasimomentum's case record, exit code, Carleman report (or None) and refusals.
+
+    Runs the stages of ``_STAGES`` in order.  A stage refused by a
+    PreconditionError, or reading a refused stage ("needs <stage>"), is one
+    refusal of this case, its reason kept in ``{stage: reason}``; the run goes on.
+    """
+    c = SimpleNamespace(idx=idx, fiber=fiber, lat=lat, v=v, params=params, energy=params.get("energy", 0.0),
+                        verify_kwargs=verify_kwargs, out_dir=out_dir, report=None)
+    case = {"theta_index": idx, "theta": [float(m) for m in fiber.theta.coeffs], "tail_bound": fiber.tail_bound}
+    code, refusals = EXIT_OK, {}
+    for name, stage, reads, refusal_code, refused_fields in _STAGES:
+        try:
+            if needed := next((read for read in reads if read in refusals), None):
+                raise PreconditionError(f"needs {needed}")
+            case.update(stage(c))
+        except PreconditionError as exc:
+            refusals[name] = str(exc)
+            case.update(refused_fields or {name: f"refused: {exc}"})
+            code = max(code, refusal_code)
+    if c.report is not None and not c.report.passed:
+        code = EXIT_VIOLATION
+    return case, code, c.report, refusals
 
 
 def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
@@ -172,10 +195,12 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
     for idx in range(len(fibers)):
         # take the fiber out of the list: its cached coefficients go with it after its case
         fiber, fibers[idx] = fibers[idx], None
-        case, code, report = _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir)
+        case, code, report, refusals = _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir)
         if report is not None:
             reports.append(report)
-        manifest.add_case(f"theta-{idx}", case.get("carleman", "none"), case)
+        manifest.add_case(f"theta-{idx}", case["carleman"], case)
+        if refusals:
+            manifest.diagnostics[f"theta-{idx}"] = refusals
         codes.append(code)
         if case["decay_rate"] is not None:
             decay_rows.append((idx, case["decay_rate"], case["decay_residual"], case["superexp"]))

@@ -10,15 +10,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import manufactured_line_input, strict_json
+from conftest import manufactured_line_input, strict_json, traced_peak
 from halfspace_decay.cli import main
 from halfspace_decay.errors import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_VIOLATION,
+    SchemaError,
     strictest_exit_code,
 )
+from halfspace_decay.fibers import load_fiber
+from halfspace_decay.lattice import Lattice
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,6 +141,10 @@ _BAD_FIBER_ENTRIES = {
     "cells-lo-scalar": {"cells_lo": np.array(0)},
     "mu-matrix": {"mu": np.full((1, 2), 0.5)},
     "mu-long-matrix": {"mu": np.full((10**5, 2), 0.5)},
+    # entries that are each well formed but disagree
+    "data-not-points-per-cell": {"data": np.zeros((2, 2, 5), complex)},
+    "data-not-mu-dimension": {"data": np.zeros((4, 5), complex)},
+    "t-start-above-t-end": {"t_start": 1.0, "t_end": 0.0},
 }
 
 # a decaying profile in the `evolve --out` format
@@ -512,6 +519,27 @@ def test_fiber_entries_are_checked_by_name(lat_json, tmp_path, capsys):
     fiber.write_bytes(_fiber(cells_lo=None, cell_lo=np.array([0, 0])))  # not ignored: it would move the box
     assert main([a.format(lat=lat_json, bad=fiber) for a in _INVERSE]) == EXIT_IO
     assert capsys.readouterr().err == f"error: unknown fiber file {fiber} keys: ['cell_lo']\n"
+
+
+def test_unknown_fiber_entry_is_refused_before_it_is_read(lat_json, tmp_path):
+    """An unknown 16 MiB entry is refused by name at a traced peak well under its size."""
+    fiber = tmp_path / "fiber.npz"
+    fiber.write_bytes(_fiber(extra=np.zeros(2**21)))
+    lat = Lattice.load(lat_json)
+
+    def refused():
+        with pytest.raises(SchemaError, match=re.escape(f"unknown fiber file {fiber} keys: ['extra']")):
+            load_fiber(fiber, lat)
+
+    assert traced_peak(refused)[1] < 2**20
+
+
+def test_field_npz_reads_only_header_and_values(lat_json, tmp_path, capsys):
+    """Other entries of a field archive are not read, whatever their type."""
+    field = tmp_path / "field.npz"
+    field.write_bytes(_npz_bytes(header=_FIELD_HEADER, values=np.full(20, 0.5 + 0j), extra=np.array(["x"])))
+    assert main([a.format(lat=lat_json, bad=field) for a in _ROUNDTRIP]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["max_error"] < 1e-12
 
 
 def test_non_finite_json_result_is_refused_not_printed(monkeypatch, capsys):

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import manufactured_line_input, traced_peak
 from halfspace_decay import BudgetExceededError, GridError, RunConfig, SchemaError, cli, fields, manifest, pipeline, run_pipeline, svgplot
+from halfspace_decay.carleman import CarlemanReport
 from halfspace_decay.fibers import fiber_residual, gelfand_forward, theta_grid
 from halfspace_decay.fields import constant_potential, load_field, save_field
 from halfspace_decay.lattice import Lattice
 from halfspace_decay.manifest import RunManifest, write_csv, write_rows
+from halfspace_decay.spectrum import Gap
 from halfspace_decay.svgplot import PlotTable, emit_plots, render_svg
 
 
@@ -64,11 +66,9 @@ def test_pipeline_residual_matches_module_path(line_pipeline_input, tmp_path):
         assert got == pytest.approx(expected, abs=1e-10)
 
 
-def test_pipeline_two_dimensional_lattice(tmp_path):
-    import json
-    from halfspace_decay.fibers import BlochFiber, gelfand_inverse, theta_grid
-    from halfspace_decay.fields import save_field
-    from halfspace_decay.lattice import Lattice
+def _plane_input(tmp_path, mode=(1, 0)):
+    """2D field whose fibers at the 2 x 2 midpoint grid are single decaying torus modes."""
+    from halfspace_decay.fibers import BlochFiber, gelfand_inverse
 
     two_pi = 2.0 * math.pi
     lat = Lattice(
@@ -76,7 +76,7 @@ def test_pipeline_two_dimensional_lattice(tmp_path):
     )
     n, nt, t_end = 4, 1025, 5.0
     t = np.linspace(0.0, t_end, nt)
-    mode = np.array([1, 0])
+    mode = np.array(mode)
     x_modes = np.exp(2j * math.pi * (np.arange(n)[:, None] * mode[0] + np.arange(n)[None, :] * mode[1]) / n)
     fibers = []
     for theta in theta_grid(lat, 2):
@@ -90,6 +90,12 @@ def test_pipeline_two_dimensional_lattice(tmp_path):
     lat_path.write_text(json.dumps(lat.to_json()))
     u_path = tmp_path / "u2.npz"
     save_field(u, u_path)
+    return lat_path, u_path
+
+
+def test_pipeline_two_dimensional_lattice(tmp_path):
+    mode = np.array([1, 0])
+    lat_path, u_path = _plane_input(tmp_path, mode)
     cfg = RunConfig(
         command="pipeline",
         params={
@@ -163,25 +169,99 @@ def test_pipeline_one_fft_per_theta(tmp_path, monkeypatch):
     assert len(calls) == 5
 
 
-def test_pipeline_aborted_run_keeps_earlier_cases_without_manifest(tmp_path, monkeypatch):
-    """Each case writes its files as it runs: an error in a later case leaves the
-    earlier cases' CSVs, and no manifest or summary marks the run as complete."""
-    lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=3)
-    residual = pipeline.fiber_residual
+def _second_residual_raises(monkeypatch, exc):
     calls = []
 
     def failing_residual(*args):
         calls.append(1)
         if len(calls) == 2:
-            raise GridError("second case fails")
-        return residual(*args)
+            raise exc
+        return fiber_residual(*args)
 
     monkeypatch.setattr(pipeline, "fiber_residual", failing_residual)
+
+
+def test_pipeline_refused_stage_is_one_refused_case(tmp_path, monkeypatch):
+    """A refusal in any stage refuses that stage of its case; the run goes on and is written."""
+    lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=3)
+    _second_residual_raises(monkeypatch, GridError("second case fails"))
+    assert _cli_exit_code(pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=3), tmp_path) == 2
     out = tmp_path / "run"
-    with pytest.raises(GridError):
-        run_pipeline(pipeline_config(lat_path, u_path, out, theta_points=3))
-    assert (out / "residual_theta0.csv").exists() and not (out / "residual_theta1.csv").exists()
-    assert not (out / "manifest.json").exists() and not (out / "summary.json").exists()
+    doc = json.loads((out / "manifest.json").read_text())
+    assert [c["id"] for c in doc["cases"]] == ["theta-0", "theta-1", "theta-2"]
+    refused = doc["cases"][1]
+    assert refused["data"]["residual"] == "refused: second case fails" and "max_residual" not in refused["data"]
+    # neither the Carleman check nor the decay fit reads the residual
+    assert refused["verdict"] == "pass" and refused["data"]["decay_rate"] is not None
+    assert doc["diagnostics"] == {"theta-1": {"residual": "second case fails"}}
+    assert json.loads((out / "summary.json").read_text())["exit_code"] == 2
+    assert not (out / "residual_theta1.csv").exists() and (out / "residual_theta2.csv").exists()
+
+
+def test_pipeline_aborted_run_keeps_earlier_cases_without_manifest(tmp_path, monkeypatch):
+    """Each case writes its files as it runs: an I/O or schema error in a later case
+    ends the run (exit 4), leaves the earlier cases' CSVs, and no manifest or summary
+    marks the run as complete."""
+    lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=3)
+    for exc in (SchemaError("second case is malformed"), OSError("second case cannot be read")):
+        _second_residual_raises(monkeypatch, exc)
+        out = tmp_path / type(exc).__name__
+        assert _cli_exit_code(pipeline_config(lat_path, u_path, out, theta_points=3), tmp_path) == 4
+        assert (out / "residual_theta0.csv").exists() and not (out / "residual_theta1.csv").exists()
+        assert not (out / "manifest.json").exists() and not (out / "summary.json").exists()
+
+
+def test_pipeline_spectrum_over_budget_is_refused_per_case(tmp_path):
+    """An enumeration over budget refuses the spectrum of every case, and the
+    Carleman check that reads it; the residual and decay fit still run."""
+    lat_path, u_path = _plane_input(tmp_path)
+    cfg = pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=2, cutoff=1e9)
+    assert _cli_exit_code(cfg, tmp_path) == 2
+    out = tmp_path / "run"
+    doc = json.loads((out / "manifest.json").read_text())
+    assert json.loads((out / "summary.json").read_text())["exit_code"] == 2
+    assert len(doc["cases"]) == 4
+    for case in doc["cases"]:
+        data = case["data"]
+        assert data["spectrum"].startswith("refused: enumeration needs ") and "spectrum_count" not in data
+        assert case["verdict"] == "refused: needs spectrum"
+        assert math.isfinite(float(data["decay_rate"])) and float(data["max_residual"]) < 1e-3
+        assert doc["diagnostics"][case["id"]] == {
+            "spectrum": data["spectrum"].removeprefix("refused: "), "carleman": "needs spectrum"}
+    assert not list(out.glob("spectrum_theta*.csv")) and not list(out.glob("gaps_theta*.csv"))
+
+
+def test_pipeline_failing_carleman_case_is_a_violation(line_pipeline_input, tmp_path, monkeypatch):
+    """A case whose gap inequality fails is labelled `fail`, keeps its report and exits 3."""
+    failed = CarlemanReport(lhs=2.0, rhs=1.0, margin=-1.0, quad_err=0.0, passed=False, params={})
+    monkeypatch.setattr(pipeline, "verify_carleman_gap", lambda *args, **kwargs: failed)
+    lat_path, u_path, _ = line_pipeline_input
+    assert _cli_exit_code(pipeline_config(lat_path, u_path, tmp_path / "run"), tmp_path) == 3
+    out = tmp_path / "run"
+    doc = json.loads((out / "manifest.json").read_text())
+    assert len(doc["cases"]) == 3 and doc["diagnostics"] == {}
+    for case in doc["cases"]:
+        assert case["verdict"] == "fail" and case["data"]["carleman"] == "fail"
+        assert float(case["data"]["carleman_margin"]) < 0.0
+    assert json.loads((out / "summary.json").read_text())["exit_code"] == 3
+    reports = json.loads((out / "carleman_reports.json").read_text())
+    assert len(reports) == 3 and all(r["passed"] is False and r["margin"] == "-1" for r in reports)
+
+
+@pytest.mark.parametrize("alpha, used", [(2.9, True), (3.0 + 2e-9, True), (3.0 + 4e-9, False)])
+def test_admissible_window_needs_three_a_squared_above_alpha(alpha, used):
+    """A gap at a^2 = 1, shrunk by 1e-9 to 3 a^2 = 3 + 3e-9, is used below that alpha only."""
+    window = pipeline._admissible_window([Gap(lo=1.0, hi=4.0)], alpha)
+    assert (window is not None) == used
+    if used:
+        assert window == pytest.approx((1.0, 2.0), rel=1e-9)
+
+
+def test_admissible_window_keeps_a_narrow_gap():
+    """The 1e-9 shrink leaves a gap with hi/lo - 1 = 1e-6 usable, and one of 1e-9 not."""
+    a, b = pipeline._admissible_window([Gap(lo=1.0, hi=1.0 + 1e-6)], 0.5)
+    assert 1.0 < a < b < math.sqrt(1.0 + 1e-6)
+    assert pipeline._admissible_window([Gap(lo=1.0, hi=1.0 + 1e-9)], 0.5) is None
 
 
 def test_pipeline_holds_one_fiber_coefficients_at_a_time(tmp_path, monkeypatch):
@@ -303,6 +383,16 @@ def test_pipeline_decay_window_of_one_grid_point_leaves_no_rate(line_pipeline_in
     cases = json.loads((out / "manifest.json").read_text())["cases"]
     assert len(cases) == 3 and all(c["data"]["decay_rate"] is None for c in cases)
     assert (out / "decay.csv").read_text() == "theta_index,rate,fit_residual,superexp\n"
+
+
+def test_pipeline_refused_decay_fit_keeps_its_reason(line_pipeline_input, tmp_path):
+    """The one refusal that leaves its case's exit code: the reason is in the diagnostics."""
+    lat_path, u_path, _ = line_pipeline_input
+    manifest, code = run_pipeline(pipeline_config(lat_path, u_path, tmp_path / "run", decay_window=[0.0, 0.001]))
+    assert code == 0 and [c["verdict"] for c in manifest.cases] == ["pass"] * 3
+    assert all("decay" not in c["data"] for c in manifest.cases)
+    assert sorted(manifest.diagnostics) == ["theta-0", "theta-1", "theta-2"]
+    assert all(list(d) == ["decay"] and d["decay"] for d in manifest.diagnostics.values())
 
 
 @pytest.mark.parametrize("spare", [0, -1])
