@@ -23,6 +23,7 @@ from .errors import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VIOLATION,
+    GridError,
     HalfspaceDecayError,
     SchemaError,
 )
@@ -424,10 +425,10 @@ def _cmd_decay(args) -> int:
     if len(window) != 2:
         raise SchemaError(f"--window takes exactly two numbers 'a,b', not {args.window!r}")
     rows = _load_profile_csv(args.input)
-    t, norms = rows[:, 0], rows[:, 1]
-    profile = SpectralProfile(
-        eigs=np.array([0.0]), t_grid=t, coeffs=norms[None, :].astype(complex)
-    )
+    try:
+        profile = SpectralProfile(eigs=np.array([0.0]), t_grid=rows[:, 0], coeffs=rows[None, :, 1].astype(complex))
+    except (GridError, SchemaError) as exc:  # a profile this file's rows do not make
+        raise SchemaError(f"profile {args.input}: {exc}") from exc
     est = evo.decay_rate_estimate(profile, window)
     _print_json(dataclasses.asdict(est))
     return EXIT_OK

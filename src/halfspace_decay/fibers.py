@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridError, SchemaError
-from .fields import SampledField, cells_first
+from .fields import SampledField, cells_first, check_t_axis
 from .lattice import Lattice, Quasimomentum, dual_basis, form_on_grid, unit_cell_volume
 from .manifest import read_npz
 from .profiles import SpectralProfile, _residual
@@ -58,13 +58,15 @@ class BlochFiber:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
-        n = self.points_per_cell
-        if self.data.shape[:-1] != (n,) * self.lattice.dim:
-            raise GridError("fiber data shape disagrees with the cell grid")
+        cells = (self.points_per_cell,) * self.lattice.dim
+        if self.data.shape[:-1] != cells:
+            raise GridError(f"'data' must be of shape {cells} + (n_t,) by 'points_per_cell' and the lattice, "
+                            f"not {self.data.shape}")
+        check_t_axis(self.n_t, self.t_start, self.t_end)
         if self.theta.dim != self.lattice.dim:
             raise GridError("fiber quasimomentum disagrees with the lattice dimension")
         if self.cells_lo is not None and len(self.cells_lo) != self.lattice.dim:
-            raise GridError("fiber cell origin disagrees with the lattice dimension")
+            raise GridError(f"'cells_lo' must be of length {self.lattice.dim}, not {len(self.cells_lo)}")
 
     @property
     def dim(self) -> int:
@@ -131,23 +133,22 @@ def save_fiber(fiber: BlochFiber, path) -> None:
 def load_fiber(path, lat: Lattice) -> BlochFiber:
     """The fiber in a file written by ``save_fiber``.
 
-    An unknown or malformed entry, or entries that disagree, is a SchemaError.
+    An unknown or malformed entry, or entries that disagree, is a SchemaError;
+    a fiber of another dimension than ``lat`` is a GridError.
     """
     arrays = read_npz(path, "fiber file", {"data"}, {"data", *_FIBER_KEYS})
     doc = {key: a.tolist() for key, a in arrays.items() if key != "data"}
     check_keys(f"fiber file {path}", doc, _FIBER_KEYS)
-    cells = (doc["points_per_cell"],) * len(doc["mu"])
-    if arrays["data"].shape[:-1] != cells:
-        raise SchemaError(f"fiber file {path} 'data' must be of shape {cells} + (n_t,) by its "
-                          f"'points_per_cell' and 'mu', not {arrays['data'].shape}")
-    if not doc["t_start"] < doc["t_end"]:
-        raise SchemaError(f"fiber file {path} 't_start' must be below 't_end' {doc['t_end']!r}, "
-                          f"not {doc['t_start']!r}")
-    return BlochFiber(
-        theta=Quasimomentum(coeffs=doc["mu"]), lattice=lat, points_per_cell=doc["points_per_cell"],
-        t_start=float(doc["t_start"]), t_end=float(doc["t_end"]), data=arrays["data"],
-        tail_bound=float(doc["tail_bound"]), cells_lo=tuple(doc["cells_lo"]) if "cells_lo" in doc else None,
-    )
+    if len(doc["mu"]) != lat.dim:
+        raise GridError(f"fiber file {path} is {len(doc['mu'])}D, its lattice {lat.dim}D")
+    try:
+        return BlochFiber(
+            theta=Quasimomentum(coeffs=doc["mu"]), lattice=lat, points_per_cell=doc["points_per_cell"],
+            t_start=float(doc["t_start"]), t_end=float(doc["t_end"]), data=arrays["data"],
+            tail_bound=float(doc["tail_bound"]), cells_lo=tuple(doc["cells_lo"]) if "cells_lo" in doc else None,
+        )
+    except (GridError, SchemaError) as exc:  # a fiber this file's entries do not make
+        raise SchemaError(f"fiber file {path}: {exc}") from exc
 
 
 def _intra_cell_phase(axes_mu, n: int, sign: float) -> np.ndarray:

@@ -77,6 +77,14 @@ def cells_first(values: np.ndarray, cells_shape, n: int) -> np.ndarray:
     return grid.transpose(tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2)) + (2 * dim,))
 
 
+def check_t_axis(n_t: int, t_start: float, t_end: float) -> None:
+    """Refuse a t-axis of fewer than two samples, or one whose range does not increase."""
+    if n_t < 2:
+        raise GridError(f"need at least two t samples, not {n_t}")
+    if not t_start < t_end:
+        raise GridError(f"'t_start' must be below 't_end' {t_end!r}, not {t_start!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SampledField:
     """Complex samples indexed (x-axes..., t) on a box of whole cells.
@@ -114,10 +122,7 @@ class SampledField:
                 f"value array spatial shape {values.shape[:-1]} does not match "
                 f"cells*points {expected}"
             )
-        if values.shape[-1] < 2:
-            raise GridError("need at least two t samples")
-        if not self.t_end > self.t_start:
-            raise GridError("t-range must be increasing")
+        check_t_axis(values.shape[-1], self.t_start, self.t_end)
         if not _adoptable(values):
             values = values.copy()
             values.flags.writeable = False
@@ -218,22 +223,24 @@ def load_field(path, lattice: Lattice) -> SampledField:
         values = _hand_over(pairs).view(complex).reshape(-1)
     check_keys("field header", header, FIELD_HEADER_KEYS)
     if header["dim"] != lattice.dim:
-        raise GridError("field dimension disagrees with the lattice")
+        raise GridError(f"field file {path} is {header['dim']}D, its lattice {lattice.dim}D")
     n = header["points_per_cell"]
     shape = tuple(c * n for c in header["cells_shape"]) + (header["t_points"],)
     need = int(np.prod(shape))
-    if values.size != need:
-        raise SchemaError(f"field holds {values.size} values; its header shape {shape} needs {need}")
-    if not np.isfinite(values.view(np.float64)).all():  # the float view: twice as fast as complex
-        raise SchemaError(f"field file {path} holds non-finite samples")
-    values = values.reshape(shape)
-    return SampledField(
-        kind=header["kind"],
-        lattice=lattice,
-        cells_lo=tuple(header["cells_lo"]),
-        cells_shape=tuple(header["cells_shape"]),
-        points_per_cell=n,
-        t_start=float(header["t_start"]),
-        t_end=float(header["t_end"]),
-        values=values,
-    )
+    try:
+        if values.size != need:
+            raise SchemaError(f"field holds {values.size} values; its header shape {shape} needs {need}")
+        if not np.isfinite(values.view(np.float64)).all():  # the float view: twice as fast as complex
+            raise SchemaError("field samples must be finite")
+        return SampledField(
+            kind=header["kind"],
+            lattice=lattice,
+            cells_lo=tuple(header["cells_lo"]),
+            cells_shape=tuple(header["cells_shape"]),
+            points_per_cell=n,
+            t_start=float(header["t_start"]),
+            t_end=float(header["t_end"]),
+            values=values.reshape(shape),
+        )
+    except (GridError, SchemaError) as exc:  # a field this file's header and samples do not make
+        raise SchemaError(f"field file {path}: {exc}") from exc

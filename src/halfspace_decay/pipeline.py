@@ -32,7 +32,7 @@ from .fibers import check_potential_grid, check_residual_t_grid, fiber_residual,
 from .fields import load_field
 from .lattice import Lattice
 from .manifest import RunManifest, write_csv, write_json
-from .profiles import SpectralProfile, plateau_shape
+from .profiles import SpectralProfile, check_t_start, plateau_shape
 from .runconfig import RunConfig
 from .spectrum import enumerate_spectrum, find_gaps
 from .svgplot import PlotTable, emit_plots
@@ -163,6 +163,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
     if u.kind != "u":
         raise SchemaError("u_field must have kind 'u'")
     check_residual_t_grid(u)
+    check_t_start(u.t_start)  # the profile stage's rule, before any output
     v = None
     if params.get("v_field"):
         v = load_field(params["v_field"], lat)

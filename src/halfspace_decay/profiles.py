@@ -23,6 +23,12 @@ from .errors import SchemaError
 from .quadrature import grid_step
 
 
+def check_t_start(t_start: float) -> None:
+    """Refuse a profile that starts before t = 0, where the half-space begins."""
+    if t_start < 0.0:
+        raise SchemaError("t-grid must start at t >= 0")
+
+
 @dataclass(eq=False)
 class SpectralProfile:
     """Coefficients c_i(t) of phi(t) over modes with eigenvalues mu_i.
@@ -49,8 +55,7 @@ class SpectralProfile:
         if not np.all(np.isfinite(self.eigs)):
             raise SchemaError("eigenvalues must be finite")
         self.step = grid_step(self.t_grid)
-        if self.t_grid[0] < 0.0:
-            raise SchemaError("t-grid must start at t >= 0")
+        check_t_start(self.t_grid[0])
         if self.alpha is None:
             self.alpha = float(max(0.0, -np.min(self.eigs))) if self.eigs.size else 0.0
         if self.eigs.size and np.min(self.eigs) < -self.alpha - 1e-12:

@@ -19,10 +19,10 @@ from .errors import GridError, ResolutionError
 GATE_RTOL = 1e-6
 
 
-def uniform_grid(t_end: float, n_points: int, t_start: float = 0.0) -> np.ndarray:
+def uniform_grid(t_end: float, n_points: int) -> np.ndarray:
     if n_points < 5:
         raise GridError("need at least 5 grid points")
-    return np.linspace(t_start, t_end, n_points)
+    return np.linspace(0.0, t_end, n_points)
 
 
 def grid_step(t: np.ndarray) -> float:

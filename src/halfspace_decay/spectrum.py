@@ -29,7 +29,8 @@ from .errors import (
 from .lattice import Lattice, QuadraticForm, Quasimomentum, dual_basis, form_on_grid, integer_gram
 
 MERGE_TOL = 1e-9
-DEFAULT_BUDGET = 10_000_000
+# candidate points of one enumeration box, and entries of one value sieve
+ENUMERATION_POINTS = 10_000_000
 VALUE_BLOCK = 2**16  # candidates per enumeration block, and set entries per gap-scan block
 
 
@@ -99,20 +100,20 @@ def _merge_close(raw: np.ndarray):
     return raw[heads], np.diff(np.append(heads, raw.size))
 
 
-def _ellipsoid_axes(gram: np.ndarray, mu, radius2: float, budget: int, l: int = 1, residues=0):
+def _ellipsoid_axes(gram: np.ndarray, mu, radius2: float, l: int = 1, residues=0):
     """Coordinates x_i = l*m_i + r_i of the integer box covering (m+mu)^T gram (m+mu) <= radius2.
 
     Integer residues give exact coordinates; float ones (l = 1, r = mu) give
     x = m + mu.  Axis i comes shaped to broadcast against the others, so the
     grid is never materialised.  Raises BudgetExceededError when the box holds
-    more than ``budget`` points.
+    more than ENUMERATION_POINTS points.
     """
     mu = np.asarray(mu, dtype=float)
     half = np.sqrt(max(radius2, 0.0) * np.diagonal(np.linalg.inv(gram))) * (1.0 + 1e-12) + 1e-9
     los, his = np.ceil(-mu - half), np.floor(-mu + half)
     total = math.prod(max(hi - lo + 1.0, 0.0) for lo, hi in zip(los.tolist(), his.tolist()))
-    if not total <= budget:  # counted in floats, before any int64 cast could wrap
-        raise BudgetExceededError(f"enumeration needs {total:.6g} candidate points, budget is {budget}")
+    if not total <= ENUMERATION_POINTS:  # counted in floats, before any int64 cast could wrap
+        raise BudgetExceededError(f"enumeration needs {total:.6g} candidate points, budget is {ENUMERATION_POINTS}")
     return [
         (l * np.arange(int(lo), int(hi) + 1, dtype=np.int64) + r).reshape((-1,) + (1,) * (mu.size - 1 - i))
         for i, (lo, hi, r) in enumerate(zip(los, his, np.broadcast_to(residues, mu.shape)))
@@ -128,9 +129,9 @@ def _box_blocks(G, axes, factor: int = 1):
         yield form_on_grid(G, [first[i : i + rows], *rest], factor)
 
 
-def _form_value_blocks(gram: np.ndarray, mu: np.ndarray, radius2: float, budget: int):
+def _form_value_blocks(gram: np.ndarray, mu: np.ndarray, radius2: float):
     """Per block, every (m+mu)^T gram (m+mu) <= radius2 + MERGE_TOL; the box covers that tolerance too."""
-    for vals in _box_blocks(gram, _ellipsoid_axes(gram, mu, radius2 + MERGE_TOL, budget, residues=mu)):
+    for vals in _box_blocks(gram, _ellipsoid_axes(gram, mu, radius2 + MERGE_TOL, residues=mu)):
         yield vals[vals <= radius2 + MERGE_TOL]
 
 
@@ -139,7 +140,6 @@ def enumerate_spectrum(
     theta: Quasimomentum,
     energy: float,
     cutoff: float,
-    budget: int = DEFAULT_BUDGET,
     verify: bool = False,
 ) -> SpectrumSlice:
     """All values |k + theta|^2 - E <= cutoff over the dual lattice.
@@ -159,10 +159,10 @@ def enumerate_spectrum(
         return SpectrumSlice(
             values=np.empty(0), mults=np.empty(0, dtype=np.int64), cutoff=float(cutoff), energy=float(energy)
         )
-    raw = np.concatenate([np.empty(0), *_form_value_blocks(dual.gram(), theta.coeffs, radius2, budget)])
+    raw = np.concatenate([np.empty(0), *_form_value_blocks(dual.gram(), theta.coeffs, radius2)])
     raw.sort()
     if verify:
-        padded = _form_value_blocks(dual.gram(), theta.coeffs, radius2 * 1.05 + 1.0, budget)
+        padded = _form_value_blocks(dual.gram(), theta.coeffs, radius2 * 1.05 + 1.0)
         if sum(int(np.count_nonzero(vals <= radius2 + MERGE_TOL)) for vals in padded) != raw.size:
             raise VerificationError("enumeration completeness check failed")
     values, mults = _merge_close(raw)
@@ -189,7 +189,7 @@ def find_gaps(slc: SpectrumSlice, min_len: float = 0.0, full_axis: bool = False)
     return gaps
 
 
-def _value_set_diagonal(q: QuadraticForm, l: int, residues: np.ndarray, bound: int, budget: int) -> np.ndarray:
+def _value_set_diagonal(q: QuadraticForm, l: int, residues: np.ndarray, bound: int) -> np.ndarray:
     """Bool array of attainable q(l*m+r) values up to bound for diagonal q.
 
     A bit-packed shift-OR sieve, value v at bit v % 8 of byte v // 8, unpacked
@@ -202,7 +202,7 @@ def _value_set_diagonal(q: QuadraticForm, l: int, residues: np.ndarray, bound: i
     for axis in range(q.dim):
         coeff = int(q.G[axis, axis])
         r = int(residues[axis])
-        x, = _ellipsoid_axes(np.array([[float(coeff * l * l)]]), [r / l], float(bound), budget, l, r)
+        x, = _ellipsoid_axes(np.array([[float(coeff * l * l)]]), [r / l], float(bound), l, r)
         s = np.unique(coeff * x * x)
         s = s[s <= bound]
         nxt = np.zeros((bound + 8) // 8, dtype=np.uint8)
@@ -219,18 +219,16 @@ def _value_set_diagonal(q: QuadraticForm, l: int, residues: np.ndarray, bound: i
     return np.unpackbits(packed, count=bound + 1, bitorder="little").view(bool)
 
 
-def _value_set_general(q: QuadraticForm, l: int, residues: np.ndarray, bound: int, budget: int) -> np.ndarray:
+def _value_set_general(q: QuadraticForm, l: int, residues: np.ndarray, bound: int) -> np.ndarray:
     """Bool array of attainable values; each block of the box walk is scattered into the set."""
-    axes = _ellipsoid_axes(q.G * float(l * l), residues / l, float(bound), budget, l, residues)
+    axes = _ellipsoid_axes(q.G * float(l * l), residues / l, float(bound), l, residues)
     reached = np.zeros(bound + 1, dtype=bool)
     for vals in _box_blocks(q.G, axes):
         reached[vals[(vals >= 0) & (vals <= bound)].astype(np.int64, copy=False)] = True
     return reached
 
 
-def spectrum_value_set(
-    q: QuadraticForm, theta: Quasimomentum | None, bound: int, budget: int = DEFAULT_BUDGET
-) -> np.ndarray:
+def spectrum_value_set(q: QuadraticForm, theta: Quasimomentum | None, bound: int) -> np.ndarray:
     """Attainable integer values of q(l*m + r) up to ``bound`` as a bool array."""
     if theta is None:
         l, residues = 1, np.zeros(q.dim, dtype=np.int64)
@@ -241,19 +239,14 @@ def spectrum_value_set(
         residues = np.array(res, dtype=np.int64)
         if residues.size != q.dim:
             raise SchemaError("quasimomentum dimension disagrees with form arity")
-    if bound + 1 > budget:
-        raise BudgetExceededError(f"value sieve of size {bound + 1} exceeds budget {budget}")
+    if bound + 1 > ENUMERATION_POINTS:
+        raise BudgetExceededError(f"value sieve of size {bound + 1} exceeds budget {ENUMERATION_POINTS}")
     if q.is_diagonal():
-        return _value_set_diagonal(q, l, residues, bound, budget)
-    return _value_set_general(q, l, residues, bound, budget)
+        return _value_set_diagonal(q, l, residues, bound)
+    return _value_set_general(q, l, residues, bound)
 
 
-def max_gap_growth(
-    q: QuadraticForm,
-    theta: Quasimomentum | None,
-    n_list,
-    budget: int = DEFAULT_BUDGET,
-) -> list[tuple[int, float]]:
+def max_gap_growth(q: QuadraticForm, theta: Quasimomentum | None, n_list) -> list[tuple[int, float]]:
     """Per N: the maximal gap of (sigma/l^2)*{q(l*m+r)} within [0, N].
 
     One scan of the value set serves the whole table: it walks the set in
@@ -268,7 +261,7 @@ def max_gap_growth(
         raise SchemaError("N_list must be strictly increasing")
     l = 1 if theta is None or theta.exact is None else theta.exact[0]
     unit = q.sigma / (l * l)
-    reached = spectrum_value_set(q, theta, int(Fraction(n_list[-1]) / unit), budget)
+    reached = spectrum_value_set(q, theta, int(Fraction(n_list[-1]) / unit))
     table, gap, last, start = [], 0, None, 0
     for n in n_list:
         stop = int(Fraction(n) / unit) + 1
@@ -282,7 +275,7 @@ def max_gap_growth(
     return table
 
 
-def density_scan(q: QuadraticForm, n: int, budget: int = DEFAULT_BUDGET) -> tuple[int, float]:
+def density_scan(q: QuadraticForm, n: int) -> tuple[int, float]:
     """Count distinct values of a binary form up to n (0 included).
 
     Also returns count*sqrt(ln n)/n for trend inspection; no asymptotic
@@ -292,7 +285,7 @@ def density_scan(q: QuadraticForm, n: int, budget: int = DEFAULT_BUDGET) -> tupl
         raise FormArityError("density scan requires a binary quadratic form")
     if n < 10:
         raise SchemaError("density scan requires N >= 10")
-    reached = spectrum_value_set(q, None, int(n), budget)
+    reached = spectrum_value_set(q, None, int(n))
     count = int(np.count_nonzero(reached))
     ratio = count * math.sqrt(math.log(n)) / n
     return count, ratio
@@ -306,7 +299,6 @@ def progression_containment(
     l: int,
     n: float,
     exact: bool = True,
-    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Max distance of any |k+theta|^2 <= n from the grid (sigma/l^2)*Z.
 
@@ -326,7 +318,7 @@ def progression_containment(
         l_theta, residues = theta.exact
         if l_theta != l:
             raise SchemaError("supplied l disagrees with the quasimomentum denominator")
-        axes = _ellipsoid_axes(dual.gram(), theta.coeffs, float(n), budget, l, residues)
+        axes = _ellipsoid_axes(dual.gram(), theta.coeffs, float(n), l, residues)
         D, nums = integer_gram(dual.gram_exact)
         period = D * sigma.numerator
         # N/(D l^2) <= n  <=>  N <= floor(num(n) D l^2 / den(n)) for integer N
@@ -340,6 +332,6 @@ def progression_containment(
         return float(Fraction(worst, period) * unit)
     unit_f = float(unit)
     worst = 0.0
-    for raw in _form_value_blocks(dual.gram(), theta.coeffs, float(n), budget):
+    for raw in _form_value_blocks(dual.gram(), theta.coeffs, float(n)):
         worst = max(worst, float(np.abs(raw - np.round(raw / unit_f) * unit_f).max(initial=0.0)))
     return worst

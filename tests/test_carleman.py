@@ -22,7 +22,8 @@ from halfspace_decay import (
 )
 from halfspace_decay.ensembles import bump_case_43, bump_case_gap, solution_like_profile
 from halfspace_decay.profiles import plateau_shape
-from halfspace_decay.quadrature import uniform_grid
+from halfspace_decay.carleman import _pass_rule
+from halfspace_decay.quadrature import GATE_RTOL, Integral, check_resolution, uniform_grid
 
 
 def test_bump_shape_examples():
@@ -518,3 +519,22 @@ def test_ellreg_refinement_stability():
         rep = ellreg_bound_check(prof, 0.5, [2.0, 4.0, 6.0])
         sups[n] = rep.sup_ratio
     assert sups[1001] == pytest.approx(sups[2001], rel=0.05)
+
+
+@pytest.mark.parametrize("shortfall, passed", [(0.9, True), (1.1, False)])
+def test_pass_rule_allows_the_quadrature_error_and_no_more(shortfall, passed):
+    """With pass_rtol 0, rhs may fall below lhs by quad_err, not by 1.1 quad_err."""
+    lhs, quad_err = 10.0, 1e-3
+    assert _pass_rule(lhs, lhs - shortfall * quad_err, quad_err, 0.0) == passed
+
+
+@pytest.mark.parametrize("ratio, accepted", [(0.99, True), (1.01, False)])
+def test_resolution_gate_bounds_the_predicted_change_by_gate_rtol(ratio, accepted):
+    """The predicted change |I_h - I_2h| / 4 is refused just above gate_rtol |I_h|, not just below."""
+    value = 2.0
+    integral = Integral(value=value, err_estimate=0.0, coarse_value=value - 4.0 * ratio * GATE_RTOL * value)
+    if accepted:
+        check_resolution(integral)
+    else:
+        with pytest.raises(ResolutionError, match="resolution gate failed"):
+            check_resolution(integral)

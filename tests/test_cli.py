@@ -145,6 +145,7 @@ _BAD_FIBER_ENTRIES = {
     "data-not-points-per-cell": {"data": np.zeros((2, 2, 5), complex)},
     "data-not-mu-dimension": {"data": np.zeros((4, 5), complex)},
     "t-start-above-t-end": {"t_start": 1.0, "t_end": 0.0},
+    "cells-lo-of-another-length": {"cells_lo": np.array([0, 0, 0])},
 }
 
 # a decaying profile in the `evolve --out` format
@@ -503,6 +504,41 @@ def test_malformed_npz_field_is_schema_error_naming_the_file(content, lat_json, 
     assert main([a.format(lat=lat_json, bad=field) for a in _ROUNDTRIP]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(field) in err
+
+
+@pytest.mark.parametrize(
+    "argv, content, code",
+    [
+        (_ROUNDTRIP, _field(t_start=1.0), EXIT_IO),
+        (_ROUNDTRIP, _field(t_points=1).split("\n")[0] + "\n" + "0.5,0.0\n" * 4, EXIT_IO),
+        (_ROUNDTRIP, _field(cells_lo=[0, 0, 0]), EXIT_IO),
+        (_ROUNDTRIP, _field(cells_shape=[2, 1], kind="potential").split("\n")[0] + "\n"
+         + "0.5,0.0\n" * 39 + "1.5,0.0\n", EXIT_IO),
+        (_INVERSE, _fiber(data=np.zeros((4, 4, 1), complex)), EXIT_IO),
+        (_INVERSE, _fiber(mu=np.array([1.5, 0.5])), EXIT_IO),
+        (_DECAY + ["2,8"], "t,norm\n" + "".join(f"{t!r},1.0\n" for t in (0.0, 0.1, 0.25, 0.3, 0.4)), EXIT_IO),
+        (_DECAY + ["2,8"], "t,norm\n" + "".join(f"{0.1 * i - 1.0!r},1.0\n" for i in range(101)), EXIT_IO),
+        (_ROUNDTRIP, _field(dim=1, cells_lo=[0], cells_shape=[1]), EXIT_PRECONDITION),
+        (_INVERSE, _fiber(mu=np.array([0.5]), data=np.zeros((4, 5), complex), cells_lo=np.array([0])),
+         EXIT_PRECONDITION),
+    ],
+    ids=["field-t-start-at-t-end", "field-one-t-point", "field-cells-lo-of-another-length",
+         "field-potential-not-periodic", "fiber-one-t-sample", "fiber-mu-out-of-range",
+         "decay-input-t-not-uniform", "decay-input-t-negative",
+         "field-of-another-dimension", "fiber-of-another-dimension"],
+)
+def test_a_file_its_object_refuses_is_a_schema_error_naming_the_file(argv, content, code, lat_json, tmp_path,
+                                                                      capsys):
+    """Whatever the object's own refusal, its loader reports it as the file's (exit 4); a file of
+    another dimension than its lattice is a refusal of the pair (exit 2), named too."""
+    bad = tmp_path / ("bad.npz" if isinstance(content, bytes) else "bad.csv")
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
+    assert main([a.format(lat=lat_json, bad=bad) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
 
 
 def test_fiber_entries_are_checked_by_name(lat_json, tmp_path, capsys):

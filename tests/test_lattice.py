@@ -40,7 +40,8 @@ def well_conditioned_2x2(draw):
         st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=4, max_size=4)
     )
     basis = np.array(entries).reshape(2, 2) + 2.0 * np.eye(2)
-    if abs(np.linalg.det(basis)) < 0.5:
+    # the closed form: LU in np.linalg.det divides by zero on a column like (0, 1e-313)
+    if abs(basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0]) < 0.5:
         basis = basis + 3.0 * np.eye(2)
     return basis
 

@@ -353,6 +353,16 @@ def test_pipeline_config_errors_are_refused_before_anything_is_written(
     assert not (tmp_path / "run").exists()
 
 
+def test_pipeline_u_field_before_t_zero_is_refused_before_anything_is_written(line_pipeline_input, tmp_path):
+    """The profile stage's t >= 0 rule is asked before the run writes its config or theta-0's files."""
+    lat_path, u_path, lat = line_pipeline_input
+    u = load_field(u_path, lat)
+    save_field(dataclasses.replace(u, t_start=-1.0, t_end=4.0), u_path)
+    cfg = pipeline_config(lat_path, u_path, tmp_path / "run")
+    assert _cli_exit_code(cfg, tmp_path) == 4
+    assert not (tmp_path / "run").exists()
+
+
 def test_pipeline_taper_below_the_bound_runs(line_pipeline_input, tmp_path):
     lat_path, u_path, _ = line_pipeline_input
     cfg = pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=1, carleman_taper=0.47)

@@ -91,10 +91,11 @@ def test_empty_below_minus_energy():
     assert slc.values.size == 0
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
     lat = Lattice.cubic(TWO_PI, 3)
+    monkeypatch.setattr(spectrum, "ENUMERATION_POINTS", 1000)
     with pytest.raises(BudgetExceededError):
-        enumerate_spectrum(lat, Quasimomentum.zero(3), 0.0, 10.0**6, budget=1000)
+        enumerate_spectrum(lat, Quasimomentum.zero(3), 0.0, 10.0**6)
 
 
 @st.composite
@@ -170,7 +171,7 @@ def test_float_enumeration_matches_einsum_grid(case, block):
     gram = dual_basis(lat).gram()
     want = einsum_grid_values(gram, mu, cutoff)
     with mock.patch.object(spectrum, "VALUE_BLOCK", block):
-        got = np.sort(np.concatenate([np.empty(0), *_form_value_blocks(gram, mu, cutoff, budget=10**7)]))
+        got = np.sort(np.concatenate([np.empty(0), *_form_value_blocks(gram, mu, cutoff)]))
         slc = enumerate_spectrum(lat, Quasimomentum(coeffs=mu), 0.0, cutoff, verify=True)
     assert got.size == want.size
     # every term G_ij x_i x_j is at most about cond(G) * cutoff
@@ -190,7 +191,7 @@ def test_float_enumeration_never_materialises_the_grid(F, cutoff):
     """Peak memory stays within 3 * 8 bytes per candidate point of the box."""
     lat = Lattice(basis=TWO_PI * np.linalg.inv(F.T))
     theta = Quasimomentum(coeffs=[0.25, 0.5, 0.125])
-    n = math.prod(ax.size for ax in _ellipsoid_axes(dual_basis(lat).gram(), theta.coeffs, cutoff, 10**7))
+    n = math.prod(ax.size for ax in _ellipsoid_axes(dual_basis(lat).gram(), theta.coeffs, cutoff))
     assert 1.8e6 <= n <= 2.4e6
     tracemalloc.start()
     try:
@@ -213,7 +214,7 @@ def test_box_walk_holds_one_block_beyond_the_result():
         assert worst == 0.0 if exact else worst <= 1e-9
         assert peak < bound, (exact, peak / 2**20)
     for _ in range(2):
-        slc, peak = traced_peak(enumerate_spectrum, lat, theta, 0.0, 1e4, spectrum.DEFAULT_BUDGET, True)
+        slc, peak = traced_peak(enumerate_spectrum, lat, theta, 0.0, 1e4, True)
     assert 4.1e6 < slc.total_count() < 4.3e6
     # the blocks kept within the radius and their concatenation, then the sort and merge of that array
     assert peak <= 2.5 * 8 * slc.total_count(), peak / (8 * slc.total_count())
@@ -336,10 +337,11 @@ def test_gap_growth_with_congruence():
     assert gap == pytest.approx(oracle, abs=1e-12)
 
 
-def test_gap_growth_budget_and_n_list_validation():
+def test_gap_growth_budget_and_n_list_validation(monkeypatch):
     q = QuadraticForm(G=np.eye(2, dtype=np.int64))
+    monkeypatch.setattr(spectrum, "ENUMERATION_POINTS", 100)
     with pytest.raises(BudgetExceededError):
-        max_gap_growth(q, None, [10_000], budget=100)
+        max_gap_growth(q, None, [10_000])
     with pytest.raises(SchemaError):
         max_gap_growth(q, None, [100, 100])
     q3 = QuadraticForm(G=np.eye(3, dtype=np.int64))

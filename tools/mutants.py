@@ -1,0 +1,100 @@
+"""One-token mutants of the rules that set a verdict, a refusal or an exit code.
+
+Each mutant replaces one string in one module of ``src/halfspace_decay`` by
+another.  The runner copies the repository (without ``.git`` and caches) into
+a fresh temporary directory, applies the change there, runs ``pytest -x -q``
+on the test files that cover it, and prints ``killed`` (a test failed),
+``survived`` (all passed) or ``error``.  Before any mutant it runs each set of
+test files once on an unmutated copy; a mutant whose tests fail there is an
+``error``, not a kill.  The working tree is never changed.  Standard library
+only, and not part of the test suite: a mutant takes one pytest run of its
+test files.
+
+    python tools/mutants.py
+
+The exit code is 0 when every mutant is killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path("src") / "halfspace_decay"
+TIMEOUT_S = 900
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_out")
+
+# (module, old, new, test files that cover it); each old string occurs once in its module
+MUTANTS = [
+    # the Carleman pass rule allows the quadrature error, once
+    ("carleman.py", "-(quad_err + pass_rtol * abs(rhs))", "-(pass_rtol * abs(rhs))", ["test_carleman.py"]),
+    ("carleman.py", "-(quad_err + pass_rtol * abs(rhs))", "-(2 * quad_err + pass_rtol * abs(rhs))",
+     ["test_carleman.py"]),
+    # the resolution gate's predicted change under grid doubling
+    ("quadrature.py", "abs(integ.value - integ.coarse_value) / 4.0", "abs(integ.value - integ.coarse_value) / 15.0",
+     ["test_carleman.py"]),
+    # the pipeline's admissible gap window and its Carleman label
+    ("pipeline.py", "3.0 * lo > alpha", "lo > alpha", ["test_pipeline.py"]),
+    ("pipeline.py", "lo = gap.lo * (1.0 + 1e-9)", "lo = gap.lo * (1.0 + 1e-3)", ["test_pipeline.py"]),
+    ("pipeline.py", '"pass" if c.report.passed else "fail"', '"pass" if True else "fail"', ["test_pipeline.py"]),
+    # the decay fit's superexponential flag and tail window
+    ("evolution.py", "min_run: int = 3", "min_run: int = 2", ["test_evolution.py"]),
+    ("evolution.py", "return (2.0 * T / 3.0, 0.9 * T)", "return (0.6 * T, 0.9 * T)", ["test_evolution.py"]),
+    # a loader reports its object's refusal as the file's (exit 4) ...
+    ("fields.py", "except (GridError, SchemaError) as exc:", "except SchemaError as exc:", ["test_cli.py"]),
+    ("fibers.py", "except (GridError, SchemaError) as exc:", "except SchemaError as exc:", ["test_cli.py"]),
+    ("cli.py", "except (GridError, SchemaError) as exc:", "except SchemaError as exc:", ["test_cli.py"]),
+    # ... after the one check of the file against its lattice (exit 2)
+    ("fields.py", 'if header["dim"] != lattice.dim:', "if False:", ["test_cli.py"]),
+    ("fibers.py", 'if len(doc["mu"]) != lat.dim:', "if False:", ["test_cli.py"]),
+    # the one t-axis rule of fields and fibers, and the profile's t >= 0 asked before any output
+    ("fields.py", "if n_t < 2:", "if n_t < 1:", ["test_cli.py", "test_fibers.py"]),
+    ("fields.py", "if not t_start < t_end:", "if not t_start <= t_end:", ["test_cli.py", "test_fibers.py"]),
+    ("pipeline.py", "check_t_start(u.t_start)", "float(u.t_start)", ["test_pipeline.py"]),
+]
+
+
+def run_tests(tests: list[str], mutant: tuple[str, str, str] | None = None) -> int | str:
+    """pytest's exit code on ``tests`` in a copy of the tree, with ``mutant`` applied if given."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp) / "repo"
+        shutil.copytree(ROOT, work, ignore=IGNORE)
+        if mutant is not None:
+            module, old, new = mutant
+            target = work / PACKAGE / module
+            text = target.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                raise SystemExit(f"{module}: {old!r} occurs {text.count(old)} times, not once")
+            target.write_text(text.replace(old, new), encoding="utf-8")
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                *(f"tests/{name}" for name in tests)]
+        try:
+            return subprocess.run(argv, cwd=work, capture_output=True, timeout=TIMEOUT_S).returncode
+        except subprocess.TimeoutExpired:
+            return "timeout"
+
+
+def main() -> int:
+    unmutated = {}
+    for tests in dict.fromkeys(tuple(m[3]) for m in MUTANTS):
+        unmutated[tests] = run_tests(list(tests))
+        print(f"unmutated {' '.join(tests)}: exit {unmutated[tests]}", flush=True)
+    killed = 0
+    for i, (module, old, new, tests) in enumerate(MUTANTS):
+        if unmutated[tuple(tests)] != 0:
+            verdict = "error (fails unmutated)"
+        else:
+            code = run_tests(tests, (module, old, new))
+            verdict = {0: "survived", 1: "killed"}.get(code, f"error (exit {code})")
+        killed += verdict == "killed"
+        print(f"{i:2d} {verdict:9s} {module}: {old!r} -> {new!r}", flush=True)
+    print(f"killed {killed} of {len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
