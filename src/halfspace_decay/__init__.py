@@ -6,6 +6,8 @@ inequality verification on finite spectral truncations, an elliptic-evolution
 solver with decay-rate estimation, and a deterministic CLI harness.
 """
 
+__version__ = "0.1.0"  # before the submodules: manifest.json records it
+
 from .errors import (
     BudgetExceededError,
     DegenerateLatticeError,
@@ -66,5 +68,3 @@ from .evolution import (
 from .runconfig import RunConfig
 from .manifest import RunManifest
 from .pipeline import run_pipeline
-
-__version__ = "0.1.0"

@@ -23,7 +23,6 @@ from .errors import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VIOLATION,
-    GridError,
     HalfspaceDecayError,
     SchemaError,
 )
@@ -41,7 +40,7 @@ from .manifest import read_rows, write_csv, write_json, write_rows
 from .pipeline import run_pipeline
 from .profiles import SpectralProfile, bump_profile
 from .quadrature import uniform_grid
-from .runconfig import _COUNT, _POSITIVE_INT, _SEED, RunConfig
+from .runconfig import _COUNT, _POSITIVE_INT, _SEED, RunConfig, reading
 from .spectrum import density_scan, enumerate_spectrum, find_gaps, max_gap_growth
 from .lattice import QuadraticForm
 
@@ -279,7 +278,7 @@ def _cmd_density(args) -> int:
 def _cmd_gelfand(args) -> int:
     lat = Lattice.load(args.lattice)
     if args.subcommand == "forward":
-        u = load_field(args.u, lat)
+        u = load_field(args.u, lat, "u")
         theta = Quasimomentum.parse(args.theta)
         fiber = gelfand_forward(u, theta, args.lmax)
         save_fiber(fiber, args.out)
@@ -290,17 +289,17 @@ def _cmd_gelfand(args) -> int:
         save_field(u, args.out)
         return EXIT_OK
     if args.subcommand == "roundtrip":
-        u = load_field(args.u, lat)
+        u = load_field(args.u, lat, "u")
         if u.cells_shape != (args.theta_points,) * lat.dim:  # the box the inverse rebuilds
             raise SchemaError("round trip box mismatch: theta grid does not resolve the field box")
         back = gelfand_inverse(gelfand_forward(u, theta_grid(lat, args.theta_points), 10**6), lat)
         err = float(np.max(np.abs(back.values - u.values)))
         _print_json({"max_error": err})
         return EXIT_OK
-    u = load_field(args.u, lat)
+    u = load_field(args.u, lat, "u")
     theta = Quasimomentum.parse(args.theta)
     fiber = gelfand_forward(u, theta, args.lmax)
-    v = load_field(args.v, lat) if args.v else None
+    v = load_field(args.v, lat, "potential") if args.v else None
     res = fiber_residual(fiber, v, args.energy)
     _emit_rows(["t", "residual"], np.column_stack((fiber.t_grid[1:-1], res)), args.out)
     return EXIT_OK
@@ -410,26 +409,21 @@ def _cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _load_profile_csv(path) -> np.ndarray:
-    """The finite (t, norm, ...) rows of a CSV with one header line."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_profile(path) -> SpectralProfile:
+    """The one-mode profile of the (t, norm, ...) rows of a CSV with one header line."""
+    with reading("profile", path), open(path, "r", encoding="utf-8", errors="replace") as fh:
         fh.readline()
-        rows = read_rows(fh, "profile")
-    if rows.shape[1] < 2 or not np.all(np.isfinite(rows)):
-        raise SchemaError("profile needs finite rows with at least the columns t,norm")
-    return rows
+        rows = read_rows(fh)
+        if rows.shape[1] < 2:
+            raise SchemaError("rows need at least the columns t,norm")
+        return SpectralProfile(eigs=np.array([0.0]), t_grid=rows[:, 0], coeffs=rows[None, :, 1].astype(complex))
 
 
 def _cmd_decay(args) -> int:
     window = tuple(_parse_list(args.window))
     if len(window) != 2:
         raise SchemaError(f"--window takes exactly two numbers 'a,b', not {args.window!r}")
-    rows = _load_profile_csv(args.input)
-    try:
-        profile = SpectralProfile(eigs=np.array([0.0]), t_grid=rows[:, 0], coeffs=rows[None, :, 1].astype(complex))
-    except (GridError, SchemaError) as exc:  # a profile this file's rows do not make
-        raise SchemaError(f"profile {args.input}: {exc}") from exc
-    est = evo.decay_rate_estimate(profile, window)
+    est = evo.decay_rate_estimate(_load_profile(args.input), window)
     _print_json(dataclasses.asdict(est))
     return EXIT_OK
 

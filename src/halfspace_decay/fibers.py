@@ -26,12 +26,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridError, SchemaError
+from .errors import GridError, PreconditionError, SchemaError
 from .fields import SampledField, cells_first, check_t_axis
 from .lattice import Lattice, Quasimomentum, dual_basis, form_on_grid, unit_cell_volume
 from .manifest import read_npz
 from .profiles import SpectralProfile, _residual
-from .runconfig import _INTS, _NUMBER, _NUMBERS, _POSITIVE_INT, check_keys
+from .runconfig import _INTS, _NUMBER, _NUMBERS, _POSITIVE_INT, check_keys, reading
 
 STACK_BYTES = 1 << 20
 
@@ -133,22 +133,21 @@ def save_fiber(fiber: BlochFiber, path) -> None:
 def load_fiber(path, lat: Lattice) -> BlochFiber:
     """The fiber in a file written by ``save_fiber``.
 
-    An unknown or malformed entry, or entries that disagree, is a SchemaError;
-    a fiber of another dimension than ``lat`` is a GridError.
+    An unknown, malformed or non-finite entry, or entries that disagree, is a
+    SchemaError; a fiber of another dimension than ``lat`` is a refusal
+    (exit 2).  Either names the file.
     """
-    arrays = read_npz(path, "fiber file", {"data"}, {"data", *_FIBER_KEYS})
-    doc = {key: a.tolist() for key, a in arrays.items() if key != "data"}
-    check_keys(f"fiber file {path}", doc, _FIBER_KEYS)
-    if len(doc["mu"]) != lat.dim:
-        raise GridError(f"fiber file {path} is {len(doc['mu'])}D, its lattice {lat.dim}D")
-    try:
+    with reading("fiber file", path):
+        arrays = read_npz(path, {"data"}, {"data", *_FIBER_KEYS})
+        doc = {key: a.tolist() for key, a in arrays.items() if key != "data"}
+        check_keys("fiber", doc, _FIBER_KEYS)
+        if len(doc["mu"]) != lat.dim:
+            raise PreconditionError(f"a {len(doc['mu'])}D fiber on a {lat.dim}D lattice")
         return BlochFiber(
             theta=Quasimomentum(coeffs=doc["mu"]), lattice=lat, points_per_cell=doc["points_per_cell"],
             t_start=float(doc["t_start"]), t_end=float(doc["t_end"]), data=arrays["data"],
             tail_bound=float(doc["tail_bound"]), cells_lo=tuple(doc["cells_lo"]) if "cells_lo" in doc else None,
         )
-    except (GridError, SchemaError) as exc:  # a fiber this file's entries do not make
-        raise SchemaError(f"fiber file {path}: {exc}") from exc
 
 
 def _intra_cell_phase(axes_mu, n: int, sign: float) -> np.ndarray:

@@ -31,10 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GridError, SchemaError
+from .errors import GridError, PreconditionError, SchemaError
 from .lattice import Lattice
 from .manifest import read_npz, read_rows, write_rows
-from .runconfig import _INT, _INTS, _NUMBER, _POSITIVE_INT, _POSITIVE_INTS, _STR, check_keys, parse_json
+from .runconfig import _INT, _INTS, _NUMBER, _POSITIVE_INT, _POSITIVE_INTS, _STR, check_keys, parse_json, reading
 
 FIELD_KINDS = ("u", "potential")
 # The one-line JSON header of a text or .npz field file.
@@ -206,41 +206,33 @@ def save_field(field: SampledField, path) -> None:
         write_rows(fh, flat.view(np.float64).reshape(-1, 2))  # (re, im) pairs, no copy
 
 
-def load_field(path, lattice: Lattice) -> SampledField:
-    path = Path(path)
-    if path.suffix == ".npz":
-        data = read_npz(path, "field file", ("header", "values"))
-        header = parse_json(bytes(data["header"]), "field header")
-        # np.load returns a reshaped view of the array it read: seal both
-        values = _hand_over(np.ascontiguousarray(data["values"], dtype=complex))
-    else:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            header = parse_json(fh.readline(), "field header")
-            pairs = read_rows(fh, "field file")
-        if pairs.shape[1] != 2:
-            raise SchemaError("field values must be 're,im' pairs, one per line")
-        # a complex view of the (re, im) pairs: the file's bits, signed zeros included
-        values = _hand_over(pairs).view(complex).reshape(-1)
-    check_keys("field header", header, FIELD_HEADER_KEYS)
-    if header["dim"] != lattice.dim:
-        raise GridError(f"field file {path} is {header['dim']}D, its lattice {lattice.dim}D")
-    n = header["points_per_cell"]
-    shape = tuple(c * n for c in header["cells_shape"]) + (header["t_points"],)
-    need = int(np.prod(shape))
-    try:
-        if values.size != need:
-            raise SchemaError(f"field holds {values.size} values; its header shape {shape} needs {need}")
-        if not np.isfinite(values.view(np.float64)).all():  # the float view: twice as fast as complex
-            raise SchemaError("field samples must be finite")
+def load_field(path, lattice: Lattice, kind: str | None = None) -> SampledField:
+    """The field in a file written by ``save_field``, of ``kind`` if given."""
+    with reading("field file", path):
+        if Path(path).suffix == ".npz":
+            data = read_npz(path, ("header", "values"))
+            header = parse_json(bytes(data["header"]), "the header")
+            # np.load returns a reshaped view of the array it read: seal both
+            values = _hand_over(np.ascontiguousarray(data["values"], dtype=complex))
+        else:
+            with open(path, "r", encoding="utf-8", errors="replace") as fh:
+                header = parse_json(fh.readline(), "the header")
+                pairs = read_rows(fh)
+            if pairs.shape[1] != 2:
+                raise SchemaError("values must be 're,im' pairs, one per line")
+            # a complex view of the (re, im) pairs: the file's bits, signed zeros included
+            values = _hand_over(pairs).view(complex).reshape(-1)
+        check_keys("field header", header, FIELD_HEADER_KEYS)
+        if kind is not None and header["kind"] != kind:
+            raise SchemaError(f"field kind must be {kind!r}, not {header['kind']!r}")
+        if header["dim"] != lattice.dim:
+            raise PreconditionError(f"a {header['dim']}D field on a {lattice.dim}D lattice")
+        n = header["points_per_cell"]
+        shape = tuple(c * n for c in header["cells_shape"]) + (header["t_points"],)
+        if values.size != (need := int(np.prod(shape))):
+            raise SchemaError(f"holds {values.size} values; its header shape {shape} needs {need}")
         return SampledField(
-            kind=header["kind"],
-            lattice=lattice,
-            cells_lo=tuple(header["cells_lo"]),
-            cells_shape=tuple(header["cells_shape"]),
-            points_per_cell=n,
-            t_start=float(header["t_start"]),
-            t_end=float(header["t_end"]),
-            values=values.reshape(shape),
+            kind=header["kind"], lattice=lattice, cells_lo=tuple(header["cells_lo"]),
+            cells_shape=tuple(header["cells_shape"]), points_per_cell=n, t_start=float(header["t_start"]),
+            t_end=float(header["t_end"]), values=values.reshape(shape),
         )
-    except (GridError, SchemaError) as exc:  # a field this file's header and samples do not make
-        raise SchemaError(f"field file {path}: {exc}") from exc

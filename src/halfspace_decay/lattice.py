@@ -25,7 +25,7 @@ from .errors import (
     RationalityRequiredError,
     SchemaError,
 )
-from .runconfig import _POSITIVE_INT, _is_number, check_keys, parse_json
+from .runconfig import _POSITIVE_INT, _is_number, check_keys, parse_json, reading
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,7 +180,8 @@ class Lattice:
 
     @staticmethod
     def load(path) -> "Lattice":
-        return Lattice.from_json(parse_json(Path(path).read_bytes(), f"lattice file {path}"))
+        with reading("lattice file", path):
+            return Lattice.from_json(parse_json(Path(path).read_bytes(), "the document"))
 
 
 def dual_basis(lat: Lattice) -> Lattice:

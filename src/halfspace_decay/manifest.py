@@ -18,10 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import SchemaError
 from .runconfig import RunConfig
-
-TOOL_VERSION = "0.1.0"
 
 
 def _canonical(value):
@@ -46,7 +45,6 @@ class RunManifest:
     config_hash: str
     cases: list = field(default_factory=list)
     wall_clock_s: float = 0.0
-    tool_version: str = TOOL_VERSION
     diagnostics: dict = field(default_factory=dict)  # case id -> {stage: reason} of its refused stages
 
     @staticmethod
@@ -68,7 +66,7 @@ class RunManifest:
         return {
             "config_hash": self.config_hash,
             "verdict_hash": self.verdict_hash(),
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "wall_clock_s": format(self.wall_clock_s, ".3f"),
             "diagnostics": _canonical(self.diagnostics),
             "cases": _canonical(self.cases),
@@ -96,45 +94,53 @@ def write_rows(fh, rows) -> None:
         fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def read_rows(fh, what: str) -> np.ndarray:
-    """The comma-separated number rows left in ``fh``, as a 2D float array.
+def read_rows(fh) -> np.ndarray:
+    """The comma-separated finite number rows left in ``fh``, as a 2D float array.
 
     Input with no row left is refused before np.loadtxt parses it (which would
-    warn and return an empty array), and so is a row that is not numbers.
+    warn and return an empty array), and so is a row that is not numbers, or
+    a NaN or infinity.
     """
     while True:
         start = fh.tell()
         line = fh.readline()
         if not line:
-            raise SchemaError(f"{what} holds no rows")
+            raise SchemaError("holds no rows")
         if line.split("#")[0].strip():
             break
     fh.seek(start)
     try:
-        return np.loadtxt(fh, delimiter=",", ndmin=2)
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     except ValueError as exc:
-        raise SchemaError(f"{what} rows must be comma-separated numbers: {exc}") from exc
+        raise SchemaError(f"rows must be comma-separated numbers: {exc}") from exc
+    if not np.isfinite(rows).all():
+        raise SchemaError("rows must be finite numbers")
+    return rows
 
 
-def read_npz(path, what: str, keys, known=None) -> dict[str, np.ndarray]:
-    """The arrays ``keys`` of the NumPy archive ``path``, which must be numeric.
+def read_npz(path, keys, known=None) -> dict[str, np.ndarray]:
+    """The arrays ``keys`` of the NumPy archive ``path``, which must be finite numbers.
 
     With ``known``, every name the archive may hold, it reads every entry, and
     refuses one outside ``known`` before any array is read.  Any other file (no
-    archive, a missing key, object or text arrays) is a SchemaError naming it;
-    a missing file stays an OSError.
+    archive, a missing key, object or text arrays, a NaN or infinity) is a
+    SchemaError; a missing file stays an OSError.
     """
     try:
         with np.load(path) as data:
             names = set(data.files)
             if known is not None and names - set(known):
-                raise SchemaError(f"unknown {what} {path} keys: {sorted(names - set(known))}")
+                raise SchemaError(f"unknown keys: {sorted(names - set(known))}")
             arrays = {k: data[k] for k in (names & set(keys) if known is None else names)}
     except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
-        raise SchemaError(f"{what} {path} is not a NumPy .npz archive: {exc}") from exc
+        raise SchemaError(f"not a NumPy .npz archive: {exc}") from exc
     if set(keys) - set(arrays) or any(a.dtype.kind not in "biufc" for a in arrays.values()):
         held = {k: str(a.dtype) for k, a in arrays.items()}
-        raise SchemaError(f"{what} {path} must hold numeric arrays {sorted(keys)}; it holds {held}")
+        raise SchemaError(f"must hold numeric arrays {sorted(keys)}; it holds {held}")
+    for key, a in sorted(arrays.items()):
+        # a complex array is checked through its float view: twice as fast
+        if a.dtype.kind in "fc" and not np.isfinite(a.ravel("K").view(a.real.dtype)).all():
+            raise SchemaError(f"{key!r} must be finite")
     return arrays
 
 

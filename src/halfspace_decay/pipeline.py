@@ -159,16 +159,12 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
     started = time.monotonic()
     params = cfg.params
     lat = _load_lattice(params["lattice"])
-    u = load_field(params["u_field"], lat)
-    if u.kind != "u":
-        raise SchemaError("u_field must have kind 'u'")
+    u = load_field(params["u_field"], lat, "u")
     check_residual_t_grid(u)
     check_t_start(u.t_start)  # the profile stage's rule, before any output
     v = None
     if params.get("v_field"):
-        v = load_field(params["v_field"], lat)
-        if v.kind != "potential":
-            raise SchemaError("v_field must have kind 'potential'")
+        v = load_field(params["v_field"], lat, "potential")
         check_potential_grid(v, u)
     window_t = params.get("decay_window")
     if window_t is not None and not u.t_start <= window_t[0] < window_t[1] <= u.t_end:

@@ -4,7 +4,8 @@ Every JSON input document (a config, a lattice, a field header) goes through
 ``check_keys`` against a typed key spec kept by the module that owns its
 format: a non-object document, an unknown key (a typo cannot silently change
 a run), a missing key and a value outside its type or range are refused, and
-nothing is coerced.  A single root seed is split into per-case streams with
+nothing is coerced.  Every input file is read inside ``reading``, the one
+place that names the file in a refusal.  A single root seed is split into per-case streams with
 counter-style spawn keys, so each case's stream depends only on its index.
 """
 
@@ -13,12 +14,13 @@ from __future__ import annotations
 import json
 import reprlib
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import GridError, PreconditionError, SchemaError
 
 
 def _is_int(value) -> bool:
@@ -89,6 +91,19 @@ _TOLERANCE_KEYS = {
 }
 
 
+@contextmanager
+def reading(what: str, path):
+    """Name ``path`` in a refusal raised while reading it and building its object: ``<what> <path>: <reason>``.
+
+    A grid error of that object exits 4, like a schema error; any other refusal keeps its exit code.
+    """
+    try:
+        yield
+    except (SchemaError, PreconditionError) as exc:
+        named = SchemaError if isinstance(exc, (SchemaError, GridError)) else type(exc)
+        raise named(f"{what} {path}: {exc}") from exc
+
+
 def parse_json(text: str | bytes, what: str):
     """The JSON document in ``text`` (UTF-8 if bytes); one that does not parse is a schema error."""
     try:
@@ -141,7 +156,8 @@ class RunConfig:
 
     @staticmethod
     def load(path) -> "RunConfig":
-        return RunConfig.from_json(parse_json(Path(path).read_bytes(), f"config {path}"))
+        with reading("config", path):
+            return RunConfig.from_json(parse_json(Path(path).read_bytes(), "the document"))
 
     def canonical_bytes(self) -> bytes:
         # the ignored worker count and the output location cannot affect

@@ -293,6 +293,14 @@ def test_weight_overflow_on_the_support_is_refused():
         verify_carleman_43(bump_profile((0.6, 3.0), [(1.0, 1.0)], t), 400.0, 0.5)
 
 
+def test_finite_weight_whose_integral_overflows_is_refused():
+    """Weight and densities are finite on the support, but their product is not."""
+    phi = bump_profile((0.5, 3.0), [(1.0, 1e150)], uniform_grid(4.0, 4097))
+    assert all(np.isfinite(d).all() for d in phi.densities())
+    with pytest.raises(PreconditionError, match=r"weight exp\(2\*2.45\*t\^1\) or its integral overflows"):
+        verify_carleman_gap(phi, 2.0, 2.9, 0.0)
+
+
 def test_system_check_non_finite_defect_names_the_defect():
     """A finite weight with coefficients too large to square is not blamed on the weight."""
     phi = bump_profile((0.5, 3.0), [(1.0, 1e300), (9.0, 0.5)], uniform_grid(4.0, 4097))

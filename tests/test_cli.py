@@ -554,7 +554,86 @@ def test_fiber_entries_are_checked_by_name(lat_json, tmp_path, capsys):
         assert len(err) < len(str(fiber)) + 200  # the value is shown in a bounded repr
     fiber.write_bytes(_fiber(cells_lo=None, cell_lo=np.array([0, 0])))  # not ignored: it would move the box
     assert main([a.format(lat=lat_json, bad=fiber) for a in _INVERSE]) == EXIT_IO
-    assert capsys.readouterr().err == f"error: unknown fiber file {fiber} keys: ['cell_lo']\n"
+    assert capsys.readouterr().err == f"error: fiber file {fiber}: unknown keys: ['cell_lo']\n"
+
+
+_BAD_HEADER = np.frombuffer(_field(points_per_cell="2").split("\n")[0].encode(), np.uint8)
+_CONFIG_ARGV = ["pipeline", "--config", "{bad}"]
+_LATTICE_ARGV = ["lattice", "dual", "--lattice", "{bad}"]
+
+
+# (argv, what the message calls the file, suffix, content): for each reader, a file that
+# does not parse, a key that is unknown or ill-typed, and a number that is not finite
+@pytest.mark.parametrize("argv, what, suffix, content", [
+    (_CONFIG_ARGV, "config", ".json", '{"command": '),
+    (_CONFIG_ARGV, "config", ".json", _config(mystery=1)),
+    (_CONFIG_ARGV, "config", ".json", _config(params={**_PIPELINE_PARAMS, "energy": math.nan})),
+    (_LATTICE_ARGV, "lattice file", ".json", '{"basis": '),
+    (_LATTICE_ARGV, "lattice file", ".json", '{"basis": [[1]], "mystery": 1}'),
+    (_LATTICE_ARGV, "lattice file", ".json", '{"basis": [[NaN]]}'),
+    (_ROUNDTRIP, "field file", ".csv", "{not json\n" + "0.5,0.0\n" * 20),
+    (_ROUNDTRIP, "field file", ".csv", _field(points_per_cell="2")),
+    (_ROUNDTRIP, "field file", ".csv", _field().replace("0.5,0.0\n", "nan,0\n", 1)),
+    (_ROUNDTRIP, "field file", ".npz", b"not an archive"),
+    (_ROUNDTRIP, "field file", ".npz", _npz_bytes(header=_BAD_HEADER, values=np.full(20, 0.5 + 0j))),
+    (_ROUNDTRIP, "field file", ".npz", _npz_bytes(header=_FIELD_HEADER, values=np.r_[math.inf, np.zeros(19)])),
+    (_INVERSE, "fiber file", ".npz", b"not an archive"),
+    (_INVERSE, "fiber file", ".npz", _fiber(cells_lo=None, cell_lo=np.array([0, 0]))),
+    (_INVERSE, "fiber file", ".npz", _fiber(data=np.full((4, 4, 5), math.nan, complex))),
+    (_DECAY + ["2,8"], "profile", ".csv", "t,norm\n0.0,abc\n"),
+    (_DECAY + ["2,8"], "profile", ".csv", "t\n0.0\n0.1\n0.2\n"),
+    (_DECAY + ["2,8"], "profile", ".csv", _PROFILE.replace("1.0\n", "nan\n", 1)),
+], ids=[f"{kind}-{case}" for kind in ("config", "lattice", "field-text", "field-npz", "fiber", "profile")
+        for case in ("not-parsed", "bad-key", "not-finite")])
+def test_every_input_file_refusal_names_the_file_once(argv, what, suffix, content, lat_json, tmp_path, capsys):
+    """One rule for every reader: exit 4, and the message reads '<what> <path>: <reason>'."""
+    bad = tmp_path / f"bad{suffix}"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
+    assert main([a.format(lat=lat_json, bad=bad) for a in argv]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} {bad}: ") and err.count(str(bad)) == 1
+
+
+def test_singular_lattice_file_is_a_refusal_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"basis": [[1, 0], [1, 0]]}')
+    assert main(["lattice", "dual", "--lattice", str(bad)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: lattice file {bad}: lattice cell volume") and err.count(str(bad)) == 1
+
+
+@pytest.mark.parametrize("argv, wrong", [
+    (["gelfand", "forward", "--lattice", "{lat}", "--u", "{bad}", "--theta", "0,0", "--out", "{good}.npz"],
+     "potential"),
+    (_ROUNDTRIP, "potential"),
+    (["gelfand", "residual", "--lattice", "{lat}", "--u", "{bad}", "--theta", "0,0"], "potential"),
+    (["gelfand", "residual", "--lattice", "{lat}", "--u", "{good}", "--theta", "0,0", "--v", "{bad}"], "u"),
+], ids=["forward-u", "roundtrip-u", "residual-u", "residual-v"])
+def test_a_field_of_the_other_kind_is_refused_naming_the_file(argv, wrong, lat_json, tmp_path, capsys):
+    """--u takes a field of kind u and --v one of kind potential; either file of the other kind exits 4."""
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(_field())
+    right = "u" if wrong == "potential" else "potential"
+    for kind, code in ((right, EXIT_OK), (wrong, EXIT_IO)):
+        bad.write_text(_field(kind=kind))
+        assert main([a.format(lat=lat_json, bad=bad, good=good) for a in argv]) == code
+    assert capsys.readouterr().err == f"error: field file {bad}: field kind must be {right!r}, not {wrong!r}\n"
+
+
+@pytest.mark.parametrize("key, wrong", [("u_field", "potential"), ("v_field", "u")])
+def test_pipeline_field_of_the_other_kind_is_refused_naming_the_file(key, wrong, lat_json, tmp_path, capsys):
+    good, bad, config = tmp_path / "good.csv", tmp_path / "bad.csv", tmp_path / "run.json"
+    good.write_text(_field())
+    bad.write_text(_field(kind=wrong))
+    params = {"lattice": lat_json, "u_field": str(good), "theta_points": 1, key: str(bad)}
+    config.write_text(json.dumps({"command": "pipeline", "params": params, "out_dir": str(tmp_path / "out")}))
+    assert main(["pipeline", "--config", str(config)]) == EXIT_IO
+    right = "u" if wrong == "potential" else "potential"
+    assert capsys.readouterr().err == f"error: field file {bad}: field kind must be {right!r}, not {wrong!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_fiber_entry_is_refused_before_it_is_read(lat_json, tmp_path):
@@ -564,7 +643,7 @@ def test_unknown_fiber_entry_is_refused_before_it_is_read(lat_json, tmp_path):
     lat = Lattice.load(lat_json)
 
     def refused():
-        with pytest.raises(SchemaError, match=re.escape(f"unknown fiber file {fiber} keys: ['extra']")):
+        with pytest.raises(SchemaError, match=re.escape(f"fiber file {fiber}: unknown keys: ['extra']")):
             load_fiber(fiber, lat)
 
     assert traced_peak(refused)[1] < 2**20

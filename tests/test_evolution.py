@@ -557,6 +557,16 @@ def test_counterexample_growth_ratio_reads_no_growth_as_zero(monkeypatch):
     assert row.growth_ratio == math.inf and row.indicator == "exp-divergent"
 
 
+@pytest.mark.parametrize("rate, band, indicator", [
+    (0.96, (0.8, 0.9), "converging"),
+    (1.0, (0.9, 1.25), "log-divergent"),
+    (1.025, (1.25, 1.5), "exp-divergent"),
+])
+def test_counterexample_indicator_thresholds_are_0_9_and_1_25(rate, band, indicator):
+    (row,) = harmonic_counterexample([rate], T=10.0)
+    assert band[0] < row.growth_ratio < band[1] and row.indicator == indicator
+
+
 def test_counterexample_mass_where_ei_overflows():
     """Rates far above 1: e^(-a) Ei(a(1+T)) is finite though Ei(a(1+T)) is not."""
     for rate in (10.0, 400.0, 1e6):

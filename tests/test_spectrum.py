@@ -238,6 +238,7 @@ def test_find_gaps_examples():
     gaps = find_gaps(slc, 0.0)
     assert [(g.lo, g.hi) for g in gaps] == [(1.0, 4.0), (4.0, 9.0)]
     assert find_gaps(slc, 10.0) == []
+    assert [(g.lo, g.hi) for g in find_gaps(slc, 3.0)] == [(1.0, 4.0), (4.0, 9.0)]  # a gap of exactly min_len
     full = find_gaps(slc, 0.0, full_axis=True)
     assert [(g.lo, g.hi) for g in full] == [(0.0, 1.0), (1.0, 4.0), (4.0, 9.0)]
     with pytest.raises(SchemaError):
@@ -411,6 +412,15 @@ def test_progression_containment_theta_zero():
     sigma, q, l, r = rational_structure(dual, theta)
     assert l == 1
     assert progression_containment(dual, q, theta, sigma, l, 50.0, exact=True) == 0.0
+
+
+def test_exact_containment_counts_the_value_at_n():
+    """A value equal to n is one of the values up to n: on Z with the grid 100Z, 49 is the farthest up to 49."""
+    dual = dual_basis(Lattice(basis=np.array([[TWO_PI]]), dual_gram_exact=[["1"]]))
+    theta = Quasimomentum.zero(1)
+    _, q, l, _ = rational_structure(dual, theta)
+    assert progression_containment(dual, q, theta, Fraction(100), l, 49.0, exact=True) == 49.0
+    assert progression_containment(dual, q, theta, Fraction(100), l, 48.0, exact=True) == 36.0
 
 
 def fraction_walk_containment(dual, theta, sigma, l, n):
@@ -589,6 +599,7 @@ def sequential_merge(raw):
     st.sampled_from([0.0, 1.0, 1e3]),
     st.sampled_from([1e-10, 4e-10, 7e-10]),
 )
+@example([0, 1, 3], 0.0, MERGE_TOL)  # a point exactly MERGE_TOL from its group head joins the group
 def test_merge_close_matches_sequential(ticks, offset, step):
     # steps below MERGE_TOL chain up into runs wider than MERGE_TOL; _merge_close takes sorted input
     raw = offset + step * np.sort(np.array(ticks, dtype=float))

@@ -44,17 +44,28 @@ MUTANTS = [
     # the decay fit's superexponential flag and tail window
     ("evolution.py", "min_run: int = 3", "min_run: int = 2", ["test_evolution.py"]),
     ("evolution.py", "return (2.0 * T / 3.0, 0.9 * T)", "return (0.6 * T, 0.9 * T)", ["test_evolution.py"]),
-    # a loader reports its object's refusal as the file's (exit 4) ...
-    ("fields.py", "except (GridError, SchemaError) as exc:", "except SchemaError as exc:", ["test_cli.py"]),
-    ("fibers.py", "except (GridError, SchemaError) as exc:", "except SchemaError as exc:", ["test_cli.py"]),
-    ("cli.py", "except (GridError, SchemaError) as exc:", "except SchemaError as exc:", ["test_cli.py"]),
-    # ... after the one check of the file against its lattice (exit 2)
+    # the one reading rule: a grid error of the object a file builds is the file's (exit 4) ...
+    ("runconfig.py", "isinstance(exc, (SchemaError, GridError))", "isinstance(exc, SchemaError)", ["test_cli.py"]),
+    # ... both readers refuse a number that is not finite, and a field of another kind than asked ...
+    ("manifest.py", "if not np.isfinite(rows).all():", "if False:", ["test_cli.py"]),
+    ("manifest.py", 'if a.dtype.kind in "fc" and not', "if False and not", ["test_cli.py"]),
+    ("fields.py", 'if kind is not None and header["kind"] != kind:', "if False:", ["test_cli.py"]),
+    # ... and a file of another dimension than its lattice is a refusal (exit 2)
     ("fields.py", 'if header["dim"] != lattice.dim:', "if False:", ["test_cli.py"]),
     ("fibers.py", 'if len(doc["mu"]) != lat.dim:', "if False:", ["test_cli.py"]),
     # the one t-axis rule of fields and fibers, and the profile's t >= 0 asked before any output
     ("fields.py", "if n_t < 2:", "if n_t < 1:", ["test_cli.py", "test_fibers.py"]),
     ("fields.py", "if not t_start < t_end:", "if not t_start <= t_end:", ["test_cli.py", "test_fibers.py"]),
     ("pipeline.py", "check_t_start(u.t_start)", "float(u.t_start)", ["test_pipeline.py"]),
+    # a gap of exactly min_len, a value exactly MERGE_TOL from its group head, a value exactly at n
+    ("spectrum.py", "hi - lo >= min_len", "hi - lo > min_len", ["test_spectrum.py"]),
+    ("spectrum.py", "np.diff(raw) > MERGE_TOL", "np.diff(raw) >= MERGE_TOL", ["test_spectrum.py"]),
+    ("spectrum.py", "N[N <= top]", "N[N < top]", ["test_spectrum.py"]),
+    # a Carleman integral that overflows is refused
+    ("carleman.py", "if not all(map(math.isfinite, (lhs, rhs, quad_err))):", "if False:", ["test_carleman.py"]),
+    # the counterexample's growth thresholds
+    ("evolution.py", "growth_ratio < 0.9", "growth_ratio < 0.8", ["test_evolution.py"]),
+    ("evolution.py", "growth_ratio <= 1.25", "growth_ratio <= 1.5", ["test_evolution.py"]),
 ]
 
 
