@@ -235,11 +235,18 @@ def verify_carleman_43(
     )
 
 
-def _gap_preconditions(phi: SpectralProfile, a: float, b: float, alpha: float) -> None:
+def gap_window_refusal(a: float, b: float, alpha: float) -> str | None:
+    """Why (a^2, b^2) is no gap window of the inequality for alpha, or None: it needs 0 < a < b and 3a^2 > alpha."""
     if not (0.0 < a < b):
-        raise PreconditionError("need 0 < a < b")
+        return "need 0 < a < b"
     if not (3.0 * a * a > alpha):
-        raise PreconditionError(f"need 3a^2 > alpha, got 3a^2={3 * a * a:g}, alpha={alpha:g}")
+        return f"need 3a^2 > alpha, got 3a^2={3 * a * a:g}, alpha={alpha:g}"
+    return None
+
+
+def _gap_preconditions(phi: SpectralProfile, a: float, b: float, alpha: float) -> None:
+    if reason := gap_window_refusal(a, b, alpha):
+        raise PreconditionError(reason)
     if phi.eigs.size and np.min(phi.eigs) < -alpha - 1e-12:
         raise PreconditionError("an eigenvalue lies below -alpha")
     inside = (phi.eigs > a * a) & (phi.eigs < b * b)

@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eigs", required=True)
     sp.add_argument("--a", type=_finite, required=True)
     sp.add_argument("--b", type=_finite, required=True)
-    sp.add_argument("--seed", type=_seed, default=0)
     sp = car_sub.add_parser("ellreg")
     sp.add_argument("--eps", type=_finite, required=True)
     sp.add_argument("--s-list", required=True, help="window starts '1,2,3'")
@@ -336,10 +335,10 @@ def _emit_reports(reports, out_dir, prefix: str) -> int:
     return EXIT_VIOLATION if any(r.passed is False for r in reports) else EXIT_OK
 
 
-def _fixed_profile(eigs_text: str, alpha: float | None = None) -> SpectralProfile:
+def _fixed_profile(eigs_text: str) -> SpectralProfile:
     """Unit amplitudes on one smooth bump over (0.5, 3), on 4097 points of [0, 4]."""
     modes = [(mu, 1.0) for mu in _parse_list(eigs_text)]
-    return bump_profile((0.5, 3.0), modes, uniform_grid(4.0, 4097), alpha=alpha)
+    return bump_profile((0.5, 3.0), modes, uniform_grid(4.0, 4097))
 
 
 def _cmd_carleman(args) -> int:
@@ -357,8 +356,7 @@ def _cmd_carleman(args) -> int:
         if args.eigs is not None:
             if args.a is None or args.b is None:
                 raise SchemaError("verify-gap --eigs needs --a and --b")
-            alpha = 0.0 if args.alpha is None else args.alpha
-            fixed = (_fixed_profile(args.eigs, alpha), args.a, args.b, alpha)
+            fixed = (_fixed_profile(args.eigs), args.a, args.b, 0.0 if args.alpha is None else args.alpha)
         elif (args.a, args.b, args.alpha) != (None, None, None):
             raise SchemaError("--a, --b and --alpha need --eigs: each ensemble case draws its own window")
 
@@ -391,8 +389,7 @@ def _cmd_evolve(args) -> int:
     T = evo.default_horizon(eigs) if args.T is None else args.T
     g = _parse_list(args.boundary) if args.boundary else [1.0] * len(eigs)
     result = evo.solve_decaying(eigs, pert, T, g)
-    window = evo.default_tail_window(T)
-    est = evo.decay_rate_estimate(result.profile, window)
+    est = evo.decay_rate_estimate(result.profile)
     t, norms = result.profile.t_grid, result.profile.norms()
     if args.out:
         write_csv(args.out, ["t", "norm"], np.column_stack((t, norms)))

@@ -275,13 +275,15 @@ def _fit_rate(t: np.ndarray, lognorm: np.ndarray) -> tuple[float, float]:
 
 
 def decay_rate_estimate(
-    phi: SpectralProfile, window: tuple[float, float], n_windows: int = 6
+    phi: SpectralProfile, window: tuple[float, float] | None = None, n_windows: int = 6
 ) -> DecayEstimate:
-    """Least-squares decay rate on the window plus a sliding-window scan."""
-    t_a, t_b = float(window[0]), float(window[1])
-    if not (phi.t_grid[0] <= t_a < t_b <= phi.t_grid[-1]):
-        raise SchemaError("window must lie inside the profile grid")
+    """Least-squares decay rate on the window (by default the profile's tail window) plus a sliding-window scan."""
     t = phi.t_grid
+    if window is None:
+        window = tuple(t[0] + s for s in default_tail_window(t[-1] - t[0]))
+    t_a, t_b = float(window[0]), float(window[1])
+    if not (t[0] <= t_a < t_b <= t[-1]):
+        raise SchemaError("window must lie inside the profile grid")
     norms = phi.norms()
     mask = (t >= t_a) & (t <= t_b)
     if np.count_nonzero(mask) < 3:
@@ -357,11 +359,10 @@ def rate_spectrum_scan(
                 f"perturbation bound {perturbation.beta:g} reaches half the smallest "
                 f"rate separation {min_sep:g}"
             )
-    window = default_tail_window(T)
     rows = []
     for idx, g in enumerate(boundaries):
         result = solve_decaying(eigs, perturbation, T, g, n_points=n_points)
-        est = decay_rate_estimate(result.profile, window)
+        est = decay_rate_estimate(result.profile)
         g_arr = np.asarray(g, dtype=complex).reshape(-1)
         excited = eigs[(np.abs(g_arr) > 1e-12) & (eigs > 0)]
         if excited.size:

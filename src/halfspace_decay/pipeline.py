@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .carleman import verify_carleman_gap
+from .carleman import PASS_RTOL, gap_window_refusal, verify_carleman_gap
 from .errors import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -27,12 +27,13 @@ from .errors import (
     SchemaError,
     strictest_exit_code,
 )
-from .evolution import decay_rate_estimate, default_tail_window
+from .evolution import decay_rate_estimate
 from .fibers import check_potential_grid, check_residual_t_grid, fiber_residual, gelfand_forward, theta_grid
 from .fields import load_field
 from .lattice import Lattice
 from .manifest import RunManifest, write_csv, write_json
 from .profiles import SpectralProfile, check_t_start, plateau_shape
+from .quadrature import GATE_RTOL
 from .runconfig import RunConfig
 from .spectrum import enumerate_spectrum, find_gaps
 from .svgplot import PlotTable, emit_plots
@@ -43,6 +44,10 @@ THETA_GRID_BYTES = 2**30
 # the taper of each side must leave the plateau between them non-empty
 WINDOW_MARGIN = 0.02
 MAX_TAPER = 0.5 - WINDOW_MARGIN
+# the default of every optional param and tolerance; runconfig._PARAM_KEYS keeps their types
+DEFAULTS = {"v_field": None, "energy": 0.0, "l_max": 10**6, "cutoff": 50.0, "min_gap": 0.0, "max_modes": 16,
+            "carleman_taper": 0.2, "decay_window": None, "plots": False,
+            "carleman_pass_rtol": PASS_RTOL, "resolution_gate_rtol": GATE_RTOL}
 
 
 def _load_lattice(spec) -> Lattice:
@@ -63,26 +68,24 @@ def _window_profile(profile: SpectralProfile, taper_frac: float) -> SpectralProf
 
 
 def _admissible_window(gaps, alpha: float):
-    """First gap usable as (a^2, b^2) with 3 a^2 > alpha, slightly shrunk."""
+    """First gap, slightly shrunk, that carleman's rule takes as (a^2, b^2)."""
     for gap in gaps:
-        lo = gap.lo * (1.0 + 1e-9)
-        hi = gap.hi * (1.0 - 1e-9)
-        if lo > 0.0 and hi > lo and 3.0 * lo > alpha:
-            return math.sqrt(lo), math.sqrt(hi)
+        a, b = math.sqrt(gap.lo * (1.0 + 1e-9)), math.sqrt(gap.hi * (1.0 - 1e-9))
+        if gap_window_refusal(a, b, alpha) is None:
+            return a, b
     return None
 
 
 def _residual_stage(c) -> dict:
-    residuals = fiber_residual(c.fiber, c.v, c.energy)
+    residuals = fiber_residual(c.fiber, c.v, c.params["energy"])
     t = c.fiber.t_grid
     write_csv(c.out_dir / f"residual_theta{c.idx}.csv", ["t", "residual"], np.column_stack((t[1:-1], residuals)))
     return {"max_residual": float(np.max(residuals)) if residuals.size else 0.0}
 
 
 def _spectrum_stage(c) -> dict:
-    slc = enumerate_spectrum(c.lat, c.fiber.theta, c.energy, c.params.get("cutoff", 50.0))
-    # an empty slice has nothing below the cutoff
-    c.gaps = find_gaps(slc, c.params.get("min_gap", 0.0)) if slc.values.size else []
+    slc = enumerate_spectrum(c.lat, c.fiber.theta, c.params["energy"], c.params["cutoff"])
+    c.gaps = find_gaps(slc, c.params["min_gap"])
     write_csv(c.out_dir / f"spectrum_theta{c.idx}.csv", ["value", "multiplicity"],
               list(zip(slc.values.tolist(), slc.mults.tolist())))
     write_csv(c.out_dir / f"gaps_theta{c.idx}.csv", ["lo", "hi", "length"],
@@ -91,8 +94,8 @@ def _spectrum_stage(c) -> dict:
 
 
 def _profile_stage(c) -> dict:
-    c.profile, dropped = c.fiber.to_profile(c.energy, max_modes=c.params.get("max_modes", 16))
-    if c.params.get("plots"):
+    c.profile, dropped = c.fiber.to_profile(c.params["energy"], max_modes=c.params["max_modes"])
+    if c.params["plots"]:
         ys = np.log(np.maximum(c.profile.norms(), 1e-300))
         emit_plots([PlotTable(name=f"lognorm_theta{c.idx}", xs=c.profile.t_grid, ys=ys,
                               x_label="t", y_label="log ||phi||")], c.out_dir)
@@ -103,17 +106,14 @@ def _carleman_stage(c) -> dict:
     window = _admissible_window(c.gaps, c.profile.alpha)
     if window is None:
         return {"carleman": "no-admissible-gap"}
-    windowed = _window_profile(c.profile, c.params.get("carleman_taper", 0.2))
-    c.report = verify_carleman_gap(windowed, *window, c.profile.alpha, **c.verify_kwargs)
+    windowed = _window_profile(c.profile, c.params["carleman_taper"])
+    c.report = verify_carleman_gap(windowed, *window, c.profile.alpha, pass_rtol=c.params["carleman_pass_rtol"],
+                                   gate_rtol=c.params["resolution_gate_rtol"])
     return {"carleman": "pass" if c.report.passed else "fail", "carleman_margin": c.report.margin}
 
 
 def _decay_stage(c) -> dict:
-    t = c.profile.t_grid
-    window_t = c.params.get("decay_window")
-    if window_t is None:
-        window_t = tuple(t[0] + s for s in default_tail_window(t[-1] - t[0]))
-    est = decay_rate_estimate(c.profile, window_t)
+    est = decay_rate_estimate(c.profile, c.params["decay_window"])
     return {"decay_rate": est.rate, "decay_residual": est.residual, "superexp": est.superexp}
 
 
@@ -128,15 +128,14 @@ _STAGES = (
 )
 
 
-def _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir):
+def _theta_case(idx, fiber, lat, v, params, out_dir):
     """One quasimomentum's case record, exit code, Carleman report (or None) and refusals.
 
     Runs the stages of ``_STAGES`` in order.  A stage refused by a
     PreconditionError, or reading a refused stage ("needs <stage>"), is one
     refusal of this case, its reason kept in ``{stage: reason}``; the run goes on.
     """
-    c = SimpleNamespace(idx=idx, fiber=fiber, lat=lat, v=v, params=params, energy=params.get("energy", 0.0),
-                        verify_kwargs=verify_kwargs, out_dir=out_dir, report=None)
+    c = SimpleNamespace(idx=idx, fiber=fiber, lat=lat, v=v, params=params, out_dir=out_dir, report=None)
     case = {"theta_index": idx, "theta": [float(m) for m in fiber.theta.coeffs], "tail_bound": fiber.tail_bound}
     code, refusals = EXIT_OK, {}
     for name, stage, reads, refusal_code, refused_fields in _STAGES:
@@ -157,19 +156,19 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
     if cfg.command != "pipeline":
         raise SchemaError("run_pipeline requires a 'pipeline' config")
     started = time.monotonic()
-    params = cfg.params
+    params = {**DEFAULTS, **cfg.params, **cfg.tolerances}
     lat = _load_lattice(params["lattice"])
     u = load_field(params["u_field"], lat, "u")
     check_residual_t_grid(u)
     check_t_start(u.t_start)  # the profile stage's rule, before any output
     v = None
-    if params.get("v_field"):
+    if params["v_field"]:
         v = load_field(params["v_field"], lat, "potential")
         check_potential_grid(v, u)
-    window_t = params.get("decay_window")
+    window_t = params["decay_window"]
     if window_t is not None and not u.t_start <= window_t[0] < window_t[1] <= u.t_end:
         raise SchemaError(f"decay_window {window_t} must satisfy t_start <= a < b <= t_end of the field")
-    if params.get("carleman_taper", 0.2) >= MAX_TAPER:
+    if params["carleman_taper"] >= MAX_TAPER:
         raise SchemaError(f"carleman_taper must be below {MAX_TAPER}: each side keeps a {WINDOW_MARGIN} margin")
     fiber_bytes = params["theta_points"] ** lat.dim * u.points_per_cell**u.dim * u.n_t * 16
     if fiber_bytes > THETA_GRID_BYTES:
@@ -181,18 +180,16 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.write_resolved(out_dir)
 
-    names = {"carleman_pass_rtol": "pass_rtol", "resolution_gate_rtol": "gate_rtol"}
-    verify_kwargs = {names[key]: value for key, value in cfg.tolerances.items()}
     manifest = RunManifest.for_config(cfg)
     codes = [EXIT_OK]
     reports = []
     decay_rows = []
-    fibers = gelfand_forward(u, thetas, params.get("l_max", 10**6))
+    fibers = gelfand_forward(u, thetas, params["l_max"])
     del u  # the fibers are all the cases read: one field size less while they run
     for idx in range(len(fibers)):
         # take the fiber out of the list: its cached coefficients go with it after its case
         fiber, fibers[idx] = fibers[idx], None
-        case, code, report, refusals = _theta_case(idx, fiber, lat, v, params, verify_kwargs, out_dir)
+        case, code, report, refusals = _theta_case(idx, fiber, lat, v, params, out_dir)
         if report is not None:
             reports.append(report)
         manifest.add_case(f"theta-{idx}", case["carleman"], case)

@@ -176,17 +176,10 @@ def find_gaps(slc: SpectrumSlice, min_len: float = 0.0, full_axis: bool = False)
 
     By default only gaps on the positive axis with a positive left endpoint
     are returned (the ones usable as (a^2, b^2) windows); ``full_axis=True``
-    reports every consecutive-value gap.
+    reports every consecutive-value gap.  An empty slice has no gaps.
     """
-    if slc.values.size == 0:
-        raise SchemaError("cannot scan gaps of an empty spectrum slice")
-    gaps = []
-    for lo, hi in zip(slc.values[:-1], slc.values[1:]):
-        if not full_axis and lo <= 0.0:
-            continue
-        if hi - lo >= min_len:
-            gaps.append(Gap(lo=float(lo), hi=float(hi)))
-    return gaps
+    return [Gap(lo=float(lo), hi=float(hi)) for lo, hi in zip(slc.values[:-1], slc.values[1:])
+            if (full_axis or lo > 0.0) and hi - lo >= min_len]
 
 
 def _value_set_diagonal(q: QuadraticForm, l: int, residues: np.ndarray, bound: int) -> np.ndarray:

@@ -520,6 +520,31 @@ def test_ellreg_empty_window_list_refused():
         ellreg_bound_check(prof, 0.25, [])
 
 
+def _gaussian_profile() -> SpectralProfile:
+    """phi = e^(-(t-5)^2) on [0, 10] with mu = 0: ||psi|| / ||phi|| = |4(t-5)^2 - 2| peaks at the ends."""
+    t = uniform_grid(10.0, 4001)
+    return SpectralProfile(eigs=np.array([0.0]), t_grid=t, coeffs=np.exp(-((t - 5.0) ** 2))[None, :].astype(complex))
+
+
+def test_ellreg_sup_ratio_is_the_largest_window_not_the_last():
+    rep = ellreg_bound_check(_gaussian_profile(), 0.25, [2.0, 4.5])
+    (_, first), (_, last) = rep.ratios
+    assert first > 10.0 * last and rep.sup_ratio == first
+
+
+def test_ellreg_refuses_eps_zero():
+    with pytest.raises(PreconditionError, match="eps must be positive"):
+        ellreg_bound_check(_gaussian_profile(), 0.0, [2.0])
+
+
+def test_ellreg_beta_counts_points_where_phi_is_small():
+    """beta peaks next to t = 0 and t = 10, where ||phi|| ~ e^(-25) is far below 1 % of its maximum 1."""
+    prof = _gaussian_profile()
+    t = prof.t_grid[1:-1]
+    beta = float(np.max(np.abs(4.0 * (t - 5.0) ** 2 - 2.0)))
+    assert ellreg_bound_check(prof, 0.25, [2.0]).beta == pytest.approx(beta, rel=1e-3)
+
+
 def test_ellreg_refinement_stability():
     sups = {}
     for n, idx in ((1001, 0), (2001, 0)):

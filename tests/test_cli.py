@@ -83,6 +83,25 @@ def test_spectrum_and_gaps_csv(lat_json, tmp_path, capsys):
     assert rows[1] == "100,7"
 
 
+def test_gaps_of_an_empty_slice_print_the_header(lat_json, capsys):
+    """A cutoff below the spectrum leaves an empty slice, which has no gaps: exit 0, as for spectrum."""
+    for command, header in (("spectrum", "value,multiplicity"), ("gaps", "lo,hi,length")):
+        assert main([command, "--lattice", lat_json, "--cutoff", "-5"]) == EXIT_OK
+        assert capsys.readouterr().out == header + "\n"
+
+
+def test_exact_gram_takes_string_integer_and_pair_entries(tmp_path, capsys):
+    """A rational Gram entry is a "p/q" string, an integer or a [p, q] integer pair, with one meaning."""
+    outputs = []
+    for gram in ([["1", "0"], ["0", "1/4"]], [[1, 0], [0, [1, 4]]], [[[2, 2], 0], ["0", [-1, -4]]]):
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({"basis": [[TWO_PI, 0.0], [0.0, 2.0 * TWO_PI]], "dual_gram_exact": gram}))
+        assert main(["lattice", "rational", "--lattice", str(path), "--theta", "1/2,1/3"]) == EXIT_OK
+        outputs.append(strict_json(capsys.readouterr().out))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0]["G"] == [[4, 0], [0, 1]]
+
+
 def test_density_command(capsys):
     assert main(["density", "--gram", "1,0;0,1", "--N", "100"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
@@ -298,6 +317,15 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (["counterexample", "--lambdas", "", "--T", "10"], None),
         (["counterexample", "--lambdas", ",", "--T", "10"], None),
         (["evolve", "--eigs", "1,4", "--perturbation", "diagonal", "--beta", "-3", "--bound", "const"], None),
+        (_INVERSE[:6] + ["{bad}"] + _INVERSE[6:], _fiber()),
+        (_INVERSE[:6] + ["{bad}"] * 3 + _INVERSE[6:], _fiber(mu=np.array([0.25, 0.25]))),
+        (["lattice", "dual", "--lattice", "{bad}"], '{"basis": [[1, 0], [0, 1]], "gram_exact": [["1", "0"], ["0"]]}'),
+        (["lattice", "dual", "--lattice", "{bad}"],
+         '{"basis": [[1, 0], [0, 1]], "gram_exact": [["1", "1"], ["0", "1"]]}'),
+        (["density", "--gram", "1,2;3,4", "--N", "100"], None),
+        (_DECAY + ["2,8"], "t,norm\n" + "".join(reversed(_PROFILE.splitlines(True)[1:]))),
+        (_DECAY + ["2,20"], _PROFILE),
+        (["pipeline", "--config", "{bad}"], _config(command="spectrum")),
     ],
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "gram-beyond-int64", "lattice-bad-json",
@@ -334,6 +362,9 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         "counterexample-X-zero", *(f"fibers-{name}" for name in _BAD_FIBER_ENTRIES), "fibers-cells-lo-misspelled",
         "field-sample-nan", "field-npz-sample-inf", "forward-lmax-negative", "residual-lmax-negative",
         "counterexample-lambdas-empty", "counterexample-lambdas-comma", "evolve-beta-negative",
+        "inverse-two-fibers-of-a-2d-grid", "inverse-repeated-theta", "lattice-gram-not-square",
+        "lattice-gram-not-symmetric", "density-gram-not-symmetric", "decay-input-t-decreasing",
+        "decay-window-outside-profile", "config-command-not-pipeline",
     ],
 )
 def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, capsys):
@@ -678,6 +709,22 @@ def test_one_sided_spectrum_certifies_with_null_bounds(eigs, empty, capsys):
     assert all(math.isfinite(doc[k]) for k in bounds if k not in empty) and doc["certificates_ok"] is True
 
 
+_BELOW_ALPHA = "error: an eigenvalue lies below -alpha\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["verify-gap", "--eigs=-5,9", "--a", "1", "--b", "2"], EXIT_PRECONDITION, _BELOW_ALPHA),
+    (["verify-gap", "--eigs=-5,9", "--a", "1", "--b", "2", "--alpha", "0"], EXIT_PRECONDITION, _BELOW_ALPHA),
+    (["system-check", "--eigs=-5,9", "--a", "1", "--b", "2"], EXIT_PRECONDITION,
+     "error: need 3a^2 > alpha, got 3a^2=3, alpha=5\n"),
+    (["verify-gap", "--eigs=-5,9", "--a", "2", "--b", "3", "--alpha", "5"], EXIT_OK, ""),
+], ids=["verify-gap", "verify-gap-alpha-0", "system-check", "verify-gap-alpha-5"])
+def test_eigenvalue_below_minus_alpha_is_a_refusal(argv, code, err, capsys):
+    """The gap inequality's hypotheses, not the profile, judge --alpha: an eigenvalue below -alpha exits 2."""
+    assert main(["carleman", *argv]) == code
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize(
     "argv, target",
     [(["carleman", "verify-gap", "--ensemble", "3", "--out-dir", "{out}"], "verify_carleman_gap"),
@@ -742,15 +789,20 @@ def test_bad_number_is_refused_where_argparse_reads_it(argv, flag, lat_json, cap
 @pytest.mark.parametrize("argv", [
     ["carleman", "verify43", "--eps", "1"],
     ["carleman", "verify-gap"],
-    ["carleman", "system-check", "--eigs", "1,9", "--a", "2", "--b", "3"],
     ["carleman", "ellreg", "--eps", "0.5", "--s-list", "2"],
     ["evolve", "--eigs", "1,4", "--perturbation", "diagonal"],
-], ids=["verify43", "verify-gap", "system-check", "ellreg", "evolve-diagonal"])
+], ids=["verify43", "verify-gap", "ellreg", "evolve-diagonal"])
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.9"])
 def test_bad_seed_is_a_usage_error(argv, seed, capsys):
     """Every --seed takes the config's rule: an integer in [0, 2**64)."""
     assert main([*argv, "--seed", seed]) == EXIT_IO
     assert "error: argument --seed: " in capsys.readouterr().err
+
+
+def test_system_check_takes_no_seed(capsys):
+    """system-check draws nothing, so it has no --seed: one given is a usage error (exit 4)."""
+    assert main(["carleman", "system-check", "--eigs", "1,9", "--a", "2", "--b", "3", "--seed", "7"]) == EXIT_IO
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 def test_largest_seed_is_accepted(capsys):

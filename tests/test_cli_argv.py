@@ -75,7 +75,7 @@ def command_lines(tmp_path_factory):
          "--ensemble", "1"],
         ["carleman", "verify-gap", "--ensemble", "1", "--seed", "7"],
         ["carleman", "verify-gap", "--eigs", "1,9", "--a", "2", "--b", "3", "--alpha", "0"],
-        ["carleman", "system-check", "--eigs", "1,9", "--a", "2", "--b", "3", "--seed", "7"],
+        ["carleman", "system-check", "--eigs", "1,9", "--a", "2", "--b", "3"],
         ["carleman", "ellreg", "--eps", "0.5", "--s-list", "2,4", "--seed", "7", "--ensemble", "1"],
         ["evolve", "--eigs", "1,9", "--perturbation", "diagonal", "--beta", "0.1", "--bound", "exp",
          "--T", "10", "--boundary", "1,0.5", "--seed", "7"],

@@ -37,9 +37,9 @@ MUTANTS = [
     # the resolution gate's predicted change under grid doubling
     ("quadrature.py", "abs(integ.value - integ.coarse_value) / 4.0", "abs(integ.value - integ.coarse_value) / 15.0",
      ["test_carleman.py"]),
-    # the pipeline's admissible gap window and its Carleman label
-    ("pipeline.py", "3.0 * lo > alpha", "lo > alpha", ["test_pipeline.py"]),
-    ("pipeline.py", "lo = gap.lo * (1.0 + 1e-9)", "lo = gap.lo * (1.0 + 1e-3)", ["test_pipeline.py"]),
+    # the gap inequality's window rule, the pipeline's shrink of a gap into it, and its Carleman label
+    ("carleman.py", "3.0 * a * a > alpha", "a * a > alpha", ["test_pipeline.py"]),
+    ("pipeline.py", "gap.lo * (1.0 + 1e-9)", "gap.lo * (1.0 + 1e-3)", ["test_pipeline.py"]),
     ("pipeline.py", '"pass" if c.report.passed else "fail"', '"pass" if True else "fail"', ["test_pipeline.py"]),
     # the decay fit's superexponential flag and tail window
     ("evolution.py", "min_run: int = 3", "min_run: int = 2", ["test_evolution.py"]),
@@ -61,8 +61,17 @@ MUTANTS = [
     ("spectrum.py", "hi - lo >= min_len", "hi - lo > min_len", ["test_spectrum.py"]),
     ("spectrum.py", "np.diff(raw) > MERGE_TOL", "np.diff(raw) >= MERGE_TOL", ["test_spectrum.py"]),
     ("spectrum.py", "N[N <= top]", "N[N < top]", ["test_spectrum.py"]),
-    # a Carleman integral that overflows is refused
+    # a Carleman weight or integral that overflows is refused
+    ("carleman.py", "if not np.isfinite(weight).all():", "if False:", ["test_carleman.py", "test_cli.py"]),
     ("carleman.py", "if not all(map(math.isfinite, (lhs, rhs, quad_err))):", "if False:", ["test_carleman.py"]),
+    # the strictest exit code wins
+    ("errors.py", "max(worst, int(c))", "int(c)", ["test_cli.py"]),
+    # ellreg: the largest window ratio, eps > 0, a window with no mass, beta over every point where phi lives
+    ("carleman.py", "sup_ratio = max(sup_ratio, r)", "sup_ratio = r", ["test_carleman.py"]),
+    ("carleman.py", "if eps <= 0:\n        raise PreconditionError(\"eps must be positive\")\n    t = phi.t_grid",
+     "t = phi.t_grid", ["test_carleman.py"]),
+    ("carleman.py", "if den <= 0.0:", "if den < 0.0:", ["test_carleman.py"]),
+    ("carleman.py", "norm[interior] > 1e-14 *", "norm[interior] > 1e-2 *", ["test_carleman.py"]),
     # the counterexample's growth thresholds
     ("evolution.py", "growth_ratio < 0.9", "growth_ratio < 0.8", ["test_evolution.py"]),
     ("evolution.py", "growth_ratio <= 1.25", "growth_ratio <= 1.5", ["test_evolution.py"]),
