@@ -86,12 +86,11 @@ def weight_sign_check(weight_lambda: float, t_points) -> list[tuple[float, float
     for t in np.atleast_1d(np.asarray(t_points, dtype=float)):
         if t <= 0:
             raise PreconditionError("weight derivatives are singular at t <= 0")
-        _, om1, om2, om3 = _omega_derivatives(np.array([t]), weight_lambda)
-        om = (4.0 * weight_lambda / 3.0) * t ** (1.0 / 3.0)
-        termwise = -(om1[0] ** 2 + 2.0 * om * om2[0] + om3[0])
+        om, om1, om2, om3 = (d[0] for d in _omega_derivatives(np.array([t]), weight_lambda))
+        termwise = -(om1**2 + 2.0 * om * om2 + om3)
         closed = weight_sign_value(float(t), weight_lambda)
         # scale by the individual terms: at the root the sum cancels exactly
-        scale = max(om1[0] ** 2, abs(2.0 * om * om2[0]), abs(om3[0]), 1e-300)
+        scale = max(om1**2, abs(2.0 * om * om2), abs(om3), 1e-300)
         if abs(termwise - closed) > 1e-10 * scale:
             raise VerificationError(
                 f"weight-derivative identity broke at t={t}: {termwise} vs {closed}"
@@ -114,28 +113,24 @@ def conjugation_identity_check(psi: SpectralProfile, weight_lambda: float) -> fl
     """Max residual of exp(W)(d_t^2 - A)(exp(-W) psi) = (d_t^2 - A + omega^2 - L) psi.
 
     W(t) = weight_lambda * t^(4/3), omega = W', L = 2*omega*d_t + omega'.
-    Both sides are evaluated with centred differences, so the residual is
-    O(h^2) for smooth profiles.  Profiles supported near t=0 are refused
-    (omega' is singular there).
+    Both sides are evaluated with centred differences on the interior points
+    of psi's stencil, so the residual is O(h^2) for smooth profiles.  The left
+    side takes the weight ratios exp(W_j - W_(j+-1)) into the stencil,
+    (e^(W_j - W_(j+1)) c_(j+1) - 2 c_j + e^(W_j - W_(j-1)) c_(j-1)) / h^2,
+    which stay finite however large W is.  Profiles supported near t=0 are
+    refused (omega' is singular there).
     """
-    support = _support_clear_of_zero(psi)
-    if support is None:
+    if _support_clear_of_zero(psi) is None:
         return 0.0
-    t = psi.t_grid
-    h = psi.step
-    i0 = max(1, support[0] - 1)
-    i1 = min(t.size - 2, support[1] + 1)
-    if i1 <= i0:
+    sl = slice(max(psi._stencil.start, 1) - 1, min(psi._stencil.stop, psi.t_grid.size - 1) + 1)
+    if sl.stop - sl.start < 3:  # no interior point
         return 0.0
-    sl = slice(i0 - 1, i1 + 2)  # one extra point each side for differences
-    ts = t[sl]
-    c = psi.coeffs[:, sl]
+    ts, c, h = psi.t_grid[sl], psi.coeffs[:, sl], psi.step
     mu = psi.eigs[:, None]
     big_w = weight_lambda * ts ** (4.0 / 3.0)
-    ts_int = ts[1:-1]
-    om, om1, _, _ = _omega_derivatives(ts_int, weight_lambda)
-    f = np.exp(-big_w)[None, :] * c
-    lhs = np.exp(big_w[1:-1])[None, :] * _second_difference(f, h) - mu * c[:, 1:-1]
+    om, om1, _, _ = _omega_derivatives(ts[1:-1], weight_lambda)
+    up, down = np.exp(big_w[1:-1] - big_w[2:]), np.exp(big_w[1:-1] - big_w[:-2])
+    lhs = (up * c[:, 2:] - 2.0 * c[:, 1:-1] + down * c[:, :-2]) / h**2 - mu * c[:, 1:-1]
     rhs = (
         _second_difference(c, h)
         - (mu - om[None, :] ** 2) * c[:, 1:-1]

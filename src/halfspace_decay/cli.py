@@ -128,10 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gaps", help="spectral gaps (and optional gap-growth table)")
     sp.add_argument("--lattice", required=True)
     sp.add_argument("--theta", default=None)
-    sp.add_argument("--energy", type=_finite, default=0.0)
-    sp.add_argument("--cutoff", type=_finite, default=None, help="required unless --growth")
-    sp.add_argument("--min-gap", type=_finite, default=0.0)
-    sp.add_argument("--full-axis", action="store_true")
+    sp.add_argument("--energy", type=_finite, default=None, help="default 0; not with --growth")
+    sp.add_argument("--cutoff", type=_finite, default=None, help="required, and not with --growth")
+    sp.add_argument("--min-gap", type=_finite, default=None, help="default 0; not with --growth")
+    sp.add_argument("--full-axis", action="store_true", default=None, help="not with --growth")
     sp.add_argument("--growth", default=None, help="N list for max-gap growth, e.g. '100,10000'")
     sp.add_argument("--out", default=None)
 
@@ -177,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=_finite, default=None, help="window end; with --eigs only")
     sp.add_argument("--alpha", type=_finite, default=None, help="default 0; with --eigs only")
     sp.add_argument("--eigs", default=None, help="explicit eigenvalues '1,9'; without it, an ensemble")
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--ensemble", type=_count, default=1)
+    sp.add_argument("--seed", type=_seed, default=None, help="default 0; not with --eigs")
+    sp.add_argument("--ensemble", type=_count, default=None, help="default 1; not with --eigs")
     sp.add_argument("--force", action="store_true")
     sp.add_argument("--out-dir", default=None)
     sp = car_sub.add_parser("system-check")
@@ -194,11 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("evolve", help="decaying two-point solve plus rate fit")
     sp.add_argument("--eigs", required=True)
     sp.add_argument("--perturbation", choices=("zero", "diagonal", "full"), default="zero")
-    sp.add_argument("--beta", type=_finite, default=0.0)
-    sp.add_argument("--bound", choices=("const", "exp"), default="exp")
+    sp.add_argument("--beta", type=_finite, default=None, help="default 0; not with --perturbation zero")
+    sp.add_argument("--bound", choices=("const", "exp"), default=None, help="default exp; not with --perturbation zero")
     sp.add_argument("--T", type=_finite, default=None)
     sp.add_argument("--boundary", default=None, help="per-mode values '1,0.5'")
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_seed, default=None, help="default 0; not with --perturbation zero")
     sp.add_argument("--out", default=None, help="profile CSV (t, norm)")
     sp.add_argument("--svg", default=None, help="log-norm decay plot output")
 
@@ -209,13 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("counterexample", help="weighted-mass threshold scan")
     sp.add_argument("--lambdas", required=True)
     sp.add_argument("--T", type=_finite, default=1000.0)
-    sp.add_argument("--X", type=_finite, default=200.0)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("pipeline", help="full field-to-verdict run from a config")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out-dir", default=None)
-    sp.add_argument("--threads", type=int, default=None, help="accepted and ignored (one worker)")
 
     return p
 
@@ -233,6 +231,12 @@ def _cmd_lattice(args) -> int:
         doc = {"sigma": format_rational(sigma), "G": q.G.tolist(), "l": l, "r": [int(v) for v in r]}
     _print_json(doc)
     return EXIT_OK
+
+
+def _unread(args, mode: str, *names: str) -> None:
+    """Refuse those flags of names that were given (each parses to None if not) in a mode that never reads them."""
+    if given := [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]:
+        raise SchemaError(f"{mode} does not read {', '.join(given)}")
 
 
 def _theta_or_zero(text, dim: int) -> Quasimomentum:
@@ -254,15 +258,16 @@ def _cmd_spectrum(args) -> int:
 def _cmd_gaps(args) -> int:
     lat = Lattice.load(args.lattice)
     theta = _theta_or_zero(args.theta, lat.dim)
-    if args.growth:
+    if args.growth is not None:  # the whole value set at E = 0: no cutoff, energy or gap filter
+        _unread(args, "gaps --growth", "cutoff", "energy", "min_gap", "full_axis")
         dual = dual_basis(lat)
         sigma, q, l, r = rational_structure(dual, theta)
         _emit_rows(["N", "max_gap"], max_gap_growth(q, theta, _parse_list(args.growth, int)), args.out)
         return EXIT_OK
     if args.cutoff is None:
         raise SchemaError("gaps requires --cutoff (or --growth for the growth table)")
-    slc = enumerate_spectrum(lat, theta, args.energy, args.cutoff)
-    gaps = find_gaps(slc, args.min_gap, full_axis=args.full_axis)
+    slc = enumerate_spectrum(lat, theta, args.energy or 0.0, args.cutoff)
+    gaps = find_gaps(slc, args.min_gap or 0.0, full_axis=bool(args.full_axis))
     _emit_rows(["lo", "hi", "length"], [(g.lo, g.hi, g.length) for g in gaps], args.out)
     return EXIT_OK
 
@@ -353,18 +358,19 @@ def _cmd_carleman(args) -> int:
         return _emit_reports([run_case_43(i) for i in range(args.ensemble)], args.out_dir, "verify43")
     if args.subcommand == "verify-gap":
         fixed = None
-        if args.eigs is not None:
+        if args.eigs is not None:  # one case, which draws nothing
+            _unread(args, "verify-gap --eigs", "seed", "ensemble")
             if args.a is None or args.b is None:
                 raise SchemaError("verify-gap --eigs needs --a and --b")
             fixed = (_fixed_profile(args.eigs), args.a, args.b, 0.0 if args.alpha is None else args.alpha)
-        elif (args.a, args.b, args.alpha) != (None, None, None):
-            raise SchemaError("--a, --b and --alpha need --eigs: each ensemble case draws its own window")
+        else:  # each ensemble case draws its own window
+            _unread(args, "verify-gap without --eigs", "a", "b", "alpha")
 
         def run_case_gap(i):
-            profile, a, b, alpha = fixed or bump_case_gap(args.seed, i)
+            profile, a, b, alpha = fixed or bump_case_gap(args.seed or 0, i)
             return carl.verify_carleman_gap(profile, a, b, alpha, force=args.force)
 
-        return _emit_reports([run_case_gap(i) for i in range(args.ensemble)], args.out_dir, "verify_gap")
+        return _emit_reports([run_case_gap(i) for i in range(args.ensemble or 1)], args.out_dir, "verify_gap")
     if args.subcommand == "system-check":
         report = carl.first_order_system_check(_fixed_profile(args.eigs), args.a, args.b)
         doc = dataclasses.asdict(report)
@@ -383,9 +389,12 @@ def _cmd_carleman(args) -> int:
 def _cmd_evolve(args) -> int:
     eigs = _parse_list(args.eigs)
     pert = evo.PerturbationFamily.zero()
-    if args.perturbation != "zero":
-        bound = (evo.constant_bound if args.bound == "const" else evo.exponential_bound)(args.beta)
-        pert = evo.PerturbationFamily(args.perturbation, bound, args.beta, args.bound == "exp", args.seed)
+    if args.perturbation == "zero":
+        _unread(args, "evolve --perturbation zero", "beta", "bound", "seed")
+    else:  # an absent --beta or --seed is 0, and an absent --bound is exp
+        beta, decays = args.beta or 0.0, args.bound != "const"
+        bound = (evo.exponential_bound if decays else evo.constant_bound)(beta)
+        pert = evo.PerturbationFamily(args.perturbation, bound, beta, decays, args.seed or 0)
     T = evo.default_horizon(eigs) if args.T is None else args.T
     g = _parse_list(args.boundary) if args.boundary else [1.0] * len(eigs)
     result = evo.solve_decaying(eigs, pert, T, g)
@@ -426,7 +435,7 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    rows = evo.harmonic_counterexample(_parse_list(args.lambdas), args.T, args.X)
+    rows = evo.harmonic_counterexample(_parse_list(args.lambdas), args.T)
     header = [f.name for f in dataclasses.fields(evo.CounterexampleRow)]  # no tail bound prints as nan
     _emit_rows(header, [tuple(math.nan if v is None else v for v in dataclasses.astuple(r)) for r in rows], args.out)
     return EXIT_OK
@@ -434,11 +443,7 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg = RunConfig.load(args.config)
-    cfg = dataclasses.replace(
-        cfg,
-        out_dir=args.out_dir or cfg.out_dir,
-        threads=cfg.threads if args.threads is None else args.threads,
-    )
+    cfg = dataclasses.replace(cfg, out_dir=args.out_dir or cfg.out_dir)
     manifest, code = run_pipeline(cfg)
     _print_json({"verdict_hash": manifest.verdict_hash(), "exit_code": code})
     return code

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .profiles import SpectralProfile, _residual
 from .quadrature import composite_simpson
+from .runconfig import case_rng
 
 # Decaying-branch solutions never grow; a huge solution relative to the
 # boundary datum means the discrete system is near-singular (resonance).
@@ -78,10 +79,9 @@ class PerturbationFamily:
 
     def matrix(self, n_modes: int) -> np.ndarray:
         """W in B(t) = b(t) W: the full (M, M) matrix, or the (M,) per-mode factors (zero for zero B)."""
-        if self.kind == "full":
-            return self.full_matrix(n_modes)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(1,)))
-        return rng.uniform(-1.0, 1.0, size=n_modes) if self.kind == "diagonal" else np.zeros(n_modes)
+        if self.kind != "diagonal":
+            return self.full_matrix(n_modes) if self.kind == "full" else np.zeros(n_modes)
+        return case_rng(self.seed, 1).uniform(-1.0, 1.0, size=n_modes)
 
     def diagonal_entries(self, t_grid: np.ndarray, n_modes: int) -> np.ndarray:
         """Shape (n_t, M); |entry| <= b(t) everywhere."""
@@ -89,8 +89,7 @@ class PerturbationFamily:
 
     def full_matrix(self, n_modes: int) -> np.ndarray:
         """Fixed direction matrix with unit operator norm."""
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(2,)))
-        w = rng.normal(size=(n_modes, n_modes))
+        w = case_rng(self.seed, 2).normal(size=(n_modes, n_modes))
         return w / np.linalg.norm(w, 2)
 
 
@@ -338,7 +337,6 @@ def rate_spectrum_scan(
     perturbation: PerturbationFamily,
     boundaries,
     T: float | None = None,
-    n_points: int | None = None,
 ) -> list[RateScanRow]:
     """Fitted tail rates for an ensemble of boundary vectors.
 
@@ -361,7 +359,7 @@ def rate_spectrum_scan(
             )
     rows = []
     for idx, g in enumerate(boundaries):
-        result = solve_decaying(eigs, perturbation, T, g, n_points=n_points)
+        result = solve_decaying(eigs, perturbation, T, g)
         est = decay_rate_estimate(result.profile)
         g_arr = np.asarray(g, dtype=complex).reshape(-1)
         excited = eigs[(np.abs(g_arr) > 1e-12) & (eigs > 0)]
@@ -440,24 +438,25 @@ def _scaled_ei(x: float) -> float:
     return math.exp(-x) * float(expi(x))
 
 
-def harmonic_counterexample(weight_rates, T: float, X: float = 200.0) -> list[CounterexampleRow]:
+def harmonic_counterexample(weight_rates, T: float) -> list[CounterexampleRow]:
     """Weighted mass of |u|^2 under exp(2*rate*x2) weights, per rate.
 
-    The inner x1-integral has the closed form pi/(1+x2) (checked against
-    quadrature before any row).  A negative rate, or one whose 2(rate - 1)
-    overflows, is refused first.  For each rate the partial integral up
-    to T is computed together with an analytic tail bound when rate < 1, and
-    partial integrals at T/4, T/2, T classify the growth: increments shrinking
-    (converging), steady (logarithmic), or accelerating (exponential).
+    The inner x1-integral has the closed form pi/(1+x2), checked before any
+    row against quadrature on |x1| <= 200 plus the closed-form tail.  A
+    negative rate, or one whose 2(rate - 1) overflows, is refused first.  For
+    each rate the partial integral up to T is computed together with an
+    analytic tail bound when rate < 1, and partial integrals at T/4, T/2, T
+    classify the growth: increments shrinking (converging), steady
+    (logarithmic), or accelerating (exponential).
     """
     rates = np.atleast_1d(np.asarray(weight_rates, dtype=float))
-    if not (rates.size and np.all(np.isfinite(rates)) and 0 < T < math.inf and 0 < X < math.inf):
-        raise SchemaError("weight rates must be one or more finite numbers, and T and X finite and positive")
+    if not (rates.size and np.all(np.isfinite(rates)) and 0 < T < math.inf):
+        raise SchemaError("weight rates must be one or more finite numbers, and T finite and positive")
     if np.any(rates < 0):
         raise PreconditionError("weight rate must be nonnegative")
     if not all(math.isfinite(2.0 * (r - 1.0)) for r in rates.tolist()):
         raise PreconditionError("a weight rate whose exponent 2(rate - 1) overflows a float is refused")
-    inner_integral_check([0.0, 1.0, 5.0], X)
+    inner_integral_check([0.0, 1.0, 5.0], 200.0)
     rows = []
     for rate in rates:
         t_used = float(T)

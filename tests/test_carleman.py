@@ -87,6 +87,25 @@ def test_conjugation_identity_order_two():
     assert 4.0 * 0.8 < ratio < 4.0 * 1.2
 
 
+def test_conjugation_identity_is_finite_at_a_large_weight():
+    """The weight enters only through ratios exp(W_j - W_(j+-1)), so W(4) = 1000 * 4^(4/3) is no overflow."""
+    resid = {}
+    for n in (1025, 2049, 4097, 8193):
+        psi = bump_profile((1.0, 3.0), [(1.0, 1.0), (4.0, 0.5)], uniform_grid(4.0, n))
+        resid[n] = conjugation_identity_check(psi, 1000.0)  # a RuntimeWarning is an error here
+    assert all(math.isfinite(r) and r > 0 for r in resid.values())
+    assert 4.0 * 0.8 < resid[4097] / resid[8193] < 4.0 * 1.2  # order 2 once h resolves the weight
+
+
+def test_conjugation_identity_support_at_the_last_grid_point():
+    """Only the interior points of the stencil are evaluated: a support up to the grid's end is checked."""
+    t = uniform_grid(4.0, 2049)
+    c = np.zeros((2, t.size), dtype=complex)
+    c[:, 1024:] = np.sin(t[1024:])[None, :] * np.array([[1.0], [0.5]])
+    resid = conjugation_identity_check(SpectralProfile(eigs=np.array([1.0, 4.0]), t_grid=t, coeffs=c), 1.0)
+    assert math.isfinite(resid) and resid > 0
+
+
 def test_conjugation_identity_refuses_support_at_zero():
     t = uniform_grid(4.0, 2001)
     psi = bump_profile((0.0, 1.0), [(1.0, 1.0)], t)

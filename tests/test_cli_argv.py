@@ -80,7 +80,7 @@ def command_lines(tmp_path_factory):
         ["evolve", "--eigs", "1,9", "--perturbation", "diagonal", "--beta", "0.1", "--bound", "exp",
          "--T", "10", "--boundary", "1,0.5", "--seed", "7"],
         ["decay", "--input", str(profile), "--window", "2,8"],
-        ["counterexample", "--lambdas", "0.5,1", "--T", "100", "--X", "200"],
+        ["counterexample", "--lambdas", "0.5,1", "--T", "100"],
         ["pipeline", "--config", str(config), "--out-dir", str(out / "pipe")],
     ]
     return lines, out

@@ -725,7 +725,7 @@ def test_every_table_writer_caller_has_one_kind_per_column(line_pipeline_input, 
         ["spectrum", "--lattice", two_d, "--cutoff", "20"],
         ["gaps", "--lattice", two_d, "--cutoff", "20", "--full-axis"],
         ["gaps", "--lattice", two_d, "--growth", "100,1000"],
-        ["counterexample", "--lambdas", "0.5,1.0,1.2", "--T", "40", "--X", "40"],
+        ["counterexample", "--lambdas", "0.5,1.0,1.2", "--T", "40"],
         ["gelfand", "residual", "--lattice", str(lat_path), "--u", str(u_path), "--theta", "1/6"],
         ["evolve", "--eigs", "1,4", "--out", str(tmp_path / "ev.csv")],
         ["carleman", "verify43", "--eps", "1.0", "--ensemble", "2", "--out-dir", str(tmp_path / "c")],

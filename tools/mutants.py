@@ -72,6 +72,12 @@ MUTANTS = [
      "t = phi.t_grid", ["test_carleman.py"]),
     ("carleman.py", "if den <= 0.0:", "if den < 0.0:", ["test_carleman.py"]),
     ("carleman.py", "norm[interior] > 1e-14 *", "norm[interior] > 1e-2 *", ["test_carleman.py"]),
+    # a flag that one mode of a command never reads is refused there, not ignored
+    ("cli.py", "for name in names if getattr(args, name) is not None]", "for name in names if False]", ["test_cli.py"]),
+    ("cli.py", '_unread(args, "gaps --growth", "cutoff", "energy", "min_gap", "full_axis")', "None", ["test_cli.py"]),
+    ("cli.py", '_unread(args, "verify-gap --eigs", "seed", "ensemble")', "None", ["test_cli.py"]),
+    ("cli.py", '_unread(args, "verify-gap without --eigs", "a", "b", "alpha")', "None", ["test_cli.py"]),
+    ("cli.py", '_unread(args, "evolve --perturbation zero", "beta", "bound", "seed")', "None", ["test_cli.py"]),
     # the counterexample's growth thresholds
     ("evolution.py", "growth_ratio < 0.9", "growth_ratio < 0.8", ["test_evolution.py"]),
     ("evolution.py", "growth_ratio <= 1.25", "growth_ratio <= 1.5", ["test_evolution.py"]),
