@@ -167,12 +167,11 @@ def _weighted_report(
         return f"{what}: the weight exp(2*{rate:g}*t^{power:.4g}) or its integral"
 
     weight = _stencil_weight(phi, 2.0 * rate, power, label)
-    ys = np.zeros((2, phi.t_grid.size))
-    densities = phi.densities()
+    densities = phi.densities()  # fresh arrays, 0 off the stencil: weighted in place
     with np.errstate(over="ignore", invalid="ignore"):
-        for y, density in zip(ys, densities):
-            np.multiply(weight, density[phi._stencil], out=y[phi._stencil])
-        lhs_int, rhs_int = (simpson_with_error(y, phi.step) for y in ys)
+        for density in densities:
+            density[phi._stencil] *= weight
+        lhs_int, rhs_int = (simpson_with_error(y, phi.step) for y in densities)
         lhs, rhs = const * lhs_int.value, rhs_int.value
         quad_err = const * lhs_int.err_estimate + rhs_int.err_estimate
     if not all(map(math.isfinite, (lhs, rhs, quad_err))):

@@ -123,18 +123,20 @@ def _default_points(T: float) -> int:
 def _solve_bytes(kind: str, n_modes: int, n_points: int) -> int:
     """Peak bytes of one solve, from its measured (tracemalloc) working set.
 
-    Per unknown, (n - 2) * M of them: 44 for zero or diagonal B (a 3-row band,
-    two right-hand-side columns, the solution and the coefficient planes), and
-    (8M + 6) * 8 for full B (its (2M+1)-row band, its (3M+1)-row LU held once
-    in C order and once more in the Fortran order LAPACK takes, and the
-    right-hand side).  Full B adds its M x M matrix W.  Every kind adds 128
-    bytes per mode, 40 per grid point (t, b(t) and the residual pass) and
-    64 KiB of small arrays.  The tests hold every kind's tracemalloc peak
-    between 0.75 and 1 times this count.
+    Per unknown, (n - 2) * M of them: 35 for zero or diagonal B (a 3-row band,
+    its one right-hand-side column, which the solution overwrites, and the
+    solve's 3-byte finite-check mask of the band), and (8M + 6) * 8 for full B
+    (its (2M+1)-row band, its (3M+1)-row LU held once in C order and once more
+    in the Fortran order LAPACK takes, and the right-hand side).  Full B adds
+    its M x M matrix W.  Per grid point, 40 for full B and 48 for zero or
+    diagonal B (t, b(t) and the residual pass, whose block is a whole mode's
+    row past 16384 points: a one-mode solve peaks there, not in its band).
+    Every kind adds 128 bytes per mode and 64 KiB of small arrays.  The tests
+    hold every kind's tracemalloc peak between 0.75 and 1 times this count.
     """
     M = n_modes
-    per_unknown, w_bytes = ((8 * M + 6) * 8, 8 * M * M) if kind == "full" else (44, 0)
-    return (n_points - 2) * M * per_unknown + w_bytes + 128 * M + 40 * n_points + 2**16
+    per_unknown, per_point, w_bytes = ((8 * M + 6) * 8, 40, 8 * M * M) if kind == "full" else (35, 48, 0)
+    return (n_points - 2) * M * per_unknown + w_bytes + 128 * M + per_point * n_points + 2**16
 
 
 def solve_decaying(
@@ -192,12 +194,18 @@ def solve_decaying(
             np.subtract(centre.reshape(S, 1, m) if d == 0 else -0.0, band, out=band)  # -0.0 - x is -x
         ab[0].reshape(S, L * m)[:, m:] = 1.0 / h**2
         ab[2 * m].reshape(S, L * m)[:, :-m] = 1.0 / h**2
-        first = (-g / h**2).reshape(S, m)  # enters each system's first block row
-    rhs = np.zeros((2, S, L, m))  # real and imaginary parts as two columns
-    rhs[:, :, 0] = first.real, first.imag
+        first = -g / h**2  # enters each system's first block row
+    if m > 1:  # full B: the block vector -g/h^2, its real and imaginary parts as two columns
+        rhs = np.zeros((2, L, M))
+        rhs[:, 0] = first.real, first.imag
+        rhs = rhs.reshape(2, -1).T
+    else:  # mode i's system is real with right-hand side (-g_i/h^2) e_1: one real column of e_1
+        rhs = np.zeros((M, L))
+        rhs[:, 0] = 1.0
+        rhs = rhs.reshape(-1)
     from scipy.linalg import solve_banded  # deferred: only solves need SciPy
     try:
-        sol = solve_banded((m, m), ab, rhs.reshape(2, -1).T, overwrite_ab=True, overwrite_b=True)
+        sol = solve_banded((m, m), ab, rhs, overwrite_ab=True, overwrite_b=True)
     except np.linalg.LinAlgError as exc:
         raise SolverError("banded solve failed: singular discrete system") from exc
     except ValueError as exc:  # its finite check: the band overflowed, or b(t) is not finite
@@ -205,7 +213,11 @@ def solve_decaying(
     del ab, band, rhs, w
     coeffs = np.zeros((M, n), dtype=complex)
     coeffs[:, 0] = g
-    coeffs.real[:, 1:-1], coeffs.imag[:, 1:-1] = (x.reshape(L, M).T if m > 1 else x.reshape(M, L) for x in sol.T)
+    if m > 1:
+        coeffs.real[:, 1:-1], coeffs.imag[:, 1:-1] = (x.reshape(L, M).T for x in sol.T)
+    else:  # phi_i = (-g_i/h^2) y_i, one real product per part
+        for part, scale in zip((coeffs.real, coeffs.imag), (first.real, first.imag)):
+            np.multiply(scale[:, None], sol.reshape(M, L), out=part[:, 1:-1])
     del sol
 
     peak, resid = _checked_residual(coeffs, eigs, h, perturbation, interior)

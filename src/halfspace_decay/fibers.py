@@ -312,11 +312,11 @@ def fiber_residual(
     t = fiber.t_grid
     res_spec = _residual(fiber.coefficients, fiber.mode_eigenvalues(energy), t[1] - t[0], 1, fiber.n_t - 1)
     axes = fiber.spatial_axes
-    res_phys = np.fft.ifftn(res_spec, axes=axes, norm="ortho")
+    res = res_spec  # without V: norm="ortho" is unitary, so Parseval's norm needs no inverse transform
     if potential is not None:
         check_potential_grid(potential, fiber)
         v_cell = potential.cell_block(potential.cells_lo)[..., 1:-1]
-        res_phys = res_phys - v_cell * fiber.data[..., 1:-1]
+        res = np.fft.ifftn(res_spec, axes=axes, norm="ortho") - v_cell * fiber.data[..., 1:-1]
     w = unit_cell_volume(fiber.lattice) / fiber.points_per_cell**fiber.dim
-    return np.sqrt(w * np.sum(np.abs(res_phys) ** 2, axis=axes))
+    return np.sqrt(w * np.sum(np.abs(res) ** 2, axis=axes))
 

@@ -103,7 +103,7 @@ class SpectralProfile:
         return None if idx is None else (float(self.t_grid[idx[0]]), float(self.t_grid[idx[1]]))
 
     def densities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mode sums of |c|^2 and of |equation_residual()|^2 per t.
+        """Mode sums of |c|^2 and of |equation_residual()|^2 per t, as two fresh arrays.
 
         Only the columns whose stencil touches the support are computed; the
         others are exactly 0 in both sums.
@@ -195,8 +195,12 @@ class BumpProfile(SpectralProfile):
     A is diagonal in the profile's frame, so ||phi||^2 = |v|^2 s^2 and
     ||phi'' - A phi||^2 = sum_i |v_i|^2 (s'' - mu_i s)^2, both in real
     arithmetic.  ``coeffs`` = v s^T is built only on first access, then cached
-    read-only; the support and both densities never need it.
+    read-only; the support and both densities never need it.  ``_span`` holds
+    the indices lo:hi outside which s is 0; ``bump_profile`` narrows it from
+    the whole grid to its support.
     """
+
+    _span = (0, None)
 
     def __init__(self, eigs, t_grid, amps: np.ndarray, bump: np.ndarray, alpha: float | None = None):
         self.eigs, self.t_grid, self.alpha = eigs, t_grid, alpha
@@ -220,8 +224,9 @@ class BumpProfile(SpectralProfile):
         # A coefficient column v_i s_j is nonzero iff one of its parts is, and rounding is
         # monotone, so the columns of s * (largest part) that are nonzero are exactly the
         # columns of coeffs that are, also where a product underflows.
-        idx = np.flatnonzero(self.bump * self._peak_part)
-        return (int(idx[0]), int(idx[-1])) if idx.size else None
+        lo, hi = self._span
+        idx = np.flatnonzero(self.bump[lo:hi] * self._peak_part)
+        return (lo + int(idx[0]), lo + int(idx[-1])) if idx.size else None
 
     def densities(self) -> tuple[np.ndarray, np.ndarray]:
         """The closed forms |v|^2 s^2 and sum_i (|v_i| (s'' - mu_i s))^2 on the stencil.
@@ -260,10 +265,17 @@ def bump_profile(
         raise SchemaError("support must lie inside the t-grid")
     if not modes:
         raise SchemaError("at least one mode is required")
-    shape = smooth_bump((2.0 * t_grid - (t_lo + t_hi)) / (t_hi - t_lo))
+    # s is monotone in t and the bump is 0 where |s| >= 1: one grid point of slack on each side of
+    # [t_lo, t_hi] holds every point that rounding of s moves inside, wherever the step exceeds a few ulps of t
+    lo = max(int(np.searchsorted(t_grid, t_lo)) - 1, 0)
+    hi = min(int(np.searchsorted(t_grid, t_hi, side="right")) + 1, t_grid.size)
+    shape = np.zeros(t_grid.size)
+    shape[lo:hi] = smooth_bump((2.0 * t_grid[lo:hi] - (t_lo + t_hi)) / (t_hi - t_lo))
     eigs = np.array([float(m[0]) for m in modes])
     amps = np.array([complex(m[1]) for m in modes])
-    return BumpProfile(eigs, t_grid, amps, shape, alpha)
+    profile = BumpProfile(eigs, t_grid, amps, shape, alpha)
+    profile._span = (lo, hi)
+    return profile
 
 
 def zero_profile(eigs, t_grid: np.ndarray, alpha: float | None = None) -> SpectralProfile:

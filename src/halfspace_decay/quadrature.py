@@ -9,6 +9,7 @@ exceeds 1e-6 relative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,17 +20,32 @@ from .errors import GridError, ResolutionError
 GATE_RTOL = 1e-6
 
 
+@lru_cache(maxsize=8)
 def uniform_grid(t_end: float, n_points: int) -> np.ndarray:
+    """n_points equally spaced points on [0, t_end]; cached, so read-only."""
     if n_points < 5:
         raise GridError("need at least 5 grid points")
-    return np.linspace(0.0, t_end, n_points)
+    t = np.linspace(0.0, t_end, n_points)
+    t.flags.writeable = False
+    return t
 
 
 def grid_step(t: np.ndarray) -> float:
-    h = np.diff(t)
-    if h.size == 0 or np.any(h <= 0):
+    """The step h[0] of a grid of finite points, strictly increasing and uniform to 1e-9 relative.
+
+    One difference pass, then its min and max: max |h_i - h_0| is max(hi - h_0, h_0 - lo),
+    bit for bit, because rounding is monotone.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite difference is refused below
+        h = t[1:] - t[:-1]
+    if h.size == 0:
         raise GridError("grid must be strictly increasing")
-    if np.max(np.abs(h - h[0])) > 1e-9 * max(abs(t[-1]), 1.0):
+    lo, hi = float(h.min()), float(h.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise GridError("grid points and their spacing must be finite")
+    if lo <= 0:
+        raise GridError("grid must be strictly increasing")
+    if max(hi - h[0], h[0] - lo) > 1e-9 * max(abs(t[-1]), 1.0):
         raise GridError("grid must be uniform")
     return float(h[0])
 

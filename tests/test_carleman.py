@@ -590,3 +590,15 @@ def test_resolution_gate_bounds_the_predicted_change_by_gate_rtol(ratio, accepte
     else:
         with pytest.raises(ResolutionError, match="resolution gate failed"):
             check_resolution(integral)
+
+
+@pytest.mark.parametrize("factored", [True, False])
+def test_weighted_report_leaves_the_profile_as_it_was(factored):
+    """The report weights the densities in place: they are fresh arrays, so a second report reads the same."""
+    phi, a, b, alpha = bump_case_gap(5, 2)
+    if not factored:
+        phi = SpectralProfile(phi.eigs, phi.t_grid, phi.coeffs, phi.alpha)
+    before = phi.densities()
+    reports = [verify_carleman_gap(phi, a, b, alpha), verify_carleman_43(phi, 3.0, 0.5)]
+    assert all(np.array_equal(x, y) for x, y in zip(before, phi.densities()))
+    assert reports == [verify_carleman_gap(phi, a, b, alpha), verify_carleman_43(phi, 3.0, 0.5)]

@@ -130,7 +130,7 @@ def _grid(T, n):
 
 
 def _reference_per_mode(eigs, pert, T, g, n):
-    """Zero/diagonal B: one tridiagonal solve per mode."""
+    """Zero/diagonal B: one real tridiagonal solve of A_i y_i = e_1 per mode, phi_i = (-g_i/h^2) y_i."""
     eigs = np.asarray(eigs, dtype=float)
     g = np.asarray(g, dtype=complex)
     t, h = _grid(T, n)
@@ -141,14 +141,16 @@ def _reference_per_mode(eigs, pert, T, g, n):
         diag_pert = pert.diagonal_entries(t[1:-1], M)
     else:
         diag_pert = np.zeros((n - 2, M))
+    first = -g / h**2
     for i in range(M):
-        ab = np.zeros((3, n - 2), dtype=complex)
+        ab = np.zeros((3, n - 2))
         ab[0, 1:] = 1.0 / h**2
         ab[1, :] = -2.0 / h**2 - eigs[i] - diag_pert[:, i]
         ab[2, :-1] = 1.0 / h**2
-        rhs = np.zeros(n - 2, dtype=complex)
-        rhs[0] = -g[i] / h**2
-        coeffs[i, 1:-1] = solve_banded((1, 1), ab, rhs)
+        e1 = np.zeros(n - 2)
+        e1[0] = 1.0
+        y = solve_banded((1, 1), ab, e1)
+        coeffs.real[i, 1:-1], coeffs.imag[i, 1:-1] = first[i].real * y, first[i].imag * y
     return coeffs
 
 
@@ -220,28 +222,34 @@ def _scatter_band(blocks, h):
 
 def _reference_scatter(eigs, pert, T, g, n):
     """Dense blocks scattered into the band, a separate complex solution and a
-    whole-array residual.  Returns the band, coeffs, residual and growth."""
+    whole-array residual.  Full B solves for the real and imaginary parts of
+    its block right-hand side; zero or diagonal B for e_1 per mode, scaled by
+    -g_i/h^2.  Returns the band, coeffs, residual and growth."""
     eigs, g = np.asarray(eigs, dtype=float), np.asarray(g, dtype=complex)
     t, h = _grid(T, n)
     M, interior = eigs.size, t[1:-1]
     if pert.kind == "full":
         w, b = pert.full_matrix(M), pert.bound_values(interior)
         blocks = (-np.diag(eigs + 2.0 / h**2) - b[:, None, None] * w)[None]
-        first = -g[None] / h**2
+        first = -g / h**2
     else:
         d = pert.diagonal_entries(interior, M).T if pert.kind == "diagonal" else np.zeros((M, n - 2))
         blocks = (-2.0 / h**2 - eigs[:, None] - d)[:, :, None, None]
         first = -g[:, None] / h**2
     ab = _scatter_band(blocks, h)
     S, L, m, _ = blocks.shape
-    rhs = np.zeros((2, S, L, m))
-    rhs[:, :, 0] = first.real, first.imag
-    sol = solve_banded((m, m), ab.copy(), rhs.reshape(2, -1).T)
-    out = np.empty(S * L * m, dtype=complex)
-    out.real, out.imag = sol[:, 0], sol[:, 1]
     coeffs = np.zeros((M, n), dtype=complex)
     coeffs[:, 0] = g
-    coeffs[:, 1:-1] = out.reshape(S, L, m)[0].T if pert.kind == "full" else out.reshape(M, L)
+    if pert.kind == "full":
+        rhs = np.zeros((2, L, m))
+        rhs[:, 0] = first.real, first.imag
+        sol = solve_banded((m, m), ab.copy(), rhs.reshape(2, -1).T)
+        coeffs.real[:, 1:-1], coeffs.imag[:, 1:-1] = sol[:, 0].reshape(L, m).T, sol[:, 1].reshape(L, m).T
+    else:
+        e1 = np.zeros((S, L))
+        e1[:, 0] = 1.0
+        y = solve_banded((1, 1), ab.copy(), e1.reshape(-1)).reshape(S, L)
+        coeffs.real[:, 1:-1], coeffs.imag[:, 1:-1] = first.real * y, first.imag * y
     psi = _second_difference(coeffs, h) - eigs[:, None] * coeffs[:, 1:-1]
     if pert.kind == "diagonal":
         psi = psi - pert.diagonal_entries(interior, M).T * coeffs[:, 1:-1]
@@ -285,7 +293,10 @@ def test_non_finite_solution_is_solver_error(kind, monkeypatch):
     # a NaN in the last mode must not be lost by the blockwise max|c|
     def poisoned(*args, **kwargs):
         sol = solve_banded(*args, **kwargs)
-        sol[-1, 1] = math.nan
+        if sol.ndim == 2:  # full B: the imaginary part of the last unknown
+            sol[-1, 1] = math.nan
+        else:  # zero or diagonal B: the one column's last unknown
+            sol[-1] = math.nan
         return sol
 
     monkeypatch.setattr(scipy.linalg, "solve_banded", poisoned)
@@ -326,6 +337,33 @@ def test_uncoupled_solve_is_bit_identical_to_per_mode_reference(kind):
     assert np.array_equal(got, _reference_per_mode(eigs, pert, 10.0, g, 3001))
 
 
+def _reference_two_columns(eigs, pert, T, g, n):
+    """Zero/diagonal B solved for -g/h^2 e_1 directly, its real and imaginary parts as two columns."""
+    t, h = _grid(T, n)
+    M, L = eigs.size, n - 2
+    d = pert.diagonal_entries(t[1:-1], M).T if pert.kind == "diagonal" else np.zeros((M, L))
+    ab = _scatter_band((-2.0 / h**2 - eigs[:, None] - d)[:, :, None, None], h)
+    first = -g / h**2
+    rhs = np.zeros((2, M, L))
+    rhs[:, :, 0] = first.real, first.imag
+    sol = solve_banded((1, 1), ab, rhs.reshape(2, -1).T, overwrite_ab=True, overwrite_b=True)
+    del ab, rhs
+    coeffs = np.zeros((M, n), dtype=complex)
+    coeffs[:, 0] = g
+    coeffs.real[:, 1:-1], coeffs.imag[:, 1:-1] = sol[:, 0].reshape(M, L), sol[:, 1].reshape(M, L)
+    return coeffs
+
+
+def test_one_column_solve_matches_two_column_solve():
+    # the benchmark's diagonal solve: scaling y_i = A_i^(-1) e_1 by -g_i/h^2 moves only roundoff
+    eigs, g = _modes(200, 5)
+    pert = PerturbationFamily.diagonal(exponential_bound(0.5), beta=0.5, decays=True, seed=5)
+    got = solve_decaying(eigs, pert, 10.0, g, n_points=10_000)
+    ref = _reference_two_columns(eigs, pert, 10.0, g, 10_000)
+    assert np.max(np.abs(got.profile.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert got.residual <= 1e-14
+
+
 @pytest.mark.parametrize("kind", ["zero", "diagonal", "full"])
 def test_one_banded_solve_per_call(kind, monkeypatch):
     calls = []
@@ -343,9 +381,10 @@ def test_one_banded_solve_per_call(kind, monkeypatch):
         "full": PerturbationFamily.full(bound, beta=0.2, decays=False, seed=1),
     }[kind]
     solve_decaying([1.0, 4.0, 9.0], pert, 10.0, [1.0, 0.5, 0.25], n_points=801)
-    # a real band, with the real and imaginary parts of the right-hand side as two columns
+    # a real band; full B takes the real and imaginary parts of its right-hand side as two
+    # columns, zero or diagonal B one real column of e_1 per mode
     f8 = np.dtype(np.float64)
-    assert calls == [((3, 3) if kind == "full" else (1, 1), f8, f8, (3 * 799, 2))]
+    assert calls == [((3, 3), f8, f8, (3 * 799, 2)) if kind == "full" else ((1, 1), f8, f8, (3 * 799,))]
 
 
 def test_full_solve_budget_boundary():
@@ -385,7 +424,7 @@ def test_full_solve_memory_budget_boundary(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["zero", "diagonal"])
 def test_uncoupled_solve_memory_budget_refuses_before_allocating(kind):
-    # 10^8 points of one mode need about 4.4 GB; nothing of that size is allocated
+    # 10^8 points of one mode need about 8.3 GB; nothing of that size is allocated
     pert = {
         "zero": PerturbationFamily.zero(),
         "diagonal": PerturbationFamily.diagonal(constant_bound(0.2), beta=0.2, decays=False),

@@ -23,7 +23,8 @@ from halfspace_decay.evolution import (
 from halfspace_decay.fibers import BlochFiber, fiber_residual
 from halfspace_decay.fields import SampledField
 from halfspace_decay.lattice import Lattice, Quasimomentum, unit_cell_volume
-from halfspace_decay.profiles import BumpProfile, SpectralProfile, _second_difference, bump_profile
+from halfspace_decay.errors import GridError
+from halfspace_decay.profiles import BumpProfile, SpectralProfile, _second_difference, bump_profile, smooth_bump
 from halfspace_decay.quadrature import grid_step, simpson_weights, simpson_with_error
 
 TWO_PI = 2.0 * math.pi
@@ -99,12 +100,15 @@ def test_reciprocal_multiply_matches_complex_division(h, scale):
     assert np.array_equal(_second_difference(c, h).view(np.float64), ref.view(np.float64))
 
 
-def _ref_fiber_residual(fiber, potential, energy):
+def _ref_fiber_residual(fiber, potential, energy, parseval=True):
+    """Without V, Parseval's norm of the spectral residual, or (parseval=False) the norm of its inverse DFT."""
     h = fiber.t_grid[1] - fiber.t_grid[0]
     c = np.fft.fftn(fiber.data, axes=fiber.spatial_axes, norm="ortho")
     dtt = (c[..., 2:] - 2.0 * c[..., 1:-1] + c[..., :-2]) / h**2
     res_spec = dtt - fiber.mode_eigenvalues(energy)[..., None] * c[..., 1:-1]
-    res_phys = np.fft.ifftn(res_spec, axes=fiber.spatial_axes, norm="ortho")
+    res_phys = res_spec
+    if potential is not None or not parseval:
+        res_phys = np.fft.ifftn(res_spec, axes=fiber.spatial_axes, norm="ortho")
     if potential is not None:
         v_cell = potential.cell_block(potential.cells_lo)[..., 1:-1]
         res_phys = res_phys - v_cell * fiber.data[..., 1:-1]
@@ -130,7 +134,11 @@ def test_fiber_residual_matches_full_formula(dim, with_potential):
             kind="potential", lattice=lat, cells_lo=(0,) * dim, cells_shape=(1,) * dim,
             points_per_cell=n, t_start=0.5, t_end=2.5, values=rng.normal(size=shape),
         )
-    assert np.array_equal(fiber_residual(fiber, v, 0.3), _ref_fiber_residual(fiber, v, 0.3))
+    got = fiber_residual(fiber, v, 0.3)
+    assert np.array_equal(got, _ref_fiber_residual(fiber, v, 0.3))
+    if v is None:  # the samples' norm, through the inverse DFT, agrees to roundoff
+        ref = _ref_fiber_residual(fiber, v, 0.3, parseval=False)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
 
 @pytest.mark.parametrize("kind", ["zero", "diagonal", "full"])
@@ -333,3 +341,72 @@ def test_simpson_weights_are_cached_read_only_and_keep_their_values(monkeypatch)
     cached = simpson_with_error(y, 1e-3)
     monkeypatch.setattr(quadrature, "simpson_weights", _uncached_simpson_weights)
     assert simpson_with_error(y, 1e-3) == cached
+
+
+def test_uniform_grid_is_cached_read_only_and_shared_by_the_ensemble_cases():
+    t = quadrature.uniform_grid(4.0, ensembles.DEFAULT_T_POINTS)
+    assert t is quadrature.uniform_grid(4.0, ensembles.DEFAULT_T_POINTS)
+    assert not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0] = 1.0
+    assert np.array_equal(t, np.linspace(0.0, 4.0, ensembles.DEFAULT_T_POINTS))
+    assert all(np.shares_memory(ensembles.bump_case_gap(3, i)[0].t_grid, t) for i in range(3))
+
+
+def _pairwise_grid_step(t):
+    """The rule grid_step's min and max replace: every difference against the first; None if refused."""
+    h = np.diff(t)
+    if h.size == 0 or np.any(h <= 0) or np.max(np.abs(h - h[0])) > 1e-9 * max(abs(t[-1]), 1.0):
+        return None
+    return float(h[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.floats(-1e6, 1e6), st.floats(1e-6, 1e3), st.floats(-13.0, -6.0),
+       st.integers(0, 2**32 - 1))
+def test_grid_step_min_max_rule_matches_the_pairwise_rule(n, start, step, log_dev, seed):
+    """Finite grids whose step deviations straddle the 1e-9 uniformity bound, some not increasing."""
+    t = start + step * np.arange(n)
+    t += 10.0**log_dev * max(abs(t[-1]), 1.0) * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    try:
+        got = grid_step(t)
+    except GridError:
+        got = None
+    assert got == _pairwise_grid_step(t)
+
+
+@pytest.mark.parametrize("where, value", [
+    ((4,), math.nan), ((-1,), math.inf), ((0,), -math.inf), ((4,), math.inf), ((3, 4), math.inf), ((0, 1), math.nan),
+], ids=["middle-nan", "last-inf", "first-minus-inf", "middle-inf", "two-adjacent-inf", "first-two-nan"])
+def test_grid_with_a_non_finite_point_is_refused(where, value):
+    t = np.linspace(0.0, 1.0, 9)
+    t[list(where)] = value
+    with pytest.raises(GridError, match="must be finite"):
+        grid_step(t)
+    with pytest.raises(GridError, match="must be finite"):
+        SpectralProfile(eigs=[1.0], t_grid=t, coeffs=np.ones((1, 9)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(5, 400), st.floats(0.0, 1e6), st.floats(1e-3, 1e3),
+       st.sampled_from(["free", "grid-points", "half-steps", "whole-grid"]), st.integers(0, 2**32 - 1))
+def test_bump_is_evaluated_on_its_support_with_the_bits_of_the_whole_grid(n, start, length, kind, seed):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(start, start + length, n)
+    h = t[1] - t[0]
+    j, k = sorted(rng.choice(np.arange(n), size=2, replace=False))
+    lo, hi = {
+        "free": tuple(np.sort(rng.uniform(t[0], t[-1], 2))),
+        "grid-points": (t[j], t[k]),
+        "half-steps": (max(t[j] - 0.5 * h, t[0]), min(t[k] + 0.5 * h, t[-1])),
+        "whole-grid": (t[0], t[-1]),
+    }[kind]
+    if not lo < hi:
+        return
+    bp = bump_profile((lo, hi), [(1.0, 0.5 - 2j)], t)
+    full = smooth_bump((2.0 * t - (lo + hi)) / (hi - lo))
+    assert np.array_equal(bp.bump, full)
+    nonzero = np.flatnonzero(full)
+    assert bp._support_index == ((int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None)
+    first, stop = bp._span
+    assert stop - first <= np.count_nonzero((t >= lo) & (t <= hi)) + 2  # the support and one point each side

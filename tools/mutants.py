@@ -81,6 +81,11 @@ MUTANTS = [
     # the counterexample's growth thresholds
     ("evolution.py", "growth_ratio < 0.9", "growth_ratio < 0.8", ["test_evolution.py"]),
     ("evolution.py", "growth_ratio <= 1.25", "growth_ratio <= 1.5", ["test_evolution.py"]),
+    # a grid with a point that is not finite is refused
+    ("quadrature.py", "if not (math.isfinite(lo) and math.isfinite(hi)):", "if False:", ["test_profiles.py"]),
+    # an uncoupled solve scales its one column y_i = A_i^(-1) e_1 by -g_i/h^2, not by g_i or its conjugate
+    ("evolution.py", "(first.real, first.imag)", "(g.real, g.imag)", ["test_evolution.py"]),
+    ("evolution.py", "(first.real, first.imag)", "(first.real, -first.imag)", ["test_evolution.py"]),
 ]
 
 
