@@ -417,9 +417,8 @@ def _cmd_evolve(args) -> int:
 
 def _load_profile(path) -> SpectralProfile:
     """The one-mode profile of the (t, norm, ...) rows of a CSV with one header line."""
-    with reading("profile", path), open(path, "r", encoding="utf-8", errors="replace") as fh:
-        fh.readline()
-        rows = read_rows(fh)
+    with reading("profile", path):
+        rows = read_rows(path)[1]
         if rows.shape[1] < 2:
             raise SchemaError("rows need at least the columns t,norm")
         return SpectralProfile(eigs=np.array([0.0]), t_grid=rows[:, 0], coeffs=rows[None, :, 1].astype(complex))

@@ -127,16 +127,17 @@ def _solve_bytes(kind: str, n_modes: int, n_points: int) -> int:
     its one right-hand-side column, which the solution overwrites, and the
     solve's 3-byte finite-check mask of the band), and (8M + 6) * 8 for full B
     (its (2M+1)-row band, its (3M+1)-row LU held once in C order and once more
-    in the Fortran order LAPACK takes, and the right-hand side).  Full B adds
-    its M x M matrix W.  Per grid point, 40 for full B and 48 for zero or
-    diagonal B (t, b(t) and the residual pass, whose block is a whole mode's
-    row past 16384 points: a one-mode solve peaks there, not in its band).
-    Every kind adds 128 bytes per mode and 64 KiB of small arrays.  The tests
-    hold every kind's tracemalloc peak between 0.75 and 1 times this count.
+    in the Fortran order LAPACK takes, and the right-hand side).  Per grid
+    point, 40 for full B and 16 for zero or diagonal B (t and b(t)).  Full B
+    adds its M x M matrix W and 64 KiB of small arrays; zero or diagonal B add
+    1 MiB, the scratch of the residual pass's 256 KiB blocks, where a one-mode
+    solve of fewer than about 75 000 points peaks.  Every kind adds 128 bytes
+    per mode.  The tests hold every kind's tracemalloc peak between 0.75 and 1
+    times this count.
     """
     M = n_modes
-    per_unknown, per_point, w_bytes = ((8 * M + 6) * 8, 40, 8 * M * M) if kind == "full" else (35, 48, 0)
-    return (n_points - 2) * M * per_unknown + w_bytes + 128 * M + per_point * n_points + 2**16
+    per_unknown, per_point, fixed = ((8 * M + 6) * 8, 40, 8 * M * M + 2**16) if kind == "full" else (35, 16, 2**20)
+    return (n_points - 2) * M * per_unknown + fixed + 128 * M + per_point * n_points
 
 
 def solve_decaying(
@@ -236,25 +237,30 @@ def solve_decaying(
 def _checked_residual(c, eigs, h, perturbation, t_inner) -> tuple[float, float]:
     """max|c| and the relative defect max|psi| h^2 / max|c|, psi = c'' - mu c - B(t) c.
 
-    One pass over blocks of modes that stay in cache; a non-finite block ends
+    One pass over blocks that stay in cache: whole rows of modes, or runs of
+    one mode's row once it has more than 16384 points; a non-finite block ends
     it with max|c| inf or NaN.  Full B couples the modes: its B c is one real
     W @ c product before the pass.
     """
-    M = c.shape[0]
-    rows = max(1, 2**18 // (16 * c.shape[1]))  # 256 KiB of coefficients per block
+    M, n = c.shape
+    rows, cols = max(1, 2**14 // n), min(n, 2**14)  # 256 KiB of coefficients per block
     bvals, w = perturbation.bound_values(t_inner), perturbation.matrix(M)
     if perturbation.kind == "full":
         wc = (w @ c[:, 1:-1].view(np.float64)).view(complex)
     peak = psi_peak = 0.0
     for lo in range(0, M, rows):
-        cb, blk = c[lo : lo + rows], slice(lo, lo + rows)
-        top = float(np.max(np.abs(cb)))
-        if not math.isfinite(top):
-            return top, math.nan
-        peak = max(peak, top)
-        psi = _residual(cb, eigs[blk], h, 1, c.shape[1] - 1)
-        psi -= bvals * wc[blk] if perturbation.kind == "full" else (w[blk, None] * bvals) * cb[:, 1:-1]
-        psi_peak = max(psi_peak, float(np.max(np.abs(psi))))
+        blk, cb = slice(lo, lo + rows), c[lo : lo + rows]
+        for a in range(0, n, cols):
+            top = float(np.max(np.abs(cb[:, a : a + cols])))
+            if not math.isfinite(top):
+                return top, math.nan
+            peak = max(peak, top)
+            i, j = max(a, 1), min(a + cols, n - 1)  # the block's interior columns: none in a last block of one
+            inner = slice(i - 1, j - 1)  # the same columns of t_inner
+            psi = _residual(cb, eigs[blk], h, i, j)
+            psi -= (bvals[inner] * wc[blk, inner] if perturbation.kind == "full"
+                    else (w[blk, None] * bvals[inner]) * cb[:, i:j])
+            psi_peak = max(psi_peak, float(np.max(np.abs(psi), initial=0.0)))
     return peak, float(psi_peak * h**2 / (peak or 1.0))
 
 

@@ -215,9 +215,8 @@ def load_field(path, lattice: Lattice, kind: str | None = None) -> SampledField:
             # np.load returns a reshaped view of the array it read: seal both
             values = _hand_over(np.ascontiguousarray(data["values"], dtype=complex))
         else:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                header = parse_json(fh.readline(), "the header")
-                pairs = read_rows(fh)
+            first, pairs = read_rows(path)
+            header = parse_json(first, "the header")
             if pairs.shape[1] != 2:
                 raise SchemaError("values must be 're,im' pairs, one per line")
             # a complex view of the (re, im) pairs: the file's bits, signed zeros included

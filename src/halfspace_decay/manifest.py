@@ -5,7 +5,7 @@ one run compares bit-for-bit with a re-run of the same config and seed.  The
 hash covers the config and the ordered verdicts; wall-clock time, tool version
 and the refused stages' diagnostics stay outside it.  ``write_rows`` is
 the one table formatter: every CSV file, CLI table and text field uses it;
-``read_rows`` reads such rows back, and ``read_npz`` reads every .npz input.
+``read_rows`` reads a header line and such rows back, ``read_npz`` every .npz input.
 """
 
 from __future__ import annotations
@@ -94,28 +94,33 @@ def write_rows(fh, rows) -> None:
         fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def read_rows(fh) -> np.ndarray:
-    """The comma-separated finite number rows left in ``fh``, as a 2D float array.
+def read_rows(path) -> tuple[str, np.ndarray]:
+    """The first line of the text file ``path`` and the comma-separated finite number rows after it.
 
-    Input with no row left is refused before np.loadtxt parses it (which would
-    warn and return an empty array), and so is a row that is not numbers, or
-    a NaN or infinity.
+    Comment (``#``) and blank lines are skipped, and a file with no row is
+    refused before np.loadtxt parses it (which would warn).  np.loadtxt reads
+    the path past the lines scanned here, with its chunked reader (an open file
+    it reads a line at a time), so every line must be UTF-8 and the file must
+    be a regular one.  A row that is not numbers, or a NaN or infinity, is refused.
     """
-    while True:
-        start = fh.tell()
-        line = fh.readline()
-        if not line:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        # np.loadtxt opens the path again (a pipe would lose what this read) and decompresses these names
+        if not Path(path).is_file() or Path(path).suffix in (".gz", ".bz2", ".xz", ".lzma"):
+            raise SchemaError("must be a regular, uncompressed file, named without .gz, .bz2, .xz or .lzma")
+        header, skip = fh.readline(), 1
+        for line in fh:
+            if line.split("#")[0].strip():
+                break
+            skip += 1
+        else:
             raise SchemaError("holds no rows")
-        if line.split("#")[0].strip():
-            break
-    fh.seek(start)
     try:
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        rows = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip, encoding="utf-8")
     except ValueError as exc:
         raise SchemaError(f"rows must be comma-separated numbers: {exc}") from exc
     if not np.isfinite(rows).all():
         raise SchemaError("rows must be finite numbers")
-    return rows
+    return header, rows
 
 
 def read_npz(path, keys, known=None) -> dict[str, np.ndarray]:

@@ -2,8 +2,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from halfspace_decay.errors import (
     strictest_exit_code,
 )
 from halfspace_decay.fibers import load_fiber
+from halfspace_decay.fields import load_field
 from halfspace_decay.lattice import Lattice
+from halfspace_decay.manifest import read_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,6 +329,8 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         (_DECAY + ["2,8"], "t,norm\n" + "".join(reversed(_PROFILE.splitlines(True)[1:]))),
         (_DECAY + ["2,20"], _PROFILE),
         (["pipeline", "--config", "{bad}"], _config(command="spectrum")),
+        (_ROUNDTRIP, _field().encode().replace(b"0.5,0.0\n", b"0.5\xff,0.0\n", 1)),
+        (_DECAY + ["2,8"], _PROFILE.encode().replace(b"\n0.5,", b"\n0.5\xff,", 1)),
     ],
     ids=[
         "growth-not-int", "gram-not-int", "gram-ragged", "gram-beyond-int64", "lattice-bad-json",
@@ -363,7 +369,8 @@ def test_valid_field_round_trips(lat_json, tmp_path, capsys):
         "counterexample-lambdas-empty", "counterexample-lambdas-comma", "evolve-beta-negative",
         "inverse-two-fibers-of-a-2d-grid", "inverse-repeated-theta", "lattice-gram-not-square",
         "lattice-gram-not-symmetric", "density-gram-not-symmetric", "decay-input-t-decreasing",
-        "decay-window-outside-profile", "config-command-not-pipeline",
+        "decay-window-outside-profile", "config-command-not-pipeline", "field-rows-not-utf8",
+        "profile-rows-not-utf8",
     ],
 )
 def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, capsys):
@@ -376,6 +383,8 @@ def test_malformed_input_is_schema_error(argv, content, lat_json, tmp_path, caps
     argv = [a.format(lat=lat_json, bad=bad) for a in argv]
     assert main(argv) == EXIT_IO
     err = capsys.readouterr().err
+    if isinstance(content, bytes) and not is_zip and b"\xff" in content:  # a text file that is not UTF-8 is named
+        assert str(bad) in err
     if err.startswith("usage: "):  # a non-finite float or a negative count is a usage error naming the flag
         usage = r"'(-?(nan|inf)' is not a finite number|-1' is not an integer >= 0)$"
         assert re.search(r"error: argument --[\w-]+: " + usage, err)
@@ -1075,6 +1084,104 @@ def test_evolve_and_decay_round_trip(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["rate"] == pytest.approx(2.0, rel=0.01)
     assert out["superexp"] is False
+
+
+def _file_object_rows(path) -> np.ndarray:
+    """The rows as the reader took them before it gave np.loadtxt the path: from an open file, past the header."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        fh.readline()
+        while True:
+            start = fh.tell()
+            if fh.readline().split("#")[0].strip():
+                break
+        fh.seek(start)
+        return np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
+def test_load_field_and_decay_input_give_np_loadtxt_a_path(lat_json, tmp_path, monkeypatch, capsys):
+    """np.loadtxt reads a path with its chunked C reader, a file object one line at a time."""
+    taken = []
+    loadtxt = np.loadtxt
+
+    def recording(fname, *args, **kwargs):
+        taken.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    field, profile = tmp_path / "u.csv", tmp_path / "profile.csv"
+    field.write_text(_field())
+    profile.write_text(_PROFILE)
+    assert main([a.format(lat=lat_json, bad=field) for a in _ROUNDTRIP]) == EXIT_OK
+    assert main(["decay", "--input", str(profile), "--window", "2,8"]) == EXIT_OK
+    assert [str(f) for f in taken] == [str(field), str(profile)]
+    assert all(isinstance(f, (str, os.PathLike)) for f in taken)
+
+
+# Lines the reader skips between the header and the first row (np.loadtxt alone
+# refuses a line of blanks or an indented comment), rows of any finite float,
+# and line endings of every kind
+_SKIPPED = st.sampled_from(["", "   ", "\t", "# comment", "  # indented comment", "#"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    skipped=st.lists(_SKIPPED, max_size=4),
+    rows=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                            st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=8),
+    inner=st.lists(st.sampled_from(["", "# between rows"]), max_size=2),
+    trailing=st.lists(st.sampled_from(["", "# trailing"]), max_size=3),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+def test_read_rows_is_bit_identical_to_the_file_object_reader(tmp_path_factory, skipped, rows, inner, trailing,
+                                                             newline):
+    body = [f"{a!r},{b!r}" for a, b in rows]
+    lines = ["header", *skipped, body[0] + " # x", *inner, *body[1:]]
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    path.write_bytes(newline.join([*lines, *trailing, ""]).encode())
+    header, got = read_rows(path)
+    want = _file_object_rows(path)
+    assert header == "header\n"
+    assert got.shape == want.shape == (len(rows), 2)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signed zeros too
+
+
+def test_text_field_with_comments_and_crlf_loads_bit_identical(tmp_path):
+    lat = Lattice(basis=TWO_PI * np.eye(2), dual_gram_exact=[["1", "0"], ["0", "1"]])
+    values = np.random.default_rng(3).normal(size=(20, 2))
+    values[0] = -0.0, 1e-310
+    header = _field().split("\n")[0]
+    body = [f"{a!r},{b!r}" for a, b in values.tolist()]
+    lines = [header, "# written by hand", "", "   ", *body[:7], "", *body[7:], "# end", ""]
+    path = tmp_path / "u.csv"
+    path.write_bytes("\r\n".join(lines).encode())
+    field = load_field(path, lat)
+    assert np.array_equal(field.values.view(np.float64).reshape(-1, 2).view(np.int64),
+                          _file_object_rows(path).view(np.int64))
+
+
+@pytest.mark.parametrize("argv, content", [
+    (_ROUNDTRIP, _field().split("\n")[0] + "\n"),
+    (_ROUNDTRIP, _field().split("\n")[0] + "\n# only a comment\n  \n"),
+    (_DECAY + ["2,8"], "t,norm\n"),
+    (_DECAY + ["2,8"], "t,norm"),
+    (_DECAY + ["2,8"], ""),
+], ids=["field-header", "field-header-and-comment", "profile-header", "profile-header-no-newline", "profile-empty"])
+def test_file_with_only_a_header_holds_no_rows(argv, content, lat_json, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(content)
+    assert main([a.format(lat=lat_json, bad=bad) for a in argv]) == EXIT_IO
+    assert capsys.readouterr().err.endswith(f"{bad}: holds no rows\n")
+
+
+@pytest.mark.parametrize("name", ["profile.csv.gz", "profile.bz2", "profile.xz", "profile.lzma", os.devnull])
+def test_reader_refuses_a_file_np_loadtxt_would_not_read_as_it(name, tmp_path, capsys):
+    """np.loadtxt decompresses by name and opens the path again: a compressed name or a device is refused."""
+    path = Path(name) if name == os.devnull else tmp_path / name
+    if name != os.devnull:
+        path.write_text(_PROFILE)
+    assert main(["decay", "--input", str(path), "--window", "2,8"]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: profile {path}: must be a regular, uncompressed file, " \
+                                      "named without .gz, .bz2, .xz or .lzma\n"
 
 
 def _key_tree(doc: dict) -> list:

@@ -289,6 +289,23 @@ def test_band_and_solve_match_block_scatter_reference(kind, beta, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["zero", "diagonal", "full"])
+def test_residual_pass_over_runs_of_a_row_matches_the_whole_array_residual(kind):
+    # past 16384 points the pass checks each mode's row in runs of 16384 columns;
+    # 32769 points leave a last run of one column, which holds no interior point
+    eigs, g = _modes(2, 13)
+    bound = constant_bound(0.3)
+    pert = {
+        "zero": PerturbationFamily.zero(),
+        "diagonal": PerturbationFamily.diagonal(bound, beta=0.3, decays=False, seed=2),
+        "full": PerturbationFamily.full(bound, beta=0.3, decays=False, seed=2),
+    }[kind]
+    got = solve_decaying(eigs, pert, 10.0, g, n_points=32769)
+    _, coeffs, residual, growth = _reference_scatter(eigs, pert, 10.0, g, 32769)
+    assert np.array_equal(got.profile.coeffs, coeffs)
+    assert (got.residual, got.growth) == (residual, growth)
+
+
+@pytest.mark.parametrize("kind", ["zero", "diagonal", "full"])
 def test_non_finite_solution_is_solver_error(kind, monkeypatch):
     # a NaN in the last mode must not be lost by the blockwise max|c|
     def poisoned(*args, **kwargs):

@@ -53,6 +53,15 @@ MUTANTS = [
     # ... and a file of another dimension than its lattice is a refusal (exit 2)
     ("fields.py", 'if header["dim"] != lattice.dim:', "if False:", ["test_cli.py"]),
     ("fibers.py", 'if len(doc["mu"]) != lat.dim:', "if False:", ["test_cli.py"]),
+    # the one text reader: np.loadtxt skips the header and the lines scanned before the first row, one each ...
+    ("manifest.py", "header, skip = fh.readline(), 1", "header, skip = fh.readline(), 0", ["test_cli.py"]),
+    ("manifest.py", "header, skip = fh.readline(), 1", "header, skip = fh.readline(), 2", ["test_cli.py"]),
+    ("manifest.py", "skip += 1", "skip += 2", ["test_cli.py"]),
+    ("manifest.py", "skip += 1", "skip += 0", ["test_cli.py"]),
+    # ... refuses a file with no row, and a pipe, a device or a name np.loadtxt would decompress
+    ("manifest.py", 'raise SchemaError("holds no rows")', "pass", ["test_cli.py"]),
+    ("manifest.py", "if not Path(path).is_file() or ", "if ", ["test_cli.py"]),
+    ("manifest.py", ' or Path(path).suffix in (".gz", ".bz2", ".xz", ".lzma")', "", ["test_cli.py"]),
     # the one t-axis rule of fields and fibers, and the profile's t >= 0 asked before any output
     ("fields.py", "if n_t < 2:", "if n_t < 1:", ["test_cli.py", "test_fibers.py"]),
     ("fields.py", "if not t_start < t_end:", "if not t_start <= t_end:", ["test_cli.py", "test_fibers.py"]),
