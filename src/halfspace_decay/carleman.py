@@ -193,14 +193,8 @@ def min_weight_lambda(eps: float) -> float:
         raise PreconditionError(f"the weight exp(2 lambda t^(4/3)) overflows: eps^(-4/3) at eps={eps:g}") from exc
 
 
-def verify_carleman_43(
-    phi: SpectralProfile,
-    weight_lambda: float,
-    eps: float,
-    pass_rtol: float = PASS_RTOL,
-    gate_rtol: float = GATE_RTOL,
-) -> CarlemanReport:
-    """Check the 4/3-weight inequality for a profile vanishing below eps.
+def verify_carleman_43(phi: SpectralProfile, weight_lambda: float, eps: float) -> CarlemanReport:
+    """Check the 4/3-weight inequality for a profile vanishing below eps, with PASS_RTOL and GATE_RTOL.
 
     Refuses (rather than fails) when weight_lambda < eps^(-4/3), when the
     support reaches below eps, or when the quadrature resolution gate trips.
@@ -225,7 +219,7 @@ def verify_carleman_43(
         "modes": int(phi.n_modes),
     }
     return _weighted_report(
-        phi, weight_lambda, 4.0 / 3.0, const, params, "carleman-4/3", gate_rtol, pass_rtol
+        phi, weight_lambda, 4.0 / 3.0, const, params, "carleman-4/3", GATE_RTOL, PASS_RTOL
     )
 
 

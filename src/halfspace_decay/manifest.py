@@ -5,13 +5,15 @@ one run compares bit-for-bit with a re-run of the same config and seed.  The
 hash covers the config and the ordered verdicts; wall-clock time, tool version
 and the refused stages' diagnostics stay outside it.  ``write_rows`` is
 the one table formatter: every CSV file, CLI table and text field uses it;
-``read_rows`` reads a header line and such rows back, ``read_npz`` every .npz input.
+``read_rows`` reads a header line and such rows back, every later line by
+np.loadtxt's one line rule, and ``read_npz`` reads every .npz input.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 import zipfile
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
@@ -97,27 +99,29 @@ def write_rows(fh, rows) -> None:
 def read_rows(path) -> tuple[str, np.ndarray]:
     """The first line of the text file ``path`` and the comma-separated finite number rows after it.
 
-    Comment (``#``) and blank lines are skipped, and a file with no row is
-    refused before np.loadtxt parses it (which would warn).  np.loadtxt reads
-    the path past the lines scanned here, with its chunked reader (an open file
-    it reads a line at a time), so every line must be UTF-8 and the file must
-    be a regular one.  A row that is not numbers, or a NaN or infinity, is refused.
+    np.loadtxt reads every line after the first with its chunked reader: an
+    empty or ``#`` line is skipped wherever it sits, any other line (one of
+    blanks or an indented comment too) must be a row of finite numbers, and a
+    file with no row is refused.  Every line must be UTF-8; the first that is
+    not is named.  The path is opened twice, so it must name a regular file.
     """
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        # np.loadtxt opens the path again (a pipe would lose what this read) and decompresses these names
-        if not Path(path).is_file() or Path(path).suffix in (".gz", ".bz2", ".xz", ".lzma"):
-            raise SchemaError("must be a regular, uncompressed file, named without .gz, .bz2, .xz or .lzma")
-        header, skip = fh.readline(), 1
-        for line in fh:
-            if line.split("#")[0].strip():
-                break
-            skip += 1
-        else:
-            raise SchemaError("holds no rows")
     try:
-        rows = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            # np.loadtxt opens the path again (a pipe would lose what this read) and decompresses these names
+            if not Path(path).is_file() or Path(path).suffix in (".gz", ".bz2", ".xz", ".lzma"):
+                raise SchemaError("must be a regular, uncompressed file, named without .gz, .bz2, .xz or .lzma")
+            header = fh.readline()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused below
+            rows = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1, encoding="utf-8")
+    except UnicodeDecodeError:  # a byte that is not UTF-8 reads back as a lone surrogate, which encodes as "?"
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            line = next(n for n, text in enumerate(fh, 1) if text.encode("utf-8", "replace").decode() != text)
+        raise SchemaError(f"line {line} is not UTF-8") from None
     except ValueError as exc:
         raise SchemaError(f"rows must be comma-separated numbers: {exc}") from exc
+    if rows.size == 0:
+        raise SchemaError("holds no rows")
     if not np.isfinite(rows).all():
         raise SchemaError("rows must be finite numbers")
     return header, rows

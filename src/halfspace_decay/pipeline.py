@@ -86,6 +86,7 @@ def _residual_stage(c) -> dict:
 def _spectrum_stage(c) -> dict:
     slc = enumerate_spectrum(c.lat, c.fiber.theta, c.params["energy"], c.params["cutoff"])
     c.gaps = find_gaps(slc, c.params["min_gap"])
+    c.alpha = max(0.0, -float(slc.values[0])) if slc.values.size else 0.0  # the operator's, not the profile modes'
     write_csv(c.out_dir / f"spectrum_theta{c.idx}.csv", ["value", "multiplicity"],
               list(zip(slc.values.tolist(), slc.mults.tolist())))
     write_csv(c.out_dir / f"gaps_theta{c.idx}.csv", ["lo", "hi", "length"],
@@ -103,11 +104,11 @@ def _profile_stage(c) -> dict:
 
 
 def _carleman_stage(c) -> dict:
-    window = _admissible_window(c.gaps, c.profile.alpha)
+    window = _admissible_window(c.gaps, c.alpha)
     if window is None:
         return {"carleman": "no-admissible-gap"}
     windowed = _window_profile(c.profile, c.params["carleman_taper"])
-    c.report = verify_carleman_gap(windowed, *window, c.profile.alpha, pass_rtol=c.params["carleman_pass_rtol"],
+    c.report = verify_carleman_gap(windowed, *window, c.alpha, pass_rtol=c.params["carleman_pass_rtol"],
                                    gate_rtol=c.params["resolution_gate_rtol"])
     return {"carleman": "pass" if c.report.passed else "fail", "carleman_margin": c.report.margin}
 

@@ -1117,10 +1117,9 @@ def test_load_field_and_decay_input_give_np_loadtxt_a_path(lat_json, tmp_path, m
     assert all(isinstance(f, (str, os.PathLike)) for f in taken)
 
 
-# Lines the reader skips between the header and the first row (np.loadtxt alone
-# refuses a line of blanks or an indented comment), rows of any finite float,
-# and line endings of every kind
-_SKIPPED = st.sampled_from(["", "   ", "\t", "# comment", "  # indented comment", "#"])
+# Lines np.loadtxt skips wherever they sit (a line of blanks or an indented
+# comment it refuses, see below), rows of any finite float, and line endings of every kind
+_SKIPPED = st.sampled_from(["", "# comment", "#"])
 
 
 @settings(max_examples=100, deadline=None)
@@ -1151,7 +1150,7 @@ def test_text_field_with_comments_and_crlf_loads_bit_identical(tmp_path):
     values[0] = -0.0, 1e-310
     header = _field().split("\n")[0]
     body = [f"{a!r},{b!r}" for a, b in values.tolist()]
-    lines = [header, "# written by hand", "", "   ", *body[:7], "", *body[7:], "# end", ""]
+    lines = [header, "# written by hand", "", *body[:7], "", *body[7:], "# end", ""]
     path = tmp_path / "u.csv"
     path.write_bytes("\r\n".join(lines).encode())
     field = load_field(path, lat)
@@ -1161,7 +1160,7 @@ def test_text_field_with_comments_and_crlf_loads_bit_identical(tmp_path):
 
 @pytest.mark.parametrize("argv, content", [
     (_ROUNDTRIP, _field().split("\n")[0] + "\n"),
-    (_ROUNDTRIP, _field().split("\n")[0] + "\n# only a comment\n  \n"),
+    (_ROUNDTRIP, _field().split("\n")[0] + "\n# only a comment\n\n"),
     (_DECAY + ["2,8"], "t,norm\n"),
     (_DECAY + ["2,8"], "t,norm"),
     (_DECAY + ["2,8"], ""),
@@ -1171,6 +1170,39 @@ def test_file_with_only_a_header_holds_no_rows(argv, content, lat_json, tmp_path
     bad.write_text(content)
     assert main([a.format(lat=lat_json, bad=bad) for a in argv]) == EXIT_IO
     assert capsys.readouterr().err.endswith(f"{bad}: holds no rows\n")
+
+
+@pytest.mark.parametrize("where", ["before", "between", "after"])
+@pytest.mark.parametrize("line", ["   ", "\t", "  # indented comment"], ids=["blanks", "tab", "indented-comment"])
+@pytest.mark.parametrize("argv, content", [(_ROUNDTRIP, _field()), (_DECAY + ["2,8"], _PROFILE)],
+                         ids=["field", "profile"])
+def test_a_line_of_blanks_or_an_indented_comment_is_refused_wherever_it_sits(argv, content, line, where, lat_json,
+                                                                              tmp_path, capsys):
+    """np.loadtxt's one line rule: only an empty or a '#' line is skipped, before the first row too."""
+    header, *rows = content.splitlines()
+    at = {"before": 0, "between": 3, "after": len(rows)}[where]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([header, *rows[:at], line, *rows[at:], ""]))
+    assert main([a.format(lat=lat_json, bad=bad) for a in argv]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(f"error: {'field file' if argv is _ROUNDTRIP else 'profile'} {bad}: ")
+
+
+# a profile of 20 000 rows, 0.4 MB: its row 15 001 lies past np.loadtxt's first read chunk
+_LONG_PROFILE = [b"t,norm", *(b"%r,%r" % (0.001 * i, math.exp(-0.001 * i)) for i in range(20_000))]
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("lines, number", [
+    ([b"t,n\xffrm", *_LONG_PROFILE[1:]], 1),
+    ([*_LONG_PROFILE[:11], b"# caf\xe9", *_LONG_PROFILE[11:]], 12),
+    ([*_LONG_PROFILE[:15_001], b"\xff" + _LONG_PROFILE[15_001], *_LONG_PROFILE[15_002:]], 15_002),
+], ids=["header", "comment", "row-past-the-first-read-chunk"])
+def test_a_line_that_is_not_utf8_is_named(lines, number, newline, tmp_path, capsys):
+    """The first line holding a byte that is not UTF-8 is named, wherever it sits and however lines end."""
+    bad = tmp_path / "profile.csv"
+    bad.write_bytes(newline.join([*lines, b""]))
+    assert main(["decay", "--input", str(bad), "--window", "2,8"]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: profile {bad}: line {number} is not UTF-8\n"
 
 
 @pytest.mark.parametrize("name", ["profile.csv.gz", "profile.bz2", "profile.xz", "profile.lzma", os.devnull])

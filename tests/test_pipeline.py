@@ -17,7 +17,7 @@ from halfspace_decay.fibers import fiber_residual, gelfand_forward, theta_grid
 from halfspace_decay.fields import constant_potential, load_field, save_field
 from halfspace_decay.lattice import Lattice
 from halfspace_decay.manifest import RunManifest, write_csv, write_rows
-from halfspace_decay.spectrum import Gap
+from halfspace_decay.spectrum import Gap, enumerate_spectrum
 from halfspace_decay.svgplot import PlotTable, emit_plots, render_svg
 
 
@@ -66,15 +66,15 @@ def test_pipeline_residual_matches_module_path(line_pipeline_input, tmp_path):
         assert got == pytest.approx(expected, abs=1e-10)
 
 
-def _plane_input(tmp_path, mode=(1, 0)):
-    """2D field whose fibers at the 2 x 2 midpoint grid are single decaying torus modes."""
+def _plane_input(tmp_path, mode=(1, 0), n=4):
+    """2D field whose fibers at the 2 x 2 midpoint grid are single decaying torus modes, n points per cell."""
     from halfspace_decay.fibers import BlochFiber, gelfand_inverse
 
     two_pi = 2.0 * math.pi
     lat = Lattice(
         basis=two_pi * np.eye(2), dual_gram_exact=[["1", "0"], ["0", "1"]]
     )
-    n, nt, t_end = 4, 1025, 5.0
+    nt, t_end = 1025, 5.0
     t = np.linspace(0.0, t_end, nt)
     mode = np.array(mode)
     x_modes = np.exp(2j * math.pi * (np.arange(n)[:, None] * mode[0] + np.arange(n)[None, :] * mode[1]) / n)
@@ -262,6 +262,32 @@ def test_admissible_window_keeps_a_narrow_gap():
     a, b = pipeline._admissible_window([Gap(lo=1.0, hi=1.0 + 1e-6)], 0.5)
     assert 1.0 < a < b < math.sqrt(1.0 + 1e-6)
     assert pipeline._admissible_window([Gap(lo=1.0, hi=1.0 + 1e-9)], 0.5) is None
+
+
+def test_pipeline_window_takes_alpha_from_the_spectrum_slice(tmp_path):
+    """3a^2 > alpha for the operator: alpha is the slice's -min, not that of the profile's retained modes.
+
+    At energy 0.5 the 16 heaviest modes of some fibers miss the slice's lowest
+    value, so their own alpha is 0 while the operator's is up to 0.43.
+    """
+    lat_path, u_path = _plane_input(tmp_path, n=8)
+    cfg = RunConfig(command="pipeline", params={"lattice": str(lat_path), "u_field": str(u_path), "energy": 0.5,
+                                                "theta_points": 6, "cutoff": 20.0, "max_modes": 16},
+                    seed=2, out_dir=str(tmp_path / "run"))
+    manifest, _ = run_pipeline(cfg)
+    reports = iter(json.loads((tmp_path / "run" / "carleman_reports.json").read_text()))
+    lat = Lattice.load(lat_path)
+    checked = 0
+    for case, theta in zip(manifest.cases, theta_grid(lat, 6), strict=True):
+        assert case["data"]["carleman"] in ("pass", "fail", "no-admissible-gap")  # no window the verifier refuses
+        if case["data"]["carleman"] == "no-admissible-gap":
+            continue
+        params = next(reports)["params"]
+        a, alpha = float(params["a"]), float(params["alpha"])
+        assert alpha == max(0.0, -float(enumerate_spectrum(lat, theta, 0.5, 20.0).values[0]))
+        assert 3.0 * a * a > alpha
+        checked += 1
+    assert checked and next(reports, None) is None
 
 
 def test_pipeline_holds_one_fiber_coefficients_at_a_time(tmp_path, monkeypatch):
