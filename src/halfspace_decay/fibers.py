@@ -34,6 +34,9 @@ from .profiles import SpectralProfile, _residual
 from .runconfig import _INTS, _NUMBER, _NUMBERS, _POSITIVE_INT, check_keys, reading
 
 STACK_BYTES = 1 << 20
+# a mode of less mass than this share of its fiber's, an amplitude below 1e-12 of the fiber's
+# norm, is roundoff of the DFT of float64 samples (about 1e-16 of the norm per mode), not data
+MODE_MASS_FLOOR = 1e-24
 
 
 @dataclass(eq=False)
@@ -102,16 +105,17 @@ class BlochFiber:
         return form_on_grid(dual_basis(self.lattice).gram(), axes) - float(energy)
 
     def to_profile(self, energy: float, max_modes: int | None = None):
-        """Flatten to a SpectralProfile of DFT modes (optionally the heaviest).
+        """Flatten to a SpectralProfile of the DFT modes above MODE_MASS_FLOOR of the
+        fiber's mass, heaviest first (at most ``max_modes`` of them).
 
         Returns (profile, dropped_mass_fraction).
         """
         eigs = self.mode_eigenvalues(energy).reshape(-1)
         coeffs = self.coefficients.reshape(-1, self.n_t)
         mass = np.sum(np.abs(coeffs) ** 2, axis=1)
-        order = np.argsort(-mass, kind="stable")
         total = float(np.sum(mass))
-        keep = order if max_modes is None else order[:max_modes]
+        order = np.argsort(-mass, kind="stable")
+        keep = order[: np.count_nonzero(mass > MODE_MASS_FLOOR * total)][:max_modes]
         dropped = 0.0 if total == 0 else float(1.0 - np.sum(mass[keep]) / total)
         return SpectralProfile(eigs=eigs[keep], t_grid=self.t_grid, coeffs=coeffs[keep]), dropped
 

@@ -6,8 +6,11 @@ lattice-point enumeration; the interesting structure is in the gap scans
 and in the reduction of the values to a scaled integral quadratic form.
 One walk, ``_box_blocks``, goes through every enumeration box VALUE_BLOCK
 candidates at a time: value sets scatter each block, containment keeps a
-running maximum, and the float spectrum keeps the values within the radius.
-The diagonal sieve keeps its value set bit-packed, and the gap scan goes
+running maximum, and the spectrum counts the integer numerators N of its
+values N/(D*l^2) within the radius when theta and the dual Gram are exact,
+or keeps the float values otherwise.  Value sets and containment walk half
+the box when the class of the coordinates is closed under x -> -x.  The
+diagonal sieve keeps its value set bit-packed, and the gap scan goes
 through the set VALUE_BLOCK entries at a time.
 """
 
@@ -129,9 +132,34 @@ def _box_blocks(G, axes, factor: int = 1):
         yield form_on_grid(G, [first[i : i + rows], *rest], factor)
 
 
-def _form_value_blocks(gram: np.ndarray, mu: np.ndarray, radius2: float):
-    """Per block, every (m+mu)^T gram (m+mu) <= radius2 + MERGE_TOL; the box covers that tolerance too."""
-    for vals in _box_blocks(gram, _ellipsoid_axes(gram, mu, radius2 + MERGE_TOL, residues=mu)):
+def _sub_box_blocks(G, axes, outer):
+    """Per block of the walk of the box of ``outer``, the block and the slices of it that lie in
+    the box of ``axes``, a sub-box on the same coordinates (an empty axis gives empty slices)."""
+    lo = [int(np.searchsorted(o.ravel(), a.ravel()[0])) if a.size else 0 for a, o in zip(axes, outer)]
+    hi = [start + a.size for start, a in zip(lo, axes)]
+    row = 0
+    for block in _box_blocks(G, outer):
+        view = (slice(max(lo[0] - row, 0), max(hi[0] - row, 0)), *map(slice, lo[1:], hi[1:]))
+        row += block.shape[0]
+        yield block, view
+
+
+def _half_box(axes, l: int, residues):
+    """The rows x_0 >= 0 of the box when its class x = r (mod l) is closed under x -> -x,
+    that is when 2r = 0 (mod l) on every axis: a form takes the same values on both halves."""
+    if np.any((2 * np.asarray(residues)) % l):
+        return axes
+    first, *rest = axes
+    return [first[first.ravel() >= 0], *rest]
+
+
+def _form_value_blocks(gram: np.ndarray, mu: np.ndarray, radius2: float, half: bool = False):
+    """Per block, every (m+mu)^T gram (m+mu) <= radius2 + MERGE_TOL; the box covers that tolerance too.
+
+    ``half=True`` walks half the box where ``_half_box`` allows it: the same values, not their multiplicities.
+    """
+    axes = _ellipsoid_axes(gram, mu, radius2 + MERGE_TOL, residues=mu)
+    for vals in _box_blocks(gram, _half_box(axes, 1, mu) if half else axes):
         yield vals[vals <= radius2 + MERGE_TOL]
 
 
@@ -144,10 +172,15 @@ def enumerate_spectrum(
 ) -> SpectrumSlice:
     """All values |k + theta|^2 - E <= cutoff over the dual lattice.
 
-    Walks the box of the ellipsoid of squared radius cutoff + E, keeps each
-    block's values within it, sorts them once and merges coincidences within
-    1e-9.  ``verify=True`` counts, block by block, the values below the cutoff
-    in a box of padded radius, and checks that none was missed.
+    Walks the box of the ellipsoid of squared radius cutoff + E + MERGE_TOL.  With an
+    exactly rational theta = r/l and an exact dual Gram G, each value is N/(D*l^2) - E
+    for the integer N = x^T (D*G) x, x = l*m + r, D the lcm of G's denominators.  The
+    numerators N <= (cutoff + E + MERGE_TOL)*D*l^2 are counted, by np.bincount when the
+    count array has no more entries than the box has points and by np.unique otherwise,
+    so the multiplicities are exact and N/(D*l^2) is correctly rounded.  Any other input
+    keeps the float values within the radius, sorts them once and merges coincidences
+    within MERGE_TOL.  ``verify=True`` walks a box of padded radius instead, of which
+    the first box is a sub-box, and checks that both hold as many values within the radius.
     """
     dual = dual_basis(lat)
     if theta.dim != dual.dim:
@@ -159,16 +192,47 @@ def enumerate_spectrum(
         return SpectrumSlice(
             values=np.empty(0), mults=np.empty(0, dtype=np.int64), cutoff=float(cutoff), energy=float(energy)
         )
-    raw = np.concatenate([np.empty(0), *_form_value_blocks(dual.gram(), theta.coeffs, radius2)])
-    raw.sort()
-    if verify:
-        padded = _form_value_blocks(dual.gram(), theta.coeffs, radius2 * 1.05 + 1.0)
-        if sum(int(np.count_nonzero(vals <= radius2 + MERGE_TOL)) for vals in padded) != raw.size:
-            raise VerificationError("enumeration completeness check failed")
-    values, mults = _merge_close(raw)
-    return SpectrumSlice(
-        values=values - float(energy), mults=mults, cutoff=float(cutoff), energy=float(energy)
-    )
+    exact = theta.exact is not None and dual.gram_exact is not None
+    if exact:
+        (l, residues), (D, G) = theta.exact, integer_gram(dual.gram_exact)
+        scale = D * l * l
+        # the float path's rule value <= cutoff + E + MERGE_TOL, in exact arithmetic
+        top = math.floor((Fraction(float(cutoff)) + Fraction(float(energy)) + Fraction(MERGE_TOL)) * scale)
+    else:
+        l, residues, G, top = 1, theta.coeffs, dual.gram(), radius2 + MERGE_TOL
+    axes = _ellipsoid_axes(dual.gram(), theta.coeffs, radius2 + MERGE_TOL, l, residues)
+    outer = _ellipsoid_axes(dual.gram(), theta.coeffs, radius2 * 1.05 + 1.0, l, residues) if verify else axes
+    dense = exact and top + 1 <= math.prod(ax.size for ax in axes)
+    counts, kept, found, padded = np.zeros(top + 1 if dense else 0, dtype=np.int64), [], 0, 0
+    for block, view in _sub_box_blocks(G, axes, outer):
+        inside = block <= top
+        vals = block[view][inside[view]]
+        found, padded = found + vals.size, padded + int(np.count_nonzero(inside))
+        if dense:
+            counts += np.bincount(vals.astype(np.intp, copy=False), minlength=top + 1)
+        else:
+            kept.append(vals)
+    if padded != found:  # only a padded box (verify=True) can hold more
+        raise VerificationError("enumeration completeness check failed")
+    raw = np.concatenate([np.empty(0, dtype=np.int64), *kept])
+    if not exact:
+        raw.sort()
+        values, mults = _merge_close(raw)
+    else:
+        if dense:
+            nums = np.flatnonzero(counts)
+            mults = counts[nums]
+        else:
+            nums, mults = np.unique(raw, return_counts=True)
+        if scale < 2**53 and top < 2**53:  # both exact in float64, so one IEEE division rounds correctly
+            values = nums.astype(float) / scale
+        else:  # a quotient of Python ints rounds correctly
+            values = np.array([n / scale for n in nums.tolist()], dtype=float)
+    values = values - float(energy)
+    if np.any(np.diff(values) <= 0):  # values that -E (or the rounding of N/(D*l^2)) brings to one float
+        values, where = np.unique(values, return_inverse=True)
+        mults = np.bincount(where, weights=mults).astype(np.int64)
+    return SpectrumSlice(values=values, mults=mults, cutoff=float(cutoff), energy=float(energy))
 
 
 def find_gaps(slc: SpectrumSlice, min_len: float = 0.0, full_axis: bool = False) -> list[Gap]:
@@ -213,11 +277,14 @@ def _value_set_diagonal(q: QuadraticForm, l: int, residues: np.ndarray, bound: i
 
 
 def _value_set_general(q: QuadraticForm, l: int, residues: np.ndarray, bound: int) -> np.ndarray:
-    """Bool array of attainable values; each block of the box walk is scattered into the set."""
+    """Bool array of attainable values; each block of the walk of (half) the box is scattered into the set.
+
+    q is positive definite (QuadraticForm refuses any other), so no value is negative.
+    """
     axes = _ellipsoid_axes(q.G * float(l * l), residues / l, float(bound), l, residues)
     reached = np.zeros(bound + 1, dtype=bool)
-    for vals in _box_blocks(q.G, axes):
-        reached[vals[(vals >= 0) & (vals <= bound)].astype(np.int64, copy=False)] = True
+    for vals in _box_blocks(q.G, _half_box(axes, l, residues)):
+        reached[vals[vals <= bound].astype(np.int64, copy=False)] = True
     return reached
 
 
@@ -299,7 +366,8 @@ def progression_containment(
     Gram matrix scaled by the lcm D of its denominators: w = l*m + r has value
     N/(D*l^2) with N = w^T (D*gram) w, so the distance is exactly zero whenever
     the reduction is consistent.  In float mode the geometric values are used
-    and the distance is bounded by roundoff (<= 1e-9 for sane inputs).
+    and the distance is bounded by roundoff (<= 1e-9 for sane inputs).  Both
+    modes walk half the box when ``_half_box`` allows it.
     """
     if not math.isfinite(n):
         raise SchemaError(f"n must be finite, not {n}")
@@ -318,13 +386,13 @@ def progression_containment(
         n_exact = Fraction(n)
         top, worst = n_exact.numerator * D * l * l // n_exact.denominator, 0
         # each block is int64 only if its N*b and the period D*a both stay below 2**62
-        for N in _box_blocks(nums, axes, factor=sigma.denominator * period):
+        for N in _box_blocks(nums, _half_box(axes, l, residues), factor=sigma.denominator * period):
             # value/unit = N b / (D a) for sigma = a/b; its distance to Z, in units of 1/(D a)
             rem = N[N <= top] * sigma.denominator % period
             worst = max(worst, int(np.minimum(rem, period - rem).max(initial=0)))
         return float(Fraction(worst, period) * unit)
     unit_f = float(unit)
     worst = 0.0
-    for raw in _form_value_blocks(dual.gram(), theta.coeffs, float(n)):
+    for raw in _form_value_blocks(dual.gram(), theta.coeffs, float(n), half=True):
         worst = max(worst, float(np.abs(raw - np.round(raw / unit_f) * unit_f).max(initial=0.0)))
     return worst

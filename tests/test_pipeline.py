@@ -66,8 +66,8 @@ def test_pipeline_residual_matches_module_path(line_pipeline_input, tmp_path):
         assert got == pytest.approx(expected, abs=1e-10)
 
 
-def _plane_input(tmp_path, mode=(1, 0), n=4):
-    """2D field whose fibers at the 2 x 2 midpoint grid are single decaying torus modes, n points per cell."""
+def _plane_input(tmp_path, mode=(1, 0), n=4, grid=2):
+    """2D field whose fibers at the grid x grid midpoint grid are single decaying torus modes, n points per cell."""
     from halfspace_decay.fibers import BlochFiber, gelfand_inverse
 
     two_pi = 2.0 * math.pi
@@ -79,13 +79,14 @@ def _plane_input(tmp_path, mode=(1, 0), n=4):
     mode = np.array(mode)
     x_modes = np.exp(2j * math.pi * (np.arange(n)[:, None] * mode[0] + np.arange(n)[None, :] * mode[1]) / n)
     fibers = []
-    for theta in theta_grid(lat, 2):
+    for theta in theta_grid(lat, grid):
         kappa = float(np.linalg.norm(mode + theta.coeffs))
         data = x_modes[..., None] * np.exp(-kappa * t)[None, None, :]
         fibers.append(
             BlochFiber(theta=theta, lattice=lat, points_per_cell=n, t_start=0.0, t_end=t_end, data=data)
         )
     u = gelfand_inverse(fibers, lat)
+    tmp_path.mkdir(parents=True, exist_ok=True)
     lat_path = tmp_path / "lat2.json"
     lat_path.write_text(json.dumps(lat.to_json()))
     u_path = tmp_path / "u2.npz"
@@ -290,6 +291,35 @@ def test_pipeline_window_takes_alpha_from_the_spectrum_slice(tmp_path):
     assert checked and next(reports, None) is None
 
 
+def test_profile_keeps_the_massive_modes_and_no_roundoff(tmp_path):
+    """At most max_modes modes, and none of the DFT's roundoff (mass about 1e-30 here).
+
+    The 8-point field of the mode (1, 0) built on the 2 x 2 fiber grid has, at theta = (1, 9)/12,
+    8 modes of mass above 40 and 56 of 1e-29 or less; built on the 6 x 6 grid it has one mode per
+    case.  Every mode holds more than 1e-5 of its fiber's mass, or less than 1e-28.
+    The fibers scaled by 3, whose roundoff differs, keep the same eigenvalues in every case.
+    """
+    for grid in (2, 6):
+        lat_path, u_path = _plane_input(tmp_path / f"grid{grid}", n=8, grid=grid)
+        lat = Lattice.load(lat_path)
+        for fiber in gelfand_forward(load_field(u_path, lat), theta_grid(lat, 6), 10**6):
+            mass = np.sum(np.abs(fiber.coefficients.reshape(-1, fiber.n_t)) ** 2, axis=1)
+            share = mass / mass.sum()
+            assert np.all((share > 1e-5) | (share < 1e-28))  # the data, and the roundoff
+            massive = np.argsort(-mass, kind="stable")[: np.count_nonzero(share > 1e-5)]
+            profile, _ = fiber.to_profile(0.5, max_modes=16)
+            eigs = fiber.mode_eigenvalues(0.5).reshape(-1)
+            assert np.array_equal(profile.eigs, eigs[massive[:16]])
+            scaled = dataclasses.replace(fiber, data=3.0 * fiber.data)
+            assert np.array_equal(scaled.to_profile(0.5, max_modes=16)[0].eigs, profile.eigs)
+            if grid == 6:
+                mode = np.array([1, 0]) + fiber.theta.coeffs
+                assert profile.eigs.tolist() == pytest.approx([float(mode @ mode) - 0.5])
+            elif fiber.theta.exact == (12, (1, 9)):
+                assert profile.n_modes == 8 and mass[massive].min() > 40.0
+        assert fiber.to_profile(0.5, max_modes=None)[0].n_modes == massive.size
+
+
 def test_pipeline_holds_one_fiber_coefficients_at_a_time(tmp_path, monkeypatch):
     """Traced memory at the start of each case stays flat over 32 quasimomenta."""
     K, n, nt = 32, 16, 1025
@@ -443,6 +473,14 @@ def test_theta_grid_budget_counts_every_fiber_sample(tmp_path, monkeypatch, spar
         with pytest.raises(BudgetExceededError, match=f"needs {needed} bytes, budget is {needed - 1}$"):
             run_pipeline(cfg)
         assert not (tmp_path / "run").exists()
+
+
+def test_pipeline_slice_of_a_box_with_an_empty_axis_is_one_case(line_pipeline_input, tmp_path):
+    """At theta = 1/2 and cutoff 0.1 the box of x = m + 1/2 has no point: an empty slice, exit 0."""
+    lat_path, u_path, _ = line_pipeline_input
+    manifest, code = run_pipeline(pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=1, cutoff=0.1))
+    (case,) = manifest.cases
+    assert code == 0 and case["verdict"] == "no-admissible-gap" and case["data"]["spectrum_count"] == 0
 
 
 def test_pipeline_empty_spectrum_slice_is_one_case(line_pipeline_input, tmp_path):

@@ -17,6 +17,7 @@ from halfspace_decay import (
     QuadraticForm,
     Quasimomentum,
     SchemaError,
+    VerificationError,
     density_scan,
     dual_basis,
     enumerate_spectrum,
@@ -31,7 +32,9 @@ from halfspace_decay.spectrum import (
     VALUE_BLOCK,
     _ellipsoid_axes,
     _form_value_blocks,
+    _half_box,
     _merge_close,
+    _value_set_general,
     spectrum_value_set,
 )
 
@@ -216,8 +219,212 @@ def test_box_walk_holds_one_block_beyond_the_result():
     for _ in range(2):
         slc, peak = traced_peak(enumerate_spectrum, lat, theta, 0.0, 1e4, True)
     assert 4.1e6 < slc.total_count() < 4.3e6
-    # the blocks kept within the radius and their concatenation, then the sort and merge of that array
-    assert peak <= 2.5 * 8 * slc.total_count(), peak / (8 * slc.total_count())
+    # one block of the padded box and the 9 * 10^4 + 1 numerator counts; the float path held 67.9 MiB
+    assert peak <= 4 * 2**20, peak / 2**20
+
+
+def fraction_spectrum(gram, l, residues, energy, cutoff):
+    """Oracle in Python integers and Fractions: the sorted values N/(D*l^2) - E, each
+    correctly rounded before E is taken off, and their counts, of every
+    N = x^T (D*gram) x <= (cutoff + E + MERGE_TOL)*D*l^2 over x = l*m + r, on a box by
+    the inverse Gram's diagonal plus one layer."""
+    if cutoff + energy < 0:
+        return [], []
+    D, nums = integer_gram(gram)
+    scale = D * l * l
+    top = math.floor((Fraction(cutoff) + Fraction(energy) + Fraction(MERGE_TOL)) * scale)
+    inv = np.linalg.inv(np.array([[float(v) for v in row] for row in gram]))
+    reach = [int(math.sqrt((cutoff + energy + 1.0) * inv[i, i])) + 2 for i in range(len(gram))]
+    counts = {}
+    for m in itertools.product(*(range(-k, k + 1) for k in reach)):
+        x = [l * mi + r for mi, r in zip(m, residues)]
+        N = sum(nums[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
+        if N <= top:
+            counts[N] = counts.get(N, 0) + 1
+    merged = {}  # distinct numerators whose values round to one float share it
+    for N in sorted(counts):
+        value = float(Fraction(N, scale)) - energy
+        merged[value] = merged.get(value, 0) + counts[N]
+    return list(merged), list(merged.values())
+
+
+@st.composite
+def rational_case(draw):
+    """A positive-definite rational dual Gram (A A^T + I)/den of dimension 1-3, theta = r/l, E != 0."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    a = np.array(draw(st.lists(st.integers(-2, 2), min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    den = draw(st.integers(min_value=1, max_value=3))
+    gram = [[Fraction(int(v), den) for v in row] for row in a @ a.T + np.eye(dim, dtype=int)]
+    l = draw(st.integers(min_value=1, max_value=7))
+    residues = tuple(draw(st.integers(min_value=0, max_value=l - 1)) for _ in range(dim))
+    energy = draw(st.integers(min_value=-20, max_value=20).filter(bool)) / 4
+    cutoff = draw(st.integers(min_value=0, max_value=240)) / 8
+    return gram, l, residues, energy, cutoff
+
+
+ID2 = [[Fraction(int(i == j)) for j in range(2)] for i in range(2)]
+ID3 = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_case(), st.booleans())
+@example(([[Fraction(2, 3)]], 7, (3,), 1.25, 28.0), False)  # np.unique, as every sparse case
+@example((ID3, 1, (0, 0, 0), -0.5, 30.0), True)  # np.bincount
+@example((ID2, 2, (0, 1), 0.25, 0.125), True)  # no x_1 = m + 1/2 within the radius: an empty axis
+@example((ID2, 1, (0, 0), -3.0, 2.5), True)  # cutoff + E < 0
+def test_exact_enumeration_matches_the_fraction_oracle(case, verify):
+    """Exact multiplicities and correctly rounded N/(D*l^2), minus E; the float path within 1e-12 * cutoff."""
+    gram, l, residues, energy, cutoff = case
+    lat = Lattice.from_dual_gram(gram)
+    theta = Quasimomentum.from_rational(l, residues)
+    slc = enumerate_spectrum(lat, theta, energy, cutoff, verify)
+    values, mults = fraction_spectrum(gram, l, residues, energy, cutoff)
+    assert slc.values.tolist() == values and slc.mults.tolist() == mults
+    assert slc.values.dtype == np.float64 and slc.mults.dtype == np.int64
+    floats = enumerate_spectrum(lat, Quasimomentum(coeffs=theta.coeffs), energy, cutoff, verify)
+    assert np.array_equal(floats.mults, slc.mults)
+    assert np.all(np.abs(floats.values - slc.values) <= 1e-12 * max(cutoff, 1.0))
+
+
+@pytest.mark.parametrize("case, dense", [
+    ((ID3, 1, (0, 0, 0), -0.5, 30.0), True),  # 30 numerators on a box of 11^3 points
+    (([[Fraction(2, 3)]], 7, (3,), 1.25, 28.0), False),  # 4247 numerators on a box of 13 points
+], ids=["dense", "sparse"])
+def test_the_numerators_are_counted_by_bincount_only_where_the_box_holds_more_points(case, dense):
+    gram, l, residues, energy, cutoff = case
+    lat, theta = Lattice.from_dual_gram(gram), Quasimomentum.from_rational(l, residues)
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount, \
+            mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        slc = enumerate_spectrum(lat, theta, energy, cutoff, True)
+    assert (bincount.called, unique.called) == (dense, not dense)
+    assert (slc.values.tolist(), slc.mults.tolist()) == fraction_spectrum(gram, l, residues, energy, cutoff)
+
+
+def test_numerators_beyond_any_count_array_go_through_unique():
+    """D*l^2 of about 10^18 (denominators near 10^9, l = 3): N leaves int64, and the quotient is
+    taken in Python ints."""
+    gram, l, residues, _ = CONTAINMENT_CASES["denominators-1e9"]
+    gram = [[Fraction(v) for v in row] for row in gram]
+    slc = enumerate_spectrum(Lattice.from_dual_gram(gram), Quasimomentum.from_rational(l, residues), 0.5, 30.0, True)
+    values, mults = fraction_spectrum(gram, l, residues, 0.5, 30.0)
+    assert slc.values.tolist() == values and slc.mults.tolist() == mults and len(values) > 10
+    # a prime l: the count array would hold 10^4 * 10007^2 entries for a box of 201 points
+    theta = Quasimomentum.from_rational(10007, (1,))
+    slc = enumerate_spectrum(Lattice.from_dual_gram([["1"]]), theta, 0.0, 1e4, True)
+    assert slc.values.tolist() == fraction_spectrum([[Fraction(1)]], 10007, (1,), 0.0, 1e4)[0]
+
+
+def test_a_value_within_merge_tol_above_the_cutoff_is_kept_on_both_paths():
+    lat = Lattice.from_dual_gram(ID2)
+    for theta in (Quasimomentum.zero(2), Quasimomentum(coeffs=[0.0, 0.0])):
+        slc = enumerate_spectrum(lat, theta, 0.0, 4.0 - MERGE_TOL / 2)
+        assert slc.values[-1] == 4.0 and slc.mults[-1] == 4
+
+
+def test_values_that_minus_e_brings_to_one_float_share_it():
+    """At E = -2^40 the float spacing is 2^-12, so 25, 25 + 7e-5 and 25 + 9e-5 become one value."""
+    lat = Lattice.from_dual_gram([["1", "0"], ["0", "100001/100000"]])
+    for theta in (Quasimomentum.zero(2), Quasimomentum(coeffs=[0.0, 0.0])):
+        slc = enumerate_spectrum(lat, theta, -(2.0**40), 2.0**40 + 30.0)
+        assert np.all(np.diff(slc.values) > 0)
+        exact = enumerate_spectrum(lat, Quasimomentum.zero(2), 0.0, 30.0)
+        assert slc.total_count() == exact.total_count()
+        assert slc.values.size < exact.values.size
+
+
+@pytest.mark.parametrize("theta", [Quasimomentum.zero(2), Quasimomentum(coeffs=[0.0, 0.0])], ids=["exact", "float"])
+def test_verify_walks_one_box_and_refuses_a_box_one_layer_too_small(theta, monkeypatch):
+    lat = Lattice.from_dual_gram(ID2)
+    walks, box_blocks = [], spectrum._box_blocks
+    monkeypatch.setattr(spectrum, "_box_blocks",
+                        lambda G, axes, *rest: walks.append(axes) or box_blocks(G, axes, *rest))
+    slc = enumerate_spectrum(lat, theta, 0.0, 4.0, verify=True)
+    # (0,0); (±1,0), (0,±1); (±1,±1); (±2,0), (0,±2)
+    assert slc.mults.tolist() == [1, 4, 4, 4] and len(walks) == 1
+    assert [ax.size for ax in walks[0]] == [5, 5]  # the padded box, of squared radius 4 * 1.05 + 1
+
+    ellipsoid_axes = spectrum._ellipsoid_axes
+
+    def one_layer_short(gram, mu, radius2, *rest):
+        axes = ellipsoid_axes(gram, mu, radius2, *rest)
+        return [axes[0][1:-1], *axes[1:]] if radius2 == 4.0 + MERGE_TOL else axes
+
+    monkeypatch.setattr(spectrum, "_ellipsoid_axes", one_layer_short)
+    assert enumerate_spectrum(lat, theta, 0.0, 4.0).total_count() == 11  # (±2, 0) is missed
+    with pytest.raises(VerificationError):
+        enumerate_spectrum(lat, theta, 0.0, 4.0, verify=True)
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("residues", [(0, 1), (1, 0)], ids=["second-axis", "first-axis"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_an_empty_axis_of_the_box_gives_an_empty_slice(exact, residues, verify):
+    """x = m + 1/2 has no point with x^2 <= 0.1, while the padded box of squared radius 1.105 has two."""
+    theta = Quasimomentum.from_rational(2, residues)
+    if not exact:
+        theta = Quasimomentum(coeffs=theta.coeffs)
+    axes = _ellipsoid_axes(np.eye(2), theta.coeffs, 0.1 + MERGE_TOL, residues=theta.coeffs)
+    assert sorted(ax.size for ax in axes) == [0, 1]
+    slc = enumerate_spectrum(Lattice.from_dual_gram(ID2), theta, 0.0, 0.1, verify)
+    assert slc.values.size == 0 and slc.mults.size == 0
+
+
+def _full_box(axes, l, residues):
+    return axes
+
+
+@st.composite
+def symmetric_class_case(draw):
+    """A positive-definite integral form of dimension 2 or 3 and a class r mod l, closed under negation or not."""
+    dim = draw(st.integers(min_value=2, max_value=3))
+    a = np.array(draw(st.lists(st.integers(-2, 2), min_size=dim * dim, max_size=dim * dim))).reshape(dim, dim)
+    G = a @ a.T + np.eye(dim, dtype=np.int64)
+    l = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    if draw(st.booleans()):  # 2r = 0 (mod l)
+        residues = [draw(st.sampled_from([0, l // 2] if l % 2 == 0 else [0])) for _ in range(dim)]
+    else:
+        residues = [draw(st.integers(min_value=0, max_value=l - 1)) for _ in range(dim)]
+    return G, l, np.array(residues, dtype=np.int64), draw(st.integers(min_value=20, max_value=400))
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_class_case())
+def test_half_box_keeps_value_sets_and_containment_bit_identical(case):
+    G, l, residues, bound = case
+    q = QuadraticForm(G=G)
+    dual = dual_basis(Lattice.from_dual_gram([[str(v) for v in row] for row in G.tolist()]))
+    theta = Quasimomentum.from_rational(l, residues)
+    sigma, qr, lr, _ = rational_structure(dual, theta)
+    runs = {}
+    for name, half in (("half", _half_box), ("full", _full_box)):
+        with mock.patch.object(spectrum, "_half_box", half):
+            runs[name] = (
+                _value_set_general(q, l, residues, bound),
+                progression_containment(dual, qr, theta, sigma, lr, bound / l**2, exact=True),
+                progression_containment(dual, qr, theta, sigma, lr, bound / l**2, exact=False),
+            )
+    assert np.array_equal(runs["half"][0], runs["full"][0])
+    assert runs["half"][1:] == runs["full"][1:]
+
+
+def test_half_box_walks_half_only_for_a_class_closed_under_negation():
+    """theta = (1/2, 0): x = 2m + (1, 0) is closed under x -> -x; (1/3, 0) is not."""
+    G = np.array([[2, 1], [1, 3]])
+    closed = _ellipsoid_axes(G * 4.0, np.array([0.5, 0.0]), 400.0, 2, np.array([1, 0]))
+    half = _half_box(closed, 2, np.array([1, 0]))
+    assert half[0].ravel().tolist() == [x for x in closed[0].ravel().tolist() if x >= 0] and half[1] is closed[1]
+    assert 2 * half[0].size == closed[0].size
+    assert _half_box(closed, 1, np.array([0.5, 0.0])) is not closed  # a float class m + 1/2
+    open_ = _ellipsoid_axes(G * 9.0, np.array([1 / 3, 0.0]), 400.0, 3, np.array([1, 0]))
+    assert _half_box(open_, 3, np.array([1, 0])) is open_
+    assert _half_box(open_, 1, np.array([1 / 3, 0.0])) is open_
+    walked = []
+    box_blocks = spectrum._box_blocks
+    with mock.patch.object(spectrum, "_box_blocks",
+                           lambda G, axes, *rest: walked.append(axes) or box_blocks(G, axes, *rest)):
+        _value_set_general(QuadraticForm(G=G), 3, np.array([1, 0]), 400)
+        _value_set_general(QuadraticForm(G=G), 2, np.array([1, 0]), 400)
+    assert walked[0][0].min() < 0 and walked[1][0].min() > 0
 
 
 def test_shift_covariance_exact():

@@ -74,6 +74,23 @@ MUTANTS = [
     ("spectrum.py", "hi - lo >= min_len", "hi - lo > min_len", ["test_spectrum.py"]),
     ("spectrum.py", "np.diff(raw) > MERGE_TOL", "np.diff(raw) >= MERGE_TOL", ["test_spectrum.py"]),
     ("spectrum.py", "N[N <= top]", "N[N < top]", ["test_spectrum.py"]),
+    # the counted spectrum: a numerator at the top is kept, the top takes MERGE_TOL, np.bincount only for a
+    # count array no longer than the box, the exact box's offset in the padded one, and the verify count
+    ("spectrum.py", "inside = block <= top", "inside = block < top", ["test_spectrum.py"]),
+    ("spectrum.py", "Fraction(float(energy)) + Fraction(MERGE_TOL)) * scale", "Fraction(float(energy))) * scale",
+     ["test_spectrum.py"]),
+    ("spectrum.py", "top + 1 <= math.prod(ax.size for ax in axes)", "top + 1 > math.prod(ax.size for ax in axes)",
+     ["test_spectrum.py"]),
+    ("spectrum.py", "np.searchsorted(o.ravel(), a.ravel()[0])",
+     'np.searchsorted(o.ravel(), a.ravel()[0], side="right")', ["test_spectrum.py"]),
+    ("spectrum.py", "if padded != found:", "if padded < found:", ["test_spectrum.py"]),
+    # half the box only for a class closed under x -> -x (2r = 0 mod l), and for every such class
+    ("spectrum.py", "np.any((2 * np.asarray(residues)) % l)", "np.any((2 * np.asarray(residues)) % 1)",
+     ["test_spectrum.py"]),
+    ("spectrum.py", "np.any((2 * np.asarray(residues)) % l)", "np.any(np.asarray(residues) % l)", ["test_spectrum.py"]),
+    # a profile keeps at most max_modes modes, and none below the DFT's roundoff
+    ("fibers.py", "MODE_MASS_FLOOR = 1e-24", "MODE_MASS_FLOOR = 0.0", ["test_pipeline.py"]),
+    ("fibers.py", "[:max_modes]", "[:None]", ["test_pipeline.py"]),
     # a Carleman weight or integral that overflows is refused
     ("carleman.py", "if not np.isfinite(weight).all():", "if False:", ["test_carleman.py", "test_cli.py"]),
     ("carleman.py", "if not all(map(math.isfinite, (lhs, rhs, quad_err))):", "if False:", ["test_carleman.py"]),
