@@ -285,10 +285,13 @@ def default_tail_window(T: float) -> tuple[float, float]:
 
 
 def _fit_rate(t: np.ndarray, lognorm: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(t, lognorm, 1)
-    fit = slope * t + intercept
-    rms = float(np.sqrt(np.mean((lognorm - fit) ** 2)))
-    return -float(slope), rms
+    """Minus the least-squares slope of lognorm against t, and the fit's rms residual.
+
+    The closed form of the line on centred data: slope = sum(dt * dy) / sum(dt^2).
+    """
+    dt, dy = t - t.mean(), lognorm - lognorm.mean()
+    slope = float(dt @ dy / (dt @ dt))
+    return -slope, float(np.sqrt(np.mean((dy - slope * dt) ** 2)))
 
 
 def decay_rate_estimate(

@@ -272,16 +272,20 @@ def gelfand_inverse(fibers: list[BlochFiber], lat: Lattice) -> SampledField:
     twist = _intra_cell_phase([mu] * dim, n, +1.0)
     out = np.empty((per_axis * n,) * dim + (first.n_t,), dtype=complex)
     field = cells_first(out, (per_axis,) * dim, n)
-    # a few t-samples per step: temporaries stay small and the allocator reuses them
-    step = max(1, STACK_BYTES // (16 * twist.size))
-    for t in range(0, first.n_t, step):
-        s = slice(t, min(t + step, first.n_t))
-        stack = np.empty(twist.shape + (s.stop - t,), dtype=complex)
-        for p, f in zip(index, fibers):
-            stack[p] = f.data[..., s]
-        stack *= twist[..., None]
-        # a vectorized multiply last: it clears vector state zgemm can leave dirty (slow SSE)
-        np.multiply(_contract_cells(stack, mats), 1.0 / len(fibers), out=field[..., s])
+    # one slab of the first intra-cell index at a time, in t-blocks of at most STACK_BYTES:
+    # temporaries stay small, the allocator reuses them, and each contiguous write of t per
+    # cell and point is n times longer than a block of the whole stack would allow
+    step = max(1, STACK_BYTES // (16 * twist.size // n))
+    for j in range(n):
+        at = (slice(None),) * dim + (j,)
+        for t in range(0, first.n_t, step):
+            s = slice(t, min(t + step, first.n_t))
+            stack = np.empty(twist[at].shape + (s.stop - t,), dtype=complex)
+            for p, f in zip(index, fibers):
+                stack[p] = f.data[j, ..., s]
+            stack *= twist[at][..., None]
+            # a vectorized multiply last: it clears vector state zgemm can leave dirty (slow SSE)
+            np.multiply(_contract_cells(stack, mats), 1.0 / len(fibers), out=field[at][..., s])
     out.flags.writeable = False  # the field adopts it: one field-sized array
     return SampledField(
         kind="u", lattice=lat, cells_lo=cells_lo, cells_shape=(per_axis,) * dim,

@@ -12,6 +12,7 @@ np.loadtxt's one line rule, and ``read_npz`` reads every .npz input.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import warnings
 import zipfile
@@ -57,25 +58,31 @@ class RunManifest:
         self.cases.append({"id": case_id, "verdict": verdict, "data": data or {}})
 
     def verdict_hash(self) -> str:
-        body = json.dumps(
-            _canonical({"config": self.config_hash, "cases": self.cases}),
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
-        return hashlib.sha256(body).hexdigest()
+        return _verdict_hash(self.config_hash, _canonical(self.cases))
 
     def to_json(self) -> dict:
+        """The manifest document, already canonical: the cases are canonicalized once, for hash and body."""
+        cases = _canonical(self.cases)
         return {
             "config_hash": self.config_hash,
-            "verdict_hash": self.verdict_hash(),
+            "verdict_hash": _verdict_hash(self.config_hash, cases),
             "tool_version": __version__,
             "wall_clock_s": format(self.wall_clock_s, ".3f"),
             "diagnostics": _canonical(self.diagnostics),
-            "cases": _canonical(self.cases),
+            "cases": cases,
         }
 
-    def write(self, out_dir) -> Path:
-        return write_json(Path(out_dir) / "manifest.json", self.to_json())
+    def write(self, out_dir) -> dict:
+        """Write ``to_json()`` as manifest.json, with no second canonical pass; returns that document."""
+        doc = self.to_json()
+        _dump_json(Path(out_dir) / "manifest.json", doc)
+        return doc
+
+
+def _verdict_hash(config_hash: str, cases: list) -> str:
+    """sha256 of the config hash and the canonical ``cases``, as compact JSON with sorted keys."""
+    body = json.dumps({"config": config_hash, "cases": cases}, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(body.encode()).hexdigest()
 
 
 _BLOCK_ROWS = 4096  # rows per `%` operation; bounds the text and objects held at once
@@ -84,16 +91,20 @@ _BLOCK_ROWS = 4096  # rows per `%` operation; bounds the text and objects held a
 def write_rows(fh, rows) -> None:
     """Write rows as comma-separated lines: floats at 17 significant digits, else str().
 
-    ``rows`` is a 2D array or a sequence of tuples.  Each column takes its
-    format from the first row, so every column must hold one type.
+    ``rows`` is a 2D array (its blocks go through ``.tolist()``, so NumPy
+    values print as Python's) or a sequence of tuples (formatted as they
+    are).  Each column takes its format from the first row, so every column
+    must hold one type.
     """
     if len(rows) == 0:
         return
-    first = np.asarray(rows[:1], dtype=object)[0]
+    array = isinstance(rows, np.ndarray)
+    first = rows[0].tolist() if array else rows[0]
     line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
     for start in range(0, len(rows), _BLOCK_ROWS):
-        block = np.asarray(rows[start : start + _BLOCK_ROWS], dtype=object)
-        fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        block = rows[start : start + _BLOCK_ROWS]
+        cells = block.ravel().tolist() if array else itertools.chain.from_iterable(block)
+        fh.write(line * len(block) % tuple(cells))
 
 
 def read_rows(path) -> tuple[str, np.ndarray]:
@@ -163,8 +174,13 @@ def write_csv(path, header: list[str], rows) -> Path:
 
 
 def write_json(path, payload) -> Path:
+    return _dump_json(path, _canonical(payload))
+
+
+def _dump_json(path, doc) -> Path:
+    """Write ``doc``, already canonical, as indented JSON with sorted keys."""
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_canonical(payload), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path

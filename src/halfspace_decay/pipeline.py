@@ -3,9 +3,12 @@
 Per quasimomentum on the midpoint grid one stage table computes the fiber's
 equation residual, spectrum slice with gap table and profile, a gap-inequality
 verification on the windowed profile (where an admissible window exists) and a
-tail decay estimate; a refused stage is one refusal of its case.  Results are
-written as CSV/JSON next to a resolved copy of the configuration, and summarised
-in a manifest whose verdict hash is reproducible bit-for-bit for a fixed config and seed.
+tail decay estimate; a refused stage is one refusal of its case.  What every
+case would repeat is done once per run: theta and -theta share one exact
+spectrum slice and gap table, and the residual tables one formatted t column.
+Results are written as CSV/JSON next to a resolved copy of the configuration,
+and summarised in a manifest whose verdict hash is reproducible bit-for-bit for
+a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -76,16 +79,33 @@ def _admissible_window(gaps, alpha: float):
     return None
 
 
+def _pm_class(theta, lat: Lattice):
+    """One key per class {theta, -theta} whose spectrum slice is exact; None for a float slice.
+
+    The values |k + theta|^2 - E over the dual lattice are even in theta (k -> -k),
+    and the exact path counts them from integers, so theta = r/l and -theta =
+    ((l - r) mod l)/l give bit-identical slices.
+    """
+    if theta.exact is None or lat.dual_gram_exact is None:
+        return None
+    l, r = theta.exact
+    return l, min(r, tuple((l - x) % l for x in r))
+
+
 def _residual_stage(c) -> dict:
     residuals = fiber_residual(c.fiber, c.v, c.params["energy"])
-    t = c.fiber.t_grid
-    write_csv(c.out_dir / f"residual_theta{c.idx}.csv", ["t", "residual"], np.column_stack((t[1:-1], residuals)))
+    # every fiber carries the field's t-grid: its interior column is formatted once per run
+    write_csv(c.out_dir / f"residual_theta{c.idx}.csv", ["t", "residual"],
+              list(zip(c.shared.t_text, residuals.tolist())))
     return {"max_residual": float(np.max(residuals)) if residuals.size else 0.0}
 
 
 def _spectrum_stage(c) -> dict:
-    slc = enumerate_spectrum(c.lat, c.fiber.theta, c.params["energy"], c.params["cutoff"])
-    c.gaps = find_gaps(slc, c.params["min_gap"])
+    key = _pm_class(c.fiber.theta, c.lat)
+    if key is None or key not in c.shared.slices:  # a float slice (key None) is computed per case
+        slc = enumerate_spectrum(c.lat, c.fiber.theta, c.params["energy"], c.params["cutoff"])
+        c.shared.slices[key] = slc, find_gaps(slc, c.params["min_gap"])
+    slc, c.gaps = c.shared.slices[key]
     c.alpha = max(0.0, -float(slc.values[0])) if slc.values.size else 0.0  # the operator's, not the profile modes'
     write_csv(c.out_dir / f"spectrum_theta{c.idx}.csv", ["value", "multiplicity"],
               list(zip(slc.values.tolist(), slc.mults.tolist())))
@@ -129,14 +149,16 @@ _STAGES = (
 )
 
 
-def _theta_case(idx, fiber, lat, v, params, out_dir):
+def _theta_case(idx, fiber, lat, v, params, out_dir, shared):
     """One quasimomentum's case record, exit code, Carleman report (or None) and refusals.
 
     Runs the stages of ``_STAGES`` in order.  A stage refused by a
     PreconditionError, or reading a refused stage ("needs <stage>"), is one
     refusal of this case, its reason kept in ``{stage: reason}``; the run goes on.
+    ``shared`` holds the run's formatted t column and its spectrum slices by ``_pm_class``.
     """
-    c = SimpleNamespace(idx=idx, fiber=fiber, lat=lat, v=v, params=params, out_dir=out_dir, report=None)
+    c = SimpleNamespace(idx=idx, fiber=fiber, lat=lat, v=v, params=params, out_dir=out_dir, shared=shared,
+                        report=None)
     case = {"theta_index": idx, "theta": [float(m) for m in fiber.theta.coeffs], "tail_bound": fiber.tail_bound}
     code, refusals = EXIT_OK, {}
     for name, stage, reads, refusal_code, refused_fields in _STAGES:
@@ -187,10 +209,11 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
     decay_rows = []
     fibers = gelfand_forward(u, thetas, params["l_max"])
     del u  # the fibers are all the cases read: one field size less while they run
+    shared = SimpleNamespace(t_text=["%.17g" % t for t in fibers[0].t_grid[1:-1].tolist()], slices={})
     for idx in range(len(fibers)):
         # take the fiber out of the list: its cached coefficients go with it after its case
         fiber, fibers[idx] = fibers[idx], None
-        case, code, report, refusals = _theta_case(idx, fiber, lat, v, params, out_dir)
+        case, code, report, refusals = _theta_case(idx, fiber, lat, v, params, out_dir, shared)
         if report is not None:
             reports.append(report)
         manifest.add_case(f"theta-{idx}", case["carleman"], case)
@@ -202,9 +225,9 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
     write_csv(out_dir / "decay.csv", ["theta_index", "rate", "fit_residual", "superexp"], decay_rows)
     write_json(out_dir / "carleman_reports.json", reports)
     manifest.wall_clock_s = time.monotonic() - started
-    manifest.write(out_dir)
+    doc = manifest.write(out_dir)
     exit_code = strictest_exit_code(codes)
-    summary = {"config_hash": manifest.config_hash, "verdict_hash": manifest.verdict_hash(),
+    summary = {"config_hash": manifest.config_hash, "verdict_hash": doc["verdict_hash"],
                "cases": len(manifest.cases), "exit_code": exit_code}
     write_json(out_dir / "summary.json", summary)
     return manifest, exit_code

@@ -523,6 +523,40 @@ def test_decay_estimate_oscillatory():
     assert not est.superexp
 
 
+def _polyfit_rate(t, lognorm):
+    """The line of np.polyfit (a Vandermonde least-squares solve by SVD), the fit before the closed form."""
+    slope, intercept = np.polyfit(t, lognorm, 1)
+    return -float(slope), float(np.sqrt(np.mean((lognorm - (slope * t + intercept)) ** 2)))
+
+
+def _fit_profiles():
+    t = np.linspace(0.0, 30.0, 3001)
+    for vals, window in ((np.exp(-2 * t), (5.0, 25.0)), (np.exp(-(t ** (4.0 / 3.0))), (1.0, 25.0)),
+                         (np.exp(-2 * t) * (2.0 + np.sin(t)), (5.0, 25.0))):
+        yield SpectralProfile(eigs=np.array([0.0]), t_grid=t, coeffs=vals[None, :].astype(complex)), window
+    for eigs, g, T in (([1.0, 9.0], [1.0, 1.0], None), ([9.0], [1.0], None), ([0.0], [1.0], 300.0)):
+        T = T or evolution.default_horizon(eigs)
+        yield solve_decaying(eigs, PerturbationFamily.zero(), T, g).profile, default_tail_window(T)
+
+
+def test_closed_form_fit_matches_polyfit(monkeypatch):
+    """Every line fit of the decay estimate (tail window and sliding windows) is polyfit's to 1e-12."""
+    real, fits = evolution._fit_rate, []
+
+    def checked(t, lognorm):
+        rate, rms = real(t, lognorm)
+        ref_rate, ref_rms = _polyfit_rate(t, lognorm)
+        assert rate == pytest.approx(ref_rate, rel=1e-12)
+        assert rms == pytest.approx(ref_rms, rel=1e-12, abs=1e-12)
+        fits.append(rate)
+        return rate, rms
+
+    monkeypatch.setattr(evolution, "_fit_rate", checked)
+    for profile, window in _fit_profiles():
+        decay_rate_estimate(profile, window)
+    assert len(fits) == 6 * 7
+
+
 def test_decay_estimate_zero_norm_refused():
     t = np.linspace(0.0, 10.0, 101)
     p = SpectralProfile(eigs=np.array([0.0]), t_grid=t, coeffs=np.zeros((1, 101), dtype=complex))

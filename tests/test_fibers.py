@@ -478,7 +478,7 @@ def test_sequence_forward_matches_per_theta_and_loop(lat, cells_lo, cells_shape,
 
 
 def test_inverse_matches_loop_reference(monkeypatch):
-    monkeypatch.setattr(fibers_module, "STACK_BYTES", 16 * 9 * 16 * 32)  # t-chunks 32, 32, 6
+    monkeypatch.setattr(fibers_module, "STACK_BYTES", 16 * 9 * 4 * 32)  # slabs of 9 fibers x 4 points: t 32, 32, 6
     lat = square_lattice()
     rng = np.random.default_rng(23)
     thetas = theta_grid(lat, 3)
@@ -494,6 +494,48 @@ def test_inverse_matches_loop_reference(monkeypatch):
     back = gelfand_inverse(fibers[::-1], lat)
     assert back.cells_lo == (2, -4) and back.cells_shape == (3, 3)
     assert np.max(np.abs(back.values - ref)) < 1e-12
+
+
+def tblock_inverse(fibers, lat):
+    """The inverse as one t-block walk over the whole (theta, point) stack, before its slab walk."""
+    first, dim = fibers[0], lat.dim
+    per_axis, n = round(len(fibers) ** (1.0 / dim)), first.points_per_cell
+    cells_lo = (-((per_axis - 1) // 2),) * dim if first.cells_lo is None else first.cells_lo
+    mu = (2 * np.arange(per_axis) + 1) / (2 * per_axis)
+    index = [tuple(np.rint(f.theta.coeffs * per_axis - 0.5).astype(int)) for f in fibers]
+    mats = [np.exp(2j * math.pi * np.outer(lo + np.arange(per_axis), mu)) for lo in cells_lo]
+    twist = fibers_module._intra_cell_phase([mu] * dim, n, +1.0)
+    out = np.empty((per_axis * n,) * dim + (first.n_t,), dtype=complex)
+    field = fibers_module.cells_first(out, (per_axis,) * dim, n)
+    step = max(1, fibers_module.STACK_BYTES // (16 * twist.size))
+    for t in range(0, first.n_t, step):
+        s = slice(t, min(t + step, first.n_t))
+        stack = np.empty(twist.shape + (s.stop - t,), dtype=complex)
+        for p, f in zip(index, fibers):
+            stack[p] = f.data[..., s]
+        stack *= twist[..., None]
+        np.multiply(fibers_module._contract_cells(stack, mats), 1.0 / len(fibers), out=field[..., s])
+    return out
+
+
+@pytest.mark.parametrize("dim, per_axis, n, nt, cells_lo", [
+    (1, 16, 16, 2049, None), (1, 5, 7, 301, (3,)), (1, 4, 3, 4097, (-9,)),
+    (2, 6, 8, 1025, None), (2, 3, 5, 77, (2, -4)), (2, 4, 4, 333, (-1, 0)),
+    (3, 4, 4, 129, None), (3, 3, 5, 33, (1, -2, 0)), (3, 2, 3, 1001, (0, 0, 7)),
+])
+def test_slab_walk_inverse_matches_the_t_block_walk(dim, per_axis, n, nt, cells_lo):
+    lat = Lattice.cubic(TWO_PI, dim)
+    rng = np.random.default_rng(dim * 100 + nt)
+    fibers = [
+        BlochFiber(theta=q, lattice=lat, points_per_cell=n, t_start=0.0, t_end=1.0,
+                   data=rng.normal(size=(n,) * dim + (nt,)) + 1j * rng.normal(size=(n,) * dim + (nt,)),
+                   cells_lo=cells_lo)
+        for q in theta_grid(lat, per_axis)
+    ]
+    ref = tblock_inverse(fibers, lat)
+    back = gelfand_inverse(fibers[::-1], lat)
+    assert back.values.shape == ref.shape
+    assert np.max(np.abs(back.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_round_trip_keeps_non_centred_box():

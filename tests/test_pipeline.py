@@ -15,7 +15,7 @@ from halfspace_decay import BudgetExceededError, GridError, RunConfig, SchemaErr
 from halfspace_decay.carleman import CarlemanReport
 from halfspace_decay.fibers import fiber_residual, gelfand_forward, theta_grid
 from halfspace_decay.fields import constant_potential, load_field, save_field
-from halfspace_decay.lattice import Lattice
+from halfspace_decay.lattice import Lattice, Quasimomentum
 from halfspace_decay.manifest import RunManifest, write_csv, write_rows
 from halfspace_decay.spectrum import Gap, enumerate_spectrum
 from halfspace_decay.svgplot import PlotTable, emit_plots, render_svg
@@ -92,6 +92,46 @@ def _plane_input(tmp_path, mode=(1, 0), n=4, grid=2):
     u_path = tmp_path / "u2.npz"
     save_field(u, u_path)
     return lat_path, u_path
+
+
+def test_pipeline_shares_one_exact_slice_per_plus_minus_theta_class(tmp_path, monkeypatch):
+    """On a skewed dual lattice, where reflecting one theta coordinate moves the spectrum, each case's
+    spectrum and gaps CSV is its own theta's, from one enumeration per class {theta, -theta}."""
+    from halfspace_decay.fibers import BlochFiber, gelfand_inverse
+    from halfspace_decay.spectrum import find_gaps
+
+    lat = Lattice.from_dual_gram([["2", "1"], ["1", "3"]])
+    n, per_axis, nt = 4, 4, 65
+    rng = np.random.default_rng(3)
+    thetas = theta_grid(lat, per_axis)
+    u = gelfand_inverse([BlochFiber(theta=q, lattice=lat, points_per_cell=n, t_start=0.0, t_end=2.0,
+                                    data=rng.normal(size=(n, n, nt)) + 1j * rng.normal(size=(n, n, nt)))
+                         for q in thetas], lat)
+    lat_path, u_path = tmp_path / "lat.json", tmp_path / "u.npz"
+    lat_path.write_text(json.dumps(lat.to_json()))
+    save_field(u, u_path)
+    real, enumerated = pipeline.enumerate_spectrum, []
+
+    def counted(lat_, theta, *args):
+        enumerated.append(theta.exact)
+        return real(lat_, theta, *args)
+
+    monkeypatch.setattr(pipeline, "enumerate_spectrum", counted)
+    run_pipeline(pipeline_config(lat_path, u_path, tmp_path / "run", theta_points=per_axis, cutoff=20.0))
+    # 16 midpoint thetas r/8 with r odd: none is its own negative, so 8 classes, each enumerated once
+    l = 2 * per_axis
+    assert len(enumerated) == len(thetas) // 2
+    assert {min(r, tuple(l - x for x in r)) for _, r in enumerated} == {
+        min(q.exact[1], tuple(l - x for x in q.exact[1])) for q in thetas}
+    for idx, q in enumerate(thetas):
+        slc = real(lat, q, 0.0, 20.0)
+        spectrum = np.loadtxt(tmp_path / "run" / f"spectrum_theta{idx}.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(spectrum[:, 0], slc.values) and np.array_equal(spectrum[:, 1], slc.mults)
+        gaps = np.loadtxt(tmp_path / "run" / f"gaps_theta{idx}.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(gaps, np.array([(g.lo, g.hi, g.length) for g in find_gaps(slc)]).reshape(-1, 3))
+    # a per-axis reflection is not a symmetry here: theta = (1, 3)/8 and (1, 5)/8 differ
+    one_axis = [real(lat, Quasimomentum.from_rational(l, r), 0.0, 20.0).values for r in ((1, 3), (1, 5))]
+    assert not np.array_equal(*one_axis)
 
 
 def test_pipeline_two_dimensional_lattice(tmp_path):
@@ -705,6 +745,55 @@ def test_write_csv_matches_per_cell_loop(tmp_path_factory, rows):
     with contextlib.redirect_stdout(buf):
         cli._emit_rows(header, rows, None)
     assert buf.getvalue() == expected
+
+
+def object_array_rows(fh, rows) -> None:
+    """The table formatter before it read ``.tolist()`` and the row tuples: object arrays per block."""
+    if len(rows) == 0:
+        return
+    first = np.asarray(rows[:1], dtype=object)[0]
+    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+    for start in range(0, len(rows), BLOCK):
+        block = np.asarray(rows[start : start + BLOCK], dtype=object)
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+NUMPY_CELL_KINDS = {
+    **CELL_KINDS,
+    "np.float32": st.floats(width=32).map(np.float32),
+    "np.int32": st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    "np.bool_": st.booleans().map(np.bool_),
+    "np.str_": st.text(alphabet="abc,_ ", max_size=4).map(np.str_),
+}
+MANY_ROW_COUNTS = st.one_of(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 9000]),
+                            st.integers(2, 40))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(sorted(NUMPY_CELL_KINDS)), min_size=1, max_size=5).flatmap(
+    lambda kinds: st.lists(st.tuples(*(NUMPY_CELL_KINDS[k] for k in kinds)), min_size=1, max_size=8)),
+    MANY_ROW_COUNTS)
+def test_write_rows_matches_the_object_array_formatter_on_tuples(seeds, count):
+    rows = [seeds[i % len(seeds)] for i in range(count)]
+    buf, ref = io.StringIO(), io.StringIO()
+    write_rows(buf, rows)
+    object_array_rows(ref, rows)
+    assert buf.getvalue() == ref.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(any_float, min_size=1, max_size=30), MANY_ROW_COUNTS, st.integers(1, 3),
+       st.sampled_from([np.float64, np.float32, np.int64, np.int32, bool, complex]))
+def test_write_rows_matches_the_object_array_formatter_on_arrays(values, count, cols, dtype):
+    flat = np.resize(np.array(values), count * cols)
+    if dtype not in (np.float64, np.float32, complex):
+        flat = np.nan_to_num(flat, nan=0.0, posinf=1.0, neginf=-1.0).clip(-1e9, 1e9)
+    with np.errstate(over="ignore"):
+        table = flat.astype(dtype).reshape(count, cols)
+    buf, ref = io.StringIO(), io.StringIO()
+    write_rows(buf, table)
+    object_array_rows(ref, table)
+    assert buf.getvalue() == ref.getvalue()
 
 
 @settings(max_examples=60, deadline=None)

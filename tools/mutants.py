@@ -88,6 +88,14 @@ MUTANTS = [
     ("spectrum.py", "np.any((2 * np.asarray(residues)) % l)", "np.any((2 * np.asarray(residues)) % 1)",
      ["test_spectrum.py"]),
     ("spectrum.py", "np.any((2 * np.asarray(residues)) % l)", "np.any(np.asarray(residues) % l)", ["test_spectrum.py"]),
+    # theta and -theta share a slice (the spectrum is even in theta), but a per-axis reflection does not
+    ("pipeline.py", "min(r, tuple((l - x) % l for x in r))", "tuple(min(x, (l - x) % l) for x in r)",
+     ["test_pipeline.py"]),
+    ("pipeline.py", "min(r, tuple((l - x) % l for x in r))", "min(r, tuple(x % l for x in r))", ["test_pipeline.py"]),
+    # the inverse reads and writes slab j of the first intra-cell index
+    ("fibers.py", "stack[p] = f.data[j, ..., s]", "stack[p] = f.data[0, ..., s]", ["test_fibers.py"]),
+    ("fibers.py", "out=field[at][..., s]", "out=field[(slice(None),) * dim + (n - 1 - j,)][..., s]",
+     ["test_fibers.py"]),
     # a profile keeps at most max_modes modes, and none below the DFT's roundoff
     ("fibers.py", "MODE_MASS_FLOOR = 1e-24", "MODE_MASS_FLOOR = 0.0", ["test_pipeline.py"]),
     ("fibers.py", "[:max_modes]", "[:None]", ["test_pipeline.py"]),
