@@ -37,7 +37,7 @@ from .lattice import (
     unit_cell_volume,
 )
 from .manifest import read_rows, write_csv, write_json, write_rows
-from .pipeline import run_pipeline
+from .pipeline import checked_params, run_pipeline
 from .profiles import SpectralProfile, bump_profile
 from .quadrature import uniform_grid
 from .runconfig import _COUNT, _POSITIVE_INT, _SEED, RunConfig, reading
@@ -442,6 +442,8 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     cfg = RunConfig.load(args.config)
+    with reading("config", args.config):  # run_pipeline checks them again, but cannot name the file
+        checked_params(cfg)
     cfg = dataclasses.replace(cfg, out_dir=args.out_dir or cfg.out_dir)
     manifest, code = run_pipeline(cfg)
     _print_json({"verdict_hash": manifest.verdict_hash(), "exit_code": code})

@@ -30,7 +30,7 @@ from .errors import GridError, PreconditionError, SchemaError
 from .fields import SampledField, cells_first, check_t_axis
 from .lattice import Lattice, Quasimomentum, dual_basis, form_on_grid, unit_cell_volume
 from .manifest import read_npz
-from .profiles import SpectralProfile, _residual
+from .profiles import SpectralProfile, _residual, column_norms
 from .runconfig import _INTS, _NUMBER, _NUMBERS, _POSITIVE_INT, check_keys, reading
 
 STACK_BYTES = 1 << 20
@@ -319,12 +319,10 @@ def fiber_residual(
     check_residual_t_grid(fiber)
     t = fiber.t_grid
     res_spec = _residual(fiber.coefficients, fiber.mode_eigenvalues(energy), t[1] - t[0], 1, fiber.n_t - 1)
-    axes = fiber.spatial_axes
     res = res_spec  # without V: norm="ortho" is unitary, so Parseval's norm needs no inverse transform
     if potential is not None:
         check_potential_grid(potential, fiber)
         v_cell = potential.cell_block(potential.cells_lo)[..., 1:-1]
-        res = np.fft.ifftn(res_spec, axes=axes, norm="ortho") - v_cell * fiber.data[..., 1:-1]
-    w = unit_cell_volume(fiber.lattice) / fiber.points_per_cell**fiber.dim
-    return np.sqrt(w * np.sum(np.abs(res) ** 2, axis=axes))
+        res = np.fft.ifftn(res_spec, axes=fiber.spatial_axes, norm="ortho") - v_cell * fiber.data[..., 1:-1]
+    return column_norms(res, unit_cell_volume(fiber.lattice) / fiber.points_per_cell**fiber.dim)
 

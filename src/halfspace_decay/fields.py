@@ -160,27 +160,6 @@ class SampledField:
         return cells[tuple(c - lo for c, lo in zip(cell, self.cells_lo))]
 
 
-def constant_potential(
-    lattice: Lattice,
-    value: complex,
-    points_per_cell: int,
-    t_start: float,
-    t_end: float,
-    n_t: int,
-) -> SampledField:
-    shape = (points_per_cell,) * lattice.dim + (n_t,)
-    return SampledField(
-        kind="potential",
-        lattice=lattice,
-        cells_lo=(0,) * lattice.dim,
-        cells_shape=(1,) * lattice.dim,
-        points_per_cell=points_per_cell,
-        t_start=t_start,
-        t_end=t_end,
-        values=_hand_over(np.full(shape, complex(value))),
-    )
-
-
 def save_field(field: SampledField, path) -> None:
     path = Path(path)
     header = {

@@ -37,7 +37,7 @@ from .lattice import Lattice
 from .manifest import RunManifest, write_csv, write_json
 from .profiles import SpectralProfile, check_t_start, plateau_shape
 from .quadrature import GATE_RTOL
-from .runconfig import RunConfig
+from .runconfig import _COUNT, _NUMBER, _POSITIVE_INT, RunConfig, _is_int, _is_number, check_keys
 from .spectrum import enumerate_spectrum, find_gaps
 from .svgplot import PlotTable, emit_plots
 
@@ -47,10 +47,32 @@ THETA_GRID_BYTES = 2**30
 # the taper of each side must leave the plateau between them non-empty
 WINDOW_MARGIN = 0.02
 MAX_TAPER = 0.5 - WINDOW_MARGIN
-# the default of every optional param and tolerance; runconfig._PARAM_KEYS keeps their types
-DEFAULTS = {"v_field": None, "energy": 0.0, "l_max": 10**6, "cutoff": 50.0, "min_gap": 0.0, "max_modes": 16,
-            "carleman_taper": 0.2, "decay_window": None, "plots": False,
-            "carleman_pass_rtol": PASS_RTOL, "resolution_gate_rtol": GATE_RTOL}
+REQUIRED = object()  # the default of a key that must be given
+# Every key of a config's params and of its tolerances, by document: key -> (type, default).  A type
+# is (description, check) and holds its key's range, so all of them are checked before any file is read.
+PARAMETERS = {
+    "pipeline parameter": {
+        "lattice": (("a lattice document or a file path", lambda v: isinstance(v, (dict, str))), REQUIRED),
+        "u_field": (("a file path", lambda v: isinstance(v, str)), REQUIRED),
+        "theta_points": (_POSITIVE_INT, REQUIRED),
+        "v_field": (("a file path or null", lambda v: v is None or isinstance(v, str)), None),
+        "energy": (_NUMBER, 0.0),
+        "l_max": (_COUNT, 10**6),
+        "cutoff": (_NUMBER, 50.0),
+        "min_gap": (_NUMBER, 0.0),
+        "max_modes": (("an integer >= 1 or null", lambda v: v is None or (_is_int(v) and v >= 1)), 16),
+        "carleman_taper": ((f"a finite number in (0, {MAX_TAPER})", lambda v: _is_number(v) and 0 < v < MAX_TAPER),
+                           0.2),
+        "decay_window": (("null or a pair of finite numbers a < b",
+                          lambda v: v is None or (isinstance(v, (list, tuple)) and len(v) == 2
+                                                  and all(_is_number(x) for x in v) and v[0] < v[1])), None),
+        "plots": (("true or false", lambda v: isinstance(v, bool)), False),
+    },
+    "tolerance": {
+        "carleman_pass_rtol": (("a finite number >= 0", lambda v: _is_number(v) and v >= 0), PASS_RTOL),
+        "resolution_gate_rtol": (("a finite number > 0", lambda v: _is_number(v) and v > 0), GATE_RTOL),
+    },
+}
 
 
 def _load_lattice(spec) -> Lattice:
@@ -175,11 +197,19 @@ def _theta_case(idx, fiber, lat, v, params, out_dir, shared):
     return case, code, c.report, refusals
 
 
+def checked_params(cfg: RunConfig) -> dict:
+    """The config's params and tolerances over the defaults of ``PARAMETERS``; a key not of its type is refused."""
+    params = {}
+    for what, doc in (("pipeline parameter", cfg.params), ("tolerance", cfg.tolerances)):
+        keys = PARAMETERS[what]
+        check_keys(what, doc, {key: (kind, default is REQUIRED) for key, (kind, default) in keys.items()})
+        params |= {key: default for key, (_, default) in keys.items() if default is not REQUIRED} | doc
+    return params
+
+
 def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
-    if cfg.command != "pipeline":
-        raise SchemaError("run_pipeline requires a 'pipeline' config")
+    params = checked_params(cfg)
     started = time.monotonic()
-    params = {**DEFAULTS, **cfg.params, **cfg.tolerances}
     lat = _load_lattice(params["lattice"])
     u = load_field(params["u_field"], lat, "u")
     check_residual_t_grid(u)
@@ -189,10 +219,8 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
         v = load_field(params["v_field"], lat, "potential")
         check_potential_grid(v, u)
     window_t = params["decay_window"]
-    if window_t is not None and not u.t_start <= window_t[0] < window_t[1] <= u.t_end:
+    if window_t is not None and not (u.t_start <= window_t[0] and window_t[1] <= u.t_end):
         raise SchemaError(f"decay_window {window_t} must satisfy t_start <= a < b <= t_end of the field")
-    if params["carleman_taper"] >= MAX_TAPER:
-        raise SchemaError(f"carleman_taper must be below {MAX_TAPER}: each side keeps a {WINDOW_MARGIN} margin")
     fiber_bytes = params["theta_points"] ** lat.dim * u.points_per_cell**u.dim * u.n_t * 16
     if fiber_bytes > THETA_GRID_BYTES:
         raise BudgetExceededError(f"a theta grid of {params['theta_points']}^{lat.dim} fibers needs "

@@ -66,14 +66,8 @@ class SpectralProfile:
         return self.eigs.size
 
     def norms(self) -> np.ndarray:
-        """||phi(t)|| on the grid.  A column whose plain sum of squares under-
-        or overflows is summed again by hypot, which rescales at every step."""
-        with np.errstate(over="ignore"):
-            sq = _sum_abs2(self.coeffs)
-        out = np.sqrt(sq)
-        bad = (sq < np.finfo(float).tiny) | (sq == np.inf)
-        out[bad] = np.hypot.reduce(np.abs(self.coeffs[:, bad]), axis=0, initial=0.0)
-        return out
+        """||phi(t)|| on the grid."""
+        return column_norms(self.coeffs)
 
     def first_difference(self) -> np.ndarray:
         """Centred first difference of the coefficients; zero at the ends."""
@@ -117,13 +111,31 @@ class SpectralProfile:
         return norm2, psi2
 
 
-def _sum_abs2(z: np.ndarray) -> np.ndarray:
-    """np.sum(np.abs(z) ** 2, axis=0) bit for bit, with |z| squared in place.
+def _sum_abs2(z: np.ndarray, axis=0) -> np.ndarray:
+    """np.sum(np.abs(z) ** 2, axis=axis) bit for bit, with |z| squared in place.
 
     |z| stays np.abs (hypot): re^2 + im^2 would change the last bits.
     """
     mag = np.abs(z)
-    return np.sum(np.multiply(mag, mag, out=mag), axis=0)
+    return np.sum(np.multiply(mag, mag, out=mag), axis=axis)
+
+
+def column_norms(z: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """sqrt(weight * sum |z|^2) over every axis but the last, one value per column.
+
+    A column whose plain weighted sum of squares under- or overflows is summed
+    again by hypot, which rescales at every step; the other columns keep the
+    bits of the plain sum.
+    """
+    with np.errstate(over="ignore"):
+        sq = _sum_abs2(z, tuple(range(z.ndim - 1)))
+        wsq = weight * sq
+        out = np.sqrt(wsq)
+        bad = (np.minimum(sq, wsq) < np.finfo(float).tiny) | (wsq == np.inf)
+        if bad.any():
+            cols = np.abs(z[..., bad]).reshape(-1, np.count_nonzero(bad))
+            out[bad] = np.hypot.reduce(cols, axis=0, initial=0.0) * np.sqrt(weight)
+    return out
 
 
 def _first_difference(c: np.ndarray, h: float) -> np.ndarray:
@@ -182,8 +194,9 @@ def plateau_shape(t: np.ndarray, lo: float, hi: float, taper: float) -> np.ndarr
     """
     if hi - lo <= 2.0 * taper:
         raise SchemaError("support too short for the requested taper width")
-    up = _smoothstep((t - lo) / taper)
-    down = _smoothstep((hi - t) / taper)
+    with np.errstate(over="ignore"):  # a subnormal taper: +-inf, which the ramp clips like any s outside [0, 1]
+        up = _smoothstep((t - lo) / taper)
+        down = _smoothstep((hi - t) / taper)
     shape = np.minimum(up, down)
     shape[(t <= lo) | (t >= hi)] = 0.0
     return shape

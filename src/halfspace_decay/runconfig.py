@@ -33,22 +33,11 @@ def _is_number(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
-# Parameter types: (description, check).  Values are checked, never coerced.
+# Key types: (description, check).  Values are checked, never coerced.
 _NUMBER = ("a finite number", _is_number)
-_POSITIVE = ("a finite number > 0", lambda v: _is_number(v) and v > 0)
 _INT = ("an integer", _is_int)
 _COUNT = ("an integer >= 0", lambda v: _is_int(v) and v >= 0)
 _POSITIVE_INT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
-_BOOL = ("true or false", lambda v: isinstance(v, bool))
-_PATH = ("a file path", lambda v: isinstance(v, str))
-_PATH_OR_NULL = ("a file path or null", lambda v: v is None or isinstance(v, str))
-_LATTICE = ("a lattice document or a file path", lambda v: isinstance(v, (dict, str)))
-_POSITIVE_INT_OR_NULL = ("an integer >= 1 or null", lambda v: v is None or (_is_int(v) and v >= 1))
-_NUMBER_PAIR_OR_NULL = (
-    "null or a pair of finite numbers",
-    lambda v: v is None
-    or (isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_number(x) for x in v)),
-)
 _INTS = ("a list of integers", lambda v: isinstance(v, list) and all(_is_int(x) for x in v))
 _NUMBERS = ("a list of finite numbers", lambda v: isinstance(v, list) and all(_is_number(x) for x in v))
 _POSITIVE_INTS = (
@@ -58,36 +47,14 @@ _STR = ("a string", lambda v: isinstance(v, str))
 _OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
 _SEED = ("an integer in [0, 2**64)", lambda v: _is_int(v) and 0 <= v < 2**64)
 
-# The config document: the fields of RunConfig.
+# The config document: the fields of RunConfig; the pipeline, which reads them, types its params and tolerances.
 _CONFIG_KEYS = {
-    "command": (_STR, True),
+    "command": (('"pipeline"', lambda v: v == "pipeline"), True),
     "params": (_OBJECT, False),
     "seed": (_SEED, False),
     "out_dir": (_STR, False),
     "threads": (("an integer or null", lambda v: v is None or _is_int(v)), False),
     "tolerances": (_OBJECT, False),
-}
-
-# Per command: key -> (type, required).
-_PARAM_KEYS = {
-    "pipeline": {
-        "lattice": (_LATTICE, True),
-        "u_field": (_PATH, True),
-        "v_field": (_PATH_OR_NULL, False),
-        "energy": (_NUMBER, False),
-        "theta_points": (_INT, True),
-        "l_max": (_COUNT, False),
-        "cutoff": (_NUMBER, False),
-        "min_gap": (_NUMBER, False),
-        "decay_window": (_NUMBER_PAIR_OR_NULL, False),
-        "max_modes": (_POSITIVE_INT_OR_NULL, False),
-        "carleman_taper": (_POSITIVE, False),
-        "plots": (_BOOL, False),
-    },
-}
-_TOLERANCE_KEYS = {
-    "carleman_pass_rtol": (("a finite number >= 0", lambda v: _is_number(v) and v >= 0), False),
-    "resolution_gate_rtol": (("a finite number > 0", lambda v: _is_number(v) and v > 0), False),
 }
 
 
@@ -130,7 +97,7 @@ def check_keys(what: str, doc, spec: dict) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Command name, nested parameters, root seed, output dir, tolerances.
+    """The command ("pipeline"), its parameters, root seed, output dir and tolerances.
 
     ``threads`` is accepted for compatibility and ignored: every run uses one
     worker, and it never enters the config hash.
@@ -145,9 +112,6 @@ class RunConfig:
 
     def __post_init__(self):
         check_keys("config", vars(self), _CONFIG_KEYS)
-        check_keys("tolerance", self.tolerances, _TOLERANCE_KEYS)
-        if self.command in _PARAM_KEYS:
-            check_keys(f"{self.command} parameter", self.params, _PARAM_KEYS[self.command])
 
     @staticmethod
     def from_json(doc) -> "RunConfig":

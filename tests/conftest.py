@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from halfspace_decay.fibers import BlochFiber, gelfand_inverse, theta_grid
-from halfspace_decay.fields import save_field
+from halfspace_decay.fields import SampledField, save_field
 from halfspace_decay.lattice import Lattice
 
 TWO_PI = 2.0 * math.pi
@@ -41,6 +41,15 @@ def strict_json(text: str):
         raise AssertionError(f"{constant} is not JSON")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def constant_potential(lattice, value, points_per_cell, t_start, t_end, n_t) -> SampledField:
+    """The potential of one cell at ``value`` everywhere."""
+    shape = (points_per_cell,) * lattice.dim + (n_t,)
+    return SampledField(
+        kind="potential", lattice=lattice, cells_lo=(0,) * lattice.dim, cells_shape=(1,) * lattice.dim,
+        points_per_cell=points_per_cell, t_start=t_start, t_end=t_end, values=np.full(shape, complex(value)),
+    )
 
 
 def manufactured_line_input(tmp_path, theta_points=3, n=8, nt=1025, t_end=5.0, energy=0.0, mode=1):

@@ -886,6 +886,18 @@ def test_gelfand_residual_refuses_non_finite_energy(tmp_path, capsys):
     assert "argument --energy: " in capsys.readouterr().err
 
 
+def test_gelfand_residual_at_a_huge_energy_is_finite(tmp_path, capsys):
+    """|res|^2 overflows at energy 1e200; the rows are the residual, not inf."""
+    lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=2, n=4, nt=65)
+    rows = {}
+    for energy in ("1e150", "1e200"):
+        argv = ["gelfand", "residual", "--lattice", str(lat_path), "--u", str(u_path), "--theta", "1/4",
+                "--energy", energy]
+        assert main(argv) == EXIT_OK
+        rows[energy] = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", skiprows=1)
+    assert np.allclose(rows["1e200"][:, 1], 1e50 * rows["1e150"][:, 1], rtol=1e-13, atol=0.0)
+
+
 def test_non_finite_list_entry_is_refused_where_it_is_parsed(capsys):
     assert main(["evolve", "--eigs", "1,4", "--boundary", "1,nan"]) == EXIT_IO
     assert capsys.readouterr().err == "error: cannot parse '1,nan' as a comma-separated list: 'nan' is not a finite number\n"

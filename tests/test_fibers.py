@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import manufactured_line_input, traced_peak
+from conftest import constant_potential, manufactured_line_input, traced_peak
 from halfspace_decay import (
     BlochFiber,
     GridError,
@@ -21,7 +21,6 @@ from halfspace_decay import (
     theta_grid,
 )
 from halfspace_decay import fibers as fibers_module
-from halfspace_decay.fields import constant_potential
 
 TWO_PI = 2.0 * math.pi
 

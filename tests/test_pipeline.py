@@ -3,18 +3,20 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import manufactured_line_input, traced_peak
+from conftest import constant_potential, manufactured_line_input, traced_peak
 from halfspace_decay import BudgetExceededError, GridError, RunConfig, SchemaError, cli, fields, manifest, pipeline, run_pipeline, svgplot
 from halfspace_decay.carleman import CarlemanReport
 from halfspace_decay.fibers import fiber_residual, gelfand_forward, theta_grid
-from halfspace_decay.fields import constant_potential, load_field, save_field
+from halfspace_decay.fields import load_field, save_field
 from halfspace_decay.lattice import Lattice, Quasimomentum
 from halfspace_decay.manifest import RunManifest, write_csv, write_rows
 from halfspace_decay.spectrum import Gap, enumerate_spectrum
@@ -165,7 +167,7 @@ def test_pipeline_manufactured_potential_pair(tmp_path):
     # constant potential v0; the pipeline must reproduce the module residual
     import json
     from halfspace_decay.fibers import BlochFiber, gelfand_inverse, theta_grid
-    from halfspace_decay.fields import constant_potential, save_field
+    from halfspace_decay.fields import save_field
     from halfspace_decay.lattice import Lattice
 
     two_pi = 2.0 * math.pi
@@ -466,6 +468,62 @@ def test_pipeline_taper_below_the_bound_runs(line_pipeline_input, tmp_path):
     assert code == 0 and manifest.cases[0]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("extra", [
+    {"carleman_taper": pipeline.MAX_TAPER},
+    {"decay_window": [5.0, 1.0]},
+    {"decay_window": [2.0, 2.0]},
+    {"theta_points": 0},
+    {"theta_points": -2},
+], ids=["taper-at-bound", "window-reversed", "window-empty", "theta-points-0", "theta-points-minus-2"])
+def test_pipeline_ranges_are_refused_before_any_file_is_read(line_pipeline_input, tmp_path, monkeypatch, extra):
+    """A range held by a key's type is checked with the config, before the field is loaded."""
+    lat_path, u_path, _ = line_pipeline_input
+    loaded = []
+    monkeypatch.setattr(pipeline, "load_field", lambda *args: loaded.append(args))
+    cfg = pipeline_config(lat_path, u_path, tmp_path / "run", **extra)
+    with pytest.raises(SchemaError, match=f"pipeline parameter '{next(iter(extra))}' must be "):
+        run_pipeline(cfg)
+    assert _cli_exit_code(cfg, tmp_path) == 4
+    assert loaded == [] and not (tmp_path / "run").exists()
+
+
+def test_pipeline_at_a_huge_energy_records_a_finite_residual(line_pipeline_input, tmp_path):
+    """|res|^2 overflows at energy 1e200; max_residual is the residual, not inf."""
+    lat_path, u_path, _ = line_pipeline_input
+    runs = {}
+    for energy in (1e150, 1e200):
+        cfg = pipeline_config(lat_path, u_path, tmp_path / str(energy), theta_points=2, energy=energy)
+        assert run_pipeline(cfg)[1] == 2  # the spectrum slice is over its budget: one refusal per case
+        runs[energy] = json.loads((tmp_path / str(energy) / "manifest.json").read_text())["cases"]
+    for low, high in zip(runs[1e150], runs[1e200]):
+        assert float(high["data"]["max_residual"]) == pytest.approx(1e50 * float(low["data"]["max_residual"]),
+                                                                     rel=1e-13)
+
+
+def test_pipeline_subnormal_taper_is_one_resolution_gate_refusal_per_case(line_pipeline_input, tmp_path):
+    lat_path, u_path, _ = line_pipeline_input
+    for taper in (5e-324, 1e-323):
+        out = tmp_path / str(taper)
+        assert run_pipeline(pipeline_config(lat_path, u_path, out, carleman_taper=taper))[1] == 2
+        cases = json.loads((out / "manifest.json").read_text())["cases"]
+        assert len(cases) == 3
+        assert all(c["verdict"].startswith("refused: carleman-gap: resolution gate ") for c in cases)
+
+
+def test_readme_lists_every_optional_key_with_its_default():
+    """README's `| key | default |` table is pipeline.PARAMETERS' optional keys and defaults."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines():
+        key, default = row.strip("|").split("|")
+        value = default.strip().split(":")[0].split(" (")[0].strip("`").replace("10⁶", "1e6")
+        listed[re.findall(r"`(\w+)`", key)[-1]] = json.loads(value)
+    expected = {key: default for keys in pipeline.PARAMETERS.values() for key, (_, default) in keys.items()
+                if default is not pipeline.REQUIRED}
+    assert listed == expected
+
+
 def test_pipeline_resolution_gate_refuses_every_case(line_pipeline_input, tmp_path):
     """A Carleman precondition failure is one refused case each; the run is still written."""
     lat_path, u_path, _ = line_pipeline_input
@@ -559,14 +617,16 @@ def test_pipeline_determinism_across_threads(line_pipeline_input, tmp_path):
 def test_pipeline_rejects_unknown_keys(line_pipeline_input, tmp_path):
     lat_path, u_path, _ = line_pipeline_input
     with pytest.raises(SchemaError):
-        RunConfig(
+        run_pipeline(RunConfig(
             command="pipeline",
             params={"lattice": str(lat_path), "u_field": str(u_path), "theta_points": 2, "bogus": 1},
-        )
+            out_dir=str(tmp_path / "run"),
+        ))
     with pytest.raises(SchemaError):
         RunConfig.from_json({"command": "pipeline", "params": {}, "mystery": True})
-    with pytest.raises(SchemaError):
-        RunConfig(command="pipeline", params={"lattice": "x"})  # missing required keys
+    with pytest.raises(SchemaError):  # missing required keys
+        run_pipeline(RunConfig(command="pipeline", params={"lattice": "x"}, out_dir=str(tmp_path / "run")))
+    assert not (tmp_path / "run").exists()
 
 
 def test_pipeline_tolerance_overrides(line_pipeline_input, tmp_path):
@@ -588,7 +648,7 @@ def test_pipeline_tolerance_overrides(line_pipeline_input, tmp_path):
     assert code == 0
     assert all(c["data"]["carleman"] == "pass" for c in manifest.cases)
     with pytest.raises(SchemaError):
-        RunConfig(command="pipeline", params=cfg.params, tolerances={"mystery_tol": 1.0})
+        run_pipeline(dataclasses.replace(cfg, out_dir=str(tmp_path / "refused"), tolerances={"mystery_tol": 1.0}))
 
 
 def test_config_hash_ignores_threads_and_out_dir():
@@ -602,7 +662,7 @@ def test_config_hash_ignores_threads_and_out_dir():
 
 
 def test_manifest_verdict_hash_stability():
-    cfg = RunConfig(command="verify43", params={"eps": 1.0}, seed=5)
+    cfg = RunConfig(command="pipeline", params={"eps": 1.0}, seed=5)
     m1 = RunManifest.for_config(cfg)
     m1.add_case("c0", "pass", {"margin": 1.2345678901234567e-3})
     m1.wall_clock_s = 1.0

@@ -24,7 +24,9 @@ from halfspace_decay.fibers import BlochFiber, fiber_residual
 from halfspace_decay.fields import SampledField
 from halfspace_decay.lattice import Lattice, Quasimomentum, unit_cell_volume
 from halfspace_decay.errors import GridError
-from halfspace_decay.profiles import BumpProfile, SpectralProfile, _second_difference, bump_profile, smooth_bump
+from halfspace_decay.profiles import (
+    BumpProfile, SpectralProfile, _second_difference, bump_profile, plateau_shape, smooth_bump,
+)
 from halfspace_decay.quadrature import grid_step, simpson_weights, simpson_with_error
 
 TWO_PI = 2.0 * math.pi
@@ -212,6 +214,35 @@ def test_norms_rescale_overflow_and_keep_zero_columns():
     assert norms[1] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
     assert norms[2] == 1e-170
     assert norms[0] == norms[3] == norms[4] == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fiber_residual_rescales_overflow_and_underflow(dim):
+    """A residual whose squares leave the normal floats is summed by hypot: it scales with the data.
+
+    Its plain sum of squares is inf at energy 1e200 and subnormal for data of 1e-170.
+    """
+    rng = np.random.default_rng(dim)
+    n, nt = 6, 41
+    shape = (n,) * dim + (nt,)
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    lat = Lattice.cubic(TWO_PI, dim)
+
+    def residual(scale, energy):
+        fiber = BlochFiber(theta=Quasimomentum(coeffs=[0.25] * dim), lattice=lat, points_per_cell=n,
+                           t_start=0.5, t_end=2.5, data=data * scale)
+        return fiber_residual(fiber, None, energy)
+
+    assert np.allclose(residual(1.0, 1e200), 1e50 * residual(1.0, 1e150), rtol=1e-13, atol=0.0)
+    assert np.allclose(residual(1e-170, 0.3), 1e-170 * residual(1.0, 0.3), rtol=1e-13, atol=0.0)
+
+
+def test_plateau_shape_of_a_subnormal_taper_is_the_indicator_of_its_interval():
+    """(t - lo) / taper overflows to +-inf, which the ramp takes as 1 or 0, with no warning."""
+    t = np.linspace(0.0, 1.0, 11)
+    inside = ((t > 0.2) & (t < 0.8)).astype(float)
+    for taper in (5e-324, 1e-323):
+        assert np.array_equal(plateau_shape(t, 0.2, 0.8, taper), inside)
 
 
 # Agreement of the factored densities with the full-array mode sums, column by

@@ -92,6 +92,13 @@ MUTANTS = [
     ("pipeline.py", "min(r, tuple((l - x) % l for x in r))", "tuple(min(x, (l - x) % l) for x in r)",
      ["test_pipeline.py"]),
     ("pipeline.py", "min(r, tuple((l - x) % l for x in r))", "min(r, tuple(x % l for x in r))", ["test_pipeline.py"]),
+    # the ranges held by the pipeline parameters' types: a taper below MAX_TAPER, a theta grid of at
+    # least one point per axis (the config rule of every count >= 1), a decay window with a < b
+    ("pipeline.py", "0 < v < MAX_TAPER", "0 < v <= MAX_TAPER", ["test_pipeline.py"]),
+    ("runconfig.py", "_is_int(v) and v >= 1)", "_is_int(v) and v >= 0)", ["test_pipeline.py"]),
+    ("pipeline.py", "and v[0] < v[1]", "and v[0] <= v[1]", ["test_pipeline.py"]),
+    # a residual or norm whose sum of squares overflows is summed again by hypot
+    ("profiles.py", " | (wsq == np.inf)", "", ["test_profiles.py"]),
     # the inverse reads and writes slab j of the first intra-cell index
     ("fibers.py", "stack[p] = f.data[j, ..., s]", "stack[p] = f.data[0, ..., s]", ["test_fibers.py"]),
     ("fibers.py", "out=field[at][..., s]", "out=field[(slice(None),) * dim + (n - 1 - j,)][..., s]",
