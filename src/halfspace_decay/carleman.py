@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError, SchemaError, VerificationError
-from .profiles import SpectralProfile, _first_difference, _second_difference
+from .profiles import SpectralProfile, _first_difference, _second_difference, _sum_abs2, column_norms
 from .quadrature import GATE_RTOL, check_resolution, simpson_with_error, window_integral
 
 # The 4/3 weight has singular derivatives at t=0; profiles must stay clear.
@@ -137,8 +137,7 @@ def conjugation_identity_check(psi: SpectralProfile, weight_lambda: float) -> fl
         - 2.0 * om[None, :] * _first_difference(c, h)
         - om1[None, :] * c[:, 1:-1]
     )
-    residual = np.sqrt(np.sum(np.abs(lhs - rhs) ** 2, axis=0))
-    return float(np.max(residual))
+    return float(np.max(column_norms(lhs - rhs)))
 
 
 def _stencil_weight(phi: SpectralProfile, rate: float, power: float, label: Callable[[], str]) -> np.ndarray:
@@ -167,8 +166,8 @@ def _weighted_report(
         return f"{what}: the weight exp(2*{rate:g}*t^{power:.4g}) or its integral"
 
     weight = _stencil_weight(phi, 2.0 * rate, power, label)
-    densities = phi.densities()  # fresh arrays, 0 off the stencil: weighted in place
     with np.errstate(over="ignore", invalid="ignore"):
+        densities = phi.densities()  # fresh arrays, 0 off the stencil: weighted in place
         for density in densities:
             density[phi._stencil] *= weight
         lhs_int, rhs_int = (simpson_with_error(y, phi.step) for y in densities)
@@ -306,7 +305,7 @@ def first_order_system_check(phi: SpectralProfile, a: float, b: float) -> System
 
         B0* + B0 >= m Q0,   B1* + B1 >= m Q1,   B2* + B2 <= -m Q2.
     """
-    _gap_preconditions(phi, a, b, float(phi.alpha))
+    _gap_preconditions(phi, a, b, phi.alpha)
     eigs = phi.eigs
     w = 0.5 * (a + b)
     m = b - a
@@ -345,7 +344,7 @@ def first_order_system_check(phi: SpectralProfile, a: float, b: float) -> System
         min_eig_b1=min_eig_b1,
         max_eig_b2=max_eig_b2,
         certificates_ok=min_eig_b0 >= -EIG_TOL and min_eig_b1 >= -EIG_TOL and max_eig_b2 <= EIG_TOL,
-        params={"a": a, "b": b, "w": w, "m": m, "alpha": float(phi.alpha), "modes": int(eigs.size)},
+        params={"a": a, "b": b, "w": w, "m": m, "alpha": phi.alpha, "modes": int(eigs.size)},
     )
 
 
@@ -372,7 +371,7 @@ def ellreg_bound_check(phi: SpectralProfile, eps: float, s_list) -> EllRegReport
         raise PreconditionError("eps must be positive")
     t = phi.t_grid
     norm2, psi2 = phi.densities()
-    dnorm2 = np.sum(np.abs(phi.first_difference()) ** 2, axis=0)
+    dnorm2 = _sum_abs2(phi.first_difference())
     psi_norm = np.sqrt(psi2)
     norm = np.sqrt(norm2)
     interior = slice(1, t.size - 1)

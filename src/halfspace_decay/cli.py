@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from .profiles import SpectralProfile, bump_profile
 from .quadrature import uniform_grid
 from .runconfig import _COUNT, _POSITIVE_INT, _SEED, RunConfig, reading
 from .spectrum import density_scan, enumerate_spectrum, find_gaps, max_gap_growth
+from .svgplot import PlotTable, emit_plots, render_svg
 from .lattice import QuadraticForm
 
 
@@ -106,8 +108,16 @@ def _emit_rows(header, rows, out: str | None) -> None:
         write_rows(sys.stdout, rows)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a minus sign then a digit or a point read as a value (-1e5, -.5, -1,9): no option looks so."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="halfspace-decay")
+    p = _Parser(prog="halfspace-decay")
     sub = p.add_subparsers(dest="command", required=True)
 
     lat = sub.add_parser("lattice", help="dual bases, volumes, rational reduction")
@@ -312,8 +322,6 @@ def _cmd_gelfand(args) -> int:
 def _report_dir(out_dir, reports, prefix: str) -> None:
     if not out_dir:
         return
-    from .svgplot import PlotTable, emit_plots
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / f"{prefix}_reports.json", reports)
@@ -403,8 +411,6 @@ def _cmd_evolve(args) -> int:
     if args.out:
         write_csv(args.out, ["t", "norm"], np.column_stack((t, norms)))
     if args.svg:
-        from .svgplot import PlotTable, render_svg
-
         table = PlotTable(
             name=Path(args.svg).stem, xs=t, ys=np.log(np.maximum(norms, 1e-300)),
             x_label="t", y_label="log ||phi||",

@@ -80,7 +80,7 @@ def bump_case_gap(seed: int, index: int, t_points: int = DEFAULT_T_POINTS):
     amps = rng.normal(size=count) + 1j * rng.normal(size=count)
     lo = rng.uniform(0.1, 1.2)
     width = rng.uniform(0.8, t_end - lo - 0.2)
-    profile = bump_profile((lo, lo + width), list(zip(eigs, amps)), t, alpha=0.0)
+    profile = bump_profile((lo, lo + width), list(zip(eigs, amps)), t)
     return profile, a, b, 0.0
 
 

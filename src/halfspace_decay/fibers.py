@@ -30,7 +30,7 @@ from .errors import GridError, PreconditionError, SchemaError
 from .fields import SampledField, cells_first, check_t_axis
 from .lattice import Lattice, Quasimomentum, dual_basis, form_on_grid, unit_cell_volume
 from .manifest import read_npz
-from .profiles import SpectralProfile, _residual, column_norms
+from .profiles import SpectralProfile, _residual, _sum_abs2, column_norms
 from .runconfig import _INTS, _NUMBER, _NUMBERS, _POSITIVE_INT, check_keys, reading
 
 STACK_BYTES = 1 << 20
@@ -112,8 +112,13 @@ class BlochFiber:
         """
         eigs = self.mode_eigenvalues(energy).reshape(-1)
         coeffs = self.coefficients.reshape(-1, self.n_t)
-        mass = np.sum(np.abs(coeffs) ** 2, axis=1)
-        total = float(np.sum(mass))
+        with np.errstate(over="ignore"):
+            mass = _sum_abs2(coeffs, axis=1)
+            total = float(np.sum(mass))
+        if not np.finfo(float).tiny <= total < np.inf and (peak := np.max(np.abs(coeffs))) > 0:
+            # the total over- or underflows: the same shares from the coefficients over their largest modulus
+            mass = _sum_abs2(coeffs / peak, axis=1)
+            total = float(np.sum(mass))
         order = np.argsort(-mass, kind="stable")
         keep = order[: np.count_nonzero(mass > MODE_MASS_FLOOR * total)][:max_modes]
         dropped = 0.0 if total == 0 else float(1.0 - np.sum(mass[keep]) / total)
@@ -142,7 +147,7 @@ def load_fiber(path, lat: Lattice) -> BlochFiber:
     (exit 2).  Either names the file.
     """
     with reading("fiber file", path):
-        arrays = read_npz(path, {"data"}, {"data", *_FIBER_KEYS})
+        arrays = read_npz(path, {"data"}, _FIBER_KEYS)
         doc = {key: a.tolist() for key, a in arrays.items() if key != "data"}
         check_keys("fiber", doc, _FIBER_KEYS)
         if len(doc["mu"]) != lat.dim:
@@ -208,7 +213,7 @@ def gelfand_forward(u: SampledField, theta, l_max: int) -> BlochFiber | list[Blo
         at = (slice(None),) * dim + (j,)
         np.multiply(_contract_cells(field[at], mats), twist[at][..., None], out=out[at])
         if truncated:
-            mass += np.sum(np.abs(field[at]) ** 2, axis=tuple(range(dim, 2 * dim)))
+            mass += _sum_abs2(field[at], tuple(range(dim, 2 * dim)))
     mass[np.ix_(*inside)] = 0.0
     w_dt = unit_cell_volume(u.lattice) / n**dim * (u.t_end - u.t_start) / (u.n_t - 1)
     tail = float(np.sum(np.sqrt(w_dt * mass)))
@@ -314,15 +319,20 @@ def fiber_residual(
 
     The operator acts on the coefficients (diagonal multipliers), the potential
     on the samples; second t-derivatives are centred differences; endpoints are
-    excluded.  Returns the residual per interior t sample.
+    excluded.  Returns the residual per interior t sample; one that overflows is refused.
     """
     check_residual_t_grid(fiber)
-    t = fiber.t_grid
-    res_spec = _residual(fiber.coefficients, fiber.mode_eigenvalues(energy), t[1] - t[0], 1, fiber.n_t - 1)
-    res = res_spec  # without V: norm="ortho" is unitary, so Parseval's norm needs no inverse transform
     if potential is not None:
         check_potential_grid(potential, fiber)
-        v_cell = potential.cell_block(potential.cells_lo)[..., 1:-1]
-        res = np.fft.ifftn(res_spec, axes=fiber.spatial_axes, norm="ortho") - v_cell * fiber.data[..., 1:-1]
-    return column_norms(res, unit_cell_volume(fiber.lattice) / fiber.points_per_cell**fiber.dim)
+    t = fiber.t_grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_spec = _residual(fiber.coefficients, fiber.mode_eigenvalues(energy), t[1] - t[0], 1, fiber.n_t - 1)
+        res = res_spec  # without V: norm="ortho" is unitary, so Parseval's norm needs no inverse transform
+        if potential is not None:
+            v_cell = potential.cell_block(potential.cells_lo)[..., 1:-1]
+            res = np.fft.ifftn(res_spec, axes=fiber.spatial_axes, norm="ortho") - v_cell * fiber.data[..., 1:-1]
+        norms = column_norms(res, unit_cell_volume(fiber.lattice) / fiber.points_per_cell**fiber.dim)
+    if not np.isfinite(norms).all():
+        raise PreconditionError(f"the fiber residual at energy {energy:g} overflows")
+    return norms
 

@@ -138,20 +138,19 @@ def read_rows(path) -> tuple[str, np.ndarray]:
     return header, rows
 
 
-def read_npz(path, keys, known=None) -> dict[str, np.ndarray]:
-    """The arrays ``keys`` of the NumPy archive ``path``, which must be finite numbers.
+def read_npz(path, keys, optional=()) -> dict[str, np.ndarray]:
+    """Every array of the NumPy archive ``path``: ``keys``, which it must hold, and any of ``optional``.
 
-    With ``known``, every name the archive may hold, it reads every entry, and
-    refuses one outside ``known`` before any array is read.  Any other file (no
-    archive, a missing key, object or text arrays, a NaN or infinity) is a
-    SchemaError; a missing file stays an OSError.
+    An entry of another name is refused before any array is read, and every
+    array must be of finite numbers.  Any other file (no archive, a missing
+    key, object or text arrays, a NaN or infinity) is a SchemaError; a missing
+    file stays an OSError.
     """
     try:
         with np.load(path) as data:
-            names = set(data.files)
-            if known is not None and names - set(known):
-                raise SchemaError(f"unknown keys: {sorted(names - set(known))}")
-            arrays = {k: data[k] for k in (names & set(keys) if known is None else names)}
+            if unknown := set(data.files) - set(keys) - set(optional):
+                raise SchemaError(f"unknown keys: {sorted(unknown)}")
+            arrays = {k: data[k] for k in data.files}
     except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise SchemaError(f"not a NumPy .npz archive: {exc}") from exc
     if set(keys) - set(arrays) or any(a.dtype.kind not in "biufc" for a in arrays.values()):
@@ -178,7 +177,7 @@ def write_json(path, payload) -> Path:
 
 
 def _dump_json(path, doc) -> Path:
-    """Write ``doc``, already canonical, as indented JSON with sorted keys."""
+    """Write the JSON-ready ``doc`` as it is: indented, with sorted keys and a final newline."""
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,7 +35,7 @@ from .evolution import decay_rate_estimate
 from .fibers import check_potential_grid, check_residual_t_grid, fiber_residual, gelfand_forward, theta_grid
 from .fields import load_field
 from .lattice import Lattice
-from .manifest import RunManifest, write_csv, write_json
+from .manifest import RunManifest, _dump_json, write_csv, write_json
 from .profiles import SpectralProfile, check_t_start, plateau_shape
 from .quadrature import GATE_RTOL
 from .runconfig import _COUNT, _NUMBER, _POSITIVE_INT, RunConfig, _is_int, _is_number, check_keys
@@ -229,7 +230,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunManifest, int]:
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.write_resolved(out_dir)
+    _dump_json(out_dir / "resolved_config.json", asdict(cfg))  # the config as given, not canonicalized
 
     manifest = RunManifest.for_config(cfg)
     codes = [EXIT_OK]

@@ -31,23 +31,18 @@ def check_t_start(t_start: float) -> None:
 
 @dataclass(eq=False)
 class SpectralProfile:
-    """Coefficients c_i(t) of phi(t) over modes with eigenvalues mu_i.
-
-    ``alpha`` is a lower-bound witness: every eigenvalue satisfies
-    mu_i >= -alpha.  Eigenvalues must be finite.
-    """
+    """Coefficients c_i(t) of phi(t) over modes with eigenvalues mu_i, which must be finite."""
 
     eigs: np.ndarray
     t_grid: np.ndarray
     coeffs: np.ndarray
-    alpha: float | None = None
 
     def __post_init__(self):
         self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)  # _residual views it as floats
         self._check_frame(self.coeffs.shape)
 
     def _check_frame(self, coeffs_shape: tuple[int, ...]) -> None:
-        """Normalise eigs, t_grid and alpha; refuse a frame the coefficient shape does not fit."""
+        """Normalise eigs and t_grid; refuse a frame the coefficient shape does not fit."""
         self.eigs = np.asarray(self.eigs, dtype=float).reshape(-1)
         self.t_grid = np.asarray(self.t_grid, dtype=float).reshape(-1)
         if coeffs_shape != (self.eigs.size, self.t_grid.size):
@@ -56,10 +51,14 @@ class SpectralProfile:
             raise SchemaError("eigenvalues must be finite")
         self.step = grid_step(self.t_grid)
         check_t_start(self.t_grid[0])
-        if self.alpha is None:
-            self.alpha = float(max(0.0, -np.min(self.eigs))) if self.eigs.size else 0.0
-        if self.eigs.size and np.min(self.eigs) < -self.alpha - 1e-12:
-            raise SchemaError("eigenvalue below -alpha")
+
+    @property
+    def alpha(self) -> float:
+        """max(0, -min mu), 0 with no modes: the least alpha >= 0 with every mu_i >= -alpha.
+
+        It bounds the profile's own modes only; the operator's bound is its spectrum's.
+        """
+        return float(max(0.0, -np.min(self.eigs))) if self.eigs.size else 0.0
 
     @property
     def n_modes(self) -> int:
@@ -215,8 +214,8 @@ class BumpProfile(SpectralProfile):
 
     _span = (0, None)
 
-    def __init__(self, eigs, t_grid, amps: np.ndarray, bump: np.ndarray, alpha: float | None = None):
-        self.eigs, self.t_grid, self.alpha = eigs, t_grid, alpha
+    def __init__(self, eigs, t_grid, amps: np.ndarray, bump: np.ndarray):
+        self.eigs, self.t_grid = eigs, t_grid
         self.amps = np.ascontiguousarray(amps, dtype=complex).reshape(-1)  # _peak_part views it as floats
         self.bump = np.ascontiguousarray(bump, dtype=float).reshape(-1)
         self._check_frame((self.amps.size, self.bump.size))
@@ -261,12 +260,7 @@ class BumpProfile(SpectralProfile):
         return norm2, psi2
 
 
-def bump_profile(
-    support: tuple[float, float],
-    modes,
-    t_grid: np.ndarray,
-    alpha: float | None = None,
-) -> BumpProfile:
+def bump_profile(support: tuple[float, float], modes, t_grid: np.ndarray) -> BumpProfile:
     """Compactly supported smooth profile on the grid.
 
     ``modes`` is a list of (eigenvalue, coefficient) pairs; each coefficient
@@ -286,15 +280,13 @@ def bump_profile(
     shape[lo:hi] = smooth_bump((2.0 * t_grid[lo:hi] - (t_lo + t_hi)) / (t_hi - t_lo))
     eigs = np.array([float(m[0]) for m in modes])
     amps = np.array([complex(m[1]) for m in modes])
-    profile = BumpProfile(eigs, t_grid, amps, shape, alpha)
+    profile = BumpProfile(eigs, t_grid, amps, shape)
     profile._span = (lo, hi)
     return profile
 
 
-def zero_profile(eigs, t_grid: np.ndarray, alpha: float | None = None) -> SpectralProfile:
+def zero_profile(eigs, t_grid: np.ndarray) -> SpectralProfile:
     eigs = np.asarray(eigs, dtype=float).reshape(-1)
     t_grid = np.asarray(t_grid, dtype=float)
-    return SpectralProfile(
-        eigs=eigs, t_grid=t_grid, coeffs=np.zeros((eigs.size, t_grid.size), dtype=complex), alpha=alpha
-    )
+    return SpectralProfile(eigs=eigs, t_grid=t_grid, coeffs=np.zeros((eigs.size, t_grid.size), dtype=complex))
 

@@ -131,15 +131,6 @@ class RunConfig:
         doc["out_dir"] = None
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
-    def write_resolved(self, out_dir) -> Path:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "resolved_config.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
-
 
 def case_rng(root_seed: int, *key: int) -> np.random.Generator:
     """Deterministic per-case generator from the root seed and a counter key."""

@@ -305,7 +305,7 @@ def test_c06_carleman_gap_suite():
         eigs = rng.choice(np.arange(0, 12) ** 2, size=count).astype(float)
         amps = rng.normal(size=count)
         t = uniform_grid(4.0, 1025)
-        phi = bump_profile((0.5, 3.0), list(zip(eigs, amps)), t, alpha=0.0)
+        phi = bump_profile((0.5, 3.0), list(zip(eigs, amps)), t)
         rep = first_order_system_check(phi, float(k), float(k + 1))
         assert rep.min_eig_b0 >= -1e-10
         assert rep.min_eig_b1 >= -1e-10
@@ -314,7 +314,7 @@ def test_c06_carleman_gap_suite():
     resid = {}
     for n in (1001, 2001):
         t = uniform_grid(4.0, n)
-        phi = bump_profile((0.5, 3.0), [(1.0, 1.0), (9.0, 1.0)], t, alpha=0.0)
+        phi = bump_profile((0.5, 3.0), [(1.0, 1.0), (9.0, 1.0)], t)
         resid[n] = first_order_system_check(phi, 2.0, 3.0).identity_residual
     ratio = resid[1001] / resid[2001]
     assert 4.0 * 0.7 < ratio < 4.0 * 1.3, f"identity order ratio {ratio:.2f}"

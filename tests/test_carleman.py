@@ -191,14 +191,14 @@ def test_verify43_property_random_admissible(seed, eps, mult):
 
 def test_verify43_negative_modes_allowed():
     t = uniform_grid(4.0, 4097)
-    phi = bump_profile((1.2, 3.0), [(-3.0, 1.0), (2.0, 1.0)], t, alpha=3.0)
+    phi = bump_profile((1.2, 3.0), [(-3.0, 1.0), (2.0, 1.0)], t)
     rep = verify_carleman_43(phi, 1.0, 1.0)
     assert rep.passed
 
 
 def test_verify_gap_single_mode_example():
     t = uniform_grid(4.0, 4097)
-    phi = bump_profile((0.5, 3.0), [(1.0, 1.0)], t, alpha=0.0)
+    phi = bump_profile((0.5, 3.0), [(1.0, 1.0)], t)
     rep = verify_carleman_gap(phi, 2.0, 3.0, 0.0)
     assert rep.passed and rep.margin >= 0.0
     assert rep.params["m"] == 1.0 and rep.params["w"] == 2.5
@@ -208,13 +208,13 @@ def test_verify_gap_single_mode_example():
 
 def test_verify_gap_zero_profile():
     t = uniform_grid(4.0, 4097)
-    rep = verify_carleman_gap(zero_profile([1.0, 9.0], t, alpha=0.0), 2.0, 3.0, 0.0)
+    rep = verify_carleman_gap(zero_profile([1.0, 9.0], t), 2.0, 3.0, 0.0)
     assert rep.passed
 
 
 def test_verify_gap_refusals_are_not_failures():
     t = uniform_grid(4.0, 4097)
-    phi = bump_profile((0.5, 3.0), [(1.0, 1.0)], t, alpha=0.0)
+    phi = bump_profile((0.5, 3.0), [(1.0, 1.0)], t)
     with pytest.raises(PreconditionError):
         verify_carleman_gap(phi, 0.5, 1.5, 0.0)  # 1 lies inside (0.25, 2.25)
     with pytest.raises(PreconditionError):
@@ -225,7 +225,7 @@ def test_verify_gap_refusals_are_not_failures():
 
 def test_verify_gap_force_mode_has_no_verdict():
     t = uniform_grid(4.0, 4097)
-    phi = bump_profile((0.5, 3.0), [(1.0, 1.0)], t, alpha=0.0)
+    phi = bump_profile((0.5, 3.0), [(1.0, 1.0)], t)
     rep = verify_carleman_gap(phi, 0.5, 1.5, 0.0, force=True)
     assert rep.passed is None
     assert rep.params["forced"] is True
@@ -255,7 +255,7 @@ def test_factored_bump_cases_keep_the_full_array_verdicts():
         for p, verify in pairs:
             rep = verify(p)
             assert "coeffs" not in vars(p)
-            ref = verify(SpectralProfile(p.eigs, p.t_grid, p.coeffs, p.alpha))
+            ref = verify(SpectralProfile(p.eigs, p.t_grid, p.coeffs))
             assert rep.passed is ref.passed is True
             assert rep.lhs == pytest.approx(ref.lhs, rel=1e-14)
             assert rep.rhs == pytest.approx(ref.rhs, rel=1e-11)
@@ -264,7 +264,7 @@ def test_factored_bump_cases_keep_the_full_array_verdicts():
 
 def test_system_check_mode_above_gap():
     t = uniform_grid(4.0, 2001)
-    phi = bump_profile((0.5, 3.0), [(9.0, 1.0)], t, alpha=0.0)
+    phi = bump_profile((0.5, 3.0), [(9.0, 1.0)], t)
     rep = first_order_system_check(phi, 2.0, 3.0)
     # B1* + B1 on its range is 2*sqrt(9) + 2*2.5 = 11 >= m = 1
     assert rep.min_eig_b1 == pytest.approx(11.0 - 1.0, abs=1e-10)
@@ -273,7 +273,7 @@ def test_system_check_mode_above_gap():
 
 def test_system_check_mode_below_gap():
     t = uniform_grid(4.0, 2001)
-    phi = bump_profile((0.5, 3.0), [(1.0, 1.0)], t, alpha=0.0)
+    phi = bump_profile((0.5, 3.0), [(1.0, 1.0)], t)
     rep = first_order_system_check(phi, 2.0, 3.0)
     # diagonal entries (mu/a + a + 2w, -mu/a - a + 2w) = (7.5, 2.5)
     assert rep.min_eig_b0 == pytest.approx(2.5 - 1.0, abs=1e-10)
@@ -282,7 +282,7 @@ def test_system_check_mode_below_gap():
 
 def test_system_check_zero_profile():
     t = uniform_grid(4.0, 2001)
-    rep = first_order_system_check(zero_profile([1.0, 9.0], t, alpha=0.0), 2.0, 3.0)
+    rep = first_order_system_check(zero_profile([1.0, 9.0], t), 2.0, 3.0)
     assert rep.identity_residual == 0.0
     assert rep.certificates_ok
 
@@ -338,7 +338,7 @@ def test_system_check_identity_order_two():
     resid = {}
     for n in (2001, 4001):
         t = uniform_grid(4.0, n)
-        phi = bump_profile((0.5, 3.0), [(1.0, 1.0), (9.0, 0.5j)], t, alpha=0.0)
+        phi = bump_profile((0.5, 3.0), [(1.0, 1.0), (9.0, 0.5j)], t)
         resid[n] = first_order_system_check(phi, 2.0, 3.0).identity_residual
     ratio = resid[2001] / resid[4001]
     assert 4.0 * 0.7 < ratio < 4.0 * 1.3
@@ -353,7 +353,7 @@ def test_system_check_certificates_random_spectra():
         count = int(rng.integers(1, 10))
         eigs = rng.choice(np.arange(0, 12) ** 2, size=count).astype(float)
         amps = rng.normal(size=count)
-        phi = bump_profile((0.5, 3.0), list(zip(eigs, amps)), t, alpha=0.0)
+        phi = bump_profile((0.5, 3.0), list(zip(eigs, amps)), t)
         rep = first_order_system_check(phi, a, b)
         assert rep.certificates_ok
         assert rep.min_eig_b0 >= -1e-10 and rep.min_eig_b1 >= -1e-10
@@ -448,11 +448,10 @@ def _system_check_cases():
         eigs[0] = (a * a, b * b, eigs[0], eigs[0])[i % 4]
         amps = rng.normal(size=count) + 1j * rng.normal(size=count)
         t = uniform_grid(4.0, int(rng.choice([513, 1025])))
-        alpha = max(0.0, -float(np.min(eigs)))
-        yield bump_profile((0.5, 3.0), list(zip(eigs.tolist(), amps.tolist())), t, alpha=alpha), a, b
+        yield bump_profile((0.5, 3.0), list(zip(eigs.tolist(), amps.tolist())), t), a, b
     t = uniform_grid(4.0, 513)
-    yield zero_profile([1.0, 4.0, 9.0], t, alpha=0.0), 2.0, 3.0
-    yield bump_profile((0.5, 3.0), [(4.0, 1.0), (9.0, 2j)], t, alpha=0.0), 2.0, 3.0
+    yield zero_profile([1.0, 4.0, 9.0], t), 2.0, 3.0
+    yield bump_profile((0.5, 3.0), [(4.0, 1.0), (9.0, 2j)], t), 2.0, 3.0
 
 
 def test_system_check_matches_dense_reference():
@@ -468,15 +467,15 @@ def test_system_check_matches_dense_reference():
 
 def test_system_check_boundary_modes_and_one_sided_spectra():
     t = uniform_grid(4.0, 513)
-    rep = first_order_system_check(bump_profile((0.5, 3.0), [(4.0, 1.0), (9.0, 1j)], t, alpha=0.0), 2.0, 3.0)
+    rep = first_order_system_check(bump_profile((0.5, 3.0), [(4.0, 1.0), (9.0, 1j)], t), 2.0, 3.0)
     # both certificates are exactly tight at the gap's ends: with m = b - a and 2w = a + b,
     # mu = a^2 gives B0* + B0 - m = diag(2a + 2w, 2w - 2a) - m, whose smaller entry is 0,
     # and mu = b^2 gives B2* + B2 + m = 2w - 2b + m = 0
     assert rep.min_eig_b0 == 0.0 and rep.max_eig_b2 == 0.0 and rep.min_eig_b1 == 2 * 3.0 + 2 * 2.5 - 1.0
     assert rep.certificates_ok
-    below = first_order_system_check(bump_profile((0.5, 3.0), [(1.0, 1.0), (0.0, 2.0)], t, alpha=0.0), 2.0, 3.0)
+    below = first_order_system_check(bump_profile((0.5, 3.0), [(1.0, 1.0), (0.0, 2.0)], t), 2.0, 3.0)
     assert below.min_eig_b1 == math.inf and below.max_eig_b2 == -math.inf and below.certificates_ok
-    above = first_order_system_check(bump_profile((0.5, 3.0), [(16.0, 1.0)], t, alpha=0.0), 2.0, 3.0)
+    above = first_order_system_check(bump_profile((0.5, 3.0), [(16.0, 1.0)], t), 2.0, 3.0)
     assert above.min_eig_b0 == math.inf and above.certificates_ok
 
 
@@ -486,7 +485,7 @@ def test_system_check_peak_memory():
     M = 400
     eigs = np.where(rng.random(M) < 0.5, rng.uniform(0.0, 4.0, M), rng.uniform(9.0, 50.0, M))
     amps = rng.normal(size=M) + 1j * rng.normal(size=M)
-    phi = bump_profile((0.5, 3.0), list(zip(eigs, amps)), uniform_grid(4.0, 1025), alpha=0.0)
+    phi = bump_profile((0.5, 3.0), list(zip(eigs, amps)), uniform_grid(4.0, 1025))
     tracemalloc.start()
     try:
         rep = first_order_system_check(phi, 2.0, 3.0)
@@ -597,7 +596,7 @@ def test_weighted_report_leaves_the_profile_as_it_was(factored):
     """The report weights the densities in place: they are fresh arrays, so a second report reads the same."""
     phi, a, b, alpha = bump_case_gap(5, 2)
     if not factored:
-        phi = SpectralProfile(phi.eigs, phi.t_grid, phi.coeffs, phi.alpha)
+        phi = SpectralProfile(phi.eigs, phi.t_grid, phi.coeffs)
     before = phi.densities()
     reports = [verify_carleman_gap(phi, a, b, alpha), verify_carleman_43(phi, 3.0, 0.5)]
     assert all(np.array_equal(x, y) for x, y in zip(before, phi.densities()))

@@ -688,12 +688,20 @@ def test_unknown_fiber_entry_is_refused_before_it_is_read(lat_json, tmp_path):
     assert traced_peak(refused)[1] < 2**20
 
 
-def test_field_npz_reads_only_header_and_values(lat_json, tmp_path, capsys):
-    """Other entries of a field archive are not read, whatever their type."""
+@pytest.mark.parametrize("extra", [np.array(["x"]), np.zeros(2**21)], ids=["text", "16-MiB"])
+def test_unknown_field_entry_is_refused_before_it_is_read(extra, lat_json, tmp_path, capsys):
+    """A field archive, like a fiber's, holds only the names its reader gives: another exits 4, naming the file."""
     field = tmp_path / "field.npz"
-    field.write_bytes(_npz_bytes(header=_FIELD_HEADER, values=np.full(20, 0.5 + 0j), extra=np.array(["x"])))
-    assert main([a.format(lat=lat_json, bad=field) for a in _ROUNDTRIP]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["max_error"] < 1e-12
+    field.write_bytes(_npz_bytes(header=_FIELD_HEADER, values=np.full(20, 0.5 + 0j), extra=extra))
+    assert main([a.format(lat=lat_json, bad=field) for a in _ROUNDTRIP]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: field file {field}: unknown keys: ['extra']\n"
+    lat = Lattice.load(lat_json)
+
+    def refused():
+        with pytest.raises(SchemaError, match=re.escape(f"field file {field}: unknown keys: ['extra']")):
+            load_field(field, lat)
+
+    assert traced_peak(refused)[1] < 2**20
 
 
 def test_non_finite_json_result_is_refused_not_printed(monkeypatch, capsys):
@@ -896,6 +904,49 @@ def test_gelfand_residual_at_a_huge_energy_is_finite(tmp_path, capsys):
         assert main(argv) == EXIT_OK
         rows[energy] = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", skiprows=1)
     assert np.allclose(rows["1e200"][:, 1], 1e50 * rows["1e150"][:, 1], rtol=1e-13, atol=0.0)
+
+
+def test_gelfand_residual_that_overflows_is_refused(tmp_path, capsys):
+    """At energy 1e308 the residual itself leaves the floats: exit 2 naming the energy, no rows, no warning.
+
+    At 1e300 it is about 2.3e300, and every row is printed.
+    """
+    lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=2, n=4, nt=65)
+    argv = ["gelfand", "residual", "--lattice", str(lat_path), "--u", str(u_path), "--theta", "1/4", "--energy"]
+    assert main([*argv, "1e300"]) == EXIT_OK
+    rows = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", skiprows=1)
+    assert rows.shape == (63, 2) and np.all(np.isfinite(rows))
+    assert 2e300 < rows[0, 1] < 2.5e300
+    for energy in ("1e308", "-1e308"):
+        assert main([*argv, energy]) == EXIT_PRECONDITION
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: the fiber residual at energy {float(energy):g} overflows\n"
+
+
+_RESIDUAL_AT = ["gelfand", "residual", "--lattice", "{lat}", "--u", "{u}", "--theta", "1/4", "--energy"]
+
+
+@pytest.mark.parametrize("argv, value", [
+    (_RESIDUAL_AT, "-1e5"),
+    (_RESIDUAL_AT, "-1.5E-3"),
+    (_RESIDUAL_AT, "-.5"),
+    (["carleman", "system-check", "--a", "2", "--b", "3", "--eigs"], "-1,9"),
+], ids=["energy-exponent", "energy-upper-exponent", "energy-point", "eigs-list"])
+def test_a_value_that_starts_with_a_minus_sign_reads_as_with_an_equals_sign(argv, value, tmp_path, capsys):
+    """``--flag -1e5`` is ``--flag=-1e5``: a minus sign then a digit or a point starts a value, not an option."""
+    lat_path, u_path, _ = manufactured_line_input(tmp_path, theta_points=2, n=4, nt=65)
+    argv = [a.format(lat=lat_path, u=u_path) for a in argv]
+    outputs = []
+    for form in ([*argv, value], [*argv[:-1], f"{argv[-1]}={value}"]):
+        assert main(form) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].out and not outputs[0].err
+
+
+def test_an_option_after_a_flag_is_still_a_missing_value(capsys):
+    assert main(["gelfand", "residual", "--lattice", "l", "--u", "u", "--theta", "0", "--energy", "-x"]) == EXIT_IO
+    assert "argument --energy: expected one argument" in capsys.readouterr().err
 
 
 def test_non_finite_list_entry_is_refused_where_it_is_parsed(capsys):

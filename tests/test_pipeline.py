@@ -339,7 +339,9 @@ def test_profile_keeps_the_massive_modes_and_no_roundoff(tmp_path):
     The 8-point field of the mode (1, 0) built on the 2 x 2 fiber grid has, at theta = (1, 9)/12,
     8 modes of mass above 40 and 56 of 1e-29 or less; built on the 6 x 6 grid it has one mode per
     case.  Every mode holds more than 1e-5 of its fiber's mass, or less than 1e-28.
-    The fibers scaled by 3, whose roundoff differs, keep the same eigenvalues in every case.
+    The fibers scaled by 3, whose roundoff differs, keep the same eigenvalues in every case, and
+    so do those scaled by 1e-170 and 1e160, whose squared moduli under- and overflow.  A zero
+    fiber has no modes.
     """
     for grid in (2, 6):
         lat_path, u_path = _plane_input(tmp_path / f"grid{grid}", n=8, grid=grid)
@@ -352,14 +354,17 @@ def test_profile_keeps_the_massive_modes_and_no_roundoff(tmp_path):
             profile, _ = fiber.to_profile(0.5, max_modes=16)
             eigs = fiber.mode_eigenvalues(0.5).reshape(-1)
             assert np.array_equal(profile.eigs, eigs[massive[:16]])
-            scaled = dataclasses.replace(fiber, data=3.0 * fiber.data)
-            assert np.array_equal(scaled.to_profile(0.5, max_modes=16)[0].eigs, profile.eigs)
+            for scale in (3.0, 1e-170, 1e160):
+                scaled = dataclasses.replace(fiber, data=scale * fiber.data)
+                assert np.array_equal(scaled.to_profile(0.5, max_modes=16)[0].eigs, profile.eigs)
             if grid == 6:
                 mode = np.array([1, 0]) + fiber.theta.coeffs
                 assert profile.eigs.tolist() == pytest.approx([float(mode @ mode) - 0.5])
             elif fiber.theta.exact == (12, (1, 9)):
                 assert profile.n_modes == 8 and mass[massive].min() > 40.0
         assert fiber.to_profile(0.5, max_modes=None)[0].n_modes == massive.size
+        zero, dropped = dataclasses.replace(fiber, data=np.zeros_like(fiber.data)).to_profile(0.5)
+        assert zero.n_modes == 0 and dropped == 0.0
 
 
 def test_pipeline_holds_one_fiber_coefficients_at_a_time(tmp_path, monkeypatch):
@@ -498,6 +503,47 @@ def test_pipeline_at_a_huge_energy_records_a_finite_residual(line_pipeline_input
     for low, high in zip(runs[1e150], runs[1e200]):
         assert float(high["data"]["max_residual"]) == pytest.approx(1e50 * float(low["data"]["max_residual"]),
                                                                      rel=1e-13)
+
+
+def test_pipeline_residual_that_overflows_is_one_refusal_per_case(line_pipeline_input, tmp_path):
+    """At energy 1e308 the residual itself leaves the floats: each case refuses its residual stage, naming the energy."""
+    lat_path, u_path, _ = line_pipeline_input
+    assert run_pipeline(pipeline_config(lat_path, u_path, tmp_path / "run", energy=1e308))[1] == 2
+    doc = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert len(doc["cases"]) == 3
+    for case in doc["cases"]:
+        assert "max_residual" not in case["data"]
+        assert case["data"]["residual"] == "refused: the fiber residual at energy 1e+308 overflows"
+
+
+def _scaled_run(lat_path, u_path, lat, scale, out):
+    """The pipeline's manifest cases and exit code on the field ``u_path`` times ``scale``."""
+    u = load_field(u_path, lat)
+    save_field(dataclasses.replace(u, values=u.values * scale), out.with_suffix(".csv"))
+    manifest, code = run_pipeline(pipeline_config(lat_path, out.with_suffix(".csv"), out, cutoff=20.0))
+    return manifest.cases, code
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-200, 1e160, 1e200])
+def test_pipeline_fiber_whose_mass_leaves_the_floats_keeps_its_modes(line_pipeline_input, tmp_path, scale):
+    """A fiber whose squared moduli under- or overflow keeps the modes and rates of unit scale, with no warning.
+
+    The small fields read as at unit scale; on the large ones each case's weighted integrals
+    overflow, one refusal per case (exit 2).
+    """
+    lat_path, u_path, lat = line_pipeline_input
+    unit, code = _scaled_run(lat_path, u_path, lat, 1.0, tmp_path / "unit")
+    assert code == 0 and [c["verdict"] for c in unit] == ["pass"] * 3
+    cases, code = _scaled_run(lat_path, u_path, lat, scale, tmp_path / "scaled")
+    assert code == (0 if scale < 1 else 2)
+    for case, ref in zip(cases, unit):
+        data = case["data"]
+        assert data["dropped_mode_mass"] == ref["data"]["dropped_mode_mass"] == 0.0
+        assert data["decay_rate"] == pytest.approx(ref["data"]["decay_rate"], rel=1e-12)
+        if scale < 1:
+            assert case["verdict"] == "pass"
+        else:
+            assert re.fullmatch(r"refused: carleman-gap: the weight .* or its integral overflows", case["verdict"])
 
 
 def test_pipeline_subnormal_taper_is_one_resolution_gate_refusal_per_case(line_pipeline_input, tmp_path):

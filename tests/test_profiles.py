@@ -5,6 +5,7 @@ zero-filled second difference divided by h^2, and mode sums over every
 column.  The kernel must reproduce them bit for bit.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from halfspace_decay.fields import SampledField
 from halfspace_decay.lattice import Lattice, Quasimomentum, unit_cell_volume
 from halfspace_decay.errors import GridError
 from halfspace_decay.profiles import (
-    BumpProfile, SpectralProfile, _second_difference, bump_profile, plateau_shape, smooth_bump,
+    BumpProfile, SpectralProfile, _second_difference, bump_profile, plateau_shape, smooth_bump, zero_profile,
 )
 from halfspace_decay.quadrature import grid_step, simpson_weights, simpson_with_error
 
@@ -71,7 +72,7 @@ def profiles(draw):
     if draw(st.booleans()):
         coeffs = np.asfortranarray(coeffs)
     t = draw(st.sampled_from([0.0, 0.25])) + h * np.arange(n)
-    return SpectralProfile(eigs=eigs, t_grid=t, coeffs=coeffs, alpha=5.0)
+    return SpectralProfile(eigs=eigs, t_grid=t, coeffs=coeffs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,7 +165,7 @@ def test_discrete_residual_matches_full_formula(kind):
 
 def as_generic(p: BumpProfile) -> SpectralProfile:
     """The same profile from its materialised coefficients, without the factored densities."""
-    return SpectralProfile(p.eigs, p.t_grid, p.coeffs, p.alpha)
+    return SpectralProfile(p.eigs, p.t_grid, p.coeffs)
 
 
 def test_carleman_reports_match_full_formula_path(monkeypatch):
@@ -324,7 +325,7 @@ def test_density_oracle_sees_small_value_changes(change):
         t = t * (1.0 + 1e-9)
     assert_bump_densities_match(bp, as_generic(bp))
     with pytest.raises(AssertionError, match="values differ"):
-        assert_bump_densities_match(bp, SpectralProfile(eigs, t, bp.coeffs, bp.alpha))
+        assert_bump_densities_match(bp, SpectralProfile(eigs, t, bp.coeffs))
 
 
 # Entries of every kind the support scan must classify: signed zeros, a
@@ -441,3 +442,24 @@ def test_bump_is_evaluated_on_its_support_with_the_bits_of_the_whole_grid(n, sta
     assert bp._support_index == ((int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None)
     first, stop = bp._span
     assert stop - first <= np.count_nonzero((t >= lo) & (t <= hi)) + 2  # the support and one point each side
+
+
+def test_profile_constructors_take_no_alpha():
+    """alpha is the profile's own bound, derived from its eigenvalues and never set."""
+    for make in (SpectralProfile, BumpProfile, bump_profile, zero_profile):
+        assert "alpha" not in inspect.signature(make).parameters
+    t = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(TypeError):
+        SpectralProfile([-2.0], t, np.ones((1, 9)), 2.0)
+    profile = zero_profile([-2.0, 3.0], t)
+    with pytest.raises(AttributeError):
+        profile.alpha = 0.0
+    assert profile.alpha == 2.0 and zero_profile([], t).alpha == 0.0
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_alpha_is_minus_the_least_eigenvalue_or_zero(index):
+    """What the ellreg energy bound reads of the solution-like profiles, of all three flavours."""
+    profile, _ = ensembles.solution_like_profile(5, index, t_points=257)
+    assert profile.alpha == max(0.0, -float(np.min(profile.eigs)))
+    assert (profile.alpha > 0.0) == (index % 3 == 1)  # only the damped oscillations sit below 0

@@ -106,6 +106,14 @@ MUTANTS = [
     # a profile keeps at most max_modes modes, and none below the DFT's roundoff
     ("fibers.py", "MODE_MASS_FLOOR = 1e-24", "MODE_MASS_FLOOR = 0.0", ["test_pipeline.py"]),
     ("fibers.py", "[:max_modes]", "[:None]", ["test_pipeline.py"]),
+    # ... also when the fiber's squared moduli under- or overflow: they are summed again over the peak modulus
+    ("fibers.py", "if not np.finfo(float).tiny <= total < np.inf and", "if False and", ["test_pipeline.py"]),
+    # a fiber residual that overflows is refused
+    ("fibers.py", "if not np.isfinite(norms).all():", "if False:", ["test_cli.py", "test_pipeline.py"]),
+    # every archive refuses an entry its reader does not name
+    ("manifest.py", "if unknown := set(data.files) - set(keys) - set(optional):", "if False:", ["test_cli.py"]),
+    # a minus sign then a digit or a point starts a value (argparse's own pattern has no exponent or list)
+    ("cli.py", 're.compile(r"^-[\\d.]")', 're.compile(r"^-\\d+$|^-\\d*\\.\\d+$")', ["test_cli.py"]),
     # a Carleman weight or integral that overflows is refused
     ("carleman.py", "if not np.isfinite(weight).all():", "if False:", ["test_carleman.py", "test_cli.py"]),
     ("carleman.py", "if not all(map(math.isfinite, (lhs, rhs, quad_err))):", "if False:", ["test_carleman.py"]),
