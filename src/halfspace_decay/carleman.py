@@ -155,8 +155,10 @@ def _weighted_report(
 ) -> CarlemanReport:
     """const * I[e^(2 rate t^power) ||phi||^2] against I[e^(2 rate t^power) ||psi||^2].
 
-    A profile with no support gets the zero report, whatever the weight and const.  Otherwise
-    an overflow of the weight or of an integral is refused; no verdict if pass_rtol is None.
+    A profile with no support gets the zero report, whatever the weight and const.  Otherwise both
+    sides are integrated on phi 2^-k (k = phi.peak_exponent()), so the resolution gate and the pass
+    rule do not depend on phi's scale, and reported times 4^k.  An overflow of the weight or of
+    those integrals is refused, and so is a report that overflows; no verdict if pass_rtol is None.
     """
     if phi._stencil is None:
         return CarlemanReport(lhs=0.0, rhs=0.0, margin=0.0, params=params, quad_err=0.0,
@@ -166,8 +168,9 @@ def _weighted_report(
         return f"{what}: the weight exp(2*{rate:g}*t^{power:.4g}) or its integral"
 
     weight = _stencil_weight(phi, 2.0 * rate, power, label)
+    k = phi.peak_exponent()
     with np.errstate(over="ignore", invalid="ignore"):
-        densities = phi.densities()  # fresh arrays, 0 off the stencil: weighted in place
+        densities = phi.densities(k)  # of phi 2^-k; fresh arrays, 0 off the stencil: weighted in place
         for density in densities:
             density[phi._stencil] *= weight
         lhs_int, rhs_int = (simpson_with_error(y, phi.step) for y in densities)
@@ -177,8 +180,12 @@ def _weighted_report(
         raise PreconditionError(f"{label()} overflows")
     check_resolution(lhs_int, rhs_int, what=what, gate_rtol=gate_rtol)
     passed = None if pass_rtol is None else _pass_rule(lhs, rhs, quad_err, pass_rtol)
+    try:  # both sides are of degree 2 in phi: phi's are 4^k times phi 2^-k's, exactly where they are normal
+        lhs, rhs, margin, quad_err = (math.ldexp(x, 2 * k) for x in (lhs, rhs, rhs - lhs, quad_err))
+    except OverflowError:
+        raise PreconditionError(f"{what}: the profile's weighted integrals overflow (its peak is near 2^{k})") from None
     return CarlemanReport(
-        lhs=lhs, rhs=rhs, margin=rhs - lhs, params=params, quad_err=quad_err, passed=passed
+        lhs=lhs, rhs=rhs, margin=margin, params=params, quad_err=quad_err, passed=passed
     )
 
 
@@ -370,12 +377,14 @@ def ellreg_bound_check(phi: SpectralProfile, eps: float, s_list) -> EllRegReport
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     t = phi.t_grid
-    norm2, psi2 = phi.densities()
-    dnorm2 = _sum_abs2(phi.first_difference())
+    k = phi.peak_exponent()  # beta and the ratios are of degree 0 in phi: taken on phi 2^-k
+    norm2, psi2 = phi.densities(k)
+    s, e = _sum_abs2(phi.first_difference())
+    dnorm2 = np.ldexp(s, e - 2 * k)
     psi_norm = np.sqrt(psi2)
     norm = np.sqrt(norm2)
     interior = slice(1, t.size - 1)
-    alive = norm[interior] > 1e-14 * max(1.0, float(np.max(norm)))
+    alive = norm[interior] > 1e-14 * float(np.max(norm))
     beta = 0.0
     if np.any(alive):
         beta = float(np.max(psi_norm[interior][alive] / norm[interior][alive]))

@@ -112,13 +112,9 @@ class BlochFiber:
         """
         eigs = self.mode_eigenvalues(energy).reshape(-1)
         coeffs = self.coefficients.reshape(-1, self.n_t)
-        with np.errstate(over="ignore"):
-            mass = _sum_abs2(coeffs, axis=1)
-            total = float(np.sum(mass))
-        if not np.finfo(float).tiny <= total < np.inf and (peak := np.max(np.abs(coeffs))) > 0:
-            # the total over- or underflows: the same shares from the coefficients over their largest modulus
-            mass = _sum_abs2(coeffs / peak, axis=1)
-            total = float(np.sum(mass))
+        s, e = _sum_abs2(coeffs, axis=1)
+        mass = np.ldexp(s, e - e.max())  # over 4^k, 2^k just above the largest |c|: shares at any scale
+        total = float(np.sum(mass))
         order = np.argsort(-mass, kind="stable")
         keep = order[: np.count_nonzero(mass > MODE_MASS_FLOOR * total)][:max_modes]
         dropped = 0.0 if total == 0 else float(1.0 - np.sum(mass[keep]) / total)
@@ -207,16 +203,19 @@ def gelfand_forward(u: SampledField, theta, l_max: int) -> BlochFiber | list[Blo
     out = np.empty(twist.shape + (u.n_t,), dtype=complex)
     field = cells_first(u.values, u.cells_shape, n)
     truncated = not all(ok.all() for ok in inside)
-    mass = np.zeros(u.cells_shape)
+    # each cell's running sum of |u|^2 is ldexp(mass, mass_exp), in _sum_abs2's range; 0 * 2^min is 0
+    mass, mass_exp = np.zeros(u.cells_shape), np.full(u.cells_shape, np.iinfo(np.int32).min // 2)
     # one slab per first intra-cell index; up to d = 2 BLAS reads it without a copy
     for j in range(n):
         at = (slice(None),) * dim + (j,)
         np.multiply(_contract_cells(field[at], mats), twist[at][..., None], out=out[at])
         if truncated:
-            mass += _sum_abs2(field[at], tuple(range(dim, 2 * dim)))
+            s, e = _sum_abs2(field[at], tuple(range(dim, 2 * dim)))
+            top = np.maximum(mass_exp, e)
+            mass, mass_exp = np.ldexp(mass, mass_exp - top) + np.ldexp(s, e - top), top
     mass[np.ix_(*inside)] = 0.0
     w_dt = unit_cell_volume(u.lattice) / n**dim * (u.t_end - u.t_start) / (u.n_t - 1)
-    tail = float(np.sum(np.sqrt(w_dt * mass)))
+    tail = float(np.sum(np.ldexp(np.sqrt(w_dt * mass), mass_exp // 2)))
     fibers = [
         BlochFiber(
             theta=q, lattice=u.lattice, points_per_cell=n, t_start=u.t_start, t_end=u.t_end,

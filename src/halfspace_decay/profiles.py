@@ -14,6 +14,7 @@ full-array mode sums by roundoff only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,8 +96,18 @@ class SpectralProfile:
         idx = self._support_index
         return None if idx is None else (float(self.t_grid[idx[0]]), float(self.t_grid[idx[1]]))
 
-    def densities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mode sums of |c|^2 and of |equation_residual()|^2 per t, as two fresh arrays.
+    def peak_exponent(self) -> int:
+        """k with phi's largest real or imaginary part on its stencil in [2^(k-1), 2^k); 0 with no support.
+
+        phi 2^-k peaks near 1, so a ratio homogeneous in phi takes densities(k) at any scale of phi.
+        """
+        return 0 if self._stencil is None else math.frexp(self._stencil_peak())[1]
+
+    def _stencil_peak(self) -> float:
+        return float(np.abs(self.coeffs[:, self._stencil].view(np.float64)).max())
+
+    def densities(self, shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Mode sums of |c|^2 and of |equation_residual()|^2 per t of phi 2^-shift, as two fresh arrays.
 
         Only the columns whose stencil touches the support are computed; the
         others are exactly 0 in both sums.
@@ -105,36 +116,33 @@ class SpectralProfile:
         norm2, psi2 = np.zeros(n), np.zeros(n)
         if self._stencil is not None:
             lo, hi = self._stencil.start, self._stencil.stop
-            norm2[lo:hi] = _sum_abs2(self.coeffs[:, lo:hi])
-            psi2[lo:hi] = _sum_abs2(_residual(self.coeffs, self.eigs, self.step, lo, hi))
+            s, e = _sum_abs2(self.coeffs[:, lo:hi])
+            norm2[lo:hi] = np.ldexp(s, e - 2 * shift)
+            s, e = _sum_abs2(_residual(self.coeffs, self.eigs, self.step, lo, hi))
+            psi2[lo:hi] = np.ldexp(s, e - 2 * shift)
         return norm2, psi2
 
 
-def _sum_abs2(z: np.ndarray, axis=0) -> np.ndarray:
-    """np.sum(np.abs(z) ** 2, axis=axis) bit for bit, with |z| squared in place.
+def _sum_abs2(z: np.ndarray, axis=0) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with np.ldexp(s, e) the sum of |z|^2 along ``axis``, for |z| anywhere in the floats.
 
-    |z| stays np.abs (hypot): re^2 + im^2 would change the last bits.
+    |z| is scaled by 2^-k, 2^k the power of two just above its largest value along ``axis``, then
+    squared (e = 2k).  That is exact in the normal range, so ldexp(s, e) keeps the bits of the plain
+    sum wherever no |z|^2 term leaves the normal floats.  |z| stays np.abs (hypot): re^2 + im^2
+    would change the last bits.
     """
     mag = np.abs(z)
-    return np.sum(np.multiply(mag, mag, out=mag), axis=axis)
+    k = np.frexp(mag.max(axis=axis, keepdims=True, initial=0.0))[1]
+    np.ldexp(mag, -k, out=mag)
+    s = np.sum(np.multiply(mag, mag, out=mag), axis=axis)
+    return s, 2 * np.squeeze(k, axis)
 
 
 def column_norms(z: np.ndarray, weight: float = 1.0) -> np.ndarray:
-    """sqrt(weight * sum |z|^2) over every axis but the last, one value per column.
-
-    A column whose plain weighted sum of squares under- or overflows is summed
-    again by hypot, which rescales at every step; the other columns keep the
-    bits of the plain sum.
-    """
-    with np.errstate(over="ignore"):
-        sq = _sum_abs2(z, tuple(range(z.ndim - 1)))
-        wsq = weight * sq
-        out = np.sqrt(wsq)
-        bad = (np.minimum(sq, wsq) < np.finfo(float).tiny) | (wsq == np.inf)
-        if bad.any():
-            cols = np.abs(z[..., bad]).reshape(-1, np.count_nonzero(bad))
-            out[bad] = np.hypot.reduce(cols, axis=0, initial=0.0) * np.sqrt(weight)
-    return out
+    """sqrt(weight * sum |z|^2) over every axis but the last, one value per column, as
+    ldexp(sqrt(weight * s), e / 2) from _sum_abs2: a column keeps its norm where its sum leaves the floats."""
+    s, e = _sum_abs2(z, tuple(range(z.ndim - 1)))
+    return np.ldexp(np.sqrt(weight * s), e // 2)
 
 
 def _first_difference(c: np.ndarray, h: float) -> np.ndarray:
@@ -240,8 +248,11 @@ class BumpProfile(SpectralProfile):
         idx = np.flatnonzero(self.bump[lo:hi] * self._peak_part)
         return (lo + int(idx[0]), lo + int(idx[-1])) if idx.size else None
 
-    def densities(self) -> tuple[np.ndarray, np.ndarray]:
-        """The closed forms |v|^2 s^2 and sum_i (|v_i| (s'' - mu_i s))^2 on the stencil.
+    def _stencil_peak(self) -> float:
+        return self._peak_part * float(self.bump[self._stencil].max())  # coeffs' bit for bit: s >= 0
+
+    def densities(self, shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The closed forms |v|^2 s^2 and sum_i (|v_i| (s'' - mu_i s))^2 on the stencil, of phi 2^-shift.
 
         |v|^2 s^2 is taken as sum_i (|v_i|/p)^2 (p s)^2 with p the largest part
         of v, and each residual row is scaled by its own |v_i| before it is
@@ -252,7 +263,7 @@ class BumpProfile(SpectralProfile):
         norm2, psi2 = np.zeros(n), np.zeros(n)
         if self._stencil is not None:
             lo, hi = self._stencil.start, self._stencil.stop
-            p, mod = self._peak_part, np.abs(self.amps)
+            p, mod = math.ldexp(self._peak_part, -shift), np.ldexp(np.abs(self.amps), -shift)
             norm2[lo:hi] = np.sum((mod / p) ** 2) * (p * self.bump[lo:hi]) ** 2
             r = _residual(self.bump, self.eigs, self.step, lo, hi)
             r *= mod[:, None]

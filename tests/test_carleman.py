@@ -21,7 +21,7 @@ from halfspace_decay import (
     zero_profile,
 )
 from halfspace_decay.ensembles import bump_case_43, bump_case_gap, solution_like_profile
-from halfspace_decay.profiles import plateau_shape
+from halfspace_decay.profiles import BumpProfile, plateau_shape
 from halfspace_decay.carleman import _pass_rule
 from halfspace_decay.quadrature import GATE_RTOL, Integral, check_resolution, uniform_grid
 
@@ -313,11 +313,50 @@ def test_weight_overflow_on_the_support_is_refused():
 
 
 def test_finite_weight_whose_integral_overflows_is_refused():
-    """Weight and densities are finite on the support, but their product is not."""
-    phi = bump_profile((0.5, 3.0), [(1.0, 1e150)], uniform_grid(4.0, 4097))
-    assert all(np.isfinite(d).all() for d in phi.densities())
-    with pytest.raises(PreconditionError, match=r"weight exp\(2\*2.45\*t\^1\) or its integral overflows"):
-        verify_carleman_gap(phi, 2.0, 2.9, 0.0)
+    """The weight is finite on the support (at most e^703), but its integral against the mode 1e12 is not."""
+    phi = bump_profile((0.5, 3.0), [(1.0, 1.0), (1e12, 0.5)], uniform_grid(4.0, 4097))
+    with pytest.raises(PreconditionError, match=r"weight exp\(2\*117\*t\^1\) or its integral overflows"):
+        verify_carleman_gap(phi, 116.0, 118.0, 0.0)
+
+
+def test_report_of_a_large_profile_is_the_scaled_report_or_names_the_profile():
+    """The plain weighted integral of ||psi||^2 overflows at amplitude 2^498 (about 1.6e150), but the
+    report (rhs about 2e306) does not: it is 4^498 times the unit report.  At 2^505 the report itself
+    overflows: refused, and the profile, not the weight, is named.
+    """
+    t = uniform_grid(4.0, 4097)
+    unit = verify_carleman_gap(bump_profile((0.5, 3.0), [(1.0, 1.0)], t), 2.0, 2.9, 0.0)
+    phi = bump_profile((0.5, 3.0), [(1.0, 2.0**498)], t)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(phi.densities()[1] * np.exp(2.0 * 2.45 * t)))  # the plain weighted integral
+    big = verify_carleman_gap(phi, 2.0, 2.9, 0.0)
+    assert big.passed == unit.passed
+    assert (big.lhs, big.rhs, big.margin, big.quad_err) == tuple(
+        math.ldexp(x, 996) for x in (unit.lhs, unit.rhs, unit.margin, unit.quad_err))
+    with pytest.raises(PreconditionError, match=r"^carleman-gap: the profile's weighted integrals overflow"):
+        verify_carleman_gap(bump_profile((0.5, 3.0), [(1.0, 2.0**505)], t), 2.0, 2.9, 0.0)
+
+
+@pytest.mark.parametrize("factored", [True, False])
+def test_weighted_reports_scale_by_four_to_the_power_exactly(factored):
+    """phi 2^p gets 4^p times phi's report, bit for bit, and the same verdict; 4^520 overflows it."""
+    phi, a, b, alpha = bump_case_gap(5, 2)
+    eps, lam = 0.5, 3.0
+
+    def scaled(p):
+        if factored:
+            return BumpProfile(phi.eigs, phi.t_grid, phi.amps * 2.0**p, phi.bump)
+        return SpectralProfile(phi.eigs, phi.t_grid, phi.coeffs * 2.0**p)
+
+    units = [verify_carleman_gap(scaled(0), a, b, alpha), verify_carleman_43(scaled(0), lam, eps)]
+    for p in (-500, -200, 200, 450):
+        reports = [verify_carleman_gap(scaled(p), a, b, alpha), verify_carleman_43(scaled(p), lam, eps)]
+        for got, ref in zip(reports, units):
+            assert got.passed == ref.passed
+            assert (got.lhs, got.rhs, got.margin, got.quad_err) == tuple(
+                math.ldexp(x, 2 * p) for x in (ref.lhs, ref.rhs, ref.margin, ref.quad_err))
+    with pytest.raises(PreconditionError, match="the profile's weighted integrals overflow"):
+        verify_carleman_gap(scaled(520), a, b, alpha)
 
 
 def test_system_check_non_finite_defect_names_the_defect():
@@ -561,6 +600,27 @@ def test_ellreg_beta_counts_points_where_phi_is_small():
     t = prof.t_grid[1:-1]
     beta = float(np.max(np.abs(4.0 * (t - 5.0) ** 2 - 2.0)))
     assert ellreg_bound_check(prof, 0.25, [2.0]).beta == pytest.approx(beta, rel=1e-3)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_ellreg_is_scale_free(index):
+    """beta and the ratios are of degree 0 in phi: the same bits at 2^p, for p from -565 to 531.
+
+    A decimal scale rounds every coefficient, and the second difference divides that rounding by
+    h^2 (h = 0.006): beta moves by about 4 eps / h^2 ~ 1e-11, the ratios by a few eps.
+    """
+    phi, _ = solution_like_profile(7, index)
+    s_list = [2.0, 4.0, 6.0]
+    unit = ellreg_bound_check(phi, 0.5, s_list)
+    for scale in (2.0**-66, 2.0**-565, 2.0**531, 1e-20, 1e-170, 1e160):
+        got = ellreg_bound_check(SpectralProfile(phi.eigs, phi.t_grid, phi.coeffs * scale), 0.5, s_list)
+        if math.frexp(scale)[0] == 0.5:
+            assert got == unit
+        else:
+            assert got.beta == pytest.approx(unit.beta, rel=1e-12, abs=1e-10)
+            assert got.sup_ratio == pytest.approx(unit.sup_ratio, rel=1e-12)
+            assert [s for s, _ in got.ratios] == s_list
+            assert [r for _, r in got.ratios] == pytest.approx([r for _, r in unit.ratios], rel=1e-12)
 
 
 def test_ellreg_refinement_stability():

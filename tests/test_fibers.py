@@ -301,6 +301,22 @@ def test_forward_tail_bound_reported():
     assert fiber.tail_bound > 0.0
 
 
+def test_forward_tail_bound_scales_with_the_field(tmp_path):
+    """Each cut cell's mass is a running (s, e) pair: the tail bound is the scale times the unit one.
+
+    The manufactured line field has 3 cells, and l_max 0 cuts two of them; its plain squares
+    underflow at 1e-170 and 1e-200 and overflow at 1e160.
+    """
+    _, u_path, lat = manufactured_line_input(tmp_path)
+    u = load_field(u_path, lat)
+    theta = Quasimomentum.from_rational(6, (1,))
+    unit = gelfand_forward(u, theta, 0).tail_bound
+    assert unit > 0.0
+    for scale in (1e-170, 1e-200, 1e160):
+        scaled = dataclasses.replace(u, values=u.values * scale)
+        assert gelfand_forward(scaled, theta, 0).tail_bound == pytest.approx(scale * unit, rel=1e-12)
+
+
 def test_potential_periodicity_enforced():
     lat = line_lattice()
     values = np.ones((16, 3), dtype=complex)

@@ -543,7 +543,25 @@ def test_pipeline_fiber_whose_mass_leaves_the_floats_keeps_its_modes(line_pipeli
         if scale < 1:
             assert case["verdict"] == "pass"
         else:
-            assert re.fullmatch(r"refused: carleman-gap: the weight .* or its integral overflows", case["verdict"])
+            assert re.fullmatch(r"refused: carleman-gap: the profile's weighted integrals overflow "
+                                r"\(its peak is near 2\^\d+\)", case["verdict"])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-170, 1e-200])
+def test_pipeline_carleman_verdict_does_not_depend_on_the_scale_of_the_field(line_pipeline_input, tmp_path, scale):
+    """With carleman_taper 1e-3 every case is a resolution-gate refusal (exit 2), at any scale of the field.
+
+    The weighted densities are of phi 2^-k, k the exponent of phi's peak: at 1e-170 they would
+    underflow, and 0 <= 0 would read as a pass.
+    """
+    lat_path, u_path, lat = line_pipeline_input
+    u = load_field(u_path, lat)
+    field = tmp_path / "u.csv"
+    save_field(dataclasses.replace(u, values=u.values * scale), field)
+    config = pipeline_config(lat_path, field, tmp_path / "out", cutoff=20.0, carleman_taper=1e-3)
+    manifest, code = run_pipeline(config)
+    assert code == 2 and len(manifest.cases) == 3
+    assert all(c["verdict"].startswith("refused: carleman-gap: resolution gate failed") for c in manifest.cases)
 
 
 def test_pipeline_subnormal_taper_is_one_resolution_gate_refusal_per_case(line_pipeline_input, tmp_path):

@@ -26,7 +26,8 @@ from halfspace_decay.fields import SampledField
 from halfspace_decay.lattice import Lattice, Quasimomentum, unit_cell_volume
 from halfspace_decay.errors import GridError
 from halfspace_decay.profiles import (
-    BumpProfile, SpectralProfile, _second_difference, bump_profile, plateau_shape, smooth_bump, zero_profile,
+    BumpProfile, SpectralProfile, _second_difference, bump_profile, column_norms, plateau_shape, smooth_bump,
+    zero_profile,
 )
 from halfspace_decay.quadrature import grid_step, simpson_weights, simpson_with_error
 
@@ -42,9 +43,9 @@ def ref_second_difference(p: SpectralProfile) -> np.ndarray:
     return out
 
 
-def ref_densities(p: SpectralProfile):
-    psi = ref_second_difference(p) - p.eigs[:, None] * p.coeffs
-    return np.sum(np.abs(p.coeffs) ** 2, axis=0), np.sum(np.abs(psi) ** 2, axis=0)
+def ref_densities(p: SpectralProfile, shift: int = 0):
+    psi = (ref_second_difference(p) - p.eigs[:, None] * p.coeffs) * 2.0**-shift
+    return np.sum(np.abs(p.coeffs * 2.0**-shift) ** 2, axis=0), np.sum(np.abs(psi) ** 2, axis=0)
 
 
 def ref_norms(p: SpectralProfile) -> np.ndarray:
@@ -198,6 +199,23 @@ def test_norms_survive_gaussian_underflow():
     assert np.allclose(p.norms(), np.exp(-t * t), rtol=1e-15, atol=0.0)
     est = decay_rate_estimate(p, (2.0, 20.0))
     assert est.rate > 10.0
+
+
+def test_norms_of_a_superexponential_profile_keep_every_column():
+    """e^(-t^2) in two modes on [0, 20]: |c|^2 underflows past t = 18.8 (e^(-400) is 2e-174), the norm does not."""
+    t = np.linspace(0.0, 20.0, 4001)
+    c = np.exp(-t * t)
+    ref = math.sqrt(2.0) * c
+    p = SpectralProfile(eigs=[1.0, 4.0], t_grid=t, coeffs=np.stack([c, c]))
+    assert np.max(np.abs(p.norms() - ref) / ref) <= 3e-16
+
+
+@pytest.mark.parametrize("p", [-1000, -600, -200, 0, 200, 600])
+def test_column_norms_scale_by_a_power_of_two_exactly(p):
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(4, 3, 257)) + 1j * rng.normal(size=(4, 3, 257))
+    for weight in (1.0, 0.3):
+        assert np.array_equal(column_norms(z * 2.0**p, weight), 2.0**p * column_norms(z, weight))
 
 
 def test_norms_of_exponential_decay_keep_their_bits():
